@@ -1,7 +1,9 @@
 // Golden SIEM-trace regression tests (DESIGN.md §9): the committed files in
-// tests/golden/ hold the exact SIEM JSON stream of one reference scenario
-// and one pipeline trace-replay run. Any byte of drift — alert content,
-// ordering, JSON shape, timestamping — fails the test.
+// tests/golden/ hold the exact SIEM JSON stream of every Fig. 8 scenario,
+// the collaborative wormhole run and one pipeline trace-replay run, plus the
+// ordered knowledge changes of recorded home, WSN and ZigBee captures
+// replayed into a KalisNode. Any byte of drift — alert content, ordering,
+// JSON shape, timestamping, knowgget publication order — fails the test.
 //
 // Regenerating after an INTENDED output change:
 //
@@ -10,6 +12,7 @@
 // then review the diff of tests/golden/ like any other code change.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,7 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
+#include "recorded_captures.hpp"
 #include "scenarios/chaos_workload.hpp"
 #include "scenarios/scenarios.hpp"
 
@@ -54,21 +59,52 @@ void checkGolden(const std::string& name,
   std::stringstream expected;
   expected << in.rdbuf();
   EXPECT_EQ(expected.str(), produced.str())
-      << "SIEM output drifted from " << path
+      << "output drifted from " << path
       << "\nIf the change is intended, regenerate with KALIS_REGEN_GOLDEN=1 "
          "and review the diff.";
+}
+
+std::vector<std::string> siemLines(const std::vector<ids::Alert>& alerts) {
+  std::vector<std::string> lines;
+  lines.reserve(alerts.size());
+  for (const ids::Alert& alert : alerts) lines.push_back(ids::toSiemJson(alert));
+  return lines;
+}
+
+/// "Selective Forwarding" -> "selective_forwarding".
+std::string slug(const std::string& name) {
+  std::string out;
+  for (char c : name) {
+    out += c == ' ' ? '_' : static_cast<char>(std::tolower(
+                                 static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+/// Replays a recording into a KalisNode with the standard module library
+/// and returns every knowledge change, in order, as
+/// "<time us> label@entity=value" ("label=value" for entity-less ones).
+std::vector<std::string> knowledgeChanges(const recorded::Recording& rec) {
+  sim::Simulator simulator(1);
+  ids::KalisNode node(simulator);
+  node.useStandardLibrary();
+  std::vector<std::string> lines;
+  node.kb().subscribe("*", [&lines](const ids::Knowgget& k) {
+    std::string line = std::to_string(k.updated) + " " + k.label;
+    if (!k.entity.empty()) line += "@" + k.entity;
+    lines.push_back(line + "=" + k.value);
+  });
+  node.start();
+  for (const net::CapturedPacket& pkt : rec.packets) node.replayFeed(pkt);
+  simulator.runUntil(rec.end);
+  return lines;
 }
 
 TEST(GoldenTrace, IcmpFloodScenarioSiemStream) {
   const scenarios::ScenarioResult result =
       scenarios::runIcmpFlood(scenarios::SystemKind::kKalis, 42);
-  std::vector<std::string> lines;
-  lines.reserve(result.alerts.size());
-  for (const ids::Alert& alert : result.alerts) {
-    lines.push_back(ids::toSiemJson(alert));
-  }
-  ASSERT_FALSE(lines.empty());
-  checkGolden("icmp_flood_kalis_seed42.siem.jsonl", lines);
+  ASSERT_FALSE(result.alerts.empty());
+  checkGolden("icmp_flood_kalis_seed42.siem.jsonl", siemLines(result.alerts));
 }
 
 TEST(GoldenTrace, PipelineTraceReplaySiemStream) {
@@ -76,6 +112,40 @@ TEST(GoldenTrace, PipelineTraceReplaySiemStream) {
       scenarios::runTraceReplayWorkload(21, nullptr, 0);
   ASSERT_FALSE(out.siemLines.empty());
   checkGolden("trace_replay_pipeline_seed21.siem.jsonl", out.siemLines);
+}
+
+TEST(GoldenTrace, Fig8ScenarioSiemStreams) {
+  for (const std::string& name : scenarios::scenarioNames()) {
+    SCOPED_TRACE(name);
+    const auto result =
+        scenarios::runScenarioByName(name, scenarios::SystemKind::kKalis, 7);
+    ASSERT_TRUE(result.has_value());
+    ASSERT_FALSE(result->alerts.empty());
+    checkGolden("fig8_" + slug(name) + "_kalis_seed7.siem.jsonl",
+                siemLines(result->alerts));
+  }
+}
+
+TEST(GoldenTrace, CollaborativeWormholeSiemStream) {
+  const scenarios::WormholeResult result = scenarios::runWormhole(7, true);
+  ASSERT_FALSE(result.combined.alerts.empty());
+  checkGolden("wormhole_collaborative_seed7.siem.jsonl",
+              siemLines(result.combined.alerts));
+}
+
+TEST(GoldenTrace, HomeKnowledgeChangeStream) {
+  checkGolden("kb_home_floods_seed7.txt",
+              knowledgeChanges(recorded::recordHomeFloods(7)));
+}
+
+TEST(GoldenTrace, WsnKnowledgeChangeStream) {
+  checkGolden("kb_wsn_blackhole_seed7.txt",
+              knowledgeChanges(recorded::recordWsnBlackhole(7)));
+}
+
+TEST(GoldenTrace, ZigbeeKnowledgeChangeStream) {
+  checkGolden("kb_zigbee_star_seed7.txt",
+              knowledgeChanges(recorded::recordZigbeeStar(7)));
 }
 
 }  // namespace
