@@ -17,11 +17,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "kalis/knowledge.hpp"
 #include "net/entity_ref.hpp"
 
 namespace kalis::ids {
@@ -35,17 +37,16 @@ class EntityKeyedMap {
     V value;
   };
 
-  /// Allocation-free on the hit path; on a miss, constructs V from `args`
-  /// and caches the label (the only string built, once per new entity).
+  /// Allocation-free on the hit path: V is constructed from `args` only on
+  /// a miss, together with the cached label (the only string built, once
+  /// per new entity).
   template <class... Args>
   std::pair<Entry*, bool> tryEmplace(const net::EntityRef& key,
                                      Args&&... args) {
-    auto [it, inserted] =
-        map_.try_emplace(key, Entry{key, {}, V(std::forward<Args>(args)...)});
-    if (inserted) {
-      it->second.label = key.toString();
-      dirty_ = true;
-    }
+    if (auto it = map_.find(key); it != map_.end()) return {&it->second, false};
+    auto [it, inserted] = map_.try_emplace(
+        key, Entry{key, key.toString(), V(std::forward<Args>(args)...)});
+    dirty_ = true;
     return {&it->second, inserted};
   }
 
@@ -111,6 +112,54 @@ class EntityKeyedMap {
   std::unordered_map<net::EntityRef, Entry> map_;
   std::vector<Entry*> sorted_;
   bool dirty_ = false;
+};
+
+/// The entity a local knowgget names (CtpRoot = "0x0001"), kept current
+/// through a Knowledge Base subscription so the packet path compares
+/// EntityRefs instead of looking the knowgget up and comparing strings on
+/// every packet. Binds to the KB it is first read from (and rebinds if
+/// handed another); that KB must outlive the cache. Like module activation,
+/// it follows put()s, not KnowledgeBase::remove().
+class KnowggetEntityCache {
+ public:
+  explicit KnowggetEntityCache(std::string label) : label_(std::move(label)) {}
+  ~KnowggetEntityCache() { unbind(); }
+  KnowggetEntityCache(const KnowggetEntityCache&) = delete;
+  KnowggetEntityCache& operator=(const KnowggetEntityCache&) = delete;
+
+  /// The cache, current for `kb`.
+  const KnowggetEntityCache& in(KnowledgeBase& kb) {
+    if (kb_ != &kb) bind(kb);
+    return *this;
+  }
+  /// The knowgget's local value ("" while unset).
+  const std::string& value() const { return value_; }
+  /// The entity value() names; nullopt when it names none.
+  const std::optional<net::EntityRef>& entity() const { return entity_; }
+
+ private:
+  void bind(KnowledgeBase& kb) {
+    unbind();
+    kb_ = &kb;
+    subscription_ = kb.subscribe(label_, [this](const Knowgget& k) {
+      if (k.creator == kb_->selfId() && k.entity.empty()) set(k.value);
+    });
+    set(kb.local(label_).value_or(""));
+  }
+  void unbind() {
+    if (kb_ != nullptr) kb_->unsubscribe(subscription_);
+    kb_ = nullptr;
+  }
+  void set(const std::string& value) {
+    value_ = value;
+    entity_ = net::EntityRef::fromLabel(value);
+  }
+
+  std::string label_;
+  KnowledgeBase* kb_ = nullptr;
+  int subscription_ = 0;
+  std::string value_;
+  std::optional<net::EntityRef> entity_;
 };
 
 /// Selects the entity with the highest count; ties break toward the

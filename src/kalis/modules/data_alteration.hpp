@@ -45,6 +45,7 @@ class DataAlterationModule final : public DetectionModule {
  private:
   Duration cooldown_ = seconds(15);
   ForwardingWatchdog watchdog_;
+  KnowggetEntityCache ctpRoot_{labels::kCtpRoot};
 };
 
 }  // namespace kalis::ids

@@ -4,14 +4,24 @@
 
 namespace kalis::ids {
 
+const char* DeviceClassifierModule::roleName(Role role) {
+  switch (role) {
+    case Role::kRouter: return "router";
+    case Role::kHub: return "hub";
+    case Role::kSub: return "sub";
+    case Role::kUnknown: break;
+  }
+  return "";
+}
+
 void DeviceClassifierModule::onPacket(const net::CapturedPacket& pkt,
                                       const net::Dissection& dis,
                                       ModuleContext& ctx) {
   (void)pkt;
   (void)ctx;
-  const std::string sender = dis.linkSource();
-  if (sender == "?") return;
-  EntityState& s = state_[sender];
+  const net::EntityRef sender = dis.linkSourceRef();
+  if (!sender.valid()) return;
+  EntityState& s = state_.tryEmplace(sender).first->value;
 
   if (dis.wifi && dis.wifi->kind == net::WifiFrameKind::kBeacon &&
       dis.wifi->src == dis.wifi->bssid) {
@@ -19,11 +29,11 @@ void DeviceClassifierModule::onPacket(const net::CapturedPacket& pkt,
   }
   if (dis.ctpBeacon && dis.ctpBeacon->etx == 0) s.isCtpRoot = true;
 
-  if (dis.zigbee && net::toString(dis.zigbee->src) == sender &&
+  if (dis.zigbee && net::EntityRef::of(dis.zigbee->src) == sender &&
       !dis.zigbee->payload.empty()) {
     const std::uint8_t tag = dis.zigbee->payload[0];
     if (tag == net::kZigbeeAppCommand) {
-      s.commandTargets.insert(net::toString(dis.zigbee->dst));
+      s.commandTargets.insert(net::EntityRef::of(dis.zigbee->dst));
     } else if (tag == net::kZigbeeAppReport) {
       s.sendsReports = true;
     }
@@ -31,20 +41,21 @@ void DeviceClassifierModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void DeviceClassifierModule::onTick(ModuleContext& ctx) {
-  for (auto& [entity, s] : state_) {
-    std::string role;
+  state_.forEachOrdered([&](EntityKeyedMap<EntityState>::Entry& entry) {
+    EntityState& s = entry.value;
+    Role role = Role::kUnknown;
     if (s.isApBeaconer) {
-      role = "router";
+      role = Role::kRouter;
     } else if (s.isCtpRoot || s.commandTargets.size() >= 2) {
-      role = "hub";
+      role = Role::kHub;
     } else if (s.sendsReports || !s.commandTargets.empty()) {
-      role = "sub";
+      role = Role::kSub;
     }
-    if (!role.empty() && role != s.publishedRole) {
+    if (role != Role::kUnknown && role != s.publishedRole) {
       s.publishedRole = role;
-      ctx.kb.put(labels::kRole, role, entity);
+      ctx.kb.put(labels::kRole, roleName(role), entry.label);
     }
-  }
+  });
 }
 
 }  // namespace kalis::ids

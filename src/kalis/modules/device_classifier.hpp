@@ -11,10 +11,10 @@
 // taxonomy consistency bench and the smart-firewall policy examples.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -28,20 +28,21 @@ class DeviceClassifierModule final : public SensingModule {
   void onTick(ModuleContext& ctx) override;
 
   std::size_t memoryBytes() const override {
-    std::size_t bytes = sizeof(*this);
-    for (const auto& [k, v] : state_) bytes += k.size() + sizeof(EntityState) + 32;
-    return bytes;
+    return sizeof(*this) + state_.entryOverheadBytes();
   }
 
  private:
+  enum class Role : std::uint8_t { kUnknown, kRouter, kHub, kSub };
+  static const char* roleName(Role role);
+
   struct EntityState {
-    std::set<std::string> commandTargets;
+    std::set<net::EntityRef> commandTargets;
     bool isCtpRoot = false;
     bool isApBeaconer = false;
     bool sendsReports = false;
-    std::string publishedRole;
+    Role publishedRole = Role::kUnknown;
   };
-  std::map<std::string, EntityState> state_;
+  EntityKeyedMap<EntityState> state_;  ///< by link-layer sender
 };
 
 }  // namespace kalis::ids

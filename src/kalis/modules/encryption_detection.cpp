@@ -43,10 +43,9 @@ void EncryptionDetectionModule::onPacket(const net::CapturedPacket& pkt,
   }
 
   if (linkSecured || payloadOpaque) {
-    const std::string entity = dis.linkSource();
-    if (entity != "?" && !entityEncrypted_[entity]) {
-      entityEncrypted_[entity] = true;
-      ctx.kb.put("Encrypted", true, entity);
+    const net::EntityRef entity = dis.linkSourceRef();
+    if (entity.valid() && encrypted_.insert(entity).second) {
+      ctx.kb.put("Encrypted", true, entity.toString());
     }
   }
   (void)pkt;

@@ -13,6 +13,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_set>
 
 #include "kalis/module.hpp"
 
@@ -28,15 +29,14 @@ class EncryptionDetectionModule final : public SensingModule {
                 ModuleContext& ctx) override;
 
   std::size_t memoryBytes() const override {
-    std::size_t bytes = sizeof(*this);
-    for (const auto& [k, v] : entityEncrypted_) bytes += k.size() + 16;
-    return bytes;
+    return sizeof(*this) +
+           encrypted_.size() * (sizeof(net::EntityRef) + 16);
   }
 
  private:
   double entropyThreshold_ = 7.2;
   std::size_t minPayload_ = 64;
-  std::map<std::string, bool> entityEncrypted_;
+  std::unordered_set<net::EntityRef> encrypted_;  ///< Encrypted@ published
   bool wpanPublished_ = false;
   bool wifiPublished_ = false;
 };

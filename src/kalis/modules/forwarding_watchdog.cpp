@@ -1,115 +1,126 @@
 #include "kalis/modules/forwarding_watchdog.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+
 #include "util/checksum.hpp"
 
 namespace kalis::ids {
 
-namespace {
-
-std::string ctpKey(std::uint16_t origin, std::uint8_t seqno) {
-  return "C" + std::to_string(origin) + ":" + std::to_string(seqno);
-}
-
-std::string zigbeeKey(std::uint16_t src, std::uint8_t seq) {
-  return "Z" + std::to_string(src) + ":" + std::to_string(seq);
-}
-
-}  // namespace
-
 std::uint64_t ForwardingWatchdog::fingerprint(std::uint16_t src,
                                               std::uint8_t seq,
                                               BytesView payload) {
-  Bytes material;
-  ByteWriter w(material);
-  w.u16be(src);
-  w.u8(seq);
-  w.raw(payload);
-  return fnv1a64(BytesView(material));
+  const std::uint8_t header[3] = {static_cast<std::uint8_t>(src >> 8),
+                                  static_cast<std::uint8_t>(src & 0xff), seq};
+  return fnv1a64(payload, fnv1a64(BytesView(header)));
+}
+
+bool ForwardingWatchdog::labelOrder(const Unit& a, const Unit& b) {
+  // Format both keys into stack buffers; NUL padding sorts a prefix first,
+  // as std::string comparison does.
+  const auto format = [](const Unit& u) {
+    std::array<char, 12> text{};
+    char* p = text.data();
+    *p++ = u.protocol;
+    p = std::to_chars(p, text.data() + text.size(), u.origin).ptr;
+    *p++ = ':';
+    std::to_chars(p, text.data() + text.size(), u.seq);
+    return text;
+  };
+  return format(a) < format(b);
 }
 
 void ForwardingWatchdog::observe(const net::CapturedPacket& pkt,
                                  const net::Dissection& dis,
-                                 const std::string& ctpRoot) {
+                                 const std::optional<net::EntityRef>& ctpRoot) {
   const SimTime now = pkt.meta.timestamp;
   if (dis.ctpData && dis.wpan) {
     const net::CtpDataView& data = *dis.ctpData;
-    const std::string key = ctpKey(data.origin.value, data.seqno);
-    const std::string sender = dis.linkSource();
-    const std::string receiver = dis.linkDest();
+    const Unit unit{'C', data.origin.value, data.seqno};
+    const net::EntityRef receiver = dis.linkDestRef();
+    const std::uint64_t payloadHash = fnv1a64(BytesView(data.payload));
 
     // First: does this transmission resolve a pending expectation?
-    resolve(key, sender, fnv1a64(BytesView(data.payload)), now);
+    resolve(unit, dis.linkSourceRef(), payloadHash, now);
 
     // Then: does it create a new expectation? The receiver must forward,
     // unless it is the collection root or a broadcast.
     if (!dis.wpan->dst.isBroadcast() && receiver != ctpRoot) {
-      if (pending_.size() < config_.maxPending) {
-        Pending p;
-        p.seen = now;
-        p.forwarder = receiver;
-        p.payloadHash = fnv1a64(BytesView(data.payload));
-        p.fp = fingerprint(data.origin.value, data.seqno, BytesView(data.payload));
-        p.originEntity = net::toString(data.origin);
-        pending_[key] = std::move(p);
-      }
+      expect(Pending{unit, now, receiver, payloadHash,
+                     fingerprint(data.origin.value, data.seqno,
+                                 BytesView(data.payload)),
+                     net::EntityRef::of(data.origin)});
     }
     return;
   }
 
   if (dis.zigbee && dis.wpan) {
     const net::ZigbeeNwkFrameView& nwk = *dis.zigbee;
-    const std::string key = zigbeeKey(nwk.src.value, nwk.seq);
-    const std::string sender = dis.linkSource();
-    const std::string receiver = dis.linkDest();
-    const std::string nwkDst = net::toString(nwk.dst);
+    const Unit unit{'Z', nwk.src.value, nwk.seq};
+    const net::EntityRef receiver = dis.linkDestRef();
+    const std::uint64_t payloadHash = fnv1a64(BytesView(nwk.payload));
 
-    resolve(key, sender, fnv1a64(BytesView(nwk.payload)), now);
+    resolve(unit, dis.linkSourceRef(), payloadHash, now);
 
     // Forwarding expected when the link receiver is not the NWK destination.
     if (!dis.wpan->dst.isBroadcast() && !nwk.dst.isBroadcast() &&
-        receiver != nwkDst) {
-      if (pending_.size() < config_.maxPending) {
-        Pending p;
-        p.seen = now;
-        p.forwarder = receiver;
-        p.payloadHash = fnv1a64(BytesView(nwk.payload));
-        p.fp = fingerprint(nwk.src.value, nwk.seq, BytesView(nwk.payload));
-        p.originEntity = net::toString(nwk.src);
-        pending_[key] = std::move(p);
-      }
+        receiver != net::EntityRef::of(nwk.dst)) {
+      expect(Pending{unit, now, receiver, payloadHash,
+                     fingerprint(nwk.src.value, nwk.seq,
+                                 BytesView(nwk.payload)),
+                     net::EntityRef::of(nwk.src)});
     }
   }
 }
 
-void ForwardingWatchdog::resolve(const std::string& key,
-                                 const std::string& bySender,
-                                 std::uint64_t newPayloadHash, SimTime now) {
-  auto it = pending_.find(key);
-  if (it == pending_.end()) return;
-  if (it->second.forwarder != bySender) return;  // someone else's copy
-  if (newPayloadHash != it->second.payloadHash) {
-    alterations_.push_back(AlterationEvent{bySender, now,
-                                           it->second.originEntity,
-                                           it->second.payloadHash,
-                                           newPayloadHash});
+void ForwardingWatchdog::expect(const Pending& p) {
+  if (pending_.size() >= config_.maxPending) return;
+  for (Pending& existing : pending_) {
+    if (existing.unit == p.unit) {
+      existing = p;  // one expectation per unit: the latest hand-off
+      return;
+    }
   }
-  addVerdict(bySender, Verdict{now, false, it->second.fp});
+  pending_.push_back(p);
+}
+
+void ForwardingWatchdog::resolve(const Unit& unit,
+                                 const net::EntityRef& bySender,
+                                 std::uint64_t newPayloadHash, SimTime now) {
+  auto it = std::find_if(pending_.begin(), pending_.end(),
+                         [&](const Pending& p) { return p.unit == unit; });
+  if (it == pending_.end()) return;
+  if (it->forwarder != bySender) return;  // someone else's copy
+  if (newPayloadHash != it->payloadHash) {
+    alterations_.push_back(AlterationEvent{bySender, now, it->originEntity,
+                                           it->payloadHash, newPayloadHash});
+  }
+  addVerdict(bySender, Verdict{now, false, it->fp});
   pending_.erase(it);
 }
 
 void ForwardingWatchdog::expire(SimTime now) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now >= it->second.seen + config_.timeout) {
-      addVerdict(it->second.forwarder, Verdict{now, true, it->second.fp});
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
+  const auto timedOut = [&](const Pending& p) {
+    return now >= p.seen + config_.timeout;
+  };
+  expired_.clear();
+  for (const Pending& p : pending_) {
+    if (timedOut(p)) expired_.push_back(p);
+  }
+  if (expired_.empty()) return;
+  std::erase_if(pending_, timedOut);
+  std::sort(expired_.begin(), expired_.end(),
+            [](const Pending& a, const Pending& b) {
+              return labelOrder(a.unit, b.unit);
+            });
+  for (const Pending& p : expired_) {
+    addVerdict(p.forwarder, Verdict{now, true, p.fp});
   }
 }
 
-void ForwardingWatchdog::addVerdict(const std::string& entity, Verdict v) {
-  auto& deque = verdicts_[entity];
+void ForwardingWatchdog::addVerdict(const net::EntityRef& entity, Verdict v) {
+  auto& deque = verdicts_.tryEmplace(entity).first->value;
   deque.push_back(v);
   evict(deque, v.time);
 }
@@ -122,44 +133,50 @@ void ForwardingWatchdog::evict(std::deque<Verdict>& verdicts,
   }
 }
 
-std::size_t ForwardingWatchdog::samples(const std::string& entity,
-                                        SimTime now) {
-  auto it = verdicts_.find(entity);
-  if (it == verdicts_.end()) return 0;
-  evict(it->second, now);
-  return it->second.size();
+std::deque<ForwardingWatchdog::Verdict>* ForwardingWatchdog::verdictsOf(
+    const net::EntityRef& entity, SimTime now) {
+  auto* entry = verdicts_.find(entity);
+  if (entry == nullptr) return nullptr;
+  evict(entry->value, now);
+  return &entry->value;
 }
 
-double ForwardingWatchdog::dropRatio(const std::string& entity, SimTime now) {
-  auto it = verdicts_.find(entity);
-  if (it == verdicts_.end()) return 0.0;
-  evict(it->second, now);
-  if (it->second.empty()) return 0.0;
+std::size_t ForwardingWatchdog::samples(const net::EntityRef& entity,
+                                        SimTime now) {
+  const auto* verdicts = verdictsOf(entity, now);
+  return verdicts ? verdicts->size() : 0;
+}
+
+double ForwardingWatchdog::dropRatio(const net::EntityRef& entity,
+                                     SimTime now) {
+  const auto* verdicts = verdictsOf(entity, now);
+  if (verdicts == nullptr || verdicts->empty()) return 0.0;
   std::size_t dropped = 0;
-  for (const Verdict& v : it->second) {
+  for (const Verdict& v : *verdicts) {
     if (v.dropped) ++dropped;
   }
-  return static_cast<double>(dropped) / static_cast<double>(it->second.size());
+  return static_cast<double>(dropped) / static_cast<double>(verdicts->size());
 }
 
 std::vector<std::uint64_t> ForwardingWatchdog::droppedFingerprints(
-    const std::string& entity, SimTime now) {
+    const net::EntityRef& entity, SimTime now) {
   std::vector<std::uint64_t> fps;
-  auto it = verdicts_.find(entity);
-  if (it == verdicts_.end()) return fps;
-  evict(it->second, now);
-  for (const Verdict& v : it->second) {
-    if (v.dropped) fps.push_back(v.fp);
+  if (const auto* verdicts = verdictsOf(entity, now)) {
+    for (const Verdict& v : *verdicts) {
+      if (v.dropped) fps.push_back(v.fp);
+    }
   }
   return fps;
 }
 
-std::vector<std::string> ForwardingWatchdog::observedForwarders(SimTime now) {
-  std::vector<std::string> out;
-  for (auto& [entity, deque] : verdicts_) {
-    evict(deque, now);
-    if (!deque.empty()) out.push_back(entity);
-  }
+std::vector<net::EntityRef> ForwardingWatchdog::observedForwarders(
+    SimTime now) {
+  std::vector<net::EntityRef> out;
+  verdicts_.forEachOrdered(
+      [&](EntityKeyedMap<std::deque<Verdict>>::Entry& entry) {
+        evict(entry.value, now);
+        if (!entry.value.empty()) out.push_back(entry.key);
+      });
   return out;
 }
 
@@ -171,13 +188,12 @@ ForwardingWatchdog::drainAlterations() {
 }
 
 std::size_t ForwardingWatchdog::memoryBytes() const {
-  std::size_t bytes = sizeof(*this);
-  for (const auto& [key, p] : pending_) {
-    bytes += key.size() + sizeof(Pending) + p.forwarder.size();
-  }
-  for (const auto& [entity, deque] : verdicts_) {
-    bytes += entity.size() + deque.size() * sizeof(Verdict) + 32;
-  }
+  std::size_t bytes = sizeof(*this) + pending_.size() * sizeof(Pending) +
+                      verdicts_.entryOverheadBytes();
+  verdicts_.forEachUnordered(
+      [&](const EntityKeyedMap<std::deque<Verdict>>::Entry& e) {
+        bytes += e.value.size() * sizeof(Verdict);
+      });
   return bytes;
 }
 

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <string>
+#include <optional>
 #include <vector>
 
+#include "kalis/entity_map.hpp"
 #include "net/packet.hpp"
 #include "util/types.hpp"
 
@@ -37,26 +37,26 @@ class ForwardingWatchdog {
   explicit ForwardingWatchdog(Config config) : config_(config) {}
 
   /// Feeds one overheard packet. `ctpRoot` is the collection root's link
-  /// entity (forwarding is not expected of it); empty if unknown.
+  /// entity (forwarding is not expected of it); nullopt if unknown.
   void observe(const net::CapturedPacket& pkt, const net::Dissection& dis,
-               const std::string& ctpRoot);
+               const std::optional<net::EntityRef>& ctpRoot);
 
   /// Times out pending forwards, turning them into drop verdicts.
   void expire(SimTime now);
 
   // --- per-entity verdict queries (over the trailing window) -----------------
-  std::size_t samples(const std::string& entity, SimTime now);
-  double dropRatio(const std::string& entity, SimTime now);
+  std::size_t samples(const net::EntityRef& entity, SimTime now);
+  double dropRatio(const net::EntityRef& entity, SimTime now);
   /// Fingerprints of recently dropped packets (for wormhole correlation).
-  std::vector<std::uint64_t> droppedFingerprints(const std::string& entity,
+  std::vector<std::uint64_t> droppedFingerprints(const net::EntityRef& entity,
                                                  SimTime now);
-  /// All entities with at least one verdict in the window.
-  std::vector<std::string> observedForwarders(SimTime now);
+  /// All entities with at least one verdict in the window, in label order.
+  std::vector<net::EntityRef> observedForwarders(SimTime now);
 
   struct AlterationEvent {
-    std::string entity;
+    net::EntityRef entity;
     SimTime time;
-    std::string originEntity;
+    net::EntityRef originEntity;
     std::uint64_t originalHash;
     std::uint64_t alteredHash;
   };
@@ -66,17 +66,31 @@ class ForwardingWatchdog {
   std::size_t memoryBytes() const;
 
   /// Stable fingerprint of a forwarded unit (used on both sides of a
-  /// wormhole to match dropped vs re-injected traffic).
+  /// wormhole to match dropped vs re-injected traffic): FNV-1a over the
+  /// source (big-endian), the sequence number and the payload.
   static std::uint64_t fingerprint(std::uint16_t src, std::uint8_t seq,
                                    BytesView payload);
 
  private:
+  /// A forwarded unit: one (origin, seq) of one protocol.
+  struct Unit {
+    char protocol;  ///< 'C' (CTP) or 'Z' (ZigBee NWK)
+    std::uint16_t origin;
+    std::uint8_t seq;
+    bool operator==(const Unit&) const = default;
+  };
+  /// Orders units like their string keys "C<origin>:<seq>" compare — the
+  /// order in which expire() emits simultaneous drop verdicts, which reaches
+  /// the Wormhole.Drops value.
+  static bool labelOrder(const Unit& a, const Unit& b);
+
   struct Pending {
+    Unit unit;
     SimTime seen;
-    std::string forwarder;   ///< entity expected to retransmit
+    net::EntityRef forwarder;  ///< entity expected to retransmit
     std::uint64_t payloadHash;
     std::uint64_t fp;
-    std::string originEntity;
+    net::EntityRef originEntity;
   };
   struct Verdict {
     SimTime time;
@@ -84,14 +98,17 @@ class ForwardingWatchdog {
     std::uint64_t fp;
   };
 
-  void resolve(const std::string& key, const std::string& bySender,
+  void expect(const Pending& p);
+  void resolve(const Unit& unit, const net::EntityRef& bySender,
                std::uint64_t newPayloadHash, SimTime now);
-  void addVerdict(const std::string& entity, Verdict v);
+  void addVerdict(const net::EntityRef& entity, Verdict v);
   void evict(std::deque<Verdict>& verdicts, SimTime now) const;
+  std::deque<Verdict>* verdictsOf(const net::EntityRef& entity, SimTime now);
 
   Config config_;
-  std::map<std::string, Pending> pending_;            ///< by unit key
-  std::map<std::string, std::deque<Verdict>> verdicts_;  ///< by forwarder
+  std::vector<Pending> pending_;  ///< at most one per unit; few in flight
+  std::vector<Pending> expired_;  ///< expire() scratch, reused
+  EntityKeyedMap<std::deque<Verdict>> verdicts_;  ///< by forwarder
   std::vector<AlterationEvent> alterations_;
 };
 

@@ -31,9 +31,9 @@ void MobilityAwarenessModule::onPacket(const net::CapturedPacket& pkt,
                                        ModuleContext& ctx) {
   (void)ctx;
   // Only link-layer senders we can identify contribute RSSI fingerprints.
-  const std::string entity = dis.linkSource();
-  if (entity == "?") return;
-  EntityState& state = entities_[entity];
+  const net::EntityRef entity = dis.linkSourceRef();
+  if (!entity.valid()) return;
+  EntityState& state = entities_.tryEmplace(entity).first->value;
   state.fast.add(pkt.meta.rssiDbm);
   state.slow.add(pkt.meta.rssiDbm);
   ++state.samples;
@@ -45,35 +45,29 @@ void MobilityAwarenessModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void MobilityAwarenessModule::onTick(ModuleContext& ctx) {
-  // Publish per-entity signal strength when it moved >= 2 dB since the last
-  // write (collective: peers correlate these to confirm network mobility).
-  for (auto& [entity, state] : entities_) {
-    if (state.samples < 3) continue;
+  // One pass in label order: publish per-entity signal strength when it
+  // moved >= 2 dB since the last write (collective: peers correlate these to
+  // confirm network mobility), and gather the network-wide evidence.
+  bool haveBasis = false;
+  std::size_t mobileEntities = 0;
+  entities_.forEachOrdered([&](EntityKeyedMap<EntityState>::Entry& entry) {
+    EntityState& state = entry.value;
+    if (state.samples >= minSamples_) haveBasis = true;
+    if (state.sawEvidence && ctx.now <= state.lastEvidence + holdTime_) {
+      ++mobileEntities;
+    }
+    if (state.samples < 3) return;
     const double current = state.fast.value();
     if (std::fabs(current - state.lastPublished) >= 2.0) {
       state.lastPublished = current;
       ctx.kb.put(labels::kSignalStrength,
-                    static_cast<long long>(std::lround(current)), entity,
-                    /*collective=*/true);
+                 static_cast<long long>(std::lround(current)), entry.label,
+                 /*collective=*/true);
     }
-  }
+  });
 
   // Publish the network-wide mobility verdict once we have a basis for it.
-  bool haveBasis = false;
-  for (const auto& [entity, state] : entities_) {
-    if (state.samples >= minSamples_) {
-      haveBasis = true;
-      break;
-    }
-  }
   if (!haveBasis) return;
-
-  std::size_t mobileEntities = 0;
-  for (const auto& [entity, state] : entities_) {
-    if (state.sawEvidence && ctx.now <= state.lastEvidence + holdTime_) {
-      ++mobileEntities;
-    }
-  }
   const bool mobileNow = mobileEntities >= minMobileEntities_;
   if (!published_ || publishedValue_ != mobileNow) {
     published_ = true;
@@ -83,11 +77,7 @@ void MobilityAwarenessModule::onTick(ModuleContext& ctx) {
 }
 
 std::size_t MobilityAwarenessModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this);
-  for (const auto& [entity, state] : entities_) {
-    bytes += entity.size() + sizeof(EntityState) + 16;
-  }
-  return bytes;
+  return sizeof(*this) + entities_.entryOverheadBytes();
 }
 
 }  // namespace kalis::ids

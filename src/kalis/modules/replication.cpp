@@ -31,7 +31,7 @@ void ReplicationStaticModule::onPacket(const net::CapturedPacket& pkt,
                                        ModuleContext& ctx) {
   (void)ctx;
   if (!isWpanSender(dis)) return;
-  auto& queue = samples_[dis.linkSource()];
+  auto& queue = samples_.tryEmplace(dis.linkSourceRef()).first->value;
   queue.push_back(Sample{pkt.meta.timestamp, pkt.meta.rssiDbm});
   const SimTime cutoff =
       pkt.meta.timestamp > window_ ? pkt.meta.timestamp - window_ : 0;
@@ -39,10 +39,12 @@ void ReplicationStaticModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void ReplicationStaticModule::onTick(ModuleContext& ctx) {
-  for (auto& [entity, queue] : samples_) {
+  samples_.forEachOrdered([&](EntityKeyedMap<std::deque<Sample>>::Entry& e) {
+    const std::string& entity = e.label;
+    std::deque<Sample>& queue = e.value;
     const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
     while (!queue.empty() && queue.front().time <= cutoff) queue.pop_front();
-    if (queue.size() < 2 * minPerCluster_) continue;
+    if (queue.size() < 2 * minPerCluster_) return;
 
     // Split the sorted RSSI values at the largest gap; two tight, populated,
     // well-separated clusters mean two radios under one identity.
@@ -59,15 +61,15 @@ void ReplicationStaticModule::onTick(ModuleContext& ctx) {
         gapAt = i;
       }
     }
-    if (gap < clusterGapDb_) continue;
+    if (gap < clusterGapDb_) return;
     const std::size_t lowCount = gapAt;
     const std::size_t highCount = values.size() - gapAt;
-    if (lowCount < minPerCluster_ || highCount < minPerCluster_) continue;
+    if (lowCount < minPerCluster_ || highCount < minPerCluster_) return;
     const double lowSpread = values[gapAt - 1] - values.front();
     const double highSpread = values.back() - values[gapAt];
-    if (lowSpread > clusterTightDb_ || highSpread > clusterTightDb_) continue;
+    if (lowSpread > clusterTightDb_ || highSpread > clusterTightDb_) return;
 
-    if (!shouldAlert(entity, ctx.now, cooldown_)) continue;
+    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kReplication;
     alert.time = ctx.now;
@@ -80,14 +82,16 @@ void ReplicationStaticModule::onTick(ModuleContext& ctx) {
                    formatDouble(values[gapAt]) + ".." +
                    formatDouble(values.back()) + " dBm";
     ctx.raiseAlert(std::move(alert));
-  }
+  });
 }
 
 std::size_t ReplicationStaticModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& [entity, queue] : samples_) {
-    bytes += entity.size() + queue.size() * sizeof(Sample) + 32;
-  }
+  std::size_t bytes =
+      sizeof(*this) + alertStateBytes() + samples_.entryOverheadBytes();
+  samples_.forEachUnordered(
+      [&](const EntityKeyedMap<std::deque<Sample>>::Entry& e) {
+        bytes += e.value.size() * sizeof(Sample);
+      });
   return bytes;
 }
 
@@ -115,12 +119,12 @@ void ReplicationMobileModule::onPacket(const net::CapturedPacket& pkt,
                                        ModuleContext& ctx) {
   (void)ctx;
   if (!isWpanSender(dis)) return;
-  const std::string entity = dis.linkSource();
+  const net::EntityRef entity = dis.linkSourceRef();
   LastSeen& last = lastSeen_[entity];
   if (last.valid && pkt.meta.timestamp >= last.time &&
       pkt.meta.timestamp - last.time <= maxGap_ &&
       std::fabs(pkt.meta.rssiDbm - last.rssi) >= impossibleDeltaDb_) {
-    auto& queue = events_[entity];
+    auto& queue = events_.tryEmplace(entity).first->value;
     queue.push_back(pkt.meta.timestamp);
     const SimTime cutoff =
         pkt.meta.timestamp > window_ ? pkt.meta.timestamp - window_ : 0;
@@ -132,11 +136,13 @@ void ReplicationMobileModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void ReplicationMobileModule::onTick(ModuleContext& ctx) {
-  for (auto& [entity, queue] : events_) {
+  events_.forEachOrdered([&](EntityKeyedMap<std::deque<SimTime>>::Entry& e) {
+    const std::string& entity = e.label;
+    std::deque<SimTime>& queue = e.value;
     const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
     while (!queue.empty() && queue.front() <= cutoff) queue.pop_front();
-    if (queue.size() < minEvents_) continue;
-    if (!shouldAlert(entity, ctx.now, cooldown_)) continue;
+    if (queue.size() < minEvents_) return;
+    if (!shouldAlert(entity, ctx.now, cooldown_)) return;
     Alert alert;
     alert.type = AttackType::kReplication;
     alert.time = ctx.now;
@@ -146,15 +152,17 @@ void ReplicationMobileModule::onTick(ModuleContext& ctx) {
     alert.detail = std::to_string(queue.size()) +
                    " physically impossible moves for one identity";
     ctx.raiseAlert(std::move(alert));
-  }
+  });
 }
 
 std::size_t ReplicationMobileModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& [entity, last] : lastSeen_) bytes += entity.size() + 32;
-  for (const auto& [entity, queue] : events_) {
-    bytes += entity.size() + queue.size() * sizeof(SimTime) + 32;
-  }
+  std::size_t bytes = sizeof(*this) + alertStateBytes() +
+                      lastSeen_.size() * (sizeof(net::EntityRef) + 32) +
+                      events_.entryOverheadBytes();
+  events_.forEachUnordered(
+      [&](const EntityKeyedMap<std::deque<SimTime>>::Entry& e) {
+        bytes += e.value.size() * sizeof(SimTime);
+      });
   return bytes;
 }
 

@@ -22,7 +22,9 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <unordered_map>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -60,7 +62,7 @@ class ReplicationStaticModule final : public DetectionModule {
   std::size_t minPerCluster_ = 3;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(15);
-  std::map<std::string, std::deque<Sample>> samples_;  ///< by entity
+  EntityKeyedMap<std::deque<Sample>> samples_;  ///< by entity
 };
 
 class ReplicationMobileModule final : public DetectionModule {
@@ -95,8 +97,8 @@ class ReplicationMobileModule final : public DetectionModule {
   std::size_t minEvents_ = 2;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(15);
-  std::map<std::string, LastSeen> lastSeen_;
-  std::map<std::string, std::deque<SimTime>> events_;  ///< impossible moves
+  std::unordered_map<net::EntityRef, LastSeen> lastSeen_;
+  EntityKeyedMap<std::deque<SimTime>> events_;  ///< impossible moves
 };
 
 }  // namespace kalis::ids

@@ -4,12 +4,6 @@
 
 namespace kalis::ids {
 
-namespace {
-std::string rootFromKb(const KnowledgeBase& kb) {
-  return kb.local(labels::kCtpRoot).value_or("");
-}
-}  // namespace
-
 // --- SelectiveForwardingModule -------------------------------------------------
 
 void SelectiveForwardingModule::configure(
@@ -30,17 +24,18 @@ void SelectiveForwardingModule::configure(
 void SelectiveForwardingModule::onPacket(const net::CapturedPacket& pkt,
                                          const net::Dissection& dis,
                                          ModuleContext& ctx) {
-  watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+  watchdog_.observe(pkt, dis, ctpRoot_.in(ctx.kb).entity());
   watchdog_.expire(ctx.now);
 }
 
 void SelectiveForwardingModule::onTick(ModuleContext& ctx) {
   watchdog_.expire(ctx.now);
-  for (const std::string& entity : watchdog_.observedForwarders(ctx.now)) {
-    const std::size_t n = watchdog_.samples(entity, ctx.now);
+  for (const net::EntityRef& ref : watchdog_.observedForwarders(ctx.now)) {
+    const std::size_t n = watchdog_.samples(ref, ctx.now);
     if (n < minSamples_) continue;
-    const double ratio = watchdog_.dropRatio(entity, ctx.now);
+    const double ratio = watchdog_.dropRatio(ref, ctx.now);
     if (ratio < lowThresh_ || ratio >= highThresh_) continue;
+    const std::string entity = ref.toString();
     if (!shouldAlert(entity, ctx.now, cooldown_)) continue;
     Alert alert;
     alert.type = AttackType::kSelectiveForwarding;
@@ -69,22 +64,23 @@ void BlackholeModule::configure(
 
 void BlackholeModule::onPacket(const net::CapturedPacket& pkt,
                                const net::Dissection& dis, ModuleContext& ctx) {
-  watchdog_.observe(pkt, dis, rootFromKb(ctx.kb));
+  watchdog_.observe(pkt, dis, ctpRoot_.in(ctx.kb).entity());
   watchdog_.expire(ctx.now);
 }
 
 void BlackholeModule::onTick(ModuleContext& ctx) {
   watchdog_.expire(ctx.now);
-  for (const std::string& entity : watchdog_.observedForwarders(ctx.now)) {
-    const std::size_t n = watchdog_.samples(entity, ctx.now);
+  for (const net::EntityRef& ref : watchdog_.observedForwarders(ctx.now)) {
+    const std::size_t n = watchdog_.samples(ref, ctx.now);
     if (n < minSamples_) continue;
-    const double ratio = watchdog_.dropRatio(entity, ctx.now);
+    const double ratio = watchdog_.dropRatio(ref, ctx.now);
     if (ratio < highThresh_) continue;
 
     // Share the dropped-traffic fingerprints with peer Kalis nodes: if one
     // of them sees this very traffic reappear somewhere else, the attack is
     // a wormhole, not a blackhole.
-    const auto fps = watchdog_.droppedFingerprints(entity, ctx.now);
+    const std::string entity = ref.toString();
+    const auto fps = watchdog_.droppedFingerprints(ref, ctx.now);
     std::ostringstream csv;
     for (std::size_t i = 0; i < fps.size() && i < 64; ++i) {
       if (i) csv << ",";

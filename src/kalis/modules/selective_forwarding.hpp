@@ -52,6 +52,7 @@ class SelectiveForwardingModule final : public DetectionModule {
   std::size_t minSamples_ = 5;
   Duration cooldown_ = seconds(15);
   ForwardingWatchdog watchdog_;
+  KnowggetEntityCache ctpRoot_{labels::kCtpRoot};
 };
 
 class BlackholeModule final : public DetectionModule {
@@ -81,6 +82,7 @@ class BlackholeModule final : public DetectionModule {
   std::size_t minSamples_ = 5;
   Duration cooldown_ = seconds(15);
   ForwardingWatchdog watchdog_;
+  KnowggetEntityCache ctpRoot_{labels::kCtpRoot};
 };
 
 }  // namespace kalis::ids

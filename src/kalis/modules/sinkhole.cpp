@@ -15,31 +15,31 @@ void SinkholeModule::onPacket(const net::CapturedPacket& pkt,
                               const net::Dissection& dis, ModuleContext& ctx) {
   (void)pkt;
   if (dis.ctpBeacon) {
-    const std::string sender = dis.linkSource();
+    const net::EntityRef sender = dis.linkSourceRef();
     const std::uint16_t etx = dis.ctpBeacon->etx;
-    const std::string root = ctx.kb.local(labels::kCtpRoot).value_or("");
+    const KnowggetEntityCache& root = ctpRoot_.in(ctx.kb);
 
     bool suspicious = false;
     std::string why;
-    if (etx == 0 && !root.empty() && sender != root) {
+    if (etx == 0 && !root.value().empty() && root.entity() != sender) {
       suspicious = true;
       why = "non-root advertising ETX 0";
     }
-    auto it = lastEtx_.find(sender);
-    if (it != lastEtx_.end() && it->second != 0xffff && etx != 0xffff &&
+    auto [it, firstBeacon] = lastEtx_.try_emplace(sender, etx);
+    if (!firstBeacon && it->second != 0xffff && etx != 0xffff &&
         it->second > etx && it->second - etx >= suddenDrop_) {
       suspicious = true;
       why = "ETX collapsed " + std::to_string(it->second) + " -> " +
             std::to_string(etx);
     }
-    lastEtx_[sender] = etx;
+    it->second = etx;
 
-    if (suspicious && shouldAlert(sender, ctx.now, cooldown_)) {
+    if (suspicious && shouldAlert(sender.toString(), ctx.now, cooldown_)) {
       Alert alert;
       alert.type = AttackType::kSinkhole;
       alert.time = ctx.now;
       alert.moduleName = name();
-      alert.suspectEntities.push_back(sender);
+      alert.suspectEntities.push_back(sender.toString());
       alert.detail = why;
       ctx.raiseAlert(std::move(alert));
     }
@@ -47,20 +47,18 @@ void SinkholeModule::onPacket(const net::CapturedPacket& pkt,
   }
 
   if (dis.rplDio) {
-    const std::string sender = dis.linkSource();
+    const net::EntityRef sender = dis.linkSourceRef();
     // The DODAG root holds rank 256 (MinHopRankIncrease); any other node
     // advertising rank <= 256 is luring traffic.
-    const std::string rootEntity =
-        dis.rplDio->dodagId.embeddedShort()
-            ? net::toString(*dis.rplDio->dodagId.embeddedShort())
-            : "";
-    if (dis.rplDio->rank <= rootRank_ && sender != rootEntity &&
-        shouldAlert(sender, ctx.now, cooldown_)) {
+    const std::optional<net::Mac16> root = dis.rplDio->dodagId.embeddedShort();
+    const bool fromRoot = root && net::EntityRef::of(*root) == sender;
+    if (dis.rplDio->rank <= rootRank_ && !fromRoot &&
+        shouldAlert(sender.toString(), ctx.now, cooldown_)) {
       Alert alert;
       alert.type = AttackType::kSinkhole;
       alert.time = ctx.now;
       alert.moduleName = name();
-      alert.suspectEntities.push_back(sender);
+      alert.suspectEntities.push_back(sender.toString());
       alert.detail =
           "non-root advertising RPL rank " + std::to_string(dis.rplDio->rank);
       ctx.raiseAlert(std::move(alert));

@@ -7,7 +7,9 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -32,16 +34,17 @@ class SinkholeModule final : public DetectionModule {
 
   std::uint32_t workUnitsPerPacket() const override { return 2; }
   std::size_t memoryBytes() const override {
-    std::size_t bytes = sizeof(*this) + alertStateBytes();
-    for (const auto& [k, v] : lastEtx_) bytes += k.size() + 16;
-    return bytes;
+    return sizeof(*this) + alertStateBytes() +
+           lastEtx_.size() * (sizeof(net::EntityRef) + 16);
   }
 
  private:
   std::uint16_t suddenDrop_ = 30;   ///< ETX improvement that is implausible
   std::uint16_t rootRank_ = 256;    ///< RPL: minimum legitimate non-root rank
   Duration cooldown_ = seconds(10);
-  std::map<std::string, std::uint16_t> lastEtx_;  ///< by advertising entity
+  /// Last advertised ETX, by advertising entity.
+  std::unordered_map<net::EntityRef, std::uint16_t> lastEtx_;
+  KnowggetEntityCache ctpRoot_{labels::kCtpRoot};
 };
 
 }  // namespace kalis::ids

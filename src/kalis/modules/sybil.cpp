@@ -25,7 +25,7 @@ void SybilSinglehopModule::onPacket(const net::CapturedPacket& pkt,
                                     ModuleContext& ctx) {
   (void)ctx;
   if (!dis.wpan) return;
-  IdentityState& s = identities_[dis.linkSource()];
+  IdentityState& s = identities_.tryEmplace(dis.linkSourceRef()).first->value;
   if (s.packets == 0) s.firstSeen = pkt.meta.timestamp;
   s.rssi.add(pkt.meta.rssiDbm);
   s.lastSeen = pkt.meta.timestamp;
@@ -33,7 +33,8 @@ void SybilSinglehopModule::onPacket(const net::CapturedPacket& pkt,
 }
 
 void SybilSinglehopModule::onTick(ModuleContext& ctx) {
-  // Collect recently active identities with a settled fingerprint.
+  // Collect recently active identities with a settled fingerprint, in label
+  // order: the unstable sort below breaks RSSI ties by input order.
   struct Candidate {
     const std::string* entity;
     double rssi;
@@ -41,11 +42,12 @@ void SybilSinglehopModule::onTick(ModuleContext& ctx) {
   };
   std::vector<Candidate> active;
   const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
-  for (const auto& [entity, s] : identities_) {
+  identities_.forEachOrdered([&](EntityKeyedMap<IdentityState>::Entry& e) {
+    const IdentityState& s = e.value;
     if (s.lastSeen > cutoff && s.packets >= minPackets_) {
-      active.push_back(Candidate{&entity, s.rssi.value(), s.firstSeen});
+      active.push_back(Candidate{&e.label, s.rssi.value(), s.firstSeen});
     }
-  }
+  });
   if (active.size() < minIdentities_) return;
   std::sort(active.begin(), active.end(),
             [](const Candidate& a, const Candidate& b) { return a.rssi < b.rssi; });
@@ -90,11 +92,7 @@ void SybilSinglehopModule::onTick(ModuleContext& ctx) {
 }
 
 std::size_t SybilSinglehopModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& [entity, s] : identities_) {
-    bytes += entity.size() + sizeof(IdentityState) + 32;
-  }
-  return bytes;
+  return sizeof(*this) + alertStateBytes() + identities_.entryOverheadBytes();
 }
 
 // --- SybilMultihopModule --------------------------------------------------------
@@ -113,8 +111,8 @@ void SybilMultihopModule::onPacket(const net::CapturedPacket& pkt,
                                    ModuleContext& ctx) {
   (void)ctx;
   if (!dis.wpan) return;
-  const std::string sender = dis.linkSource();
-  IdentityState& s = identities_[sender];
+  const net::EntityRef sender = dis.linkSourceRef();
+  IdentityState& s = identities_.tryEmplace(sender).first->value;
   if (s.lastSeen == 0) s.firstSeen = pkt.meta.timestamp;
   s.lastSeen = pkt.meta.timestamp;
 
@@ -125,14 +123,11 @@ void SybilMultihopModule::onPacket(const net::CapturedPacket& pkt,
   if (dis.ctpData) {
     ++s.dataPackets;
     // A forwarding node (THL>0 under its link id) is routing.
-    if (dis.ctpData->thl > 0 &&
-        net::toString(dis.ctpData->origin) != sender) {
-      s.routedEver = true;
-    }
+    const net::EntityRef origin = net::EntityRef::of(dis.ctpData->origin);
+    if (dis.ctpData->thl > 0 && origin != sender) s.routedEver = true;
     // The *origin* identity inside a forwarded frame is also being claimed:
     // track it so fabricated origins count as identities.
-    const std::string origin = net::toString(dis.ctpData->origin);
-    IdentityState& o = identities_[origin];
+    IdentityState& o = identities_.tryEmplace(origin).first->value;
     if (o.lastSeen == 0) o.firstSeen = pkt.meta.timestamp;
     o.lastSeen = pkt.meta.timestamp;
     ++o.dataPackets;
@@ -142,12 +137,13 @@ void SybilMultihopModule::onPacket(const net::CapturedPacket& pkt,
 void SybilMultihopModule::onTick(ModuleContext& ctx) {
   const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
   std::vector<std::string> ghosts;
-  for (const auto& [entity, s] : identities_) {
+  identities_.forEachOrdered([&](EntityKeyedMap<IdentityState>::Entry& e) {
+    const IdentityState& s = e.value;
     if (s.lastSeen > cutoff && s.firstSeen > cutoff && !s.routedEver &&
         s.dataPackets >= 1) {
-      ghosts.push_back(entity);
+      ghosts.push_back(e.label);
     }
-  }
+  });
   if (ghosts.size() < minGhosts_) return;
   if (!shouldAlert("ghost-burst", ctx.now, cooldown_)) return;
   Alert alert;
@@ -161,11 +157,7 @@ void SybilMultihopModule::onTick(ModuleContext& ctx) {
 }
 
 std::size_t SybilMultihopModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& [entity, s] : identities_) {
-    bytes += entity.size() + sizeof(IdentityState) + 32;
-  }
-  return bytes;
+  return sizeof(*this) + alertStateBytes() + identities_.entryOverheadBytes();
 }
 
 }  // namespace kalis::ids

@@ -14,9 +14,9 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 #include "util/stats.hpp"
 
@@ -56,7 +56,7 @@ class SybilSinglehopModule final : public DetectionModule {
   std::size_t minPackets_ = 3;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(20);
-  std::map<std::string, IdentityState> identities_;
+  EntityKeyedMap<IdentityState> identities_;
 };
 
 class SybilMultihopModule final : public DetectionModule {
@@ -90,7 +90,7 @@ class SybilMultihopModule final : public DetectionModule {
   std::size_t minGhosts_ = 4;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(20);
-  std::map<std::string, IdentityState> identities_;
+  EntityKeyedMap<IdentityState> identities_;
 };
 
 }  // namespace kalis::ids

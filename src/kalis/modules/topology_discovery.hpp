@@ -17,8 +17,8 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_set>
 
 #include "kalis/module.hpp"
 
@@ -50,9 +50,10 @@ class TopologyDiscoveryModule final : public SensingModule {
   };
   MediumState medium_[3];
 
-  std::set<std::string> entities_;                     ///< distinct link srcs
-  std::map<std::uint32_t, std::string> originSender_;  ///< (origin,seq) -> link src
-  std::string ctpRoot_;
+  std::unordered_set<net::EntityRef> entities_;  ///< distinct link srcs
+  /// (origin, seq) -> the link sender it was first heard from.
+  std::map<std::uint32_t, net::EntityRef> originSender_;
+  bool ctpRootPublished_ = false;
   std::uint64_t settlePackets_ = 30;
 };
 

@@ -21,7 +21,8 @@ void TrafficStatsModule::configure(
   }
 }
 
-const char* TrafficStatsModule::protocolOf(const net::Dissection& dis) {
+TrafficStatsModule::Protocol TrafficStatsModule::protocolOf(
+    const net::Dissection& dis) {
   using net::PacketType;
   switch (dis.type) {
     case PacketType::kTcpSyn:
@@ -30,33 +31,33 @@ const char* TrafficStatsModule::protocolOf(const net::Dissection& dis) {
     case PacketType::kTcpRst:
     case PacketType::kTcpFin:
     case PacketType::kTcpData:
-      return "TCP";
+      return kTcp;
     case PacketType::kUdp:
-      return "UDP";
+      return kUdp;
     case PacketType::kIcmpEchoReq:
     case PacketType::kIcmpEchoRep:
     case PacketType::kIcmpOther:
     case PacketType::kIcmpv6EchoReq:
     case PacketType::kIcmpv6EchoRep:
-      return "ICMP";
+      return kIcmp;
     case PacketType::kCtpData:
     case PacketType::kCtpRouting:
-      return "CTP";
+      return kCtp;
     case PacketType::kZigbeeData:
     case PacketType::kZigbeeRouting:
-      return "ZigBee";
+      return kZigbee;
     case PacketType::kRplDio:
     case PacketType::kRplDao:
-      return "RPL";
+      return kRpl;
     case PacketType::kWifiBeacon:
     case PacketType::kWifiProbe:
     case PacketType::kWifiDeauth:
-      return "WiFi";
+      return kWifi;
     case PacketType::kBleAdv:
     case PacketType::kBleScan:
-      return "BLE";
+      return kBle;
     default:
-      return nullptr;
+      return kNoProtocol;
   }
 }
 
@@ -75,11 +76,11 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
   auto [entry, inserted] = perDevice_[typeIdx].tryEmplace(target, window_);
   entry->value.record(ctx.now);
 
-  if (const char* proto = protocolOf(dis)) {
-    if (!protocolsSeen_[proto]) {
-      protocolsSeen_[proto] = true;
-      ctx.kb.put(std::string(labels::kProtocols) + "." + proto, true);
-    }
+  if (const Protocol proto = protocolOf(dis);
+      proto != kNoProtocol && !protocolsSeen_[proto]) {
+    protocolsSeen_[proto] = true;
+    ctx.kb.put(std::string(labels::kProtocols) + "." + kProtocolNames[proto],
+               true);
   }
 }
 

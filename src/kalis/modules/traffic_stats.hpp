@@ -42,7 +42,13 @@ class TrafficStatsModule final : public SensingModule {
   std::size_t memoryBytes() const override;
 
  private:
-  static const char* protocolOf(const net::Dissection& dis);
+  /// Protocol families with a presence knowgget (Protocols.<name>).
+  enum Protocol : std::uint8_t {
+    kTcp, kUdp, kIcmp, kCtp, kZigbee, kRpl, kWifi, kBle, kNoProtocol
+  };
+  static constexpr const char* kProtocolNames[kNoProtocol] = {
+      "TCP", "UDP", "ICMP", "CTP", "ZigBee", "RPL", "WiFi", "BLE"};
+  static Protocol protocolOf(const net::Dissection& dis);
 
   Duration window_ = seconds(5);
   std::array<std::unique_ptr<SlidingCounter>, net::kNumPacketTypes> global_;
@@ -50,7 +56,7 @@ class TrafficStatsModule final : public SensingModule {
   // demand. Iterating type-major then label-ascending reproduces the old
   // std::map<std::pair<int, std::string>, ...> publication order exactly.
   std::array<EntityKeyedMap<SlidingCounter>, net::kNumPacketTypes> perDevice_;
-  std::map<std::string, bool> protocolsSeen_;
+  std::array<bool, kNoProtocol> protocolsSeen_{};
   SimTime lastNow_ = 0;
 };
 

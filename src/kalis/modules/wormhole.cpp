@@ -1,5 +1,6 @@
 #include "kalis/modules/wormhole.hpp"
 
+#include <set>
 #include <sstream>
 
 #include "kalis/modules/forwarding_watchdog.hpp"
@@ -7,11 +8,6 @@
 namespace kalis::ids {
 
 namespace {
-
-std::string inboundKey(std::uint16_t src, std::uint8_t seq,
-                       const std::string& receiver) {
-  return std::to_string(src) + ":" + std::to_string(seq) + ">" + receiver;
-}
 
 std::set<std::uint64_t> parseFpCsv(const std::string& csv) {
   std::set<std::uint64_t> out;
@@ -38,14 +34,13 @@ void WormholeModule::onPacket(const net::CapturedPacket& pkt,
   (void)ctx;
   if (!dis.zigbee || !dis.wpan) return;
   const net::ZigbeeNwkFrameView& nwk = *dis.zigbee;
-  const std::string sender = dis.linkSource();
-  const std::string receiver = dis.linkDest();
-  const std::string nwkSrc = net::toString(nwk.src);
+  const net::EntityRef sender = dis.linkSourceRef();
+  const net::EntityRef nwkSrc = net::EntityRef::of(nwk.src);
   directSenders_.insert(sender);
 
   // Remember what was legitimately handed to whom.
   if (!dis.wpan->dst.isBroadcast()) {
-    const std::string key = inboundKey(nwk.src.value, nwk.seq, receiver);
+    const Inbound key{nwk.src.value, nwk.seq, dis.linkDestRef()};
     if (inboundSet_.insert(key).second) {
       inboundRecent_.push_back(key);
       while (inboundRecent_.size() > 8192) {
@@ -58,9 +53,8 @@ void WormholeModule::onPacket(const net::CapturedPacket& pkt,
   // Unexplained relay: `sender` transmits in the name of an origin it was
   // never handed a frame from, and which we never heard transmit itself.
   if (nwkSrc != sender && !directSenders_.contains(nwkSrc)) {
-    const std::string key = inboundKey(nwk.src.value, nwk.seq, sender);
-    if (!inboundSet_.contains(key)) {
-      auto& queue = unexplained_[sender];
+    if (!inboundSet_.contains(Inbound{nwk.src.value, nwk.seq, sender})) {
+      auto& queue = unexplained_.tryEmplace(sender).first->value;
       queue.push_back(Injection{
           pkt.meta.timestamp,
           ForwardingWatchdog::fingerprint(nwk.src.value, nwk.seq,
@@ -74,20 +68,24 @@ void WormholeModule::onPacket(const net::CapturedPacket& pkt,
 
 void WormholeModule::onTick(ModuleContext& ctx) {
   // Publish local unexplained-injection evidence (collective).
-  for (auto& [entity, queue] : unexplained_) {
-    const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
-    while (!queue.empty() && queue.front().time <= cutoff) queue.pop_front();
-    if (queue.empty()) continue;
-    std::ostringstream csv;
-    std::size_t i = 0;
-    for (const Injection& inj : queue) {
-      if (i++ >= 64) break;
-      if (i > 1) csv << ",";
-      csv << std::hex << inj.fp;
-    }
-    ctx.kb.put(labels::kWormholeUnexplained, csv.str(), entity,
-               /*collective=*/true);
-  }
+  unexplained_.forEachOrdered(
+      [&](EntityKeyedMap<std::deque<Injection>>::Entry& e) {
+        std::deque<Injection>& queue = e.value;
+        const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
+        while (!queue.empty() && queue.front().time <= cutoff) {
+          queue.pop_front();
+        }
+        if (queue.empty()) return;
+        std::ostringstream csv;
+        std::size_t i = 0;
+        for (const Injection& inj : queue) {
+          if (i++ >= 64) break;
+          if (i > 1) csv << ",";
+          csv << std::hex << inj.fp;
+        }
+        ctx.kb.put(labels::kWormholeUnexplained, csv.str(), e.label,
+                   /*collective=*/true);
+      });
 
   // Correlate drop evidence against injection evidence across all creators
   // present in the Knowledge Base (local and peers').
@@ -120,12 +118,14 @@ void WormholeModule::onTick(ModuleContext& ctx) {
 }
 
 std::size_t WormholeModule::memoryBytes() const {
-  std::size_t bytes = sizeof(*this) + alertStateBytes();
-  for (const auto& s : directSenders_) bytes += s.size() + 16;
-  for (const auto& k : inboundRecent_) bytes += k.size() * 2 + 32;
-  for (const auto& [entity, queue] : unexplained_) {
-    bytes += entity.size() + queue.size() * sizeof(Injection) + 32;
-  }
+  std::size_t bytes = sizeof(*this) + alertStateBytes() +
+                      directSenders_.size() * (sizeof(net::EntityRef) + 16) +
+                      inboundRecent_.size() * (sizeof(Inbound) * 2 + 32) +
+                      unexplained_.entryOverheadBytes();
+  unexplained_.forEachUnordered(
+      [&](const EntityKeyedMap<std::deque<Injection>>::Entry& e) {
+        bytes += e.value.size() * sizeof(Injection);
+      });
   return bytes;
 }
 

@@ -18,9 +18,10 @@
 
 #include <deque>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_set>
 
+#include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
 
 namespace kalis::ids {
@@ -51,15 +52,28 @@ class WormholeModule final : public DetectionModule {
     SimTime time;
     std::uint64_t fp;
   };
+  /// A NWK unit (src, seq) handed to a link receiver.
+  struct Inbound {
+    std::uint16_t src;
+    std::uint8_t seq;
+    net::EntityRef receiver;
+    bool operator==(const Inbound&) const = default;
+  };
+  struct InboundHash {
+    std::size_t operator()(const Inbound& in) const {
+      return std::hash<net::EntityRef>{}(in.receiver) ^
+             (static_cast<std::size_t>(in.src) << 8 | in.seq);
+    }
+  };
 
   Duration window_ = seconds(30);
   Duration cooldown_ = seconds(20);
   std::size_t minMatches_ = 2;  ///< fingerprint overlaps needed for an alert
 
-  std::set<std::string> directSenders_;            ///< entities heard first-hand
-  std::deque<std::string> inboundRecent_;          ///< "(src:seq)>receiver" keys
-  std::set<std::string> inboundSet_;
-  std::map<std::string, std::deque<Injection>> unexplained_;  ///< by injector
+  std::unordered_set<net::EntityRef> directSenders_;  ///< heard first-hand
+  std::deque<Inbound> inboundRecent_;  ///< oldest first, bounded
+  std::unordered_set<Inbound, InboundHash> inboundSet_;
+  EntityKeyedMap<std::deque<Injection>> unexplained_;  ///< by injector
 };
 
 }  // namespace kalis::ids

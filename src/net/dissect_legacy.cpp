@@ -270,7 +270,7 @@ std::optional<LegacyIcmpv6Decoded> legacyDecodeIcmpv6(BytesView raw,
   r.u16be();  // checksum
   auto body = r.rest();
   d.message.body.assign(body.begin(), body.end());
-  const Bytes pseudo =
+  const auto pseudo =
       ipv6PseudoHeader(src, dst, static_cast<std::uint32_t>(raw.size()),
                        static_cast<std::uint8_t>(IpProto::kIcmpv6));
   d.checksumValid = internetChecksum2(pseudo, raw) == 0;
@@ -334,7 +334,7 @@ std::optional<LegacyTcpDecoded> legacyDecodeTcp(BytesView raw, Ipv4Addr src,
   r.skip(headerLen - 20);
   auto payload = r.rest();
   d.segment.payload.assign(payload.begin(), payload.end());
-  const Bytes pseudo = ipv4PseudoHeader(src, dst, IpProto::kTcp,
+  const auto pseudo = ipv4PseudoHeader(src, dst, IpProto::kTcp,
                                         static_cast<std::uint16_t>(raw.size()));
   d.checksumValid = internetChecksum2(pseudo, raw) == 0;
   return d;
@@ -357,7 +357,7 @@ std::optional<LegacyUdpDecoded> legacyDecodeUdp(BytesView raw, Ipv4Addr src,
   if (len < 8 || len > raw.size()) return std::nullopt;
   auto payload = raw.subspan(8, len - 8);
   d.datagram.payload.assign(payload.begin(), payload.end());
-  const Bytes pseudo =
+  const auto pseudo =
       ipv4PseudoHeader(src, dst, IpProto::kUdp, static_cast<std::uint16_t>(len));
   d.checksumValid = internetChecksum2(pseudo, raw.subspan(0, len)) == 0;
   return d;

@@ -14,7 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/addr.hpp"
 #include "util/bytes.hpp"
@@ -114,6 +116,12 @@ class EntityRef {
   /// Knowgget label, byte-identical to the legacy string accessors:
   /// "?", "broadcast", "0x0003", "aa:bb:cc:dd:ee:ff", "10.0.0.7", "fe80::...".
   std::string toString() const;
+
+  /// Inverse of toString(): the identity whose label is exactly `label`, or
+  /// nullopt when no identity formats that way ("0x3" is not "0x0003"). So
+  /// `fromLabel(s) == r` holds exactly when `r.toString() == s`, which lets
+  /// a knowgget value be compared against refs without formatting them.
+  static std::optional<EntityRef> fromLabel(std::string_view label);
 
   // Unused tail bytes are always zero, so member-wise comparison is exact.
   auto operator<=>(const EntityRef&) const = default;

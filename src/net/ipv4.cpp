@@ -66,16 +66,21 @@ std::optional<Ipv4Decoded> decodeIpv4(BytesView raw) {
   return d;
 }
 
-Bytes ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
-                       std::uint16_t length) {
-  Bytes out;
-  ByteWriter w(out);
-  w.u32be(src.value);
-  w.u32be(dst.value);
-  w.u8(0);
-  w.u8(static_cast<std::uint8_t>(proto));
-  w.u16be(length);
-  return out;
+std::array<std::uint8_t, 12> ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst,
+                                              IpProto proto,
+                                              std::uint16_t length) {
+  return {static_cast<std::uint8_t>(src.value >> 24),
+          static_cast<std::uint8_t>(src.value >> 16),
+          static_cast<std::uint8_t>(src.value >> 8),
+          static_cast<std::uint8_t>(src.value),
+          static_cast<std::uint8_t>(dst.value >> 24),
+          static_cast<std::uint8_t>(dst.value >> 16),
+          static_cast<std::uint8_t>(dst.value >> 8),
+          static_cast<std::uint8_t>(dst.value),
+          0,
+          static_cast<std::uint8_t>(proto),
+          static_cast<std::uint8_t>(length >> 8),
+          static_cast<std::uint8_t>(length)};
 }
 
 }  // namespace kalis::net

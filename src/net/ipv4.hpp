@@ -3,6 +3,7 @@
 // the on-wire checksum/length so the codec can re-emit frames verbatim.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -53,8 +54,10 @@ struct Ipv4Decoded {
 
 std::optional<Ipv4Decoded> decodeIpv4(BytesView raw);
 
-/// The 12-byte IPv4 pseudo-header used by TCP/UDP checksums.
-Bytes ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
-                       std::uint16_t length);
+/// The 12-byte IPv4 pseudo-header used by TCP/UDP checksums. Built on the
+/// stack: the decoders checksum every segment without allocating.
+std::array<std::uint8_t, 12> ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst,
+                                              IpProto proto,
+                                              std::uint16_t length);
 
 }  // namespace kalis::net

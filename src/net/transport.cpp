@@ -45,7 +45,7 @@ Bytes TcpSegmentT<Storage>::encode(Ipv4Addr src, Ipv4Addr dst) const {
   if (wireChecksum) {
     w.patchU16be(checksumOffset, *wireChecksum);
   } else {
-    const Bytes pseudo = ipv4PseudoHeader(
+    const auto pseudo = ipv4PseudoHeader(
         src, dst, IpProto::kTcp, static_cast<std::uint16_t>(out.size()));
     w.patchU16be(checksumOffset, internetChecksum2(pseudo, BytesView(out)));
   }
@@ -70,7 +70,7 @@ std::optional<TcpDecoded> decodeTcp(BytesView raw, Ipv4Addr src, Ipv4Addr dst) {
   d.segment.offsetReserved = offsetByte & 0x0f;
   d.segment.options = *r.take(headerLen - 20);  // aliases `raw`
   d.segment.payload = r.rest();                 // ditto
-  const Bytes pseudo = ipv4PseudoHeader(src, dst, IpProto::kTcp,
+  const auto pseudo = ipv4PseudoHeader(src, dst, IpProto::kTcp,
                                         static_cast<std::uint16_t>(raw.size()));
   d.checksumValid = internetChecksum2(pseudo, raw) == 0;
   return d;
@@ -92,7 +92,7 @@ Bytes UdpDatagramT<Storage>::encode(Ipv4Addr src, Ipv4Addr dst) const {
   if (wireChecksum) {
     w.patchU16be(checksumOffset, *wireChecksum);
   } else {
-    const Bytes pseudo = ipv4PseudoHeader(
+    const auto pseudo = ipv4PseudoHeader(
         src, dst, IpProto::kUdp, static_cast<std::uint16_t>(out.size()));
     std::uint16_t csum = internetChecksum2(pseudo, BytesView(out));
     if (csum == 0) csum = 0xffff;  // RFC 768: transmitted 0 = "no checksum"
@@ -111,7 +111,7 @@ std::optional<UdpDecoded> decodeUdp(BytesView raw, Ipv4Addr src, Ipv4Addr dst) {
   d.datagram.wireChecksum = *r.u16be();
   if (len < 8 || len > raw.size()) return std::nullopt;
   d.datagram.payload = raw.subspan(8, len - 8);  // aliases `raw`
-  const Bytes pseudo =
+  const auto pseudo =
       ipv4PseudoHeader(src, dst, IpProto::kUdp, static_cast<std::uint16_t>(len));
   d.checksumValid = internetChecksum2(pseudo, raw.subspan(0, len)) == 0;
   return d;

@@ -181,10 +181,12 @@ TEST(Registry, DuplicateRegistrationRejected) {
 class AllModules : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllModules, BasicContract) {
+  // Declared first: a module may subscribe to the KB it is fed with, and
+  // the KB must outlive it (as in KalisNode).
+  KnowledgeBase kb("K1");
   auto module = ModuleRegistry::global().create(GetParam());
   ASSERT_NE(module, nullptr);
   EXPECT_EQ(module->name(), GetParam());
-  KnowledgeBase kb("K1");
   (void)module->required(kb);
   (void)module->watchedLabels();
   (void)module->memoryBytes();

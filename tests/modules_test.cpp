@@ -12,6 +12,7 @@
 #include "kalis/modules/syn_flood.hpp"
 #include "kalis/modules/topology_discovery.hpp"
 #include "kalis/modules/traffic_stats.hpp"
+#include "util/checksum.hpp"
 
 namespace kalis::ids {
 namespace {
@@ -405,39 +406,42 @@ TEST(SynFlood, BenignHandshakesDontAlert) {
 
 // --- ForwardingWatchdog -----------------------------------------------------------------------------
 
+const net::EntityRef kRoot = net::EntityRef::of(net::Mac16{1});
+const net::EntityRef kRelay = net::EntityRef::of(net::Mac16{3});
+
 TEST(Watchdog, ForwardedPacketsResolveCleanly) {
   ForwardingWatchdog watchdog;
   // 4 -> 3 (handoff), then 3 -> 2 (forward with THL+1).
   const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
                                      net::Mac16{4}, 1, 0, seconds(1));
-  watchdog.observe(handoff, net::dissect(handoff), "0x0001");
+  watchdog.observe(handoff, net::dissect(handoff), kRoot);
   const auto forward = ctpDataPacket(net::Mac16{3}, net::Mac16{2},
                                      net::Mac16{4}, 1, 1,
                                      seconds(1) + milliseconds(50));
-  watchdog.observe(forward, net::dissect(forward), "0x0001");
+  watchdog.observe(forward, net::dissect(forward), kRoot);
   watchdog.expire(seconds(3));
-  EXPECT_EQ(watchdog.samples("0x0003", seconds(3)), 1u);
-  EXPECT_DOUBLE_EQ(watchdog.dropRatio("0x0003", seconds(3)), 0.0);
+  EXPECT_EQ(watchdog.samples(kRelay, seconds(3)), 1u);
+  EXPECT_DOUBLE_EQ(watchdog.dropRatio(kRelay, seconds(3)), 0.0);
 }
 
 TEST(Watchdog, TimeoutBecomesDrop) {
   ForwardingWatchdog watchdog;
   const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
                                      net::Mac16{4}, 1, 0, seconds(1));
-  watchdog.observe(handoff, net::dissect(handoff), "0x0001");
+  watchdog.observe(handoff, net::dissect(handoff), kRoot);
   watchdog.expire(seconds(3));
-  EXPECT_EQ(watchdog.samples("0x0003", seconds(3)), 1u);
-  EXPECT_DOUBLE_EQ(watchdog.dropRatio("0x0003", seconds(3)), 1.0);
-  EXPECT_EQ(watchdog.droppedFingerprints("0x0003", seconds(3)).size(), 1u);
+  EXPECT_EQ(watchdog.samples(kRelay, seconds(3)), 1u);
+  EXPECT_DOUBLE_EQ(watchdog.dropRatio(kRelay, seconds(3)), 1.0);
+  EXPECT_EQ(watchdog.droppedFingerprints(kRelay, seconds(3)).size(), 1u);
 }
 
 TEST(Watchdog, RootIsNeverExpectedToForward) {
   ForwardingWatchdog watchdog;
   const auto toRoot = ctpDataPacket(net::Mac16{2}, net::Mac16{1},
                                     net::Mac16{4}, 1, 2, seconds(1));
-  watchdog.observe(toRoot, net::dissect(toRoot), "0x0001");
+  watchdog.observe(toRoot, net::dissect(toRoot), kRoot);
   watchdog.expire(seconds(5));
-  EXPECT_EQ(watchdog.samples("0x0001", seconds(5)), 0u);
+  EXPECT_EQ(watchdog.samples(kRoot, seconds(5)), 0u);
 }
 
 TEST(Watchdog, PayloadTamperingCaught) {
@@ -445,17 +449,44 @@ TEST(Watchdog, PayloadTamperingCaught) {
   const auto handoff = ctpDataPacket(net::Mac16{4}, net::Mac16{3},
                                      net::Mac16{4}, 1, 0, seconds(1),
                                      -60.0, bytesOf("orig"));
-  watchdog.observe(handoff, net::dissect(handoff), "0x0001");
+  watchdog.observe(handoff, net::dissect(handoff), kRoot);
   const auto tampered = ctpDataPacket(net::Mac16{3}, net::Mac16{2},
                                       net::Mac16{4}, 1, 1,
                                       seconds(1) + milliseconds(50), -60.0,
                                       bytesOf("evil"));
-  watchdog.observe(tampered, net::dissect(tampered), "0x0001");
+  watchdog.observe(tampered, net::dissect(tampered), kRoot);
   const auto alterations = watchdog.drainAlterations();
   ASSERT_EQ(alterations.size(), 1u);
-  EXPECT_EQ(alterations[0].entity, "0x0003");
-  EXPECT_EQ(alterations[0].originEntity, "0x0004");
+  EXPECT_EQ(alterations[0].entity, kRelay);
+  EXPECT_EQ(alterations[0].originEntity, net::EntityRef::of(net::Mac16{4}));
   EXPECT_TRUE(watchdog.drainAlterations().empty());  // drained
+}
+
+TEST(Watchdog, SimultaneousDropsFollowLegacyKeyOrder) {
+  // Units that time out together become drop verdicts in the order their
+  // string keys "C<origin>:<seq>" sort ("C10:1" < "C1:1" < "C2:1"), which
+  // is the order of the Wormhole.Drops fingerprint list.
+  ForwardingWatchdog watchdog;
+  for (std::uint16_t origin : {2, 10, 1}) {
+    const auto handoff = ctpDataPacket(net::Mac16{origin}, net::Mac16{3},
+                                       net::Mac16{origin}, 1, 0, seconds(1));
+    watchdog.observe(handoff, net::dissect(handoff), kRoot);
+  }
+  watchdog.expire(seconds(3));
+  const Bytes payload = bytesOf("pp");  // ctpDataPacket's default payload
+  const std::vector<std::uint64_t> expected = {
+      ForwardingWatchdog::fingerprint(10, 1, BytesView(payload)),
+      ForwardingWatchdog::fingerprint(1, 1, BytesView(payload)),
+      ForwardingWatchdog::fingerprint(2, 1, BytesView(payload))};
+  EXPECT_EQ(watchdog.droppedFingerprints(kRelay, seconds(3)), expected);
+}
+
+TEST(Watchdog, FingerprintIsFnv1aOfSourceSeqPayload) {
+  const Bytes payload = bytesOf("tunnel-me");
+  Bytes material = {0x12, 0x34, 9};  // source big-endian, then seq
+  material.insert(material.end(), payload.begin(), payload.end());
+  EXPECT_EQ(ForwardingWatchdog::fingerprint(0x1234, 9, BytesView(payload)),
+            fnv1a64(BytesView(material)));
 }
 
 TEST(Watchdog, FingerprintStableAcrossSides) {

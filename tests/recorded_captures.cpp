@@ -4,6 +4,7 @@
 
 #include "attacks/dos_attacks.hpp"
 #include "attacks/forwarding_attacks.hpp"
+#include "attacks/sixlowpan_attacks.hpp"
 #include "metrics/ground_truth.hpp"
 #include "scenarios/environments.hpp"
 
@@ -94,6 +95,35 @@ Recording recordWsnBlackhole(std::uint64_t seed) {
   record(world, wsn.ids, {net::Medium::kIeee802154}, 0, rec);
   world.start();
   rec.end = seconds(160);
+  simulator.runUntil(rec.end);
+  return rec;
+}
+
+Recording recordSixlowpanSmurf(std::uint64_t seed) {
+  Recording rec;
+  sim::Simulator simulator(seed);
+  sim::World world(simulator);
+  scenarios::SixlowpanTree tree =
+      scenarios::buildSixlowpanTree(world, seconds(3));
+  metrics::GroundTruth truth;
+  const NodeId attacker =
+      world.addNode("attacker", sim::NodeRole::kGeneric, {27, 5});
+  world.enableRadio(attacker, net::Medium::kIeee802154, scenarios::moteRadio());
+  attacks::SmurfAttacker6lw::Config attack;
+  attack.victim = world.mac16Of(tree.leaves[0]);
+  attack.neighbors = {world.mac16Of(tree.routers[0]),
+                      world.mac16Of(tree.leaves[1]),
+                      world.mac16Of(tree.leaves[2])};
+  attack.requestsPerNeighbor = 12;
+  attack.firstBurstAt = seconds(20);
+  attack.burstInterval = seconds(8);
+  attack.burstCount = 50;
+  attack.truth = &truth;
+  world.setBehavior(attacker,
+                    std::make_unique<attacks::SmurfAttacker6lw>(attack));
+  record(world, tree.ids, {net::Medium::kIeee802154}, 0, rec);
+  world.start();
+  rec.end = kFloodSpan;
   simulator.runUntil(rec.end);
   return rec;
 }

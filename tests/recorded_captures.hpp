@@ -23,6 +23,10 @@ Recording recordHomeFloods(std::uint64_t seed, std::size_t seeds = 1);
 /// The CTP WSN with a blackholing relay (the Fig. 8 blackhole scenario).
 Recording recordWsnBlackhole(std::uint64_t seed);
 
+/// The 6LoWPAN/RPL tree under the Fig. 8 Smurf attack (ICMPv6 echo
+/// storms, RPL DIOs).
+Recording recordSixlowpanSmurf(std::uint64_t seed);
+
 /// A ZigBee star (coordinator polling four subs), no attack.
 Recording recordZigbeeStar(std::uint64_t seed);
 

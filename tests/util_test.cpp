@@ -138,6 +138,33 @@ TEST(Checksum, Crc16CcittDiffersOnSingleBitFlip) {
   EXPECT_NE(crc16Ccitt(BytesView(data)), original);
 }
 
+TEST(Checksum, Crc16CcittKnownVector) {
+  // CRC-16/XMODEM check value.
+  EXPECT_EQ(crc16Ccitt(BytesView(bytesOf("123456789"))), 0x31C3);
+}
+
+TEST(Checksum, Crc16CcittMatchesBitwiseReference) {
+  // The textbook bit-at-a-time register, MSB first.
+  const auto reference = [](BytesView data) {
+    std::uint16_t crc = 0x0000;
+    for (std::uint8_t byte : data) {
+      crc ^= static_cast<std::uint16_t>(byte) << 8;
+      for (int i = 0; i < 8; ++i) {
+        crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                             : static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+    return crc;
+  };
+  Rng rng(0x802154);
+  for (std::size_t len = 0; len < 128; ++len) {
+    Bytes data(len);
+    for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next());
+    EXPECT_EQ(crc16Ccitt(BytesView(data)), reference(BytesView(data)))
+        << "length " << len;
+  }
+}
+
 TEST(Checksum, Fnv1aStableAndSensitive) {
   EXPECT_EQ(fnv1a64(BytesView(bytesOf("abc"))),
             fnv1a64(BytesView(bytesOf("abc"))));

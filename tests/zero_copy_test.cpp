@@ -1,7 +1,8 @@
 // Unit tests for the zero-copy packet memory model primitives
 // (DESIGN.md §10): PacketView pull/trim cursors, BatchArena lifetime and
-// chunk reuse, EntityRef identity/format parity, and the EntityKeyedMap
-// label-order iteration contract the golden SIEM streams depend on.
+// chunk reuse, EntityRef identity/format parity, the EntityKeyedMap
+// label-order iteration contract the golden SIEM streams depend on, and the
+// subscription-backed KnowggetEntityCache.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -156,6 +157,69 @@ TEST(EntityKeyedMap, OrderedIterationMatchesLegacyStringMap) {
   EXPECT_EQ(byEntity.findByLabel("0x0001")->value, 1);
   EXPECT_EQ(byEntity.find(refs[2])->value, 2);
   EXPECT_EQ(byEntity.findByLabel("nope"), nullptr);
+}
+
+TEST(EntityKeyedMap, TryEmplaceConstructsValueOnlyOnMiss) {
+  // A value that counts its constructions (by any constructor).
+  struct Counted {
+    explicit Counted(int* n) : constructions(n) { ++*constructions; }
+    Counted(const Counted& o) : constructions(o.constructions) {
+      ++*constructions;
+    }
+    Counted(Counted&& o) noexcept : constructions(o.constructions) {
+      ++*constructions;
+    }
+    int* constructions;
+  };
+  int constructions = 0;
+  ids::EntityKeyedMap<Counted> map;
+  const EntityRef key = EntityRef::of(Mac16{0x0007});
+  auto [entry, inserted] = map.tryEmplace(key, &constructions);
+  ASSERT_TRUE(inserted);
+  const int afterInsert = constructions;
+  EXPECT_GE(afterInsert, 1);
+  for (int i = 0; i < 10; ++i) {
+    auto [hit, again] = map.tryEmplace(key, &constructions);
+    EXPECT_FALSE(again);
+    EXPECT_EQ(hit, entry);
+  }
+  EXPECT_EQ(constructions, afterInsert);  // hits construct nothing
+}
+
+TEST(EntityRef, FromLabelInvertsToString) {
+  const EntityRef refs[] = {
+      EntityRef::none(), EntityRef::broadcastLabel(),
+      EntityRef::of(Mac16{0x00ab}), EntityRef::of(Mac48{{2, 0x4b, 0, 0, 0, 9}}),
+      EntityRef::of(Ipv4Addr{0x0a000207}),
+      EntityRef::of(Ipv6Addr::linkLocalFromShort(Mac16{0x0042}))};
+  for (const EntityRef& r : refs) {
+    EXPECT_EQ(EntityRef::fromLabel(r.toString()), r) << r.toString();
+  }
+  // Spellings toString() never produces name no entity.
+  for (const char* label : {"", "0xab", "00ab", "0X00AB", "10.0.2.07",
+                            "02:4B:00:00:00:09", "thermostat"}) {
+    EXPECT_EQ(EntityRef::fromLabel(label), std::nullopt) << label;
+  }
+}
+
+TEST(KnowggetEntityCache, FollowsLocalPutsAfterBinding) {
+  ids::KnowledgeBase kb("K1");  // outlives the cache's subscription
+  ids::KnowggetEntityCache root(ids::labels::kCtpRoot);
+  EXPECT_EQ(root.in(kb).value(), "");
+  EXPECT_EQ(root.in(kb).entity(), std::nullopt);
+  kb.put(ids::labels::kCtpRoot, "0x0001");
+  EXPECT_EQ(root.in(kb).entity(), EntityRef::of(Mac16{0x0001}));
+  // A peer's CtpRoot and an entity-qualified one are not the local value.
+  ids::Knowgget peer;
+  peer.label = ids::labels::kCtpRoot;
+  peer.value = "0x0009";
+  peer.creator = "K2";
+  ASSERT_TRUE(kb.putRemote(peer));
+  kb.put(ids::labels::kCtpRoot, "0x0005", "0x0002");
+  EXPECT_EQ(root.in(kb).value(), "0x0001");
+  kb.put(ids::labels::kCtpRoot, "sink");  // set, but names no entity
+  EXPECT_EQ(root.in(kb).value(), "sink");
+  EXPECT_EQ(root.in(kb).entity(), std::nullopt);
 }
 
 TEST(EntityKeyedMap, DominantEntityTieBreaksOnLabel) {
