@@ -16,22 +16,23 @@ namespace {
 constexpr Duration kFloodSpan = seconds(20 + 50 * 8 + 10);
 
 /// Sniffs what the IDS node's radios hear, as KalisNode::attach would, and
-/// appends it to `into` shifted by `offset`.
+/// appends it to `into`.
 void record(sim::World& world, NodeId ids,
-            std::initializer_list<net::Medium> media, SimTime offset,
-            Recording& into) {
+            std::initializer_list<net::Medium> media, Recording& into) {
   for (net::Medium medium : media) {
     world.enableRadio(ids, medium);
     world.addSniffer(ids, medium,
-                     [&into, offset](const net::CapturedPacket& pkt,
-                                     const net::Dissection&) {
+                     [&into](const net::CapturedPacket& pkt,
+                             const net::Dissection&) {
                        into.packets.push_back(pkt);
-                       into.packets.back().meta.timestamp += offset;
                      });
   }
 }
 
-void recordFloodedHome(std::uint64_t seed, SimTime offset, Recording& into) {
+}  // namespace
+
+Recording recordHomeFloods(std::uint64_t seed) {
+  Recording rec;
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   sim::InternetCloud cloud;
@@ -66,20 +67,10 @@ void recordFloodedHome(std::uint64_t seed, SimTime offset, Recording& into) {
   synAttack.truth = &truth;
   world.setBehavior(syn, std::make_unique<attacks::SynFloodAttacker>(synAttack));
 
-  record(world, home.ids, {net::Medium::kWifi, net::Medium::kBluetooth},
-         offset, into);
+  record(world, home.ids, {net::Medium::kWifi, net::Medium::kBluetooth}, rec);
   world.start();
   simulator.runUntil(kFloodSpan);
-}
-
-}  // namespace
-
-Recording recordHomeFloods(std::uint64_t seed, std::size_t seeds) {
-  Recording rec;
-  for (std::size_t k = 0; k < seeds; ++k) {
-    recordFloodedHome(seed + k, kFloodSpan * k, rec);
-  }
-  rec.end = kFloodSpan * seeds + seconds(10);
+  rec.end = kFloodSpan + seconds(10);
   return rec;
 }
 
@@ -92,7 +83,7 @@ Recording recordWsnBlackhole(std::uint64_t seed) {
   wsn.moteAgents[1]->setForwardPolicy(
       std::make_shared<attacks::SelectiveForwardPolicy>(
           1.0, ids::AttackType::kBlackhole, &truth, 50));
-  record(world, wsn.ids, {net::Medium::kIeee802154}, 0, rec);
+  record(world, wsn.ids, {net::Medium::kIeee802154}, rec);
   world.start();
   rec.end = seconds(160);
   simulator.runUntil(rec.end);
@@ -121,7 +112,7 @@ Recording recordSixlowpanSmurf(std::uint64_t seed) {
   attack.truth = &truth;
   world.setBehavior(attacker,
                     std::make_unique<attacks::SmurfAttacker6lw>(attack));
-  record(world, tree.ids, {net::Medium::kIeee802154}, 0, rec);
+  record(world, tree.ids, {net::Medium::kIeee802154}, rec);
   world.start();
   rec.end = kFloodSpan;
   simulator.runUntil(rec.end);
@@ -133,7 +124,7 @@ Recording recordZigbeeStar(std::uint64_t seed) {
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   scenarios::ZigbeeStar star = scenarios::buildZigbeeStar(world, 4, seconds(2));
-  record(world, star.ids, {net::Medium::kIeee802154}, 0, rec);
+  record(world, star.ids, {net::Medium::kIeee802154}, rec);
   world.start();
   rec.end = seconds(60);
   simulator.runUntil(rec.end);

@@ -16,9 +16,8 @@ struct Recording {
 };
 
 /// The WiFi/BLE home under the §VI-B1 ICMP flood and the SYN flood (50
-/// bursts each, interleaved), `seeds` consecutive simulator seeds recorded
-/// back to back on one timeline: one long-lived home.
-Recording recordHomeFloods(std::uint64_t seed, std::size_t seeds = 1);
+/// bursts each, interleaved).
+Recording recordHomeFloods(std::uint64_t seed);
 
 /// The CTP WSN with a blackholing relay (the Fig. 8 blackhole scenario).
 Recording recordWsnBlackhole(std::uint64_t seed);
