@@ -405,6 +405,11 @@ struct ClassifyCase {
   PacketType expected;
 };
 
+// ctest names each case after gtest's printout of its parameter. Without this
+// overload that printout is a byte dump of the pointers above, which address
+// randomisation changes on every build.
+void PrintTo(const ClassifyCase& c, std::ostream* os) { *os << c.name; }
+
 CapturedPacket wrapWpan(Bytes payload) {
   Ieee802154Frame frame;
   frame.dst = Mac16{0x0001};
