@@ -19,9 +19,10 @@ int main() {
   std::printf("A1: knowledge-driven activation (ICMP-flood scenario)\n\n");
   std::printf("  %-26s %10s %12s %9s %9s\n", "Engine", "Accuracy",
               "Work units", "CPU", "RAM");
-  const ScenarioResult kalis = scenarios::runIcmpFlood(SystemKind::kKalis, 42);
+  const scenarios::Capture icmp = scenarios::captureIcmpFlood(42);
+  const ScenarioResult kalis = scenarios::evaluate(SystemKind::kKalis, icmp);
   const ScenarioResult trad =
-      scenarios::runIcmpFlood(SystemKind::kTraditionalIds, 42);
+      scenarios::evaluate(SystemKind::kTraditionalIds, icmp);
   const double kalisWork = kalis.cpuPercent * toSeconds(kalis.simulated) * 1e4 /
                            metrics::kMicrosecondsPerWorkUnit;
   const double tradWork = trad.cpuPercent * toSeconds(trad.simulated) * 1e4 /

@@ -59,9 +59,10 @@ ScenarioRow benchScenario(const std::string& name,
   row.name = name;
   const double t0 = nowSec();
   for (int i = 0; i < repeats; ++i) {
-    const scenarios::ScenarioResult result = scenarios::runIcmpFlood(
-        scenarios::SystemKind::kKalis, 42 + static_cast<std::uint64_t>(i),
-        plan);
+    const scenarios::ScenarioResult result = scenarios::evaluate(
+        scenarios::SystemKind::kKalis,
+        scenarios::captureIcmpFlood(42 + static_cast<std::uint64_t>(i),
+                                    plan));
     row.detectionRate = result.detectionRate();
     row.accuracy = result.accuracy();
     row.alerts = result.alerts.size();

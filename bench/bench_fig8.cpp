@@ -20,15 +20,17 @@ int main() {
   std::vector<double> tradDr(names.size()), tradAcc(names.size());
 
   for (int seed = 0; seed < kSeeds; ++seed) {
-    const auto kalisRuns =
-        scenarios::runAllScenarios(SystemKind::kKalis, 100 + seed);
-    const auto tradRuns =
-        scenarios::runAllScenarios(SystemKind::kTraditionalIds, 100 + seed);
     for (std::size_t i = 0; i < names.size(); ++i) {
-      kalisDr[i] += kalisRuns[i].detectionRate() / kSeeds;
-      kalisAcc[i] += kalisRuns[i].accuracy() / kSeeds;
-      tradDr[i] += tradRuns[i].detectionRate() / kSeeds;
-      tradAcc[i] += tradRuns[i].accuracy() / kSeeds;
+      const scenarios::Capture capture =
+          *scenarios::capture(names[i], 100 + seed);
+      const ScenarioResult kalis =
+          scenarios::evaluate(SystemKind::kKalis, capture);
+      const ScenarioResult trad =
+          scenarios::evaluate(SystemKind::kTraditionalIds, capture);
+      kalisDr[i] += kalis.detectionRate() / kSeeds;
+      kalisAcc[i] += kalis.accuracy() / kSeeds;
+      tradDr[i] += trad.detectionRate() / kSeeds;
+      tradAcc[i] += trad.accuracy() / kSeeds;
     }
   }
 

@@ -173,7 +173,8 @@ void BM_KalisEnginePerPacket(benchmark::State& state) {
   node.start();
   std::uint64_t i = 0;
   for (auto _ : state) {
-    node.feed(makeIcmpPacket(i++));
+    const net::CapturedPacket pkt = makeIcmpPacket(i++);
+    node.feed(pkt, net::dissect(pkt));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
@@ -281,7 +282,10 @@ void dumpEngineMetrics() {
   node.useStandardLibrary();
   node.start();
   constexpr std::uint64_t kPackets = 20000;
-  for (std::uint64_t i = 0; i < kPackets; ++i) node.feed(makeIcmpPacket(i));
+  for (std::uint64_t i = 0; i < kPackets; ++i) {
+    const net::CapturedPacket pkt = makeIcmpPacket(i);
+    node.feed(pkt, net::dissect(pkt));
+  }
   simulator.runUntil(seconds(30));
   const std::string path = metrics::exportMetricsJson(
       node, simulator, "bench_micro", "bench_micro.metrics.json");

@@ -36,10 +36,11 @@ void printRow(const ScenarioResult& r) {
 int main() {
   std::printf("Sec. VI-B1: ICMP Flood attack on a single-hop network\n");
   std::printf("  %-11s %8s %8s %9s %9s\n", "System", "DR", "Acc", "CPU", "RAM");
-  ScenarioResult kalisB1 = scenarios::runIcmpFlood(SystemKind::kKalis, 42);
+  const scenarios::Capture icmp = scenarios::captureIcmpFlood(42);
+  ScenarioResult kalisB1 = scenarios::evaluate(SystemKind::kKalis, icmp);
   ScenarioResult tradB1 =
-      scenarios::runIcmpFlood(SystemKind::kTraditionalIds, 42);
-  ScenarioResult snortB1 = scenarios::runIcmpFlood(SystemKind::kSnort, 42);
+      scenarios::evaluate(SystemKind::kTraditionalIds, icmp);
+  ScenarioResult snortB1 = scenarios::evaluate(SystemKind::kSnort, icmp);
   printRow(tradB1);
   printRow(snortB1);
   printRow(kalisB1);
@@ -58,10 +59,11 @@ int main() {
   constexpr int kRuns = 10;
   double kalisDr = 0, tradDr = 0;
   for (int run = 0; run < kRuns; ++run) {
-    const auto kalisRun =
-        scenarios::runReplication(SystemKind::kKalis, 1000 + run);
+    const scenarios::Capture replication =
+        scenarios::captureReplication(1000 + run);
+    const auto kalisRun = scenarios::evaluate(SystemKind::kKalis, replication);
     const auto tradRun =
-        scenarios::runReplication(SystemKind::kTraditionalIds, 1000 + run);
+        scenarios::evaluate(SystemKind::kTraditionalIds, replication);
     std::printf("  %-6d |    %3.0f%% / %3.0f%%    |    %3.0f%% / %3.0f%%\n",
                 run, kalisRun.detectionRate() * 100, kalisRun.accuracy() * 100,
                 tradRun.detectionRate() * 100, tradRun.accuracy() * 100);

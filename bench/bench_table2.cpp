@@ -57,19 +57,26 @@ int main(int argc, char** argv) {
   std::printf("Table II: average effectiveness and performance across the\n");
   std::printf("two experimental scenarios of paper Sec. VI-B\n\n");
 
+  // Each run is captured once and replayed into all three systems.
+  const scenarios::Capture icmpCapture = scenarios::captureIcmpFlood(42);
+  std::vector<scenarios::Capture> replicationCaptures;
+  for (int run = 0; run < kReplicationRuns; ++run) {
+    replicationCaptures.push_back(scenarios::captureReplication(
+        1000 + static_cast<std::uint64_t>(run)));
+  }
+
   // Aggregate per scenario first (the replication scenario is itself an
   // average over runs), then average the two scenarios — matching how the
   // paper reports "average across both experimental scenarios".
   Row rows[3];
   std::string kalisMetricsJson;
   for (int s = 0; s < 3; ++s) {
-    ScenarioResult icmp = scenarios::runIcmpFlood(systems[s], 42);
+    ScenarioResult icmp = scenarios::evaluate(systems[s], icmpCapture);
     if (systems[s] == SystemKind::kKalis) kalisMetricsJson = icmp.metricsJson;
     rows[s].add(icmp);
     Row replication;
-    for (int run = 0; run < kReplicationRuns; ++run) {
-      replication.add(scenarios::runReplication(
-          systems[s], 1000 + static_cast<std::uint64_t>(run)));
+    for (const scenarios::Capture& capture : replicationCaptures) {
+      replication.add(scenarios::evaluate(systems[s], capture));
     }
     if (replication.applicable > 0) {
       ScenarioResult mean;

@@ -58,7 +58,9 @@ int main(int argc, char** argv) {
   // The router cannot overhear its own transmissions; the tap lets Kalis
   // inspect the inbound traffic it forwards (pre-firewall).
   home.routerAgent->setInboundTap(
-      [&kalisBox](const net::CapturedPacket& pkt) { kalisBox.feed(pkt); });
+      [&kalisBox](const net::CapturedPacket& pkt) {
+        kalisBox.feed(pkt, net::dissect(pkt));
+      });
 
   // Alert -> firewall rule: drop traffic from alerted link/network suspects.
   auto blocked = std::make_shared<std::set<std::string>>();

@@ -90,18 +90,13 @@ void KalisNode::attach(sim::World& world, NodeId nodeId,
   }
 }
 
-void KalisNode::feed(const net::CapturedPacket& pkt) {
-  manager_.onPacket(pkt, pkt.meta.timestamp ? pkt.meta.timestamp : sim_.now());
-}
-
 void KalisNode::feed(const net::CapturedPacket& pkt, const net::Dissection& dis) {
   manager_.onPacket(pkt, dis,
                     pkt.meta.timestamp ? pkt.meta.timestamp : sim_.now());
 }
 
 void KalisNode::replayFeed(const net::CapturedPacket& pkt) {
-  if (pkt.meta.timestamp > sim_.now()) sim_.runUntil(pkt.meta.timestamp);
-  feed(pkt);
+  replayFeed(pkt, net::dissect(pkt));
 }
 
 void KalisNode::replayFeed(const net::CapturedPacket& pkt,

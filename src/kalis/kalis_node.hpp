@@ -81,18 +81,18 @@ class KalisNode {
   /// physical IDS box position matters: it hears what its radio hears).
   void attach(sim::World& world, NodeId nodeId,
               std::initializer_list<net::Medium> media);
-  /// Direct packet feed (trace replay, tests). The overload without a
-  /// Dissection dissects internally; the one taking a shared Dissection is
-  /// the zero-copy path (dis must alias pkt.raw). Superseded as an
-  /// ingestion entry point by consume() — kept for per-packet callers
-  /// (sniffer attachments, pipeline shard engines, tests).
-  void feed(const net::CapturedPacket& pkt);
+  /// Direct packet feed with a shared Dissection, the zero-copy path (dis
+  /// must alias pkt.raw; callers holding only the packet pass
+  /// net::dissect(pkt)). Superseded as an ingestion entry point by
+  /// consume() — kept for per-packet callers (sniffer attachments, pipeline
+  /// shard engines, tests).
   void feed(const net::CapturedPacket& pkt, const net::Dissection& dis);
   /// Replay feed: first advances this node's simulator clock to the packet's
   /// capture timestamp — firing pending ticks exactly as live operation
   /// would — then feeds it. This is the per-packet step of the synchronous
   /// replay path and of kalis::pipeline shard engines; only meaningful when
   /// this node (and its peers, if any) are the sole users of the simulator.
+  /// The overload without a Dissection dissects the packet once itself.
   /// Superseded as an ingestion entry point by consume().
   void replayFeed(const net::CapturedPacket& pkt);
   void replayFeed(const net::CapturedPacket& pkt, const net::Dissection& dis);

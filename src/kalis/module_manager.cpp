@@ -77,10 +77,6 @@ void ModuleManager::evaluate(Entry& entry, SimTime now) {
   activeModules_.set(static_cast<double>(activeCount()));
 }
 
-void ModuleManager::onPacket(const net::CapturedPacket& pkt, SimTime now) {
-  onPacket(pkt, net::dissect(pkt), now);
-}
-
 void ModuleManager::onPacket(const net::CapturedPacket& pkt,
                              const net::Dissection& dis, SimTime now) {
   lastEventTime_ = now;

@@ -42,13 +42,11 @@ class ModuleManager {
   bool started() const { return started_; }
 
   /// Routes a captured packet to every active module and charges the
-  /// CPU-proxy work units. The primary overload consumes a Dissection
-  /// produced upstream (capture path, pipeline batch path) so each frame is
-  /// dissected exactly once end-to-end; the convenience overload dissects
-  /// internally for direct feeds and tests.
+  /// CPU-proxy work units. Consumes a Dissection produced upstream (capture
+  /// path, replay feed, pipeline batch path) so each frame is dissected
+  /// exactly once end-to-end; dis must alias pkt.raw.
   void onPacket(const net::CapturedPacket& pkt, const net::Dissection& dis,
                 SimTime now);
-  void onPacket(const net::CapturedPacket& pkt, SimTime now);
 
   /// Periodic tick forwarded to active modules.
   void tick(SimTime now);

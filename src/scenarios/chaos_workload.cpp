@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "attacks/dos_attacks.hpp"
-#include "chaos/link_chaos.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "pipeline/kalis_engine.hpp"
@@ -13,14 +12,9 @@
 
 namespace kalis::scenarios {
 
-namespace {
-
-/// Mirrors examples/trace_replay captureTrace, plus the chaos seam: what a
-/// sniffer at the IDS spot records, under an optional fault plan.
-trace::Trace captureTrace(std::uint64_t seed, bool withAttack,
-                          metrics::GroundTruth* truth,
-                          const chaos::FaultPlan* plan,
-                          chaos::LinkChaos::Stats* faultTally) {
+Capture captureHomeTrace(std::uint64_t seed, bool withAttack,
+                         const chaos::FaultPlan* plan) {
+  Capture cap;
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   sim::InternetCloud cloud;
@@ -36,32 +30,14 @@ trace::Trace captureTrace(std::uint64_t seed, bool withAttack,
     attack.bssid = world.mac48Of(home.router);
     attack.firstBurstAt = seconds(20);
     attack.burstCount = 4;
-    attack.truth = truth;
+    attack.truth = &cap.truth;
     world.setBehavior(attacker,
                       std::make_unique<attacks::IcmpFloodAttacker>(attack));
   }
 
-  trace::Trace captured;
-  world.addSniffer(home.ids, net::Medium::kWifi,
-                   [&](const net::CapturedPacket& pkt,
-                       const net::Dissection& /*dis*/) {
-                     captured.push_back(pkt);
-                   });
-  const auto chaosGuard = chaos::installFaultPlan(world, plan);
-  world.start();
-  simulator.runUntil(seconds(70));
-  if (chaosGuard && faultTally) {
-    const chaos::LinkChaos::Stats& s = chaosGuard->stats();
-    faultTally->rxDropped += s.rxDropped;
-    faultTally->corrupted += s.corrupted;
-    faultTally->duplicated += s.duplicated;
-    faultTally->delayed += s.delayed;
-    faultTally->crashes += s.crashes;
-  }
-  return captured;
+  record(world, {home.ids}, {net::Medium::kWifi}, seconds(70), cap, plan);
+  return cap;
 }
-
-}  // namespace
 
 chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
                                         const chaos::FaultPlan* plan,
@@ -71,13 +47,10 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
   out.label += workers == 0 ? "/deterministic"
                             : "/" + std::to_string(workers) + " workers";
 
-  chaos::LinkChaos::Stats faultTally;
-  const trace::Trace benign =
-      captureTrace(seed, false, nullptr, plan, &faultTally);
-  metrics::GroundTruth truth;
-  const trace::Trace withAttack =
-      captureTrace(seed + 1, true, &truth, plan, &faultTally);
-  const trace::Trace merged = trace::mergeTraces(benign, withAttack);
+  const Capture benign = captureHomeTrace(seed, false, plan);
+  const Capture withAttack = captureHomeTrace(seed + 1, true, plan);
+  const trace::Trace merged =
+      trace::mergeTraces(benign.packets, withAttack.packets);
 
   // KTRC round trip, as the Data Store's log/replay path would do it.
   const Bytes fileBytes = trace::serializeTrace(merged);
@@ -104,11 +77,13 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
     out.siemLines.push_back(ids::toSiemJson(alert));
   }
   out.pipelineStats = pipe.stats();
-  out.linkRxDropped = faultTally.rxDropped;
-  out.linkCorrupted = faultTally.corrupted;
-  out.linkDuplicated = faultTally.duplicated;
-  out.linkDelayed = faultTally.delayed;
-  out.crashes = faultTally.crashes;
+  const chaos::LinkChaos::Stats& a = benign.linkFaults;
+  const chaos::LinkChaos::Stats& b = withAttack.linkFaults;
+  out.linkRxDropped = a.rxDropped + b.rxDropped;
+  out.linkCorrupted = a.corrupted + b.corrupted;
+  out.linkDuplicated = a.duplicated + b.duplicated;
+  out.linkDelayed = a.delayed + b.delayed;
+  out.crashes = a.crashes + b.crashes;
   return out;
 }
 

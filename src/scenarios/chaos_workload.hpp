@@ -9,8 +9,16 @@
 #include <cstdint>
 
 #include "chaos/diff_runner.hpp"
+#include "scenarios/common.hpp"
 
 namespace kalis::scenarios {
+
+/// The workload's capture, also the one examples/trace_replay records: 70 s
+/// of the WiFi home (HomeWifi) as a sniffer at the IDS spot hears it, with a
+/// four-burst ICMP flood from 20 s when `withAttack`, under the optional
+/// fault `plan`.
+Capture captureHomeTrace(std::uint64_t seed, bool withAttack,
+                         const chaos::FaultPlan* plan);
 
 /// One full run. `workers` == 0 selects deterministic single-shard mode
 /// (byte-reproducible); otherwise `workers` threads. A null `plan` runs

@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "kalis/config.hpp"
+#include "attacks/evasion.hpp"
 #include "metrics/metrics_export.hpp"
 
 namespace kalis::scenarios {
@@ -14,6 +14,28 @@ const char* systemName(SystemKind kind) {
     case SystemKind::kSnort: return "Snort";
   }
   return "?";
+}
+
+void record(sim::World& world, std::initializer_list<NodeId> spots,
+            std::initializer_list<net::Medium> media, SimTime end,
+            Capture& into, const chaos::FaultPlan* faults,
+            const attacks::evasion::EvasionPlan* evasion) {
+  for (NodeId spot : spots) {
+    for (net::Medium medium : media) {
+      world.enableRadio(spot, medium);
+      world.addSniffer(spot, medium,
+                       [&into](const net::CapturedPacket& pkt,
+                               const net::Dissection&) {
+                         into.packets.push_back(pkt);
+                       });
+    }
+  }
+  const auto chaosGuard = chaos::installFaultPlan(world, faults);
+  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
+  world.start();
+  world.sim().runUntil(end);
+  into.end = end;
+  if (chaosGuard) into.linkFaults = chaosGuard->stats();
 }
 
 IdsHarness::IdsHarness(sim::Simulator& sim, Options options)
@@ -31,34 +53,18 @@ IdsHarness::IdsHarness(sim::Simulator& sim, Options options)
   for (const std::string& name : ids::ModuleRegistry::global().names()) {
     if (!excluded.contains(name)) kalisNode_->addModuleByName(name);
   }
-  if (!options_.configText.empty()) {
-    const auto parsed = ids::parseConfig(options_.configText);
-    if (parsed.ok) kalisNode_->applyConfig(parsed.config);
-  }
   if (options_.kind == SystemKind::kTraditionalIds) {
     kalisNode_->emulateTraditionalIds();
   }
 }
 
-void IdsHarness::attach(sim::World& world, NodeId nodeId,
-                        std::initializer_list<net::Medium> media) {
+void IdsHarness::replay(const net::CapturedPacket& pkt) {
   if (kalisNode_) {
-    kalisNode_->attach(world, nodeId, media);
+    kalisNode_->replayFeed(pkt);
     return;
   }
-  for (net::Medium medium : media) {
-    world.enableRadio(nodeId, medium);
-    world.addSniffer(nodeId, medium,
-                     [this](const net::CapturedPacket& pkt,
-                            const net::Dissection& dis) {
-                       ++snortPacketsSeen_;
-                       snortEngine_->onPacket(pkt, dis);
-                     });
-  }
-}
-
-void IdsHarness::start() {
-  if (kalisNode_) kalisNode_->start();
+  ++snortPacketsSeen_;
+  snortEngine_->onPacket(pkt, net::dissect(pkt));
 }
 
 std::vector<ids::Alert> IdsHarness::alerts() const {
@@ -94,11 +100,10 @@ std::uint64_t IdsHarness::packetsSeen() const {
   return snortPacketsSeen_;
 }
 
-ScenarioResult finishResult(std::string scenario, IdsHarness& harness,
-                            const metrics::GroundTruth& truth,
-                            Duration simulated) {
+ScenarioResult finishResult(const Capture& capture, IdsHarness& harness) {
+  const metrics::GroundTruth& truth = capture.truth;
   ScenarioResult result;
-  result.scenario = std::move(scenario);
+  result.scenario = capture.scenario;
   result.system = harness.kind();
   result.alerts = harness.alerts();
   result.eval = metrics::evaluate(truth, result.alerts);
@@ -108,15 +113,34 @@ ScenarioResult finishResult(std::string scenario, IdsHarness& harness,
     if (!instance.suspectEntity.empty()) attackers.insert(instance.suspectEntity);
   }
   result.totalAttackers = attackers.size();
-  result.cpuPercent = harness.cpuPercentOver(simulated);
+  result.cpuPercent = harness.cpuPercentOver(capture.end);
   result.ramMb = harness.ramMb();
   result.packetsSniffed = harness.packetsSeen();
-  result.simulated = simulated;
+  result.simulated = capture.end;
   result.truthSize = truth.size();
   if (ids::KalisNode* node = harness.kalis()) {
     result.metricsJson =
         metrics::collectMetrics(*node, node->sim(), result.scenario).toJson();
   }
+  return result;
+}
+
+ScenarioResult evaluate(SystemKind system, const Capture& capture) {
+  sim::Simulator clock(1);
+  IdsHarness::Options options{system, "K1", {}};
+  if (system == SystemKind::kTraditionalIds) {
+    options.excludeModules = capture.traditionalExcludes;
+  }
+  IdsHarness harness(clock, options);
+  if (ids::KalisNode* node = harness.kalis()) node->start();
+  for (const net::CapturedPacket& pkt : capture.packets) harness.replay(pkt);
+  clock.runUntil(capture.end);
+
+  ScenarioResult result = finishResult(capture, harness);
+  // Snort captures only 802.11 (DLT_IEEE802_11): on WPAN-only traffic it
+  // sees nothing at all.
+  result.notApplicable = system == SystemKind::kSnort &&
+                         harness.snort()->packetsProcessed() == 0;
   return result;
 }
 

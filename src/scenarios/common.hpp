@@ -1,6 +1,7 @@
 // Shared scenario infrastructure: the three systems under test (Kalis, the
-// traditional-IDS baseline, Snort), result records, and the resource model
-// constants (DESIGN.md §1).
+// traditional-IDS baseline, Snort), the capture a scenario records at its
+// IDS spot, the replay that evaluates a system on it, result records, and
+// the resource model constants (DESIGN.md §1).
 #pragma once
 
 #include <memory>
@@ -9,9 +10,15 @@
 #include <vector>
 
 #include "baseline/snort_engine.hpp"
+#include "chaos/link_chaos.hpp"
 #include "kalis/kalis_node.hpp"
 #include "metrics/evaluation.hpp"
+#include "metrics/ground_truth.hpp"
 #include "sim/world.hpp"
+
+namespace kalis::attacks::evasion {
+struct EvasionPlan;
+}
 
 namespace kalis::scenarios {
 
@@ -25,6 +32,32 @@ inline constexpr double kKalisRuntimeBaseMb = 9.5;   // JamVM-class runtime
 inline constexpr double kPerActiveModuleMb = 0.55;   // loaded module footprint
 inline constexpr double kSnortRuntimeBaseMb = 95.0;  // Snort process baseline
 inline constexpr double kPerRuleKb = 64.0;           // compiled rule footprint
+
+/// One scenario run as the IDS spot recorded it: the input every system
+/// under test is evaluated on (the paper's §VI-A record/replay method).
+struct Capture {
+  std::string scenario;
+  /// What the IDS spots heard, in capture order; meta.capturedBy names the
+  /// spot when a scenario has several.
+  std::vector<net::CapturedPacket> packets;
+  metrics::GroundTruth truth;
+  SimTime end = 0;  ///< time the replay clock runs to
+  /// Modules the traditional baseline leaves out of its static library
+  /// (its blind pick between two topology-specific techniques).
+  std::vector<std::string> traditionalExcludes;
+  /// Link faults the optional FaultPlan injected while recording.
+  chaos::LinkChaos::Stats linkFaults;
+};
+
+/// The recorder every capture uses. Sniffs `media` at each node of `spots`
+/// (wired as KalisNode::attach wires a live node), installs the optional
+/// fault plan (DESIGN.md §9) and evasion plan (§13), starts `world`, runs it
+/// to `end` and sets into.end to it. A null plan, an all-zero fault plan
+/// and a zero-budget evasion plan leave the capture byte-for-byte unchanged.
+void record(sim::World& world, std::initializer_list<NodeId> spots,
+            std::initializer_list<net::Medium> media, SimTime end,
+            Capture& into, const chaos::FaultPlan* faults = nullptr,
+            const attacks::evasion::EvasionPlan* evasion = nullptr);
 
 struct ScenarioResult {
   std::string scenario;
@@ -53,7 +86,10 @@ struct ScenarioResult {
   }
 };
 
-/// One system under test, wired into a World as a sniffer.
+/// One system under test on a simulator clock: loads the module library,
+/// emulates the traditional baseline, and turns the engine's counters into
+/// the CPU/RAM proxies. A Kalis system still has to be started
+/// (kalis()->start()) before its first packet.
 class IdsHarness {
  public:
   struct Options {
@@ -62,15 +98,13 @@ class IdsHarness {
     /// Modules to EXCLUDE from the library (the traditional baseline's
     /// static random module choice in §VI-B2).
     std::vector<std::string> excludeModules;
-    /// Extra static config text (Fig. 6 syntax), applied when non-empty.
-    std::string configText;
   };
 
   IdsHarness(sim::Simulator& sim, Options options);
 
-  void attach(sim::World& world, NodeId nodeId,
-              std::initializer_list<net::Medium> media);
-  void start();
+  /// Feeds one captured packet: Kalis advances its clock to the capture
+  /// time first (KalisNode::replayFeed); Snort dissects and inspects it.
+  void replay(const net::CapturedPacket& pkt);
 
   std::vector<ids::Alert> alerts() const;
   double cpuPercentOver(Duration simulated) const;
@@ -88,9 +122,12 @@ class IdsHarness {
   std::uint64_t snortPacketsSeen_ = 0;
 };
 
-/// Fills the harness-derived fields of a result (resources, alerts, scoring).
-ScenarioResult finishResult(std::string scenario, IdsHarness& harness,
-                            const metrics::GroundTruth& truth,
-                            Duration simulated);
+/// Scores the harness's alerts against the capture's ground truth and fills
+/// the resource proxies over the capture's span.
+ScenarioResult finishResult(const Capture& capture, IdsHarness& harness);
+
+/// Replays `capture` into a fresh `system` on its own clock, runs the clock
+/// to capture.end, and scores the alerts against the capture's ground truth.
+ScenarioResult evaluate(SystemKind system, const Capture& capture);
 
 }  // namespace kalis::scenarios

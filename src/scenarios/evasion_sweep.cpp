@@ -19,17 +19,15 @@ std::vector<std::string> siemLines(const scenarios::ScenarioResult& result) {
   return lines;
 }
 
-/// Runs one scenario under `plan` (nullptr = unperturbed) and captures the
-/// per-run perturbation tally delta.
-scenarios::ScenarioResult runOnce(const std::string& scenario,
-                                  scenarios::SystemKind system,
-                                  std::uint64_t seed, const EvasionPlan* plan,
-                                  Stats* tally) {
+/// Captures one scenario under `plan` (nullptr = unperturbed) with the
+/// capture's perturbation tally.
+scenarios::Capture captureOnce(const std::string& scenario, std::uint64_t seed,
+                               const EvasionPlan* plan, Stats* tally) {
   resetGlobalTally();
-  std::optional<scenarios::ScenarioResult> result =
-      scenarios::runScenarioByName(scenario, system, seed, nullptr, plan);
+  std::optional<scenarios::Capture> capture =
+      scenarios::capture(scenario, seed, nullptr, plan);
   if (tally != nullptr) *tally = globalTally();
-  return *result;
+  return std::move(*capture);
 }
 
 void appendStatsJson(std::ostringstream& oss, const Stats& stats) {
@@ -72,37 +70,51 @@ SweepResult runSweep(const SweepOptions& options) {
                scenarios::SystemKind::kSnort};
   }
 
+  // Curves are reported system-major; each (scenario, budget) is captured
+  // once and evaluated by every system.
   for (scenarios::SystemKind system : systems) {
     for (const std::string& scenario : scenarioList) {
-      SweepCurve curve;
-      curve.scenario = scenario;
-      curve.system = system;
-      for (double budget : options.budgets) {
-        EvasionPlan plan = options.plan;
-        plan.budget = budget;
+      result.curves.push_back(SweepCurve{scenario, system, {}});
+    }
+  }
+  for (std::size_t sc = 0; sc < scenarioList.size(); ++sc) {
+    const std::string& scenario = scenarioList[sc];
+    std::optional<scenarios::Capture> bare;
+    for (double budget : options.budgets) {
+      EvasionPlan plan = options.plan;
+      plan.budget = budget;
+      Stats tally;
+      const scenarios::Capture evaded =
+          captureOnce(scenario, options.scenarioSeed, &plan, &tally);
+      const bool checkIdentity =
+          budget == 0.0 && options.checkZeroBudgetIdentity;
+      if (checkIdentity && !bare) {
+        bare = captureOnce(scenario, options.scenarioSeed, nullptr, nullptr);
+      }
+      for (std::size_t sy = 0; sy < systems.size(); ++sy) {
         SweepPoint point;
         point.budget = budget;
         point.spec = plan.describe();
-        scenarios::ScenarioResult run = runOnce(
-            scenario, system, options.scenarioSeed, &plan,
-            &point.perturbation);
+        point.perturbation = tally;
+        const scenarios::ScenarioResult run =
+            scenarios::evaluate(systems[sy], evaded);
         point.detectionRate = run.detectionRate();
         point.accuracy = run.accuracy();
         point.alerts = run.alerts.size();
         point.truthSize = run.truthSize;
         point.notApplicable = run.notApplicable;
-        result.roundtripViolations += point.perturbation.roundtripViolations;
-        if (budget == 0.0 && options.checkZeroBudgetIdentity) {
-          scenarios::ScenarioResult bare = runOnce(
-              scenario, system, options.scenarioSeed, nullptr, nullptr);
-          point.zeroBudgetIdentical = siemLines(run) == siemLines(bare);
+        result.roundtripViolations += tally.roundtripViolations;
+        if (checkIdentity) {
+          point.zeroBudgetIdentical =
+              siemLines(run) ==
+              siemLines(scenarios::evaluate(systems[sy], *bare));
           if (!point.zeroBudgetIdentical) {
             result.allZeroBudgetIdentical = false;
           }
         }
-        curve.points.push_back(std::move(point));
+        result.curves[sy * scenarioList.size() + sc].points.push_back(
+            std::move(point));
       }
-      result.curves.push_back(std::move(curve));
     }
   }
   return result;
@@ -184,8 +196,8 @@ chaos::DiffResult evasionDiff(const std::string& scenario,
                               scenarios::SystemKind system,
                               std::uint64_t seed, const EvasionPlan& plan) {
   Stats baseTally;
-  scenarios::ScenarioResult bare =
-      runOnce(scenario, system, seed, nullptr, &baseTally);
+  const scenarios::ScenarioResult bare = scenarios::evaluate(
+      system, captureOnce(scenario, seed, nullptr, &baseTally));
   chaos::RunOutput baseline;
   baseline.label = scenario + " unperturbed";
   baseline.alerts = bare.alerts;
@@ -193,8 +205,8 @@ chaos::DiffResult evasionDiff(const std::string& scenario,
   baseline.evasionPerturbed = baseTally.perturbed();
 
   Stats evadedTally;
-  scenarios::ScenarioResult evaded =
-      runOnce(scenario, system, seed, &plan, &evadedTally);
+  const scenarios::ScenarioResult evaded = scenarios::evaluate(
+      system, captureOnce(scenario, seed, &plan, &evadedTally));
   chaos::RunOutput subject;
   subject.label = scenario + " evasion[" + plan.describe() + "]";
   subject.alerts = evaded.alerts;

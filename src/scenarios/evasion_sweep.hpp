@@ -1,12 +1,12 @@
 // attacks::evasion::runSweep — detection-rate-vs-budget curves (DESIGN.md
-// §13). Replays Fig. 8 scenarios across an evasion-budget grid for each
-// system under test and reports, per (scenario, system, budget) point, the
-// detection rate, classification accuracy, and the exact perturbation
-// tallies. Every point is replayable from (scenario, preset, seed, budget)
-// alone; the zero-budget column is asserted byte-identical (SIEM streams) to
-// the unperturbed run.
+// §13). Captures each Fig. 8 scenario once per point of an evasion-budget
+// grid, evaluates every system under test on that capture, and reports, per
+// (scenario, system, budget) point, the detection rate, classification
+// accuracy, and the capture's exact perturbation tallies. Every point is
+// replayable from (scenario, preset, seed, budget) alone; the zero-budget
+// column is asserted byte-identical (SIEM streams) to the unperturbed run.
 //
-// Lives in kalis_scenarios (it drives the scenario runners) but in the
+// Lives in kalis_scenarios (it drives the scenario captures) but in the
 // attacks::evasion namespace: it is the measurement half of the evasion
 // subsystem.
 #pragma once
@@ -30,7 +30,7 @@ struct SweepPoint {
   std::size_t alerts = 0;
   std::size_t truthSize = 0;
   bool notApplicable = false;
-  Stats perturbation{};  ///< per-run globalTally() delta
+  Stats perturbation{};  ///< globalTally() of the point's capture
   /// Budget-0 only (when SweepOptions::checkZeroBudgetIdentity): SIEM stream
   /// byte-identical to the unperturbed run. True elsewhere.
   bool zeroBudgetIdentical = true;
@@ -59,7 +59,7 @@ struct SweepOptions {
 struct SweepResult {
   SweepOptions options;
   std::vector<SweepCurve> curves;
-  std::uint64_t roundtripViolations = 0;  ///< summed over every run
+  std::uint64_t roundtripViolations = 0;  ///< summed over every point
   bool allZeroBudgetIdentical = true;
 
   std::string toJson() const;   ///< the EVASION_curves.json artifact

@@ -1,72 +1,73 @@
-// The paper's experiments as callable scenarios. Each function builds the
-// environment, injects the attack with ground truth, runs one system under
-// test over the same deterministic traffic, and returns the scored result.
+// The paper's experiments as callable scenarios. A Fig. 8 scenario is a
+// capture: it builds the environment, injects the attack with ground truth,
+// runs the world once with a recorder at the IDS spot, and returns what the
+// spot heard. evaluate(system, capture) (common.hpp) then replays those
+// packets into Kalis, the traditional baseline or Snort and scores the
+// result, so every system under test sees the same traffic.
 //
 // Experiment map (see DESIGN.md §3):
-//   runIcmpFlood            — §VI-B1 (single-hop WiFi; Kalis/Trad/Snort)
-//   runReplication          — §VI-B2 (static<->mobile ZigBee; Snort N/A)
-//   runSmurf, runSynFlood, runSelectiveForwarding, runBlackhole,
-//   runSybil, runSinkhole   — the remaining Fig. 8 breadth scenarios
+//   captureIcmpFlood        — §VI-B1 (single-hop WiFi; Kalis/Trad/Snort)
+//   captureReplication      — §VI-B2 (static<->mobile ZigBee; Snort N/A)
+//   captureSmurf, captureSynFlood, captureSelectiveForwarding,
+//   captureBlackhole, captureSybil, captureSinkhole
+//                           — the remaining Fig. 8 breadth scenarios
 //   runWormhole             — §VI-D (two Kalis nodes, collective knowledge)
 //   runReactivity           — §VI-C (cold-start dynamic module activation)
+//   runLiveCountermeasure   — §VI-B metric iii, with the IDS in the loop
 #pragma once
 
-#include "metrics/ground_truth.hpp"
 #include "scenarios/common.hpp"
-
-namespace kalis::chaos {
-struct FaultPlan;
-}
-
-namespace kalis::attacks::evasion {
-struct EvasionPlan;
-}
 
 namespace kalis::scenarios {
 
-// Every Fig. 8 runner optionally takes a chaos::FaultPlan (DESIGN.md §9):
+// Every Fig. 8 capture optionally takes a chaos::FaultPlan (DESIGN.md §9):
 // when non-null, a chaos::LinkChaos injector is installed on the World for
-// the whole run, so any scenario can be replayed under any fault plan. A
-// null plan (the default) leaves the run byte-for-byte unchanged.
+// the whole run, so any scenario can be recorded under any fault plan.
 //
-// Each runner also optionally takes an attacks::evasion::EvasionPlan
-// (DESIGN.md §13): when non-null, an EvasionChaos injector wraps the fault
-// seam and applies budgeted adversarial perturbations to the attacker's
-// traffic only (the forwarding-family scenarios instead scale the malicious
-// relay's drop probability). A null or zero-budget plan leaves the run
-// byte-for-byte unchanged.
-ScenarioResult runIcmpFlood(
-    SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
+// Each also optionally takes an attacks::evasion::EvasionPlan (DESIGN.md
+// §13): when non-null, an EvasionChaos injector wraps the fault seam and
+// applies budgeted adversarial perturbations to the attacker's traffic only
+// (the forwarding-family scenarios instead scale the malicious relay's drop
+// probability). A null plan, an all-zero fault plan and a zero-budget
+// evasion plan all leave the capture byte-for-byte unchanged.
+Capture captureIcmpFlood(
+    std::uint64_t seed, const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
-ScenarioResult runSmurf(SystemKind system, std::uint64_t seed,
-                        const chaos::FaultPlan* faults = nullptr,
-                        const attacks::evasion::EvasionPlan* evasion = nullptr);
-ScenarioResult runSynFlood(
-    SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
+Capture captureSmurf(std::uint64_t seed,
+                     const chaos::FaultPlan* faults = nullptr,
+                     const attacks::evasion::EvasionPlan* evasion = nullptr);
+Capture captureSynFlood(
+    std::uint64_t seed, const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
-ScenarioResult runSelectiveForwarding(
-    SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
+Capture captureSelectiveForwarding(
+    std::uint64_t seed, const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
-ScenarioResult runBlackhole(
-    SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
+Capture captureBlackhole(
+    std::uint64_t seed, const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
-ScenarioResult runSybil(SystemKind system, std::uint64_t seed,
-                        const chaos::FaultPlan* faults = nullptr,
-                        const attacks::evasion::EvasionPlan* evasion = nullptr);
-ScenarioResult runSinkhole(
-    SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
+/// The traditional baseline's library holds one of the two topology-specific
+/// sybil techniques, picked from the seed (Capture::traditionalExcludes).
+Capture captureSybil(std::uint64_t seed,
+                     const chaos::FaultPlan* faults = nullptr,
+                     const attacks::evasion::EvasionPlan* evasion = nullptr);
+Capture captureSinkhole(
+    std::uint64_t seed, const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
 
 /// §VI-B2. One run = one random static/mobile schedule with 3 replicas; the
 /// traditional baseline is configured with one randomly chosen replication
 /// module ("closely simulating a static module library configuration").
-ScenarioResult runReplication(
-    SystemKind system, std::uint64_t seed,
+Capture captureReplication(
+    std::uint64_t seed, const chaos::FaultPlan* faults = nullptr,
+    const attacks::evasion::EvasionPlan* evasion = nullptr);
+
+/// Names of the eight Fig. 8 scenarios, in Fig. 8 order.
+const std::vector<std::string>& scenarioNames();
+
+/// Captures one Fig. 8 scenario by its scenarioNames() entry; nullopt for an
+/// unknown name. The dispatch bench_fig8 and the evasion sweep use.
+std::optional<Capture> capture(
+    const std::string& name, std::uint64_t seed,
     const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
 
@@ -98,7 +99,9 @@ ReactivityResult runReactivity(std::uint64_t seed);
 /// alerts drive automatic revocation, and network health is the legitimate
 /// delivery ratio after the response settles. Kalis revokes only the
 /// attacker (the tree heals through the honest relay); the traditional
-/// baseline also revokes the base station and collapses the network.
+/// baseline also revokes the base station and collapses the network. The
+/// one experiment whose IDS stays attached to the live World: its alerts
+/// change the traffic it then observes.
 struct LiveCountermeasureResult {
   double deliveryNoResponse = 0.0;  ///< attack unmitigated
   double deliveryKalis = 0.0;       ///< Kalis-driven revocation
@@ -107,22 +110,5 @@ struct LiveCountermeasureResult {
   std::vector<std::string> tradRevoked;
 };
 LiveCountermeasureResult runLiveCountermeasure(std::uint64_t seed);
-
-/// All eight Fig. 8 scenarios for one system (all under the same optional
-/// fault and evasion plans).
-std::vector<ScenarioResult> runAllScenarios(
-    SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
-    const attacks::evasion::EvasionPlan* evasion = nullptr);
-
-/// Names of the eight Fig. 8 scenarios, in runAllScenarios order.
-const std::vector<std::string>& scenarioNames();
-
-/// Runs one Fig. 8 scenario by its scenarioNames() entry; nullopt for an
-/// unknown name. The dispatch the evasion sweep and trace_replay use.
-std::optional<ScenarioResult> runScenarioByName(
-    const std::string& name, SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults = nullptr,
-    const attacks::evasion::EvasionPlan* evasion = nullptr);
 
 }  // namespace kalis::scenarios

@@ -2,34 +2,20 @@
 #include <memory>
 
 #include "attacks/dos_attacks.hpp"
-#include "attacks/evasion.hpp"
 #include "attacks/sixlowpan_attacks.hpp"
 #include "scenarios/environments.hpp"
-#include "chaos/link_chaos.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace kalis::scenarios {
 
-namespace {
-
-/// Marks Snort runs that saw no parsable traffic as not-applicable.
-void markApplicability(ScenarioResult& result, IdsHarness& harness) {
-  if (harness.kind() == SystemKind::kSnort &&
-      harness.snort()->packetsProcessed() == 0) {
-    result.notApplicable = true;
-  }
-}
-
-}  // namespace
-
-ScenarioResult runIcmpFlood(SystemKind system, std::uint64_t seed,
-                            const chaos::FaultPlan* faults,
-                            const attacks::evasion::EvasionPlan* evasion) {
+Capture captureIcmpFlood(std::uint64_t seed, const chaos::FaultPlan* faults,
+                         const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = "ICMP Flood";
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   sim::InternetCloud cloud;
   HomeWifi home = buildHomeWifi(world, cloud, seed);
-  metrics::GroundTruth truth;
 
   const NodeId attacker =
       world.addNode("attacker", sim::NodeRole::kGeneric, {18, 16});
@@ -41,32 +27,22 @@ ScenarioResult runIcmpFlood(SystemKind system, std::uint64_t seed,
   attack.firstBurstAt = seconds(20);
   attack.burstInterval = seconds(8);
   attack.burstCount = 50;  // paper: 50 symptom instances
-  attack.truth = &truth;
+  attack.truth = &cap.truth;
   world.setBehavior(attacker,
                     std::make_unique<attacks::IcmpFloodAttacker>(attack));
 
-  IdsHarness harness(simulator, IdsHarness::Options{system, "K1", {}, ""});
-  harness.attach(world, home.ids,
-                 {net::Medium::kWifi, net::Medium::kBluetooth});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(20 + 50 * 8 + 10);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult("ICMP Flood", harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {home.ids}, {net::Medium::kWifi, net::Medium::kBluetooth},
+         seconds(20 + 50 * 8 + 10), cap, faults, evasion);
+  return cap;
 }
 
-ScenarioResult runSmurf(SystemKind system, std::uint64_t seed,
-                        const chaos::FaultPlan* faults,
-                        const attacks::evasion::EvasionPlan* evasion) {
+Capture captureSmurf(std::uint64_t seed, const chaos::FaultPlan* faults,
+                     const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = "Smurf";
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   SixlowpanTree tree = buildSixlowpanTree(world, seconds(3));
-  metrics::GroundTruth truth;
 
   // Attacker sits in the leaves' portion, forging requests in the name of
   // leaf 1 toward its neighbors (router 1 and the adjacent leaves).
@@ -82,32 +58,23 @@ ScenarioResult runSmurf(SystemKind system, std::uint64_t seed,
   attack.firstBurstAt = seconds(20);
   attack.burstInterval = seconds(8);
   attack.burstCount = 50;
-  attack.truth = &truth;
+  attack.truth = &cap.truth;
   world.setBehavior(attacker,
                     std::make_unique<attacks::SmurfAttacker6lw>(attack));
 
-  IdsHarness harness(simulator, IdsHarness::Options{system, "K1", {}, ""});
-  harness.attach(world, tree.ids, {net::Medium::kIeee802154});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(20 + 50 * 8 + 10);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult("Smurf", harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {tree.ids}, {net::Medium::kIeee802154},
+         seconds(20 + 50 * 8 + 10), cap, faults, evasion);
+  return cap;
 }
 
-ScenarioResult runSynFlood(SystemKind system, std::uint64_t seed,
-                           const chaos::FaultPlan* faults,
-                           const attacks::evasion::EvasionPlan* evasion) {
+Capture captureSynFlood(std::uint64_t seed, const chaos::FaultPlan* faults,
+                        const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = "SYN Flood";
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   sim::InternetCloud cloud;
   HomeWifi home = buildHomeWifi(world, cloud, seed);
-  metrics::GroundTruth truth;
 
   const NodeId attacker =
       world.addNode("attacker", sim::NodeRole::kGeneric, {19, 13});
@@ -120,22 +87,13 @@ ScenarioResult runSynFlood(SystemKind system, std::uint64_t seed,
   attack.firstBurstAt = seconds(20);
   attack.burstInterval = seconds(8);
   attack.burstCount = 50;
-  attack.truth = &truth;
+  attack.truth = &cap.truth;
   world.setBehavior(attacker,
                     std::make_unique<attacks::SynFloodAttacker>(attack));
 
-  IdsHarness harness(simulator, IdsHarness::Options{system, "K1", {}, ""});
-  harness.attach(world, home.ids, {net::Medium::kWifi});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(20 + 50 * 8 + 10);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult("SYN Flood", harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {home.ids}, {net::Medium::kWifi}, seconds(20 + 50 * 8 + 10),
+         cap, faults, evasion);
+  return cap;
 }
 
 }  // namespace kalis::scenarios

@@ -3,8 +3,6 @@
 #include <memory>
 
 #include "attacks/forwarding_attacks.hpp"
-#include "chaos/fault_plan.hpp"
-#include "chaos/link_chaos.hpp"
 #include "kalis/countermeasures.hpp"
 #include "scenarios/environments.hpp"
 #include "scenarios/scenarios.hpp"
@@ -58,25 +56,28 @@ DiamondRun runDiamond(std::uint64_t seed, int mode) {
   const NodeId ids = world.addNode("kalis-box", sim::NodeRole::kIdsBox, {12, 0});
   world.enableRadio(ids, net::Medium::kIeee802154, idsWideRadio());
 
+  // The IDS stays attached to the live World: its alerts revoke nodes, which
+  // changes the traffic it observes next, so no recorded capture can stand
+  // in for the run.
   IdsHarness harness(
       simulator,
       IdsHarness::Options{mode == 2 ? SystemKind::kTraditionalIds
                                     : SystemKind::kKalis,
                           "K1",
-                          {},
-                          ""});
-  harness.attach(world, ids, {net::Medium::kIeee802154});
+                          {}});
+  ids::KalisNode& kalisNode = *harness.kalis();
+  kalisNode.attach(world, ids, {net::Medium::kIeee802154});
 
   ids::CountermeasureEngine::Policy policy;
   policy.revocationPeriod = seconds(600);
   ids::CountermeasureEngine engine(world, policy);
   if (mode != 0) {
-    harness.kalis()->setAlertSink(
+    kalisNode.setAlertSink(
         [&engine](const ids::Alert& alert) { engine.onAlert(alert); });
   }
 
   world.start();
-  harness.start();
+  kalisNode.start();
 
   // Measure legitimate delivery (relayB + leaf origins) over the settled
   // window [80 s, 170 s].
@@ -122,50 +123,55 @@ LiveCountermeasureResult runLiveCountermeasure(std::uint64_t seed) {
 
 WormholeResult runWormhole(std::uint64_t seed, bool collaborative,
                            const chaos::FaultPlan* faults) {
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  ZigbeeWormholeChain chain =
-      buildZigbeeWormholeChain(world, /*commandInterval=*/milliseconds(1500));
-  metrics::GroundTruth truth;
+  Capture cap;
+  cap.scenario = "Wormhole";
+  NodeId firstSpot = kInvalidNode;
+  {
+    sim::Simulator simulator(seed);
+    sim::World world(simulator);
+    ZigbeeWormholeChain chain =
+        buildZigbeeWormholeChain(world, /*commandInterval=*/milliseconds(1500));
 
-  attacks::WormholeRelayPolicy::Config policyConfig;
-  policyConfig.world = &world;
-  policyConfig.peer = chain.b2;
-  policyConfig.truth = &truth;
-  auto policy =
-      std::make_shared<attacks::WormholeRelayPolicy>(policyConfig);
-  chain.b1Agent->setRelayPolicy(policy);
+    attacks::WormholeRelayPolicy::Config policyConfig;
+    policyConfig.world = &world;
+    policyConfig.peer = chain.b2;
+    policyConfig.truth = &cap.truth;
+    chain.b1Agent->setRelayPolicy(
+        std::make_shared<attacks::WormholeRelayPolicy>(policyConfig));
 
-  // Two Kalis nodes with deliberately constrained radios: each hears only
-  // its own network portion (the premise of §VI-D).
-  for (NodeId ids : {chain.ids1, chain.ids2}) {
-    world.enableRadio(ids, net::Medium::kIeee802154, moteRadio());
+    // Two IDS spots with deliberately constrained radios: each hears only
+    // its own network portion (the premise of §VI-D).
+    for (NodeId ids : {chain.ids1, chain.ids2}) {
+      world.enableRadio(ids, net::Medium::kIeee802154, moteRadio());
+    }
+    record(world, {chain.ids1, chain.ids2}, {net::Medium::kIeee802154},
+           seconds(120), cap, faults);
+    firstSpot = chain.ids1;
   }
-  IdsHarness k1(simulator,
-                IdsHarness::Options{SystemKind::kKalis, "K1", {}, ""});
-  IdsHarness k2(simulator,
-                IdsHarness::Options{SystemKind::kKalis, "K2", {}, ""});
-  k1.attach(world, chain.ids1, {net::Medium::kIeee802154});
-  k2.attach(world, chain.ids2, {net::Medium::kIeee802154});
+
+  // Two Kalis nodes on one replay clock, each fed what its own spot heard.
+  sim::Simulator clock(1);
+  IdsHarness k1(clock, IdsHarness::Options{SystemKind::kKalis, "K1", {}});
+  IdsHarness k2(clock, IdsHarness::Options{SystemKind::kKalis, "K2", {}});
   if (collaborative) {
     ids::KalisNode::discoverPeers(*k1.kalis(), *k2.kalis());
   }
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  world.start();
-  k1.start();
-  k2.start();
-  const Duration simulated = seconds(120);
-  simulator.runUntil(simulated);
+  k1.kalis()->start();
+  k2.kalis()->start();
+  for (const net::CapturedPacket& pkt : cap.packets) {
+    (pkt.meta.capturedBy == firstSpot ? k1 : k2).replay(pkt);
+  }
+  clock.runUntil(cap.end);
 
   WormholeResult result;
   std::vector<ids::Alert> merged = k1.alerts();
   const auto k2Alerts = k2.alerts();
   merged.insert(merged.end(), k2Alerts.begin(), k2Alerts.end());
 
-  result.combined = finishResult("Wormhole", k1, truth, simulated);
+  result.combined = finishResult(cap, k1);
   result.combined.alerts = merged;
-  result.combined.eval = metrics::evaluate(truth, merged);
-  result.combined.counter = metrics::assessCountermeasures(truth, merged);
+  result.combined.eval = metrics::evaluate(cap.truth, merged);
+  result.combined.counter = metrics::assessCountermeasures(cap.truth, merged);
 
   bool sawWormhole = false;
   bool sawBlackhole = false;
@@ -181,102 +187,94 @@ WormholeResult runWormhole(std::uint64_t seed, bool collaborative,
 }
 
 ReactivityResult runReactivity(std::uint64_t seed) {
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  Wsn wsn = buildWsn(world, 5, seconds(3));
-  metrics::GroundTruth truth;
-
-  // One mote performs selective forwarding from the very first packets.
-  auto policy = std::make_shared<attacks::SelectiveForwardPolicy>(
-      0.5, ids::AttackType::kSelectiveForwarding, &truth, 50);
-  wsn.moteAgents[1]->setForwardPolicy(policy);
+  // The Fig. 8 selective-forwarding network: one mote drops half of what it
+  // relays from the very first packets.
+  const Capture cap = captureSelectiveForwarding(seed);
 
   // "A configuration file that does not activate any detection modules by
   // default and does not contain any a-priori knowgget" (§VI-C): the full
   // library is loaded, but nothing is required until knowledge appears.
-  IdsHarness harness(simulator,
-                     IdsHarness::Options{SystemKind::kKalis, "K1", {}, ""});
-  harness.attach(world, wsn.ids, {net::Medium::kIeee802154});
-  world.start();
-  harness.start();
+  sim::Simulator clock(1);
+  IdsHarness harness(clock,
+                     IdsHarness::Options{SystemKind::kKalis, "K1", {}});
+  ids::KalisNode* kalisNode = harness.kalis();
+  kalisNode->start();
 
   ReactivityResult result;
   // Count detection modules active right after startup (before traffic).
-  for (const std::string& name :
-       harness.kalis()->modules().activeModuleNames()) {
-    const ids::Module* module = harness.kalis()->modules().find(name);
+  for (const std::string& name : kalisNode->modules().activeModuleNames()) {
+    const ids::Module* module = kalisNode->modules().find(name);
     if (module->isDetection()) ++result.detectionModulesActiveAtStart;
   }
 
-  // Poll for the moment the selective-forwarding module becomes required.
-  auto* kalisNode = harness.kalis();
+  // Poll the replay clock for the moment the selective-forwarding module
+  // becomes required.
   auto poll = std::make_shared<std::function<void()>>();
   auto* resultPtr = &result;
   // Weak self-reference: a shared_ptr capture would cycle with the function
   // it lives in and leak (LeakSanitizer catches this in the CI job).
   std::weak_ptr<std::function<void()>> weakPoll = poll;
-  *poll = [&simulator, kalisNode, resultPtr, weakPoll] {
+  *poll = [&clock, kalisNode, resultPtr, weakPoll] {
     if (resultPtr->activationTime == kSimTimeMax &&
         kalisNode->modules().isActive("SelectiveForwardingModule")) {
-      resultPtr->activationTime = simulator.now();
+      resultPtr->activationTime = clock.now();
       return;  // found; stop polling
     }
     if (auto self = weakPoll.lock()) {
-      simulator.schedule(milliseconds(100), *self);
+      clock.schedule(milliseconds(100), *self);
     }
   };
-  simulator.schedule(milliseconds(100), *poll);
+  clock.schedule(milliseconds(100), *poll);
 
-  const Duration simulated = seconds(160);
-  simulator.runUntil(simulated);
+  for (const net::CapturedPacket& pkt : cap.packets) harness.replay(pkt);
+  clock.runUntil(cap.end);
 
   for (const ids::Alert& alert : kalisNode->alerts()) {
     if (alert.time < result.firstAlertTime) result.firstAlertTime = alert.time;
   }
-  const auto eval = metrics::evaluate(truth, kalisNode->alerts());
+  const auto eval = metrics::evaluate(cap.truth, kalisNode->alerts());
   result.detectionRate = eval.detectionRate();
-  result.truthSize = truth.size();
+  result.truthSize = cap.truth.size();
   result.selectiveForwardingActivated = result.activationTime != kSimTimeMax;
   return result;
 }
 
+namespace {
+
+/// The Fig. 8 roster, in Fig. 8 order.
+struct RosterEntry {
+  const char* name;
+  Capture (*capture)(std::uint64_t, const chaos::FaultPlan*,
+                     const attacks::evasion::EvasionPlan*);
+};
+constexpr RosterEntry kFig8[] = {
+    {"ICMP Flood", captureIcmpFlood},
+    {"Smurf", captureSmurf},
+    {"SYN Flood", captureSynFlood},
+    {"Selective Forwarding", captureSelectiveForwarding},
+    {"Blackhole", captureBlackhole},
+    {"Replication", captureReplication},
+    {"Sybil", captureSybil},
+    {"Sinkhole", captureSinkhole},
+};
+
+}  // namespace
+
 const std::vector<std::string>& scenarioNames() {
-  static const std::vector<std::string> names = {
-      "ICMP Flood",  "Smurf", "SYN Flood", "Selective Forwarding",
-      "Blackhole",   "Replication", "Sybil", "Sinkhole",
-  };
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const RosterEntry& entry : kFig8) out.emplace_back(entry.name);
+    return out;
+  }();
   return names;
 }
 
-std::vector<ScenarioResult> runAllScenarios(
-    SystemKind system, std::uint64_t seed, const chaos::FaultPlan* faults,
-    const attacks::evasion::EvasionPlan* evasion) {
-  std::vector<ScenarioResult> results;
-  for (const std::string& name : scenarioNames()) {
-    results.push_back(
-        *runScenarioByName(name, system, seed, faults, evasion));
+std::optional<Capture> capture(const std::string& name, std::uint64_t seed,
+                               const chaos::FaultPlan* faults,
+                               const attacks::evasion::EvasionPlan* evasion) {
+  for (const RosterEntry& entry : kFig8) {
+    if (name == entry.name) return entry.capture(seed, faults, evasion);
   }
-  return results;
-}
-
-std::optional<ScenarioResult> runScenarioByName(
-    const std::string& name, SystemKind system, std::uint64_t seed,
-    const chaos::FaultPlan* faults,
-    const attacks::evasion::EvasionPlan* evasion) {
-  if (name == "ICMP Flood") {
-    return runIcmpFlood(system, seed, faults, evasion);
-  }
-  if (name == "Smurf") return runSmurf(system, seed, faults, evasion);
-  if (name == "SYN Flood") return runSynFlood(system, seed, faults, evasion);
-  if (name == "Selective Forwarding") {
-    return runSelectiveForwarding(system, seed, faults, evasion);
-  }
-  if (name == "Blackhole") return runBlackhole(system, seed, faults, evasion);
-  if (name == "Replication") {
-    return runReplication(system, seed, faults, evasion);
-  }
-  if (name == "Sybil") return runSybil(system, seed, faults, evasion);
-  if (name == "Sinkhole") return runSinkhole(system, seed, faults, evasion);
   return std::nullopt;
 }
 

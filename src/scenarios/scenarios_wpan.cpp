@@ -6,28 +6,21 @@
 #include "attacks/forwarding_attacks.hpp"
 #include "attacks/wpan_attacks.hpp"
 #include "scenarios/environments.hpp"
-#include "chaos/link_chaos.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace kalis::scenarios {
 
 namespace {
 
-void markApplicability(ScenarioResult& result, IdsHarness& harness) {
-  if (harness.kind() == SystemKind::kSnort &&
-      harness.snort()->packetsProcessed() == 0) {
-    result.notApplicable = true;
-  }
-}
-
-ScenarioResult runForwardingAttack(
-    SystemKind system, std::uint64_t seed, double dropProb,
-    ids::AttackType type, const char* name, const chaos::FaultPlan* faults,
-    const attacks::evasion::EvasionPlan* evasion) {
+Capture captureForwardingAttack(std::uint64_t seed, double dropProb,
+                                ids::AttackType type, const char* name,
+                                const chaos::FaultPlan* faults,
+                                const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = name;
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   Wsn wsn = buildWsn(world, 5, seconds(3));
-  metrics::GroundTruth truth;
 
   // motes[1] (two hops in) relays motes[2..4]'s data and misbehaves. The
   // forwarding family has no attacker-originated frames, so evasion here
@@ -35,47 +28,42 @@ ScenarioResult runForwardingAttack(
   // evasion budget toward the watchdog's detection floor.
   auto policy = std::make_shared<attacks::SelectiveForwardPolicy>(
       attacks::evasion::effectiveForwardDropProb(evasion, dropProb), type,
-      &truth, 50);
+      &cap.truth, 50);
   wsn.moteAgents[1]->setForwardPolicy(policy);
 
-  IdsHarness harness(simulator, IdsHarness::Options{system, "K1", {}, ""});
-  harness.attach(world, wsn.ids, {net::Medium::kIeee802154});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(160);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult(name, harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {wsn.ids}, {net::Medium::kIeee802154}, seconds(160), cap,
+         faults, evasion);
+  return cap;
 }
 
 }  // namespace
 
-ScenarioResult runSelectiveForwarding(
-    SystemKind system, std::uint64_t seed, const chaos::FaultPlan* faults,
+Capture captureSelectiveForwarding(
+    std::uint64_t seed, const chaos::FaultPlan* faults,
     const attacks::evasion::EvasionPlan* evasion) {
-  return runForwardingAttack(system, seed, 0.5,
-                             ids::AttackType::kSelectiveForwarding,
-                             "Selective Forwarding", faults, evasion);
+  return captureForwardingAttack(seed, 0.5,
+                                 ids::AttackType::kSelectiveForwarding,
+                                 "Selective Forwarding", faults, evasion);
 }
 
-ScenarioResult runBlackhole(SystemKind system, std::uint64_t seed,
-                            const chaos::FaultPlan* faults,
-                            const attacks::evasion::EvasionPlan* evasion) {
-  return runForwardingAttack(system, seed, 1.0, ids::AttackType::kBlackhole,
-                             "Blackhole", faults, evasion);
+Capture captureBlackhole(std::uint64_t seed, const chaos::FaultPlan* faults,
+                         const attacks::evasion::EvasionPlan* evasion) {
+  return captureForwardingAttack(seed, 1.0, ids::AttackType::kBlackhole,
+                                 "Blackhole", faults, evasion);
 }
 
-ScenarioResult runSybil(SystemKind system, std::uint64_t seed,
-                        const chaos::FaultPlan* faults,
-                        const attacks::evasion::EvasionPlan* evasion) {
+Capture captureSybil(std::uint64_t seed, const chaos::FaultPlan* faults,
+                     const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = "Sybil";
+  // The traditional baseline's static library holds one of the two
+  // topology-specific sybil techniques, chosen blindly (cf. §VI-B2's random
+  // module selection).
+  cap.traditionalExcludes = {seed % 2 == 0 ? "SybilMultihopModule"
+                                           : "SybilSinglehopModule"};
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   Wsn wsn = buildWsn(world, 5, seconds(3));
-  metrics::GroundTruth truth;
 
   const NodeId attacker =
       world.addNode("attacker", sim::NodeRole::kGeneric, {32, 8});
@@ -87,38 +75,21 @@ ScenarioResult runSybil(SystemKind system, std::uint64_t seed,
   attack.startAt = seconds(30);
   attack.interval = milliseconds(700);
   attack.rounds = 12;
-  attack.truth = &truth;
+  attack.truth = &cap.truth;
   world.setBehavior(attacker, std::make_unique<attacks::SybilAttacker>(attack));
 
-  // The traditional baseline's static library holds one of the two
-  // topology-specific sybil techniques, chosen blindly (cf. §VI-B2's random
-  // module selection).
-  IdsHarness::Options options{system, "K1", {}, ""};
-  if (system == SystemKind::kTraditionalIds) {
-    options.excludeModules = {seed % 2 == 0 ? "SybilMultihopModule"
-                                            : "SybilSinglehopModule"};
-  }
-  IdsHarness harness(simulator, options);
-  harness.attach(world, wsn.ids, {net::Medium::kIeee802154});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(90);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult("Sybil", harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {wsn.ids}, {net::Medium::kIeee802154}, seconds(90), cap,
+         faults, evasion);
+  return cap;
 }
 
-ScenarioResult runSinkhole(SystemKind system, std::uint64_t seed,
-                           const chaos::FaultPlan* faults,
-                           const attacks::evasion::EvasionPlan* evasion) {
+Capture captureSinkhole(std::uint64_t seed, const chaos::FaultPlan* faults,
+                        const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = "Sinkhole";
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   Wsn wsn = buildWsn(world, 5, seconds(3));
-  metrics::GroundTruth truth;
 
   // Positioned inside the IDS's hearing range but outside the motes':
   // the luring beacons are observed without actually rewiring the tree, so
@@ -130,31 +101,27 @@ ScenarioResult runSinkhole(SystemKind system, std::uint64_t seed,
   attack.startAt = seconds(15);
   attack.beaconInterval = seconds(2);
   attack.beaconCount = 50;
-  attack.truth = &truth;
+  attack.truth = &cap.truth;
   world.setBehavior(attacker,
                     std::make_unique<attacks::SinkholeAttacker>(attack));
 
-  IdsHarness harness(simulator, IdsHarness::Options{system, "K1", {}, ""});
-  harness.attach(world, wsn.ids, {net::Medium::kIeee802154});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(130);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult("Sinkhole", harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {wsn.ids}, {net::Medium::kIeee802154}, seconds(130), cap,
+         faults, evasion);
+  return cap;
 }
 
-ScenarioResult runReplication(SystemKind system, std::uint64_t seed,
-                              const chaos::FaultPlan* faults,
-                              const attacks::evasion::EvasionPlan* evasion) {
+Capture captureReplication(std::uint64_t seed, const chaos::FaultPlan* faults,
+                           const attacks::evasion::EvasionPlan* evasion) {
+  Capture cap;
+  cap.scenario = "Replication";
+  // "The traditional IDS randomly selects one of the two modules for each
+  // of our experiment runs" (§VI-B2).
+  Rng pick(seed * 2654435761u + 17);
+  cap.traditionalExcludes = {pick.nextBool(0.5) ? "ReplicationMobileModule"
+                                                : "ReplicationStaticModule"};
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   ZigbeeStar star = buildZigbeeStar(world, 4, seconds(2));
-  metrics::GroundTruth truth;
 
   // Phase schedule: static for the first 60 s, mobile afterwards.
   const SimTime mobileAt = seconds(60);
@@ -166,11 +133,8 @@ ScenarioResult runReplication(SystemKind system, std::uint64_t seed,
     params.minSpeedMps = 0.8;
     params.maxSpeedMps = 1.5;
     const sim::Vec2 start = world.positionOf(sub);
-    auto model = std::make_unique<sim::RandomWaypoint>(
-        start, params, scenarioRng.fork(), mobileAt);
-    sim::MobilityModel* raw = model.get();
-    (void)raw;
-    world.setMobility(sub, std::move(model));
+    world.setMobility(sub, std::make_unique<sim::RandomWaypoint>(
+                               start, params, scenarioRng.fork(), mobileAt));
   }
 
   // Three replicas: one strikes in the static phase, two in the mobile one.
@@ -199,31 +163,14 @@ ScenarioResult runReplication(SystemKind system, std::uint64_t seed,
     config.interval = plan.interval;
     config.phaseOffset = plan.phase;
     config.packetCount = 10;
-    config.truth = &truth;
+    config.truth = &cap.truth;
     world.setBehavior(replica,
                       std::make_unique<attacks::ReplicaDevice>(config));
   }
 
-  IdsHarness::Options options{system, "K1", {}, ""};
-  if (system == SystemKind::kTraditionalIds) {
-    // "The traditional IDS randomly selects one of the two modules for each
-    // of our experiment runs" (§VI-B2).
-    Rng pick(seed * 2654435761u + 17);
-    options.excludeModules = {pick.nextBool(0.5) ? "ReplicationMobileModule"
-                                                 : "ReplicationStaticModule"};
-  }
-  IdsHarness harness(simulator, options);
-  harness.attach(world, star.ids, {net::Medium::kIeee802154});
-  const auto chaosGuard = chaos::installFaultPlan(world, faults);
-  const auto evasionGuard = attacks::evasion::installEvasionPlan(world, evasion);
-  world.start();
-  harness.start();
-  const Duration simulated = seconds(125);
-  simulator.runUntil(simulated);
-
-  ScenarioResult result = finishResult("Replication", harness, truth, simulated);
-  markApplicability(result, harness);
-  return result;
+  record(world, {star.ids}, {net::Medium::kIeee802154}, seconds(125), cap,
+         faults, evasion);
+  return cap;
 }
 
 }  // namespace kalis::scenarios

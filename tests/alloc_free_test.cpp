@@ -15,6 +15,7 @@
 
 #include "kalis/kalis_node.hpp"
 #include "recorded_captures.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace {
 
@@ -77,7 +78,7 @@ struct AllocCounts {
 
 /// Replays `rec` into a KalisNode running the standard module library,
 /// counting the allocations made inside net::dissect and KalisNode::feed.
-AllocCounts replayCounting(const recorded::Recording& rec) {
+AllocCounts replayCounting(const scenarios::Capture& rec) {
   sim::Simulator simulator(1);
   ids::KalisNode node(simulator);
   node.useStandardLibrary();
@@ -103,13 +104,13 @@ AllocCounts replayCounting(const recorded::Recording& rec) {
 }
 
 TEST(AllocationFree, DissectNeverAllocatesOnHomeFloods) {
-  const recorded::Recording rec = recorded::recordHomeFloods(7);
+  const scenarios::Capture rec = recorded::recordHomeFloods(7);
   ASSERT_GT(rec.packets.size(), 10000u);
   EXPECT_EQ(replayCounting(rec).dissect, 0u);
 }
 
 TEST(AllocationFree, DissectNeverAllocatesOnSixlowpanSmurf) {
-  const recorded::Recording rec = recorded::recordSixlowpanSmurf(7);
+  const scenarios::Capture rec = scenarios::captureSmurf(7);
   ASSERT_GT(rec.packets.size(), 1000u);
   EXPECT_EQ(replayCounting(rec).dissect, 0u);
 }
@@ -117,7 +118,7 @@ TEST(AllocationFree, DissectNeverAllocatesOnSixlowpanSmurf) {
 TEST(AllocationFree, HomeFeedSteadyStateBelowQuarterAllocPerPacket) {
   // The second half starts past the Data Store's 4096-packet window fill,
   // which copies every packet into a new slot until it is full.
-  const recorded::Recording rec = recorded::recordHomeFloods(7);
+  const scenarios::Capture rec = recorded::recordHomeFloods(7);
   const AllocCounts counts = replayCounting(rec);
   ASSERT_GT(counts.lateHalfPackets, 4096u);
   const double perPacket = static_cast<double>(counts.feedLateHalf) /

@@ -118,9 +118,10 @@ TEST(ChaosPlan, ParseRejectsMalformedSpecs) {
 TEST(ChaosZero, ScenarioOutputByteIdentical) {
   const FaultPlan zero;
   ASSERT_TRUE(zero.zero());
-  const auto plain = scenarios::runIcmpFlood(scenarios::SystemKind::kKalis, 7);
-  const auto wrapped =
-      scenarios::runIcmpFlood(scenarios::SystemKind::kKalis, 7, &zero);
+  const auto plain = scenarios::evaluate(scenarios::SystemKind::kKalis,
+                                         scenarios::captureIcmpFlood(7));
+  const auto wrapped = scenarios::evaluate(
+      scenarios::SystemKind::kKalis, scenarios::captureIcmpFlood(7, &zero));
   EXPECT_EQ(siemLinesOf(plain), siemLinesOf(wrapped));
   EXPECT_EQ(plain.packetsSniffed, wrapped.packetsSniffed);
   EXPECT_DOUBLE_EQ(plain.cpuPercent, wrapped.cpuPercent);

@@ -148,9 +148,10 @@ TEST(EvasionSpec, ZeroPlanForms) {
 TEST(EvasionIdentity, ZeroBudgetRunIsByteIdentical) {
   ev::resetGlobalTally();
   ev::EvasionPlan zero;  // budget 0
-  const auto bare = scenarios::runIcmpFlood(SystemKind::kKalis, 7);
-  const auto wrapped =
-      scenarios::runIcmpFlood(SystemKind::kKalis, 7, nullptr, &zero);
+  const auto bare =
+      scenarios::evaluate(SystemKind::kKalis, scenarios::captureIcmpFlood(7));
+  const auto wrapped = scenarios::evaluate(
+      SystemKind::kKalis, scenarios::captureIcmpFlood(7, nullptr, &zero));
   ASSERT_FALSE(bare.alerts.empty());
   EXPECT_EQ(siemOf(bare), siemOf(wrapped));
   EXPECT_EQ(ev::globalTally().perturbed(), 0u);
@@ -160,10 +161,10 @@ TEST(EvasionIdentity, ZeroBudgetComposesWithChaosPlan) {
   const auto faults = chaos::FaultPlan::parse("light");
   ASSERT_TRUE(faults.has_value());
   ev::EvasionPlan zero;
-  const auto chaosOnly =
-      scenarios::runIcmpFlood(SystemKind::kKalis, 7, &*faults);
-  const auto both =
-      scenarios::runIcmpFlood(SystemKind::kKalis, 7, &*faults, &zero);
+  const auto chaosOnly = scenarios::evaluate(
+      SystemKind::kKalis, scenarios::captureIcmpFlood(7, &*faults));
+  const auto both = scenarios::evaluate(
+      SystemKind::kKalis, scenarios::captureIcmpFlood(7, &*faults, &zero));
   EXPECT_EQ(siemOf(chaosOnly), siemOf(both));
 }
 
@@ -198,11 +199,12 @@ TEST(EvasionSweep, PointSpecAloneRecreatesTheRun) {
   // Everything needed to replay the point is (scenario, spec, seed).
   const auto replanned = ev::EvasionPlan::parse(point.spec);
   ASSERT_TRUE(replanned.has_value()) << point.spec;
-  const auto rerun = scenarios::runScenarioByName(
-      "ICMP Flood", SystemKind::kKalis, 5, nullptr, &*replanned);
-  ASSERT_TRUE(rerun.has_value());
-  EXPECT_EQ(rerun->detectionRate(), point.detectionRate);
-  EXPECT_EQ(rerun->alerts.size(), point.alerts);
+  const auto recaptured =
+      scenarios::capture("ICMP Flood", 5, nullptr, &*replanned);
+  ASSERT_TRUE(recaptured.has_value());
+  const auto rerun = scenarios::evaluate(SystemKind::kKalis, *recaptured);
+  EXPECT_EQ(rerun.detectionRate(), point.detectionRate);
+  EXPECT_EQ(rerun.alerts.size(), point.alerts);
 }
 
 TEST(EvasionSweep, DetectionNeverImprovesAtMaxBudget) {
@@ -239,8 +241,8 @@ TEST(EvasionRoundtrip, EveryPerturbedFrameSurvivesTheCodec) {
   });
   ev::resetGlobalTally();
   ev::EvasionPlan plan = *ev::EvasionPlan::parse("full,budget=1");
-  scenarios::runIcmpFlood(SystemKind::kKalis, 100, nullptr, &plan);
-  scenarios::runSybil(SystemKind::kKalis, 100, nullptr, &plan);
+  scenarios::captureIcmpFlood(100, nullptr, &plan);
+  scenarios::captureSybil(100, nullptr, &plan);
   ev::setPerturbedFrameTap(nullptr);
   EXPECT_GT(tapped, 0u);
   EXPECT_GT(ev::globalTally().perturbed(), 0u);
@@ -443,10 +445,9 @@ std::vector<std::string> evadedSiem(const std::string& scenario,
                                     const std::string& spec) {
   const auto plan = ev::EvasionPlan::parse(spec);
   EXPECT_TRUE(plan.has_value()) << spec;
-  const auto result = scenarios::runScenarioByName(
-      scenario, SystemKind::kKalis, 100, nullptr, &*plan);
-  EXPECT_TRUE(result.has_value()) << scenario;
-  return siemOf(*result);
+  const auto evaded = scenarios::capture(scenario, 100, nullptr, &*plan);
+  EXPECT_TRUE(evaded.has_value()) << scenario;
+  return siemOf(scenarios::evaluate(SystemKind::kKalis, *evaded));
 }
 
 TEST(EvasionGolden, IcmpFloodFamilyEvadedStream) {

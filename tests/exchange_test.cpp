@@ -21,13 +21,12 @@
 #include <utility>
 #include <vector>
 
-#include "attacks/dos_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/knowledge_exchange.hpp"
 #include "pipeline/pipeline.hpp"
-#include "scenarios/environments.hpp"
+#include "recorded_captures.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis {
@@ -451,37 +450,8 @@ TEST(ExchangeConvergence, MultiWorkerMatchesDeterministicRun) {
 
 // --- deterministic mode stays byte-identical with the exchange on -----------------
 
-trace::Trace captureAttackTrace(std::uint64_t seed) {
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  sim::InternetCloud cloud;
-  scenarios::HomeWifi home = scenarios::buildHomeWifi(world, cloud, seed);
-
-  const NodeId attacker =
-      world.addNode("attacker", sim::NodeRole::kGeneric, {18, 16});
-  world.enableRadio(attacker, net::Medium::kWifi);
-  attacks::IcmpFloodAttacker::Config attack;
-  attack.victimIp = world.ipv4Of(home.thermostat);
-  attack.victimMac = world.mac48Of(home.thermostat);
-  attack.bssid = world.mac48Of(home.router);
-  attack.firstBurstAt = seconds(8);
-  attack.burstCount = 2;
-  world.setBehavior(attacker,
-                    std::make_unique<attacks::IcmpFloodAttacker>(attack));
-
-  trace::Trace captured;
-  world.addSniffer(home.ids, net::Medium::kWifi,
-                   [&](const net::CapturedPacket& pkt,
-                       const net::Dissection& /*dis*/) {
-                     captured.push_back(pkt);
-                   });
-  world.start();
-  simulator.runUntil(seconds(25));
-  return captured;
-}
-
 TEST(ExchangeDeterminism, DeterministicModeWithExchangeIsByteIdentical) {
-  const trace::Trace trace = captureAttackTrace(21);
+  const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
   ASSERT_GT(trace.size(), 100u);
   const SimTime drainUntil = seconds(30);
 

@@ -173,7 +173,7 @@ TEST(SiemExport, ComposesWithAlertSink) {
     pkt.medium = net::Medium::kWifi;
     pkt.raw = frame.encode();
     pkt.meta.timestamp = seconds(10) + i * milliseconds(20);
-    node.feed(pkt);
+    node.feed(pkt, net::dissect(pkt));
   }
   simulator.runUntil(seconds(13));
   EXPECT_GE(exporter->alertsExported(), 1u);

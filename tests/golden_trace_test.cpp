@@ -1,7 +1,7 @@
 // Golden SIEM-trace regression tests (DESIGN.md §9): the committed files in
 // tests/golden/ hold the exact SIEM JSON stream of every Fig. 8 scenario,
 // the collaborative wormhole run and one pipeline trace-replay run, plus the
-// ordered knowledge changes of recorded home, WSN and ZigBee captures
+// ordered knowledge changes of home, WSN-blackhole and ZigBee captures
 // replayed into a KalisNode. Any byte of drift — alert content, ordering,
 // JSON shape, timestamping, knowgget publication order — fails the test.
 //
@@ -81,10 +81,10 @@ std::string slug(const std::string& name) {
   return out;
 }
 
-/// Replays a recording into a KalisNode with the standard module library
+/// Replays a capture into a KalisNode with the standard module library
 /// and returns every knowledge change, in order, as
 /// "<time us> label@entity=value" ("label=value" for entity-less ones).
-std::vector<std::string> knowledgeChanges(const recorded::Recording& rec) {
+std::vector<std::string> knowledgeChanges(const scenarios::Capture& rec) {
   sim::Simulator simulator(1);
   ids::KalisNode node(simulator);
   node.useStandardLibrary();
@@ -101,8 +101,8 @@ std::vector<std::string> knowledgeChanges(const recorded::Recording& rec) {
 }
 
 TEST(GoldenTrace, IcmpFloodScenarioSiemStream) {
-  const scenarios::ScenarioResult result =
-      scenarios::runIcmpFlood(scenarios::SystemKind::kKalis, 42);
+  const scenarios::ScenarioResult result = scenarios::evaluate(
+      scenarios::SystemKind::kKalis, scenarios::captureIcmpFlood(42));
   ASSERT_FALSE(result.alerts.empty());
   checkGolden("icmp_flood_kalis_seed42.siem.jsonl", siemLines(result.alerts));
 }
@@ -117,12 +117,13 @@ TEST(GoldenTrace, PipelineTraceReplaySiemStream) {
 TEST(GoldenTrace, Fig8ScenarioSiemStreams) {
   for (const std::string& name : scenarios::scenarioNames()) {
     SCOPED_TRACE(name);
-    const auto result =
-        scenarios::runScenarioByName(name, scenarios::SystemKind::kKalis, 7);
-    ASSERT_TRUE(result.has_value());
-    ASSERT_FALSE(result->alerts.empty());
+    const auto capture = scenarios::capture(name, 7);
+    ASSERT_TRUE(capture.has_value());
+    const scenarios::ScenarioResult result =
+        scenarios::evaluate(scenarios::SystemKind::kKalis, *capture);
+    ASSERT_FALSE(result.alerts.empty());
     checkGolden("fig8_" + slug(name) + "_kalis_seed7.siem.jsonl",
-                siemLines(result->alerts));
+                siemLines(result.alerts));
   }
 }
 
@@ -140,7 +141,7 @@ TEST(GoldenTrace, HomeKnowledgeChangeStream) {
 
 TEST(GoldenTrace, WsnKnowledgeChangeStream) {
   checkGolden("kb_wsn_blackhole_seed7.txt",
-              knowledgeChanges(recorded::recordWsnBlackhole(7)));
+              knowledgeChanges(scenarios::captureBlackhole(7)));
 }
 
 TEST(GoldenTrace, ZigbeeKnowledgeChangeStream) {

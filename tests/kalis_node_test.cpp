@@ -134,7 +134,7 @@ TEST_F(NodeFixture, DirectFeedDrivesModules) {
   pkt.medium = net::Medium::kIeee802154;
   pkt.raw = frame.encode();
   pkt.meta.timestamp = seconds(1);
-  node.feed(pkt);
+  node.feed(pkt, net::dissect(pkt));
   EXPECT_EQ(node.dataStore().totalPackets(), 1u);
   EXPECT_GT(node.modules().packetsProcessed(), 0u);
 }
@@ -152,7 +152,7 @@ TEST_F(NodeFixture, MemoryAccountingIsLive) {
     pkt.medium = net::Medium::kIeee802154;
     pkt.raw = frame.encode();
     pkt.meta.timestamp = seconds(1) + i;
-    node.feed(pkt);
+    node.feed(pkt, net::dissect(pkt));
   }
   EXPECT_GT(node.memoryBytes(), before);
 }

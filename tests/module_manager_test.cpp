@@ -53,6 +53,12 @@ struct ManagerFixture : ::testing::Test {
   KnowledgeBase kb{"K1"};
   DataStore store;
   ModuleManager manager{kb, store};
+
+  /// Routes somePacket() through the manager at `now`.
+  void route(SimTime now) {
+    const net::CapturedPacket pkt = somePacket();
+    manager.onPacket(pkt, net::dissect(pkt), now);
+  }
 };
 
 TEST_F(ManagerFixture, ModuleInactiveUntilKnowledgeAppears) {
@@ -62,14 +68,14 @@ TEST_F(ManagerFixture, ModuleInactiveUntilKnowledgeAppears) {
   manager.start(0);
   EXPECT_FALSE(manager.isActive("FeatureGatedModule"));
 
-  manager.onPacket(somePacket(), seconds(1));
+  route(seconds(1));
   EXPECT_EQ(raw->packets, 0);  // inactive modules see no traffic
 
   kb.put("TestFeature", true);
   EXPECT_TRUE(manager.isActive("FeatureGatedModule"));
   EXPECT_EQ(raw->activations, 1);
 
-  manager.onPacket(somePacket(), seconds(2));
+  route(seconds(2));
   EXPECT_EQ(raw->packets, 1);
 }
 
@@ -92,7 +98,7 @@ TEST_F(ManagerFixture, AllAlwaysActiveIgnoresRequired) {
   manager.addModule(std::move(module));
   manager.start(0);
   EXPECT_TRUE(manager.isActive("FeatureGatedModule"));
-  manager.onPacket(somePacket(), seconds(1));
+  route(seconds(1));
   EXPECT_EQ(raw->packets, 1);
 }
 
@@ -102,8 +108,8 @@ TEST_F(ManagerFixture, AlertsCollectedAndSinkInvoked) {
   manager.start(0);
   int sinkCalls = 0;
   manager.setAlertSink([&](const Alert&) { ++sinkCalls; });
-  manager.onPacket(somePacket(), seconds(1));
-  manager.onPacket(somePacket(), seconds(2));
+  route(seconds(1));
+  route(seconds(2));
   EXPECT_EQ(manager.alerts().size(), 2u);
   EXPECT_EQ(sinkCalls, 2);
 }
@@ -112,15 +118,15 @@ TEST_F(ManagerFixture, WorkUnitAccounting) {
   manager.setAllAlwaysActive(true);
   manager.addModule(std::make_unique<FeatureGatedModule>());
   manager.start(0);
-  manager.onPacket(somePacket(), seconds(1));
-  manager.onPacket(somePacket(), seconds(2));
+  route(seconds(1));
+  route(seconds(2));
   EXPECT_EQ(manager.totalWorkUnits(), 10u);  // 2 packets x 5 units
   EXPECT_EQ(manager.packetsProcessed(), 2u);
 }
 
 TEST_F(ManagerFixture, PacketsFlowIntoDataStore) {
   manager.start(0);
-  manager.onPacket(somePacket(), seconds(1));
+  route(seconds(1));
   EXPECT_EQ(store.totalPackets(), 1u);
   EXPECT_EQ(store.window().size(), 1u);
 }

@@ -220,6 +220,12 @@ struct ObsManagerFixture : ::testing::Test {
   ids::KnowledgeBase kb{"K1"};
   ids::DataStore store;
   ids::ModuleManager manager{kb, store};
+
+  /// Routes obsTestPacket() through the manager at `now`.
+  void route(SimTime now) {
+    const net::CapturedPacket pkt = obsTestPacket();
+    manager.onPacket(pkt, net::dissect(pkt), now);
+  }
 };
 
 TEST_F(ObsManagerFixture, PerModulePacketAlertAndWorkCounters) {
@@ -227,7 +233,7 @@ TEST_F(ObsManagerFixture, PerModulePacketAlertAndWorkCounters) {
   manager.addModule(std::make_unique<QuietGatedModule>());
   manager.start(seconds(1));
   const int kPackets = 40;
-  for (int i = 0; i < kPackets; ++i) manager.onPacket(obsTestPacket(), seconds(2));
+  for (int i = 0; i < kPackets; ++i) route(seconds(2));
 
   const auto* noisy = manager.statsFor("NoisyModule");
   const auto* quiet = manager.statsFor("QuietGatedModule");
@@ -273,7 +279,7 @@ TEST_F(ObsManagerFixture, ActivationFlipCounterFollowsKnowledge) {
 TEST_F(ObsManagerFixture, CollectMetricsEmitsPerModuleNames) {
   manager.addModule(std::make_unique<NoisyModule>());
   manager.start(seconds(1));
-  manager.onPacket(obsTestPacket(), seconds(2));
+  route(seconds(2));
   obs::Registry reg;
   manager.collectMetrics(reg, "kalis");
   EXPECT_TRUE(reg.hasCounter("kalis.packets_routed"));

@@ -12,15 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include "attacks/dos_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "net/medium_dlt.hpp"
 #include "net/packet_source.hpp"
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
-#include "scenarios/environments.hpp"
-#include "sim/world.hpp"
+#include "recorded_captures.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_file.hpp"
 
@@ -196,38 +194,11 @@ TEST(Pcap, KtrcSourceDrainsTheSameSeam) {
 
 // --- ingestion-seam equivalence ---------------------------------------------------
 
-/// Records a short HomeWifi run with an ICMP flood (as trace_replay does);
-/// cached — three equivalence tests below replay the same capture.
+/// The short ICMP-flood capture, cached — three equivalence tests below
+/// replay it.
 const trace::Trace& attackTrace() {
-  static const trace::Trace trace = [] {
-    sim::Simulator simulator(21);
-    sim::World world(simulator);
-    sim::InternetCloud cloud;
-    scenarios::HomeWifi home = scenarios::buildHomeWifi(world, cloud, 21);
-
-    const NodeId attacker =
-        world.addNode("attacker", sim::NodeRole::kGeneric, {18, 16});
-    world.enableRadio(attacker, net::Medium::kWifi);
-    attacks::IcmpFloodAttacker::Config attack;
-    attack.victimIp = world.ipv4Of(home.thermostat);
-    attack.victimMac = world.mac48Of(home.thermostat);
-    attack.bssid = world.mac48Of(home.router);
-    attack.firstBurstAt = seconds(8);
-    attack.burstCount = 2;
-    world.setBehavior(attacker,
-                      std::make_unique<attacks::IcmpFloodAttacker>(attack));
-
-    trace::Trace captured;
-    world.addSniffer(home.ids, net::Medium::kWifi,
-                     [&](const net::CapturedPacket& pkt,
-                         const net::Dissection& /*dis*/) {
-                       captured.push_back(pkt);
-                     });
-    world.start();
-    simulator.runUntil(seconds(25));
-    return captured;
-  }();
-  return trace;
+  static const scenarios::Capture capture = recorded::recordShortIcmpFlood(21);
+  return capture.packets;
 }
 
 /// Replays a source through a fresh node via consume(); returns SIEM lines.

@@ -14,14 +14,14 @@
 #include <set>
 #include <thread>
 
-#include "attacks/dos_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/ring_buffer.hpp"
 #include "pipeline/shard_key.hpp"
-#include "scenarios/environments.hpp"
+#include "recorded_captures.hpp"
+#include "scenarios/scenarios.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis {
@@ -749,38 +749,8 @@ TEST(PipelineDrain, StopLosesNoEnqueuedPacket) {
 
 // --- deterministic mode == direct replayFeed --------------------------------------
 
-/// Records a short HomeWifi run with an ICMP flood, as trace_replay does.
-trace::Trace captureAttackTrace(std::uint64_t seed) {
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  sim::InternetCloud cloud;
-  scenarios::HomeWifi home = scenarios::buildHomeWifi(world, cloud, seed);
-
-  const NodeId attacker =
-      world.addNode("attacker", sim::NodeRole::kGeneric, {18, 16});
-  world.enableRadio(attacker, net::Medium::kWifi);
-  attacks::IcmpFloodAttacker::Config attack;
-  attack.victimIp = world.ipv4Of(home.thermostat);
-  attack.victimMac = world.mac48Of(home.thermostat);
-  attack.bssid = world.mac48Of(home.router);
-  attack.firstBurstAt = seconds(8);
-  attack.burstCount = 2;
-  world.setBehavior(attacker,
-                    std::make_unique<attacks::IcmpFloodAttacker>(attack));
-
-  trace::Trace captured;
-  world.addSniffer(home.ids, net::Medium::kWifi,
-                   [&](const net::CapturedPacket& pkt,
-                       const net::Dissection& /*dis*/) {
-                     captured.push_back(pkt);
-                   });
-  world.start();
-  simulator.runUntil(seconds(25));
-  return captured;
-}
-
 TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
-  const trace::Trace trace = captureAttackTrace(21);
+  const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
   ASSERT_GT(trace.size(), 100u);
   const SimTime drainUntil = seconds(30);
 
@@ -821,7 +791,7 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
 /// Multi-worker mode on the same trace still finds the flood (all flood
 /// packets share one link source, so one shard owns the whole attack).
 TEST(PipelineDeterminism, ThreadedModeStillDetectsFlood) {
-  const trace::Trace trace = captureAttackTrace(21);
+  const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
   pipeline::Options opts;
   opts.workers = 4;
   pipeline::KalisEngineOptions engineOpts;
@@ -845,6 +815,58 @@ TEST(PipelineDeterminism, ThreadedModeStillDetectsFlood) {
     EXPECT_LE(pipe.alerts()[i - 1].time, pipe.alerts()[i].time);
   }
 }
+
+// --- every Fig. 8 capture: pipeline == synchronous Kalis --------------------------
+
+std::vector<std::string> siemLinesOf(const std::vector<ids::Alert>& alerts) {
+  std::vector<std::string> lines;
+  for (const ids::Alert& alert : alerts) lines.push_back(ids::toSiemJson(alert));
+  return lines;
+}
+
+/// Parameterised over the Fig. 8 scenario names (seed 7 captures).
+class Fig8Capture : public ::testing::TestWithParam<std::string> {};
+
+/// A deterministic Pipeline and a one-worker threaded Pipeline, each with
+/// the full library, emit exactly the SIEM stream of the synchronous Kalis
+/// replay (scenarios::evaluate) of the same capture.
+TEST_P(Fig8Capture, PipelineReproducesSynchronousKalis) {
+  const std::optional<scenarios::Capture> capture =
+      scenarios::capture(GetParam(), 7);
+  ASSERT_TRUE(capture.has_value());
+  const std::vector<std::string> expected = siemLinesOf(
+      scenarios::evaluate(scenarios::SystemKind::kKalis, *capture).alerts);
+  ASSERT_FALSE(expected.empty());
+
+  for (const bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "1 worker");
+    pipeline::Options opts;
+    opts.deterministic = deterministic;
+    opts.workers = 1;
+    pipeline::KalisEngineOptions engineOpts;
+    engineOpts.node.id = "K1";
+    engineOpts.drainUntil = capture->end;
+    engineOpts.configure = [](ids::KalisNode& node) {
+      node.useStandardLibrary();
+    };
+    Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+    pipe.start();
+    for (const auto& pkt : capture->packets) ASSERT_TRUE(pipe.enqueue(pkt));
+    pipe.stop();
+    EXPECT_EQ(siemLinesOf(pipe.alerts()), expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PipelineScenario, Fig8Capture,
+    ::testing::ValuesIn(scenarios::scenarioNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name;
+      for (char c : info.param) {
+        if (c != ' ') name += c;
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace kalis

@@ -3,9 +3,6 @@
 #include <memory>
 
 #include "attacks/dos_attacks.hpp"
-#include "attacks/forwarding_attacks.hpp"
-#include "attacks/sixlowpan_attacks.hpp"
-#include "metrics/ground_truth.hpp"
 #include "scenarios/environments.hpp"
 
 namespace kalis::recorded {
@@ -15,29 +12,14 @@ namespace {
 /// Simulated span of the §VI-B1 flood scenarios.
 constexpr Duration kFloodSpan = seconds(20 + 50 * 8 + 10);
 
-/// Sniffs what the IDS node's radios hear, as KalisNode::attach would, and
-/// appends it to `into`.
-void record(sim::World& world, NodeId ids,
-            std::initializer_list<net::Medium> media, Recording& into) {
-  for (net::Medium medium : media) {
-    world.enableRadio(ids, medium);
-    world.addSniffer(ids, medium,
-                     [&into](const net::CapturedPacket& pkt,
-                             const net::Dissection&) {
-                       into.packets.push_back(pkt);
-                     });
-  }
-}
-
 }  // namespace
 
-Recording recordHomeFloods(std::uint64_t seed) {
-  Recording rec;
+scenarios::Capture recordHomeFloods(std::uint64_t seed) {
+  scenarios::Capture cap;
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   sim::InternetCloud cloud;
   const scenarios::HomeWifi home = scenarios::buildHomeWifi(world, cloud, seed);
-  metrics::GroundTruth truth;
 
   const NodeId icmp =
       world.addNode("icmp-attacker", sim::NodeRole::kGeneric, {18, 16});
@@ -49,7 +31,7 @@ Recording recordHomeFloods(std::uint64_t seed) {
   icmpAttack.firstBurstAt = seconds(20);
   icmpAttack.burstInterval = seconds(8);
   icmpAttack.burstCount = 50;
-  icmpAttack.truth = &truth;
+  icmpAttack.truth = &cap.truth;
   world.setBehavior(icmp,
                     std::make_unique<attacks::IcmpFloodAttacker>(icmpAttack));
 
@@ -64,71 +46,49 @@ Recording recordHomeFloods(std::uint64_t seed) {
   synAttack.firstBurstAt = seconds(24);
   synAttack.burstInterval = seconds(8);
   synAttack.burstCount = 50;
-  synAttack.truth = &truth;
+  synAttack.truth = &cap.truth;
   world.setBehavior(syn, std::make_unique<attacks::SynFloodAttacker>(synAttack));
 
-  record(world, home.ids, {net::Medium::kWifi, net::Medium::kBluetooth}, rec);
-  world.start();
-  simulator.runUntil(kFloodSpan);
-  rec.end = kFloodSpan + seconds(10);
-  return rec;
+  scenarios::record(world, {home.ids},
+                    {net::Medium::kWifi, net::Medium::kBluetooth}, kFloodSpan,
+                    cap);
+  cap.end = kFloodSpan + seconds(10);
+  return cap;
 }
 
-Recording recordWsnBlackhole(std::uint64_t seed) {
-  Recording rec;
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  scenarios::Wsn wsn = scenarios::buildWsn(world, 5, seconds(3));
-  metrics::GroundTruth truth;
-  wsn.moteAgents[1]->setForwardPolicy(
-      std::make_shared<attacks::SelectiveForwardPolicy>(
-          1.0, ids::AttackType::kBlackhole, &truth, 50));
-  record(world, wsn.ids, {net::Medium::kIeee802154}, rec);
-  world.start();
-  rec.end = seconds(160);
-  simulator.runUntil(rec.end);
-  return rec;
-}
-
-Recording recordSixlowpanSmurf(std::uint64_t seed) {
-  Recording rec;
-  sim::Simulator simulator(seed);
-  sim::World world(simulator);
-  scenarios::SixlowpanTree tree =
-      scenarios::buildSixlowpanTree(world, seconds(3));
-  metrics::GroundTruth truth;
-  const NodeId attacker =
-      world.addNode("attacker", sim::NodeRole::kGeneric, {27, 5});
-  world.enableRadio(attacker, net::Medium::kIeee802154, scenarios::moteRadio());
-  attacks::SmurfAttacker6lw::Config attack;
-  attack.victim = world.mac16Of(tree.leaves[0]);
-  attack.neighbors = {world.mac16Of(tree.routers[0]),
-                      world.mac16Of(tree.leaves[1]),
-                      world.mac16Of(tree.leaves[2])};
-  attack.requestsPerNeighbor = 12;
-  attack.firstBurstAt = seconds(20);
-  attack.burstInterval = seconds(8);
-  attack.burstCount = 50;
-  attack.truth = &truth;
-  world.setBehavior(attacker,
-                    std::make_unique<attacks::SmurfAttacker6lw>(attack));
-  record(world, tree.ids, {net::Medium::kIeee802154}, rec);
-  world.start();
-  rec.end = kFloodSpan;
-  simulator.runUntil(rec.end);
-  return rec;
-}
-
-Recording recordZigbeeStar(std::uint64_t seed) {
-  Recording rec;
+scenarios::Capture recordZigbeeStar(std::uint64_t seed) {
+  scenarios::Capture cap;
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   scenarios::ZigbeeStar star = scenarios::buildZigbeeStar(world, 4, seconds(2));
-  record(world, star.ids, {net::Medium::kIeee802154}, rec);
-  world.start();
-  rec.end = seconds(60);
-  simulator.runUntil(rec.end);
-  return rec;
+  scenarios::record(world, {star.ids}, {net::Medium::kIeee802154},
+                    seconds(60), cap);
+  return cap;
+}
+
+scenarios::Capture recordShortIcmpFlood(std::uint64_t seed) {
+  scenarios::Capture cap;
+  sim::Simulator simulator(seed);
+  sim::World world(simulator);
+  sim::InternetCloud cloud;
+  scenarios::HomeWifi home = scenarios::buildHomeWifi(world, cloud, seed);
+
+  const NodeId attacker =
+      world.addNode("attacker", sim::NodeRole::kGeneric, {18, 16});
+  world.enableRadio(attacker, net::Medium::kWifi);
+  attacks::IcmpFloodAttacker::Config attack;
+  attack.victimIp = world.ipv4Of(home.thermostat);
+  attack.victimMac = world.mac48Of(home.thermostat);
+  attack.bssid = world.mac48Of(home.router);
+  attack.firstBurstAt = seconds(8);
+  attack.burstCount = 2;
+  attack.truth = &cap.truth;
+  world.setBehavior(attacker,
+                    std::make_unique<attacks::IcmpFloodAttacker>(attack));
+
+  scenarios::record(world, {home.ids}, {net::Medium::kWifi}, seconds(25),
+                    cap);
+  return cap;
 }
 
 }  // namespace kalis::recorded

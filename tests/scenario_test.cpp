@@ -10,7 +10,8 @@ namespace kalis::scenarios {
 namespace {
 
 TEST(IcmpFloodScenario, KalisPerfectDetectionAndClassification) {
-  const ScenarioResult result = runIcmpFlood(SystemKind::kKalis, 42);
+  const ScenarioResult result =
+      evaluate(SystemKind::kKalis, captureIcmpFlood(42));
   EXPECT_DOUBLE_EQ(result.detectionRate(), 1.0);
   EXPECT_DOUBLE_EQ(result.accuracy(), 1.0);
   // Countermeasure: only the attacker is revoked.
@@ -19,7 +20,8 @@ TEST(IcmpFloodScenario, KalisPerfectDetectionAndClassification) {
 }
 
 TEST(IcmpFloodScenario, TraditionalIdsMisclassifiesAndHitsVictim) {
-  const ScenarioResult result = runIcmpFlood(SystemKind::kTraditionalIds, 42);
+  const ScenarioResult result =
+      evaluate(SystemKind::kTraditionalIds, captureIcmpFlood(42));
   EXPECT_DOUBLE_EQ(result.detectionRate(), 1.0);  // symptoms noticed...
   EXPECT_LT(result.accuracy(), 0.75);             // ...but half the alerts wrong
   // §VI-B1's countermeasure disaster: the victim gets revoked.
@@ -27,15 +29,17 @@ TEST(IcmpFloodScenario, TraditionalIdsMisclassifiesAndHitsVictim) {
 }
 
 TEST(IcmpFloodScenario, SnortDetectsButCannotDisambiguate) {
-  const ScenarioResult result = runIcmpFlood(SystemKind::kSnort, 42);
+  const ScenarioResult result =
+      evaluate(SystemKind::kSnort, captureIcmpFlood(42));
   EXPECT_GT(result.detectionRate(), 0.9);
   EXPECT_LT(result.accuracy(), 0.75);
 }
 
 TEST(IcmpFloodScenario, ResourceOrdering) {
-  const auto kalis = runIcmpFlood(SystemKind::kKalis, 42);
-  const auto trad = runIcmpFlood(SystemKind::kTraditionalIds, 42);
-  const auto snort = runIcmpFlood(SystemKind::kSnort, 42);
+  const Capture capture = captureIcmpFlood(42);
+  const auto kalis = evaluate(SystemKind::kKalis, capture);
+  const auto trad = evaluate(SystemKind::kTraditionalIds, capture);
+  const auto snort = evaluate(SystemKind::kSnort, capture);
   // Table II orderings: Kalis < Trad << Snort on both resources.
   EXPECT_LT(kalis.cpuPercent, trad.cpuPercent);
   EXPECT_LT(trad.cpuPercent, snort.cpuPercent);
@@ -44,30 +48,32 @@ TEST(IcmpFloodScenario, ResourceOrdering) {
 }
 
 TEST(SmurfScenario, KalisNamesTheRealSpoofer) {
-  const ScenarioResult result = runSmurf(SystemKind::kKalis, 7);
+  const ScenarioResult result = evaluate(SystemKind::kKalis, captureSmurf(7));
   EXPECT_GT(result.detectionRate(), 0.9);
   EXPECT_DOUBLE_EQ(result.accuracy(), 1.0);
   EXPECT_GE(result.counter.revokedAttackers.size(), 1u);
 }
 
 TEST(SmurfScenario, SnortCannotSee802154) {
-  const ScenarioResult result = runSmurf(SystemKind::kSnort, 7);
+  const ScenarioResult result = evaluate(SystemKind::kSnort, captureSmurf(7));
   EXPECT_TRUE(result.notApplicable);
 }
 
 TEST(SynFloodScenario, BothEnginesDetect) {
-  EXPECT_GT(runSynFlood(SystemKind::kKalis, 7).detectionRate(), 0.95);
-  EXPECT_GT(runSynFlood(SystemKind::kSnort, 7).detectionRate(), 0.9);
+  const Capture capture = captureSynFlood(7);
+  EXPECT_GT(evaluate(SystemKind::kKalis, capture).detectionRate(), 0.95);
+  EXPECT_GT(evaluate(SystemKind::kSnort, capture).detectionRate(), 0.9);
 }
 
 TEST(ForwardingScenarios, KalisSeparatesSelectiveFromBlackhole) {
-  const auto selective = runSelectiveForwarding(SystemKind::kKalis, 7);
+  const auto selective =
+      evaluate(SystemKind::kKalis, captureSelectiveForwarding(7));
   EXPECT_GT(selective.detectionRate(), 0.9);
   EXPECT_DOUBLE_EQ(selective.accuracy(), 1.0);
   for (const auto& alert : selective.alerts) {
     EXPECT_EQ(alert.type, ids::AttackType::kSelectiveForwarding);
   }
-  const auto blackhole = runBlackhole(SystemKind::kKalis, 7);
+  const auto blackhole = evaluate(SystemKind::kKalis, captureBlackhole(7));
   EXPECT_GT(blackhole.detectionRate(), 0.9);
   for (const auto& alert : blackhole.alerts) {
     EXPECT_EQ(alert.type, ids::AttackType::kBlackhole);
@@ -78,7 +84,8 @@ TEST(ForwardingScenarios, TraditionalIdsFlagsTheBaseStation) {
   // Without the CtpRoot knowgget, the all-modules baseline cannot know the
   // root never forwards, and marks it a blackhole — the knowledge-less
   // false positive.
-  const auto result = runSelectiveForwarding(SystemKind::kTraditionalIds, 7);
+  const Capture capture = captureSelectiveForwarding(7);
+  const auto result = evaluate(SystemKind::kTraditionalIds, capture);
   bool rootAccused = false;
   for (const auto& alert : result.alerts) {
     for (const auto& suspect : alert.suspectEntities) {
@@ -86,8 +93,8 @@ TEST(ForwardingScenarios, TraditionalIdsFlagsTheBaseStation) {
     }
   }
   EXPECT_TRUE(rootAccused);
-  EXPECT_LT(result.accuracy(), runSelectiveForwarding(SystemKind::kKalis, 7)
-                                   .accuracy());
+  EXPECT_LT(result.accuracy(),
+            evaluate(SystemKind::kKalis, capture).accuracy());
 }
 
 TEST(ReplicationScenario, KalisBeatsStaticModuleChoice) {
@@ -95,30 +102,33 @@ TEST(ReplicationScenario, KalisBeatsStaticModuleChoice) {
   double tradDr = 0;
   constexpr int kRuns = 6;
   for (int run = 0; run < kRuns; ++run) {
-    kalisDr += runReplication(SystemKind::kKalis, 1000 + run).detectionRate();
-    tradDr +=
-        runReplication(SystemKind::kTraditionalIds, 1000 + run).detectionRate();
+    const Capture capture = captureReplication(1000 + run);
+    kalisDr += evaluate(SystemKind::kKalis, capture).detectionRate();
+    tradDr += evaluate(SystemKind::kTraditionalIds, capture).detectionRate();
   }
   EXPECT_GT(kalisDr / kRuns, 0.75);
   EXPECT_LT(tradDr / kRuns, kalisDr / kRuns);
 }
 
 TEST(ReplicationScenario, SnortNotApplicable) {
-  EXPECT_TRUE(runReplication(SystemKind::kSnort, 1000).notApplicable);
+  EXPECT_TRUE(
+      evaluate(SystemKind::kSnort, captureReplication(1000)).notApplicable);
 }
 
 TEST(SybilScenario, KnowledgeSelectsRightTechnique) {
-  const auto kalis = runSybil(SystemKind::kKalis, 100);
+  const Capture capture = captureSybil(100);  // even seed
+  const auto kalis = evaluate(SystemKind::kKalis, capture);
   EXPECT_DOUBLE_EQ(kalis.detectionRate(), 1.0);
   // Trad with the wrong (single-hop) module library entry: nothing.
-  const auto tradWrong = runSybil(SystemKind::kTraditionalIds, 100);  // even seed
+  const auto tradWrong = evaluate(SystemKind::kTraditionalIds, capture);
   EXPECT_LT(tradWrong.detectionRate(), kalis.detectionRate());
 }
 
 TEST(SinkholeScenario, OnlyKnowledgeOfTheRootExposesIt) {
-  const auto kalis = runSinkhole(SystemKind::kKalis, 100);
+  const Capture capture = captureSinkhole(100);
+  const auto kalis = evaluate(SystemKind::kKalis, capture);
   EXPECT_GT(kalis.detectionRate(), 0.8);
-  const auto trad = runSinkhole(SystemKind::kTraditionalIds, 100);
+  const auto trad = evaluate(SystemKind::kTraditionalIds, capture);
   EXPECT_DOUBLE_EQ(trad.detectionRate(), 0.0);
 }
 
@@ -159,8 +169,8 @@ TEST(LiveCountermeasure, KalisHealsTheNetworkTradCollapsesIt) {
 }
 
 TEST(Determinism, SameSeedSameResult) {
-  const auto a = runIcmpFlood(SystemKind::kKalis, 11);
-  const auto b = runIcmpFlood(SystemKind::kKalis, 11);
+  const auto a = evaluate(SystemKind::kKalis, captureIcmpFlood(11));
+  const auto b = evaluate(SystemKind::kKalis, captureIcmpFlood(11));
   EXPECT_EQ(a.alerts.size(), b.alerts.size());
   EXPECT_EQ(a.packetsSniffed, b.packetsSniffed);
   EXPECT_DOUBLE_EQ(a.cpuPercent, b.cpuPercent);
@@ -176,7 +186,7 @@ TEST(ChaosScenarioDos, IcmpFloodDetectedUnderLightLoss) {
   const auto plan = chaos::FaultPlan::parse("loss=0.05,burst=3");
   ASSERT_TRUE(plan.has_value());
   const ScenarioResult result =
-      runIcmpFlood(SystemKind::kKalis, 42, &*plan);
+      evaluate(SystemKind::kKalis, captureIcmpFlood(42, &*plan));
   // 5% burst loss thins some attack bursts below the detection threshold:
   // graceful degradation from the clean run's 1.0, never blindness.
   EXPECT_GT(result.detectionRate(), 0.8);
@@ -190,7 +200,8 @@ TEST(ChaosScenarioDos, IcmpFloodDetectedUnderLightLoss) {
 TEST(ChaosScenarioDos, SynFloodDetectedUnderLightLoss) {
   const auto plan = chaos::FaultPlan::parse("loss=0.05,burst=3");
   ASSERT_TRUE(plan.has_value());
-  const ScenarioResult result = runSynFlood(SystemKind::kKalis, 7, &*plan);
+  const ScenarioResult result =
+      evaluate(SystemKind::kKalis, captureSynFlood(7, &*plan));
   EXPECT_GT(result.detectionRate(), 0.9);
   for (const auto& alert : result.alerts) {
     EXPECT_EQ(alert.type, ids::AttackType::kSynFlood);
@@ -201,7 +212,7 @@ TEST(ChaosScenarioWpan, ForwardingAttacksDetectedUnderLoss) {
   const auto plan = chaos::FaultPlan::parse("loss=0.05,burst=2");
   ASSERT_TRUE(plan.has_value());
   const auto selective =
-      runSelectiveForwarding(SystemKind::kKalis, 7, &*plan);
+      evaluate(SystemKind::kKalis, captureSelectiveForwarding(7, &*plan));
   EXPECT_GT(selective.detectionRate(), 0.8);
   for (const auto& alert : selective.alerts) {
     // Loss may only push the verdict toward the *lossier* sibling class.
@@ -209,7 +220,8 @@ TEST(ChaosScenarioWpan, ForwardingAttacksDetectedUnderLoss) {
                 alert.type == ids::AttackType::kBlackhole)
         << ids::attackName(alert.type);
   }
-  const auto blackhole = runBlackhole(SystemKind::kKalis, 7, &*plan);
+  const auto blackhole =
+      evaluate(SystemKind::kKalis, captureBlackhole(7, &*plan));
   EXPECT_GT(blackhole.detectionRate(), 0.8);
   for (const auto& alert : blackhole.alerts) {
     // Lost sniffer observations can make a 100%-dropping relay look like a
@@ -236,22 +248,20 @@ TEST(ChaosScenarioAll, LightPlanNeverZeroesDetection) {
   // not blind the IDS on any scenario.
   const auto plan = chaos::FaultPlan::parse("light");
   ASSERT_TRUE(plan.has_value());
-  const auto results = runAllScenarios(SystemKind::kKalis, 100, &*plan);
-  ASSERT_EQ(results.size(), scenarioNames().size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_GT(results[i].detectionRate(), 0.5) << scenarioNames()[i];
+  for (const std::string& name : scenarioNames()) {
+    const ScenarioResult result =
+        evaluate(SystemKind::kKalis, *capture(name, 100, &*plan));
+    EXPECT_GT(result.detectionRate(), 0.5) << name;
   }
 }
 
 TEST(Fig8Shape, KalisNeverWorseThanTraditional) {
-  const auto kalis = runAllScenarios(SystemKind::kKalis, 100);
-  const auto trad = runAllScenarios(SystemKind::kTraditionalIds, 100);
-  ASSERT_EQ(kalis.size(), trad.size());
-  for (std::size_t i = 0; i < kalis.size(); ++i) {
-    EXPECT_GE(kalis[i].detectionRate() + 1e-9, trad[i].detectionRate())
-        << scenarioNames()[i];
-    EXPECT_GE(kalis[i].accuracy() + 1e-9, trad[i].accuracy())
-        << scenarioNames()[i];
+  for (const std::string& name : scenarioNames()) {
+    const Capture fig8 = *capture(name, 100);
+    const auto kalis = evaluate(SystemKind::kKalis, fig8);
+    const auto trad = evaluate(SystemKind::kTraditionalIds, fig8);
+    EXPECT_GE(kalis.detectionRate() + 1e-9, trad.detectionRate()) << name;
+    EXPECT_GE(kalis.accuracy() + 1e-9, trad.accuracy()) << name;
   }
 }
 
