@@ -96,7 +96,8 @@ void KalisNode::feed(const net::CapturedPacket& pkt, const net::Dissection& dis)
 }
 
 void KalisNode::replayFeed(const net::CapturedPacket& pkt) {
-  replayFeed(pkt, net::dissect(pkt));
+  if (pkt.meta.timestamp > sim_.now()) sim_.runUntil(pkt.meta.timestamp);
+  feed(pkt, net::dissect(pkt));
 }
 
 void KalisNode::replayFeed(const net::CapturedPacket& pkt,
