@@ -7,8 +7,8 @@
 // ingestion engine instead of a directly-fed node: packets are hash-routed
 // by link-layer source to N worker shards, each running a private Kalis
 // stack, and alerts come out of the timestamp-ordered merge stage.
-// --workers 0 selects deterministic (single-shard, caller-thread) mode,
-// which reproduces the direct path byte-for-byte.
+// --workers 1 runs a single shard, which reproduces the direct path byte
+// for byte.
 //
 // --kb-sync MS additionally turns on the cross-shard collective knowledge
 // exchange (DESIGN.md §8) with the given sync interval in virtual
@@ -41,9 +41,10 @@
 // it. --dump-pcap FILE writes the replayed trace as a mixed-medium pcap
 // (DLT_USER0 + Kalis pseudo-header, lossless RxMeta).
 //
-// Run `trace_replay --help` for the full flag reference.
+// Run `trace_replay --help` for the full flag reference; a malformed
+// numeric value or --workers 0 exits 2 with the usage text.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -81,8 +82,8 @@ fresh Kalis instance "as if operating on live traffic".
   [seed]             positional RNG seed for the recorded runs (default 21)
   --seed S           same as the positional seed
   --pipeline         replay through the kalis::pipeline ingestion engine
-  --workers N        pipeline worker shards; 0 = deterministic single-shard
-                     caller-thread mode (default 4)
+  --workers N        pipeline worker shards, N >= 1 (default 4); one worker
+                     reproduces the direct replay byte for byte
   --kb-sync MS       enable the cross-shard collective knowledge exchange
                      with a sync interval of MS virtual milliseconds
   --chaos PLAN       record+replay under a kalis::chaos fault plan; PLAN is
@@ -130,7 +131,8 @@ struct ReplayOptions {
 };
 
 /// Parses argv into ReplayOptions. Returns nullopt (after printing a
-/// diagnostic) on an unknown flag, a missing value or a bad fault plan.
+/// diagnostic) on an unknown flag, a missing or malformed value or a bad
+/// fault plan.
 std::optional<ReplayOptions> parseReplayOptions(int argc, char** argv) {
   ReplayOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -144,32 +146,57 @@ std::optional<ReplayOptions> parseReplayOptions(int argc, char** argv) {
                    argv[i], kUsage);
       return std::nullopt;
     };
+    // A numeric argument must be a whole base-10 integer >= `min`; anything
+    // else (empty, signed, trailing characters, out of range) gets the
+    // diagnostic and nullopt.
+    const auto count = [&](std::string_view text, std::string_view name,
+                           std::uint64_t min) -> std::optional<std::uint64_t> {
+      std::uint64_t n = 0;
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+      if (ec == std::errc{} && ptr == end && n >= min) return n;
+      std::fprintf(stderr,
+                   "trace_replay: bad value '%.*s' for %.*s (expected an "
+                   "integer >= %llu)\n%s",
+                   static_cast<int>(text.size()), text.data(),
+                   static_cast<int>(name.size()), name.data(),
+                   static_cast<unsigned long long>(min), kUsage);
+      return std::nullopt;
+    };
+    // A numeric flag's value; nullopt after the diagnostic.
+    const auto number = [&](std::uint64_t min) -> std::optional<std::uint64_t> {
+      const char* v = value();
+      if (!v) {
+        missing();
+        return std::nullopt;
+      }
+      return count(v, arg, min);
+    };
     if (arg == "--help" || arg == "-h") {
       opt.help = true;
     } else if (arg == "--pipeline") {
       opt.usePipeline = true;
     } else if (arg == "--workers") {
-      const char* v = value();
-      if (!v) return missing();
-      opt.workers = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      const auto n = number(1);
+      if (!n) return std::nullopt;
+      opt.workers = static_cast<std::size_t>(*n);
     } else if (arg == "--kb-sync") {
-      const char* v = value();
-      if (!v) return missing();
+      const auto n = number(0);
+      if (!n) return std::nullopt;
       opt.kbSync = true;
-      opt.kbSyncMs = std::strtoull(v, nullptr, 10);
+      opt.kbSyncMs = *n;
     } else if (arg == "--fleet") {
-      const char* v = value();
-      if (!v) return missing();
-      opt.fleetHomes = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      const auto n = number(0);
+      if (!n) return std::nullopt;
+      opt.fleetHomes = static_cast<std::size_t>(*n);
     } else if (arg == "--regions") {
-      const char* v = value();
-      if (!v) return missing();
-      opt.fleetRegions =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      const auto n = number(0);
+      if (!n) return std::nullopt;
+      opt.fleetRegions = static_cast<std::size_t>(*n);
     } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) return missing();
-      opt.seed = std::strtoull(v, nullptr, 10);
+      const auto n = number(0);
+      if (!n) return std::nullopt;
+      opt.seed = *n;
       opt.seedGiven = true;
     } else if (arg == "--evasion") {
       const char* v = value();
@@ -219,7 +246,9 @@ std::optional<ReplayOptions> parseReplayOptions(int argc, char** argv) {
                    kUsage);
       return std::nullopt;
     } else {
-      opt.seed = std::strtoull(argv[i], nullptr, 10);
+      const auto n = count(argv[i], "seed", 0);
+      if (!n) return std::nullopt;
+      opt.seed = *n;
       opt.seedGiven = true;
     }
   }
@@ -246,8 +275,8 @@ int runChaosDiff(std::uint64_t seed, const chaos::FaultPlan& plan,
         d.count(chaos::DivergenceKind::kEvasion),
         d.count(chaos::DivergenceKind::kRegression));
   };
-  printDiff("faulted vs baseline      ", report.faultedVsBaseline);
-  printDiff("workers vs deterministic ", report.workersVsDeterministic);
+  printDiff("faulted vs baseline ", report.faultedVsBaseline);
+  printDiff("workers vs 1 worker ", report.workersVsDeterministic);
 
   const char* path = "chaos_divergence.json";
   std::ofstream out(path, std::ios::trunc);
@@ -347,7 +376,7 @@ int runFleetReplay(std::size_t homes, std::size_t regions, std::size_t workers,
   fleet::Fleet::Options opts;
   opts.homes = homes;
   opts.regions = regions;
-  opts.workers = workers == 0 ? 1 : workers;
+  opts.workers = workers;
   opts.seed = seed;
   fleet::Fleet f(opts);
   std::printf("Fleet replay: %zu homes in %zu regions over %zu workers "
@@ -400,8 +429,7 @@ int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
                    const chaos::FaultPlan* plan,
                    const metrics::GroundTruth* truth) {
   pipeline::Options popts;
-  popts.deterministic = opt.workers == 0;
-  popts.workers = opt.workers == 0 ? 1 : opt.workers;
+  popts.workers = opt.workers;
   popts.policy = pipeline::Backpressure::kBlock;
   popts.knowledgeExchange = opt.kbSync;
   popts.knowledgeSyncInterval = milliseconds(opt.kbSyncMs);
@@ -414,14 +442,12 @@ int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
   pipe.setAlertSink([](const ids::Alert& alert) {
     std::printf("REPLAY ALERT  %s\n", ids::toString(alert).c_str());
   });
-  std::printf("Replaying through kalis::pipeline (%s, %zu shard%s%s)\n",
-              popts.deterministic ? "deterministic" : "threaded",
+  std::printf("Replaying through kalis::pipeline (%zu worker%s%s)\n",
               pipe.shardCount(), pipe.shardCount() == 1 ? "" : "s",
               opt.kbSync ? ", knowledge exchange on" : "");
   pipe.start();
   // Unified ingestion seam: enqueueFrom drains the source through the
-  // batched producer path in 1024-packet chunks (deterministic mode
-  // processes inline, bit-identical to per-packet enqueue).
+  // batched producer path in 1024-packet chunks.
   pipe.enqueueFrom(source);
   pipe.stop();
 
@@ -462,8 +488,8 @@ int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
 
 /// Replay through a directly-fed Kalis node: a *fresh* node on a fresh
 /// virtual clock consumes the source packet by packet — the same replayFeed
-/// step the pipeline shard engines use, so alerts match the pipeline's
-/// deterministic mode byte for byte. `truth` as in replayPipeline.
+/// step the pipeline shard engines use, so alerts match a one-worker
+/// pipeline byte for byte. `truth` as in replayPipeline.
 int replayDirect(net::PacketSource& source, const chaos::FaultPlan* plan,
                  const metrics::GroundTruth* truth) {
   sim::Simulator replaySim(99);

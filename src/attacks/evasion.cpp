@@ -13,7 +13,6 @@ namespace kalis::attacks::evasion {
 
 namespace {
 
-Stats gTally;
 FrameTap gTap;
 
 bool fail(std::string* error, const std::string& message) {
@@ -260,12 +259,6 @@ EvasionChaos::EvasionChaos(sim::World& world, const EvasionPlan& plan)
 }
 
 EvasionChaos::~EvasionChaos() {
-  gTally.attackerFrames += stats_.attackerFrames;
-  gTally.diluted += stats_.diluted;
-  gTally.delayed += stats_.delayed;
-  gTally.rewritten += stats_.rewritten;
-  gTally.padded += stats_.padded;
-  gTally.roundtripViolations += stats_.roundtripViolations;
   if (world_.faultInjector() == this) world_.setFaultInjector(inner_);
 }
 
@@ -387,13 +380,8 @@ double effectiveForwardDropProb(const EvasionPlan* plan, double baseDropProb) {
   if (!plan || plan->zero() || !plan->dilute) return baseDropProb;
   const double scaled =
       baseDropProb * (1.0 - plan->budget * plan->forwardRelief);
-  if (scaled != baseDropProb) ++gTally.forwardRelieved;
   return std::max(0.0, scaled);
 }
-
-const Stats& globalTally() { return gTally; }
-
-void resetGlobalTally() { gTally = Stats{}; }
 
 void setPerturbedFrameTap(FrameTap tap) { gTap = std::move(tap); }
 

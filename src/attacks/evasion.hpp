@@ -100,8 +100,8 @@ struct Stats {
   std::uint64_t rewritten = 0;       ///< frames with a spoofed link source
   std::uint64_t padded = 0;          ///< frames grown by mimicry padding
   /// Relays whose malicious drop probability was relieved toward benign
-  /// (the forwarding-family perturbation; counted by
-  /// effectiveForwardDropProb, so it lands in globalTally() only).
+  /// (the forwarding-family perturbation, which no injector sees: the
+  /// forwarding capture counts it).
   std::uint64_t forwardRelieved = 0;
   std::uint64_t roundtripViolations = 0;  ///< serialize(dissect(x)) != x
 
@@ -173,13 +173,7 @@ std::optional<Bytes> rewriteLinkSource(net::Medium medium, const Bytes& frame,
 std::optional<Bytes> padFrame(net::Medium medium, const Bytes& frame,
                               std::size_t pad);
 
-// --- process-wide accounting -------------------------------------------------
-
-/// Accumulated tallies of every EvasionChaos destroyed since the last reset
-/// (scenario runners own their injector internally; tests and the sweep
-/// driver read run deltas from here).
-const Stats& globalTally();
-void resetGlobalTally();
+// --- test tap ---------------------------------------------------------------
 
 /// Test tap: when set, called with every perturbed frame the injectors emit
 /// (after the internal serialize(dissect(x)) == x check). Pass nullptr to

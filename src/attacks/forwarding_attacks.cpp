@@ -16,21 +16,6 @@ bool SelectiveForwardPolicy::shouldForward(sim::NodeHandle& node,
   return false;
 }
 
-std::optional<Bytes> AlteringForwardPolicy::rewritePayload(
-    sim::NodeHandle& node, const net::CtpDataView& data) {
-  Bytes tampered = toBytes(data.payload);
-  if (tampered.empty()) return std::nullopt;
-  // Flip the sensor reading: the classic integrity attack.
-  tampered[0] ^= 0xff;
-  if (tampered.size() > 1) tampered[1] ^= 0xff;
-  if (truth_ && altered_ < maxInstances_) {
-    ++altered_;
-    truth_->add(node.now(), ids::AttackType::kDataAlteration,
-                net::toString(data.origin), net::toString(node.mac16()));
-  }
-  return tampered;
-}
-
 bool WormholeRelayPolicy::shouldRelay(sim::NodeHandle& node,
                                       const net::ZigbeeNwkFrameView& nwk) {
   ++tunneled_;

@@ -1,8 +1,8 @@
-// In-network attacks mounted by compromised relays: selective forwarding,
-// blackhole, data alteration (CTP policies) and the colluding wormhole
-// (ZigBee relay policy pair). Installed via the agents' policy hooks, so the
-// attacking node otherwise behaves protocol-correctly — exactly the stealth
-// that makes these attacks need watchdog-style detection.
+// In-network attacks mounted by compromised relays: selective forwarding and
+// blackhole (a CTP policy) and the colluding wormhole (ZigBee relay policy
+// pair). Installed via the agents' policy hooks, so the attacking node
+// otherwise behaves protocol-correctly — exactly the stealth that makes
+// these attacks need watchdog-style detection.
 #pragma once
 
 #include <memory>
@@ -37,22 +37,6 @@ class SelectiveForwardPolicy final : public sim::CtpAgent::ForwardPolicy {
   metrics::GroundTruth* truth_;
   std::size_t maxInstances_;
   std::uint64_t drops_ = 0;
-};
-
-/// Forwards faithfully but flips payload bytes (data alteration).
-class AlteringForwardPolicy final : public sim::CtpAgent::ForwardPolicy {
- public:
-  AlteringForwardPolicy(metrics::GroundTruth* truth,
-                        std::size_t maxInstances = 50)
-      : truth_(truth), maxInstances_(maxInstances) {}
-
-  std::optional<Bytes> rewritePayload(sim::NodeHandle& node,
-                                      const net::CtpDataView& data) override;
-
- private:
-  metrics::GroundTruth* truth_;
-  std::size_t maxInstances_;
-  std::size_t altered_ = 0;
 };
 
 /// One endpoint of a ZigBee wormhole: instead of relaying, tunnels the NWK

@@ -75,42 +75,4 @@ void SmurfAttacker6lw::burst(sim::NodeHandle& node, std::size_t b) {
   }
 }
 
-void RplSinkholeAttacker::start(sim::NodeHandle& node) {
-  sim::World& world = node.world();
-  const NodeId id = node.id();
-  for (std::size_t i = 0; i < config_.dioCount; ++i) {
-    const SimTime at = config_.startAt + i * config_.dioInterval;
-    world.sim().at(at, [this, &world, id] {
-      sim::NodeHandle h = world.handle(id);
-      dio(h);
-    });
-  }
-}
-
-void RplSinkholeAttacker::dio(sim::NodeHandle& node) {
-  if (config_.truth && config_.truth->size() < config_.maxInstances) {
-    config_.truth->add(node.now(), ids::AttackType::kSinkhole, "",
-                       net::toString(node.mac16()));
-  }
-  net::RplDio dioMsg;
-  dioMsg.instanceId = 1;
-  dioMsg.versionNumber = 2;  // pretend a newer DODAG version
-  dioMsg.rank = config_.advertisedRank;
-  dioMsg.dodagId = net::Ipv6Addr::linkLocalFromShort(config_.dodagRoot);
-  net::Icmpv6Message msg;
-  msg.type = net::Icmpv6Type::kRplControl;
-  msg.code = net::kRplCodeDio;
-  msg.body = dioMsg.encodeBody();
-
-  const net::Ipv6Addr src = node.ipv6();
-  const net::Ipv6Addr dst = net::Ipv6Addr::allNodesMulticast();
-  net::Ipv6Header ip;
-  ip.src = src;
-  ip.dst = dst;
-  ip.hopLimit = 1;
-  transmitIpv6(node, config_.panId, linkSeq_,
-               net::Mac16{net::Mac16::kBroadcast},
-               BytesView(ip.encode(msg.encode(src, dst))));
-}
-
 }  // namespace kalis::attacks

@@ -1,6 +1,5 @@
-// Attacks on the 6LoWPAN/RPL side: the multi-hop Smurf (ICMPv6 echo
-// requests forged in the victim's name to its neighbors) and the RPL rank
-// sinkhole.
+// Attacks on the 6LoWPAN side: the multi-hop Smurf (ICMPv6 echo requests
+// forged in the victim's name to its neighbors).
 #pragma once
 
 #include <vector>
@@ -36,30 +35,6 @@ class SmurfAttacker6lw final : public sim::Behavior {
   Config config_;
   std::uint8_t linkSeq_ = 0;
   std::uint16_t echoSeq_ = 0;
-};
-
-/// RPL sinkhole: a non-root node advertising the root's rank in DIOs.
-class RplSinkholeAttacker final : public sim::Behavior {
- public:
-  struct Config {
-    std::uint16_t advertisedRank = 256;  ///< the root's rank
-    net::Mac16 dodagRoot{0x0001};
-    SimTime startAt = seconds(10);
-    Duration dioInterval = seconds(2);
-    std::size_t dioCount = 20;
-    std::uint16_t panId = 0x6c0a;
-    metrics::GroundTruth* truth = nullptr;
-    std::size_t maxInstances = 50;
-  };
-
-  explicit RplSinkholeAttacker(Config config) : config_(config) {}
-  void start(sim::NodeHandle& node) override;
-
- private:
-  void dio(sim::NodeHandle& node);
-
-  Config config_;
-  std::uint8_t linkSeq_ = 0;
 };
 
 }  // namespace kalis::attacks

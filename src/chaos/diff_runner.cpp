@@ -195,10 +195,10 @@ DiffResult diffAlertStreams(const RunOutput& baseline,
 DiffRunner::Report DiffRunner::run(const FaultPlan& plan, std::size_t workers) {
   Report report;
   report.plan = plan;
-  RunOutput baseline = workload_(nullptr, 0);
-  if (baseline.label.empty()) baseline.label = "deterministic";
-  RunOutput faulted = workload_(&plan, 0);
-  if (faulted.label.empty()) faulted.label = "deterministic+faults";
+  RunOutput baseline = workload_(nullptr, 1);
+  if (baseline.label.empty()) baseline.label = "1 worker";
+  RunOutput faulted = workload_(&plan, 1);
+  if (faulted.label.empty()) faulted.label = "1 worker+faults";
   RunOutput threaded = workload_(&plan, workers);
   if (threaded.label.empty()) {
     threaded.label = std::to_string(workers) + " workers+faults";

@@ -1,8 +1,8 @@
 // chaos::DiffRunner — differential verification (DESIGN.md §9).
 //
 // Runs the same workload (same scenario seed) with a fault plan off and on,
-// and deterministic vs multi-worker, then structurally diffs the SIEM alert
-// streams. Every divergence is classified:
+// and on one worker (the deterministic reference) vs several, then
+// structurally diffs the SIEM alert streams. Every divergence is classified:
 //
 //   accounted loss       the subject run injected faults (link drops,
 //                        corruption, duplication, or ring evictions) that
@@ -97,7 +97,7 @@ DiffResult diffAlertStreams(const RunOutput& baseline,
 class DiffRunner {
  public:
   /// A workload replays one scenario: under `plan` (nullptr = no faults)
-  /// with `workers` pipeline workers (0 = deterministic single-shard mode).
+  /// with `workers` pipeline workers (1 = the deterministic reference).
   using Workload =
       std::function<RunOutput(const FaultPlan* plan, std::size_t workers)>;
 
@@ -105,8 +105,8 @@ class DiffRunner {
 
   struct Report {
     FaultPlan plan;
-    DiffResult faultedVsBaseline;       ///< det+plan vs det, no plan
-    DiffResult workersVsDeterministic;  ///< N workers+plan vs det+plan
+    DiffResult faultedVsBaseline;       ///< 1 worker+plan vs 1, no plan
+    DiffResult workersVsDeterministic;  ///< N workers+plan vs 1 worker+plan
     std::string toJson() const;
     bool hasRegression() const {
       return faultedVsBaseline.hasRegression() ||
@@ -114,8 +114,8 @@ class DiffRunner {
     }
   };
 
-  /// Three runs: baseline (deterministic, no faults), faulted deterministic,
-  /// faulted multi-worker.
+  /// Three runs: baseline (one worker, no faults), faulted on one worker,
+  /// faulted on `workers` workers.
   Report run(const FaultPlan& plan, std::size_t workers);
 
  private:

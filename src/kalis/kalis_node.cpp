@@ -100,12 +100,6 @@ void KalisNode::replayFeed(const net::CapturedPacket& pkt) {
   feed(pkt, net::dissect(pkt));
 }
 
-void KalisNode::replayFeed(const net::CapturedPacket& pkt,
-                           const net::Dissection& dis) {
-  if (pkt.meta.timestamp > sim_.now()) sim_.runUntil(pkt.meta.timestamp);
-  feed(pkt, dis);
-}
-
 std::size_t KalisNode::consume(net::PacketSource& source) {
   std::size_t n = 0;
   while (auto pkt = source.next()) {

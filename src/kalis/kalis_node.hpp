@@ -84,18 +84,17 @@ class KalisNode {
   /// Direct packet feed with a shared Dissection, the zero-copy path (dis
   /// must alias pkt.raw; callers holding only the packet pass
   /// net::dissect(pkt)). Superseded as an ingestion entry point by
-  /// consume() — kept for per-packet callers (sniffer attachments, pipeline
-  /// shard engines, tests).
+  /// consume() — kept for per-packet callers (sniffer attachments,
+  /// replayFeed, tests).
   void feed(const net::CapturedPacket& pkt, const net::Dissection& dis);
   /// Replay feed: first advances this node's simulator clock to the packet's
   /// capture timestamp — firing pending ticks exactly as live operation
-  /// would — then feeds it. This is the per-packet step of the synchronous
-  /// replay path and of kalis::pipeline shard engines; only meaningful when
-  /// this node (and its peers, if any) are the sole users of the simulator.
-  /// The overload without a Dissection dissects the packet once itself.
-  /// Superseded as an ingestion entry point by consume().
+  /// would — then dissects it once and feeds it. This is the per-packet step
+  /// of the synchronous replay path and of kalis::pipeline shard engines;
+  /// only meaningful when this node (and its peers, if any) are the sole
+  /// users of the simulator. Superseded as an ingestion entry point by
+  /// consume().
   void replayFeed(const net::CapturedPacket& pkt);
-  void replayFeed(const net::CapturedPacket& pkt, const net::Dissection& dis);
   /// Unified ingestion seam: drains a PacketSource (simulator capture,
   /// KTRC trace, pcap file — anything implementing the pull interface)
   /// through the replay-feed path, packet by packet, in capture order.

@@ -1,14 +1,11 @@
 #include "net/codec.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 
 namespace kalis::net {
 
 namespace {
-
-std::atomic<std::uint64_t> g_serializeCalls{0};
 
 // --- serialize --------------------------------------------------------------
 // Layer-by-layer reassembly. At every layer: if the inner layer parsed,
@@ -138,7 +135,6 @@ void appendIpv6(std::string& out, const char* name, const Ipv6Addr& a) {
 }  // namespace
 
 Bytes serialize(const Dissection& d) {
-  g_serializeCalls.fetch_add(1, std::memory_order_relaxed);
   switch (d.medium) {
     case Medium::kIeee802154: {
       if (!d.wpan) return toBytes(d.raw);
@@ -160,10 +156,6 @@ Bytes serialize(const Dissection& d) {
     }
   }
   return toBytes(d.raw);
-}
-
-std::uint64_t serializeCallCount() {
-  return g_serializeCalls.load(std::memory_order_relaxed);
 }
 
 std::string toReadableByteString(const Dissection& d) {

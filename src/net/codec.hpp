@@ -36,8 +36,4 @@ Bytes serialize(const Dissection& d);
 /// Ends with a newline.
 std::string toReadableByteString(const Dissection& d);
 
-/// Process-wide count of serialize() calls (relaxed atomic), mirroring
-/// dissectCallCount(); bench and tests use deltas of this counter.
-std::uint64_t serializeCallCount();
-
 }  // namespace kalis::net

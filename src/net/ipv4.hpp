@@ -29,8 +29,7 @@ struct Ipv4Header {
   // Wire-preservation fields (packetlib discipline). Builders leave the
   // defaults, which reproduce the historical 20-byte options-free header
   // byte-for-byte; the parser fills them in so encode(decode(x)) == x.
-  /// IHL beyond 20 bytes, verbatim. A view aliasing the decoded buffer
-  /// (keeps the header trivially destructible for BatchArena storage);
+  /// IHL beyond 20 bytes, verbatim. A view aliasing the decoded buffer;
   /// builders leave it empty.
   BytesView options{};
   std::uint16_t flagsFrag = 0x4000;   ///< flags + fragment offset (DF default)

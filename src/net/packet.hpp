@@ -94,8 +94,8 @@ inline constexpr std::size_t kNumPacketTypes =
 /// length field here — `appPayload`, `raw`, and the payload/body views inside
 /// the layer structs — is a BytesView aliasing the CapturedPacket's buffer
 /// that was dissected. A Dissection is therefore valid only as long as that
-/// buffer is; consumers that must outlive it copy explicitly with toBytes()
-/// or BatchArena::copy(). See DESIGN.md §10 for the full contract.
+/// buffer is; consumers that must outlive it copy explicitly with toBytes().
+/// See DESIGN.md §10 for the full contract.
 struct Dissection {
   Medium medium = Medium::kWifi;
   PacketType type = PacketType::kUnknown;

@@ -26,10 +26,10 @@ class PacketEngine {
   /// Processes one packet. Packets arrive in per-source capture order.
   virtual void onPacket(const net::CapturedPacket& pkt) = 0;
 
-  /// Processes one dequeued batch. The pointed-to packets stay alive (and
-  /// unmoved) for the whole call, so an engine may dissect them in place and
-  /// keep batch-scoped views — e.g. against an arena it resets here. The
-  /// default simply loops onPacket; override to amortize per-batch work.
+  /// Processes one dequeued batch, in order. The pointed-to packets stay
+  /// alive (and unmoved) for the whole call. The default loops onPacket,
+  /// so batch boundaries never change an engine's output; override only to
+  /// wrap a whole batch (e.g. to time it).
   virtual void onBatch(const net::CapturedPacket* const* pkts,
                        std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) onPacket(*pkts[i]);
@@ -88,8 +88,7 @@ class PacketEngine {
   }
 };
 
-/// Builds the engine for `shard`; invoked on the owning worker thread (or
-/// the caller thread in deterministic mode).
+/// Builds the engine for `shard`; invoked on the owning worker thread.
 using EngineFactory =
     std::function<std::unique_ptr<PacketEngine>(std::size_t shard)>;
 

@@ -1,11 +1,9 @@
 #include "pipeline/kalis_engine.hpp"
 
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
-#include "net/batch_arena.hpp"
 #include "sim/simulator.hpp"
 
 namespace kalis::pipeline {
@@ -30,24 +28,6 @@ class KalisShardEngine : public PacketEngine {
 
   void onPacket(const net::CapturedPacket& pkt) override {
     node_.replayFeed(pkt);
-  }
-
-  void onBatch(const net::CapturedPacket* const* pkts,
-               std::size_t count) override {
-    static_assert(std::is_trivially_destructible_v<net::Dissection>,
-                  "batch dissections live in the arena across reset()");
-    // Dissect the whole dequeue once, in place, into the shard arena; the
-    // views alias the ring Items, which outlive this call. The arena is
-    // rewound (not freed) per batch, so the steady-state packet path does
-    // no heap allocation for dissection state.
-    arena_.reset();
-    net::Dissection* dis = arena_.allocateArray<net::Dissection>(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ::new (&dis[i]) net::Dissection(net::dissect(*pkts[i]));
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      node_.replayFeed(*pkts[i], dis[i]);
-    }
   }
 
   std::vector<ids::Alert> takeAlerts() override {
@@ -102,7 +82,6 @@ class KalisShardEngine : public PacketEngine {
 
   sim::Simulator sim_;
   ids::KalisNode node_;
-  net::BatchArena arena_;
   SimTime drainUntil_;
   std::vector<ids::Alert> fresh_;
   BufferSink collectiveBuffer_;

@@ -2,12 +2,13 @@
 // thread-confined Kalis stack per shard.
 //
 // Each shard engine owns a private discrete-event Simulator and KalisNode
-// (Knowledge Base, Data Store, Module Manager, full module library). A
-// packet replayed into the engine first advances the shard's virtual clock
-// to the capture timestamp — firing any pending 1 s ticks exactly as live
-// operation would — and is then fed through KalisNode::feed. Flood windows,
-// watchdog state and traffic statistics therefore behave identically to the
-// single-box reproduction for every flow the shard owns.
+// (Knowledge Base, Data Store, Module Manager, full module library). Every
+// packet takes the synchronous path's step, KalisNode::replayFeed: advance
+// the shard's virtual clock to the capture timestamp — firing any pending
+// 1 s ticks exactly as live operation would — then dissect the packet into
+// one stack Dissection and feed it. Flood windows, watchdog state and
+// traffic statistics therefore behave identically to the single-box
+// reproduction for every flow the shard owns.
 //
 // Because the EngineFactory runs on the worker thread, all shard state is
 // built, mutated and destroyed by that one thread; the debug-build
@@ -23,12 +24,12 @@
 namespace kalis::pipeline {
 
 struct KalisEngineOptions {
-  /// Seed of shard i's private simulator: seedBase + i. A deterministic
-  /// single-shard pipeline with seedBase s is bit-identical to a direct
-  /// KalisNode on Simulator(s).
+  /// Seed of shard i's private simulator: seedBase + i. A one-worker
+  /// pipeline with seedBase s is bit-identical to a direct KalisNode on
+  /// Simulator(s).
   std::uint64_t seedBase = 1;
-  /// Node options for every shard. Shard 0 keeps `node.id` verbatim (so
-  /// deterministic mode matches a directly-driven node); shard i > 0 gets
+  /// Node options for every shard. Shard 0 keeps `node.id` verbatim (so a
+  /// one-worker pipeline matches a directly driven node); shard i > 0 gets
   /// "<id>-s<i>".
   ids::KalisNode::Options node{};
   /// Module/knowledge setup, run right after construction and before

@@ -4,13 +4,10 @@
 #include <cassert>
 #include <chrono>
 
-#include "util/log.hpp"
-
 namespace kalis::pipeline {
 
 Pipeline::Pipeline(Options options, EngineFactory factory)
     : options_(options), factory_(std::move(factory)) {
-  if (options_.deterministic) options_.workers = 1;
   if (options_.workers == 0) options_.workers = 1;
   shards_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -34,39 +31,13 @@ void Pipeline::setAlertSink(std::function<void(const ids::Alert&)> sink) {
 void Pipeline::start() {
   if (started_) return;
   started_ = true;
-  if (options_.deterministic) {
-    shards_[0]->engine = factory_(0);
-    return;
-  }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->worker = std::thread([this, i] { workerMain(i); });
   }
 }
 
 bool Pipeline::enqueue(const net::CapturedPacket& pkt) {
-  const std::size_t idx = shardOf(pkt, shards_.size());
-  Shard& shard = *shards_[idx];
-  if (options_.deterministic) {
-    if (!started_ || stopped_) {
-      KALIS_WARN("pipeline",
-                 "deterministic enqueue outside start()/stop() window");
-      return false;
-    }
-    // Route through the ring so backpressure counters behave identically,
-    // then drain synchronously — the ring never holds more than one packet.
-    const PacketRing::PushResult r = shard.ring.push(pkt, options_.policy);
-    if (r == PacketRing::PushResult::kDroppedNewest ||
-        r == PacketRing::PushResult::kClosed) {
-      return false;
-    }
-    detBatch_.clear();
-    shard.ring.popBatch(detBatch_, 1);
-    const net::CapturedPacket* one = &detBatch_[0].value;
-    shard.engine->onBatch(&one, 1);
-    syncShardKnowledge(idx, /*force=*/false);
-    collectFrom(idx, /*shardDone=*/false);
-    return true;
-  }
+  Shard& shard = *shards_[shardOf(pkt, shards_.size())];
   const PacketRing::PushResult r = shard.ring.push(pkt, options_.policy);
   return r == PacketRing::PushResult::kOk ||
          r == PacketRing::PushResult::kOkBlocked ||
@@ -75,14 +46,6 @@ bool Pipeline::enqueue(const net::CapturedPacket& pkt) {
 
 std::size_t Pipeline::enqueueBatch(const net::CapturedPacket* pkts,
                                    std::size_t count) {
-  if (options_.deterministic) {
-    // Inline processing is inherently per-packet; keep it bit-identical.
-    std::size_t accepted = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (enqueue(pkts[i])) ++accepted;
-    }
-    return accepted;
-  }
   // Group by shard, preserving arrival order within each group (stable
   // bucket append), then push every group under one ring lock. Local
   // buffers keep the call safe from any number of concurrent producers.
@@ -122,24 +85,6 @@ std::size_t Pipeline::enqueueFrom(net::PacketSource& source) {
 void Pipeline::stop() {
   if (!started_ || stopped_) return;
   stopped_ = true;
-  if (options_.deterministic) {
-    Shard& shard = *shards_[0];
-    shard.ring.close();
-    shard.engine->finish();
-    if (exchange_) {
-      // Single shard: publishes have no receivers, but the counters and the
-      // reconciliation protocol stay uniform with threaded mode.
-      syncShardKnowledge(0, /*force=*/true);
-      exchange_->finishShard(0, shard.engine->collectiveKnowledge(true));
-      exchange_->waitAllFinished();
-      exchange_->applyFinalFrom(0, [&shard](const ids::Knowgget& k) {
-        return shard.engine->applyRemoteKnowledge(k);
-      });
-    }
-    shard.finalKnowledge = shard.engine->collectiveKnowledge(false);
-    collectFrom(0, /*shardDone=*/true);
-    return;
-  }
   for (auto& shard : shards_) shard->ring.close();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
@@ -161,8 +106,7 @@ void Pipeline::workerMain(std::size_t shardIdx) {
     const std::size_t n = shard.ring.popBatch(batch, options_.maxBatch);
     if (n == 0) break;  // closed and drained
     // Hand the whole dequeue to the engine at once: the Items own the
-    // capture buffers for the duration of the call, so a zero-copy engine
-    // can dissect in place against its batch arena.
+    // capture buffers for the duration of the call.
     pkts.clear();
     for (const PacketRing::Item& item : batch) pkts.push_back(&item.value);
     shard.engine->onBatch(pkts.data(), pkts.size());

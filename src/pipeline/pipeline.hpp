@@ -24,11 +24,10 @@
 // (no fresh alerts, nothing buffered anywhere) skip the merge lock
 // entirely: the shard just publishes its watermark with one atomic store.
 //
-// Modes:
-//   deterministic = true   single shard, processed synchronously on the
-//                          caller thread — bit-reproducible, used by ctest
-//                          and the discrete-event simulator.
-//   deterministic = false  `workers` threads, each owning one shard.
+// Every shard runs on its own worker thread. A one-worker Pipeline under
+// Backpressure::kBlock is the deterministic reference: whatever the batch
+// size or ring capacity, its alert stream is byte-identical to feeding the
+// shard's engine directly.
 //
 // With Options::knowledgeExchange on, shard engines additionally swap
 // collective knowggets through a KnowledgeExchange at batch boundaries
@@ -61,8 +60,7 @@ namespace kalis::pipeline {
 /// Injected ingestion-level faults (kalis::chaos, DESIGN.md §9): wall-clock
 /// worker stalls at batch boundaries that model a slow consumer and drive
 /// the rings into their configured drop policy under sustained producers.
-/// Zero values = off. Threaded mode only — the deterministic caller-thread
-/// path has no consumer to stall.
+/// Zero values = off.
 struct IngestFaults {
   std::size_t stallEveryBatches = 0;  ///< stall after every Nth batch (0=off)
   std::uint64_t stallMicros = 0;      ///< wall-clock microseconds per stall
@@ -70,16 +68,11 @@ struct IngestFaults {
 };
 
 struct Options {
-  /// Worker threads (= shards). Clamped to >= 1; forced to 1 by
-  /// `deterministic`.
+  /// Worker threads (= shards). Clamped to >= 1.
   std::size_t workers = 4;
   std::size_t queueCapacity = 4096;  ///< ring slots per shard
   std::size_t maxBatch = 64;         ///< packets per worker dequeue
   Backpressure policy = Backpressure::kBlock;
-  /// Single-shard caller-thread mode: enqueue() runs the engine inline and
-  /// emits alerts immediately, bit-identical to feeding the engine
-  /// directly.
-  bool deterministic = false;
   /// Cross-shard collective knowledge exchange (DESIGN.md §8). Off by
   /// default: shards then keep fully independent knowledge bases, exactly
   /// the pre-exchange behavior.
@@ -104,22 +97,20 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  /// Receives every merged alert, in nondecreasing time order. Threaded
-  /// mode invokes the sink from worker threads, but never concurrently
-  /// (serialized under the merge lock). Set before start().
+  /// Receives every merged alert, in nondecreasing time order. The sink
+  /// runs on worker threads, but never concurrently (serialized under the
+  /// merge lock). Set before start().
   void setAlertSink(std::function<void(const ids::Alert&)> sink);
 
-  /// Spawns the workers (threaded mode) or builds the shard engine
-  /// (deterministic mode). Call once.
+  /// Spawns one worker per shard; each builds its own engine. Call once.
   void start();
   bool started() const { return started_; }
   bool stopped() const { return stopped_; }
 
   /// Hash-routes the packet to its shard. Returns true iff this packet was
   /// accepted (under kDropOldest an *older* packet may have been evicted —
-  /// see droppedOldest()). Threaded mode: callable from any thread, also
-  /// before start() (packets buffer in the rings). Deterministic mode:
-  /// caller thread only, after start().
+  /// see droppedOldest()). Callable from any thread, also before start()
+  /// (packets buffer in the rings).
   bool enqueue(const net::CapturedPacket& pkt);
 
   /// Batched enqueue: hash-groups `count` packets by shard and pushes each
@@ -128,8 +119,7 @@ class Pipeline {
   /// loops and capture bursts. Per-packet semantics (acceptance, eviction
   /// order, loss tallies, per-source FIFO) are identical to calling
   /// enqueue() in order. Returns the number of packets accepted. Same
-  /// threading contract as enqueue(); deterministic mode processes the
-  /// batch inline, one packet at a time, bit-identically.
+  /// threading contract as enqueue().
   std::size_t enqueueBatch(const net::CapturedPacket* pkts, std::size_t count);
 
   /// Unified ingestion seam: drains a PacketSource (simulator capture, KTRC
@@ -249,7 +239,7 @@ class Pipeline {
   /// Publishes the shard engine's pending collective changes into the
   /// exchange and — when forced or the sync interval elapsed — applies
   /// queued remote knowggets. Called at batch boundaries on the owning
-  /// worker (or the caller thread in deterministic mode).
+  /// worker.
   void syncShardKnowledge(std::size_t shard, bool force);
 
   Options options_;
@@ -259,7 +249,6 @@ class Pipeline {
   MergeStage merge_;
   bool started_ = false;
   bool stopped_ = false;
-  std::vector<PacketRing::Item> detBatch_;  ///< deterministic-mode scratch
 };
 
 }  // namespace kalis::pipeline

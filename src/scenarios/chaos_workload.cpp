@@ -43,9 +43,8 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
                                         const chaos::FaultPlan* plan,
                                         std::size_t workers) {
   chaos::RunOutput out;
-  out.label = (plan ? "faulted" : "clean");
-  out.label += workers == 0 ? "/deterministic"
-                            : "/" + std::to_string(workers) + " workers";
+  out.label = (plan ? "faulted/" : "clean/") + std::to_string(workers) +
+              (workers == 1 ? " worker" : " workers");
 
   const Capture benign = captureHomeTrace(seed, false, plan);
   const Capture withAttack = captureHomeTrace(seed + 1, true, plan);
@@ -57,8 +56,7 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
   const auto reloaded = trace::readTrace(BytesView(fileBytes));
 
   pipeline::Options popts;
-  popts.deterministic = workers == 0;
-  popts.workers = workers == 0 ? 1 : workers;
+  popts.workers = workers;
   popts.policy = pipeline::Backpressure::kBlock;
   if (plan) popts.faults = plan->ingestFaults();
   pipeline::KalisEngineOptions eopts;

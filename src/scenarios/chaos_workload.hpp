@@ -20,10 +20,10 @@ namespace kalis::scenarios {
 Capture captureHomeTrace(std::uint64_t seed, bool withAttack,
                          const chaos::FaultPlan* plan);
 
-/// One full run. `workers` == 0 selects deterministic single-shard mode
-/// (byte-reproducible); otherwise `workers` threads. A null `plan` runs
-/// clean. The returned output carries the SIEM lines plus exact fault
-/// tallies for accounted-loss attribution.
+/// One full run through a Pipeline of `workers` threads; one worker is the
+/// byte-reproducible reference. A null `plan` runs clean. The returned
+/// output carries the SIEM lines plus exact fault tallies for accounted-loss
+/// attribution.
 chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
                                         const chaos::FaultPlan* plan,
                                         std::size_t workers);

@@ -36,6 +36,7 @@ void record(sim::World& world, std::initializer_list<NodeId> spots,
   world.sim().runUntil(end);
   into.end = end;
   if (chaosGuard) into.linkFaults = chaosGuard->stats();
+  if (evasionGuard) into.evasionTally = evasionGuard->stats();
 }
 
 IdsHarness::IdsHarness(sim::Simulator& sim, Options options)

@@ -9,16 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "attacks/evasion.hpp"
 #include "baseline/snort_engine.hpp"
 #include "chaos/link_chaos.hpp"
 #include "kalis/kalis_node.hpp"
 #include "metrics/evaluation.hpp"
 #include "metrics/ground_truth.hpp"
 #include "sim/world.hpp"
-
-namespace kalis::attacks::evasion {
-struct EvasionPlan;
-}
 
 namespace kalis::scenarios {
 
@@ -47,6 +44,8 @@ struct Capture {
   std::vector<std::string> traditionalExcludes;
   /// Link faults the optional FaultPlan injected while recording.
   chaos::LinkChaos::Stats linkFaults;
+  /// Perturbations the optional EvasionPlan applied while recording.
+  attacks::evasion::Stats evasionTally;
 };
 
 /// The recorder every capture uses. Sniffs `media` at each node of `spots`

@@ -19,15 +19,11 @@ std::vector<std::string> siemLines(const scenarios::ScenarioResult& result) {
   return lines;
 }
 
-/// Captures one scenario under `plan` (nullptr = unperturbed) with the
-/// capture's perturbation tally.
+/// Captures one scenario under `plan` (nullptr = unperturbed); the
+/// capture carries its own perturbation tally.
 scenarios::Capture captureOnce(const std::string& scenario, std::uint64_t seed,
-                               const EvasionPlan* plan, Stats* tally) {
-  resetGlobalTally();
-  std::optional<scenarios::Capture> capture =
-      scenarios::capture(scenario, seed, nullptr, plan);
-  if (tally != nullptr) *tally = globalTally();
-  return std::move(*capture);
+                               const EvasionPlan* plan) {
+  return *scenarios::capture(scenario, seed, nullptr, plan);
 }
 
 void appendStatsJson(std::ostringstream& oss, const Stats& stats) {
@@ -83,13 +79,13 @@ SweepResult runSweep(const SweepOptions& options) {
     for (double budget : options.budgets) {
       EvasionPlan plan = options.plan;
       plan.budget = budget;
-      Stats tally;
       const scenarios::Capture evaded =
-          captureOnce(scenario, options.scenarioSeed, &plan, &tally);
+          captureOnce(scenario, options.scenarioSeed, &plan);
+      const Stats& tally = evaded.evasionTally;
       const bool checkIdentity =
           budget == 0.0 && options.checkZeroBudgetIdentity;
       if (checkIdentity && !bare) {
-        bare = captureOnce(scenario, options.scenarioSeed, nullptr, nullptr);
+        bare = captureOnce(scenario, options.scenarioSeed, nullptr);
       }
       for (std::size_t sy = 0; sy < systems.size(); ++sy) {
         SweepPoint point;
@@ -195,23 +191,23 @@ std::string SweepResult::toTable() const {
 chaos::DiffResult evasionDiff(const std::string& scenario,
                               scenarios::SystemKind system,
                               std::uint64_t seed, const EvasionPlan& plan) {
-  Stats baseTally;
-  const scenarios::ScenarioResult bare = scenarios::evaluate(
-      system, captureOnce(scenario, seed, nullptr, &baseTally));
+  const scenarios::Capture bareCapture = captureOnce(scenario, seed, nullptr);
+  const scenarios::ScenarioResult bare =
+      scenarios::evaluate(system, bareCapture);
   chaos::RunOutput baseline;
   baseline.label = scenario + " unperturbed";
   baseline.alerts = bare.alerts;
   baseline.siemLines = siemLines(bare);
-  baseline.evasionPerturbed = baseTally.perturbed();
+  baseline.evasionPerturbed = bareCapture.evasionTally.perturbed();
 
-  Stats evadedTally;
-  const scenarios::ScenarioResult evaded = scenarios::evaluate(
-      system, captureOnce(scenario, seed, &plan, &evadedTally));
+  const scenarios::Capture evadedCapture = captureOnce(scenario, seed, &plan);
+  const scenarios::ScenarioResult evaded =
+      scenarios::evaluate(system, evadedCapture);
   chaos::RunOutput subject;
   subject.label = scenario + " evasion[" + plan.describe() + "]";
   subject.alerts = evaded.alerts;
   subject.siemLines = siemLines(evaded);
-  subject.evasionPerturbed = evadedTally.perturbed();
+  subject.evasionPerturbed = evadedCapture.evasionTally.perturbed();
 
   return chaos::diffAlertStreams(baseline, subject);
 }

@@ -30,7 +30,7 @@ struct SweepPoint {
   std::size_t alerts = 0;
   std::size_t truthSize = 0;
   bool notApplicable = false;
-  Stats perturbation{};  ///< globalTally() of the point's capture
+  Stats perturbation{};  ///< the point's Capture::evasionTally
   /// Budget-0 only (when SweepOptions::checkZeroBudgetIdentity): SIEM stream
   /// byte-identical to the unperturbed run. True elsewhere.
   bool zeroBudgetIdentical = true;

@@ -26,13 +26,15 @@ Capture captureForwardingAttack(std::uint64_t seed, double dropProb,
   // forwarding family has no attacker-originated frames, so evasion here
   // means dropping *less*: the relay's drop probability shrinks with the
   // evasion budget toward the watchdog's detection floor.
+  const double relievedProb =
+      attacks::evasion::effectiveForwardDropProb(evasion, dropProb);
   auto policy = std::make_shared<attacks::SelectiveForwardPolicy>(
-      attacks::evasion::effectiveForwardDropProb(evasion, dropProb), type,
-      &cap.truth, 50);
+      relievedProb, type, &cap.truth, 50);
   wsn.moteAgents[1]->setForwardPolicy(policy);
 
   record(world, {wsn.ids}, {net::Medium::kIeee802154}, seconds(160), cap,
          faults, evasion);
+  if (relievedProb != dropProb) ++cap.evasionTally.forwardRelieved;
   return cap;
 }
 

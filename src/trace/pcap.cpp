@@ -158,16 +158,16 @@ Bytes serializePcap(const Trace& trace, std::uint32_t dlt) {
   return w.buffer();
 }
 
-std::optional<FileTraceSource> openPcapSource(const std::string& path) {
+std::optional<net::VectorPacketSource> openPcapSource(const std::string& path) {
   auto result = readPcapFile(path);
   if (!result) return std::nullopt;
-  return FileTraceSource(std::move(result->packets));
+  return net::VectorPacketSource(std::move(result->packets));
 }
 
-std::optional<FileTraceSource> openKtrcSource(const std::string& path) {
+std::optional<net::VectorPacketSource> openKtrcSource(const std::string& path) {
   auto result = readTraceFile(path);
   if (!result) return std::nullopt;
-  return FileTraceSource(std::move(result->packets));
+  return net::VectorPacketSource(std::move(result->packets));
 }
 
 }  // namespace kalis::trace

@@ -63,23 +63,12 @@ std::optional<PcapReadResult> readPcapFile(const std::string& path);
 /// Serializes a whole trace (convenience over PcapWriter).
 Bytes serializePcap(const Trace& trace, std::uint32_t dlt);
 
-/// PacketSource over a parsed pcap or KTRC file: the unified ingestion seam
-/// for recorded captures (see net/packet_source.hpp). Construct via the
-/// factories below, which return nullopt when the file is unreadable.
-class FileTraceSource final : public net::PacketSource {
- public:
-  explicit FileTraceSource(Trace packets) : source_(std::move(packets)) {}
-  std::optional<net::CapturedPacket> next() override { return source_.next(); }
-  std::size_t remaining() const { return source_.remaining(); }
+/// Opens a pcap file (any supported DLT, incl. mixed) as a PacketSource over
+/// its parsed packets — the unified ingestion seam for recorded captures
+/// (see net/packet_source.hpp). nullopt when the file is unreadable.
+std::optional<net::VectorPacketSource> openPcapSource(const std::string& path);
 
- private:
-  net::VectorPacketSource source_;
-};
-
-/// Opens a pcap file as a PacketSource (any supported DLT, incl. mixed).
-std::optional<FileTraceSource> openPcapSource(const std::string& path);
-
-/// Opens a KTRC trace file as a PacketSource.
-std::optional<FileTraceSource> openKtrcSource(const std::string& path);
+/// Opens a KTRC trace file as a PacketSource, like openPcapSource.
+std::optional<net::VectorPacketSource> openKtrcSource(const std::string& path);
 
 }  // namespace kalis::trace

@@ -142,19 +142,6 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// RAII wall-time sampler recording elapsed nanoseconds into a Histogram.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& h) : h_(&h), start_(nowNs()) {}
-  ~ScopedTimer() { h_->record(nowNs() - start_); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* h_;
-  std::uint64_t start_;
-};
-
 #else  // KALIS_METRICS_DISABLED — identical APIs, all no-ops.
 
 class Counter {
@@ -188,11 +175,6 @@ class Histogram {
   }
   std::uint64_t quantile(double) const { return 0; }
   void reset() {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram&) {}
 };
 
 #endif  // KALIS_METRICS_DISABLED

@@ -129,8 +129,8 @@ TEST(ChaosZero, ScenarioOutputByteIdentical) {
 
 TEST(ChaosZero, WorkloadOutputByteIdentical) {
   const FaultPlan zero;
-  const RunOutput plain = scenarios::runTraceReplayWorkload(5, nullptr, 0);
-  const RunOutput wrapped = scenarios::runTraceReplayWorkload(5, &zero, 0);
+  const RunOutput plain = scenarios::runTraceReplayWorkload(5, nullptr, 1);
+  const RunOutput wrapped = scenarios::runTraceReplayWorkload(5, &zero, 1);
   ASSERT_FALSE(plain.siemLines.empty());
   EXPECT_EQ(plain.siemLines, wrapped.siemLines);
   EXPECT_EQ(plain.packetsFed, wrapped.packetsFed);
@@ -144,8 +144,8 @@ TEST(ChaosZero, WorkloadOutputByteIdentical) {
 TEST(ChaosLink, SamePlanSameSeedReplaysExactly) {
   const auto plan = FaultPlan::parse("loss=0.08,burst=3,dup=0.02,corrupt=0.02");
   ASSERT_TRUE(plan.has_value());
-  const RunOutput a = scenarios::runTraceReplayWorkload(5, &*plan, 0);
-  const RunOutput b = scenarios::runTraceReplayWorkload(5, &*plan, 0);
+  const RunOutput a = scenarios::runTraceReplayWorkload(5, &*plan, 1);
+  const RunOutput b = scenarios::runTraceReplayWorkload(5, &*plan, 1);
   // The faults actually fired...
   EXPECT_GT(a.linkRxDropped, 0u);
   EXPECT_GT(a.linkCorrupted + a.linkDuplicated, 0u);
@@ -161,8 +161,8 @@ TEST(ChaosLink, DifferentChaosSeedDifferentFaultSequence) {
   const auto planA = FaultPlan::parse("loss=0.08,burst=3,seed=1");
   const auto planB = FaultPlan::parse("loss=0.08,burst=3,seed=2");
   ASSERT_TRUE(planA && planB);
-  const RunOutput a = scenarios::runTraceReplayWorkload(5, &*planA, 0);
-  const RunOutput b = scenarios::runTraceReplayWorkload(5, &*planB, 0);
+  const RunOutput a = scenarios::runTraceReplayWorkload(5, &*planA, 1);
+  const RunOutput b = scenarios::runTraceReplayWorkload(5, &*planB, 1);
   // Same knobs, different stream: the runs must not be the same run.
   EXPECT_NE(std::make_tuple(a.linkRxDropped, a.packetsFed),
             std::make_tuple(b.linkRxDropped, b.packetsFed));
@@ -171,8 +171,8 @@ TEST(ChaosLink, DifferentChaosSeedDifferentFaultSequence) {
 TEST(ChaosLink, LossReducesDeliveredTraffic) {
   const auto plan = FaultPlan::parse("loss=0.2,burst=4");
   ASSERT_TRUE(plan.has_value());
-  const RunOutput clean = scenarios::runTraceReplayWorkload(5, nullptr, 0);
-  const RunOutput lossy = scenarios::runTraceReplayWorkload(5, &*plan, 0);
+  const RunOutput clean = scenarios::runTraceReplayWorkload(5, nullptr, 1);
+  const RunOutput lossy = scenarios::runTraceReplayWorkload(5, &*plan, 1);
   EXPECT_GT(lossy.linkRxDropped, 0u);
   EXPECT_LT(lossy.packetsFed, clean.packetsFed);
 }
@@ -204,12 +204,12 @@ TEST(ChaosLink, CorruptedFramesReachModulesAsMalformedNotUb) {
 TEST(ChaosCrash, NodesCrashAndRestartDeterministically) {
   const auto plan = FaultPlan::parse("crash-s=10,down-s=3");
   ASSERT_TRUE(plan.has_value());
-  const RunOutput a = scenarios::runTraceReplayWorkload(5, &*plan, 0);
+  const RunOutput a = scenarios::runTraceReplayWorkload(5, &*plan, 1);
   EXPECT_GT(a.crashes, 0u);
   // Crashed senders transmit nothing while down.
-  const RunOutput clean = scenarios::runTraceReplayWorkload(5, nullptr, 0);
+  const RunOutput clean = scenarios::runTraceReplayWorkload(5, nullptr, 1);
   EXPECT_LT(a.packetsFed, clean.packetsFed);
-  const RunOutput b = scenarios::runTraceReplayWorkload(5, &*plan, 0);
+  const RunOutput b = scenarios::runTraceReplayWorkload(5, &*plan, 1);
   EXPECT_EQ(a.crashes, b.crashes);
   EXPECT_EQ(a.packetsFed, b.packetsFed);
 }

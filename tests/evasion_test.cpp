@@ -146,15 +146,15 @@ TEST(EvasionSpec, ZeroPlanForms) {
 // --- zero-budget identity ----------------------------------------------------
 
 TEST(EvasionIdentity, ZeroBudgetRunIsByteIdentical) {
-  ev::resetGlobalTally();
   ev::EvasionPlan zero;  // budget 0
   const auto bare =
       scenarios::evaluate(SystemKind::kKalis, scenarios::captureIcmpFlood(7));
-  const auto wrapped = scenarios::evaluate(
-      SystemKind::kKalis, scenarios::captureIcmpFlood(7, nullptr, &zero));
+  const scenarios::Capture wrappedCapture =
+      scenarios::captureIcmpFlood(7, nullptr, &zero);
+  const auto wrapped = scenarios::evaluate(SystemKind::kKalis, wrappedCapture);
   ASSERT_FALSE(bare.alerts.empty());
   EXPECT_EQ(siemOf(bare), siemOf(wrapped));
-  EXPECT_EQ(ev::globalTally().perturbed(), 0u);
+  EXPECT_EQ(wrappedCapture.evasionTally.perturbed(), 0u);
 }
 
 TEST(EvasionIdentity, ZeroBudgetComposesWithChaosPlan) {
@@ -239,14 +239,30 @@ TEST(EvasionRoundtrip, EveryPerturbedFrameSurvivesTheCodec) {
     pkt.raw = frame;
     EXPECT_EQ(net::serialize(net::dissect(pkt)), frame);
   });
-  ev::resetGlobalTally();
   ev::EvasionPlan plan = *ev::EvasionPlan::parse("full,budget=1");
-  scenarios::captureIcmpFlood(100, nullptr, &plan);
-  scenarios::captureSybil(100, nullptr, &plan);
+  for (const scenarios::Capture& capture :
+       {scenarios::captureIcmpFlood(100, nullptr, &plan),
+        scenarios::captureSybil(100, nullptr, &plan)}) {
+    SCOPED_TRACE(capture.scenario);
+    EXPECT_GT(capture.evasionTally.perturbed(), 0u);
+    EXPECT_EQ(capture.evasionTally.roundtripViolations, 0u);
+  }
   ev::setPerturbedFrameTap(nullptr);
   EXPECT_GT(tapped, 0u);
-  EXPECT_GT(ev::globalTally().perturbed(), 0u);
-  EXPECT_EQ(ev::globalTally().roundtripViolations, 0u);
+}
+
+// --- per-capture tallies -----------------------------------------------------
+
+TEST(EvasionTally, EachCaptureCarriesItsOwnTally) {
+  // The forwarding family's relief happens outside any injector; its
+  // capture counts it. A later unperturbed capture starts from zero.
+  const ev::EvasionPlan plan = *ev::EvasionPlan::parse("full,budget=0.5");
+  const scenarios::Capture relieved =
+      scenarios::captureBlackhole(100, nullptr, &plan);
+  const scenarios::Capture bare = scenarios::captureBlackhole(100);
+  EXPECT_EQ(relieved.evasionTally.forwardRelieved, 1u);
+  EXPECT_GT(relieved.evasionTally.perturbed(), 0u);
+  EXPECT_EQ(bare.evasionTally.perturbed(), 0u);
 }
 
 // --- frame mutators and the committed corpus ---------------------------------

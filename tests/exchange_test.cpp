@@ -2,8 +2,8 @@
 // drain + bounded-staleness watermark, inbox overflow accounting, the
 // shutdown barrier + final-snapshot reconciliation, the one-way update rule
 // across shards, sync-interval gating, drain-on-shutdown of in-flight
-// knowggets, multi-worker/deterministic convergence, and byte-identical
-// deterministic-mode output with the exchange enabled.
+// knowggets, multi-worker/one-worker convergence, and byte-identical
+// one-worker output with the exchange enabled.
 //
 // Suites are named Exchange* so the CI ThreadSanitizer job
 // (-R '^Pipeline|^Exchange') covers every threaded path here.
@@ -384,7 +384,7 @@ class PresenceSensor : public ids::SensingModule {
 };
 
 /// Strips the "-s<shard>" suffix KalisShardEngine appends to node ids, so
-/// threaded-run creators compare against the deterministic single node.
+/// multi-worker creators compare against the one-worker run's node.
 std::string normalizeCreator(std::string creator) {
   const std::size_t pos = creator.rfind("-s");
   if (pos != std::string::npos &&
@@ -416,9 +416,9 @@ TEST(ExchangeConvergence, MultiWorkerMatchesDeterministicRun) {
     node.addModule(std::make_unique<PresenceSensor>());
   };
 
-  // Reference: single-shard deterministic run.
+  // Reference: the deterministic one-worker run.
   pipeline::Options detOpts;
-  detOpts.deterministic = true;
+  detOpts.workers = 1;
   detOpts.knowledgeExchange = true;
   Pipeline det(detOpts, pipeline::makeKalisEngineFactory(engineOpts));
   det.start();
@@ -448,7 +448,7 @@ TEST(ExchangeConvergence, MultiWorkerMatchesDeterministicRun) {
   EXPECT_GT(pipe.stats().knowledgePublished, 0u);
 }
 
-// --- deterministic mode stays byte-identical with the exchange on -----------------
+// --- one worker stays byte-identical with the exchange on -------------------------
 
 TEST(ExchangeDeterminism, DeterministicModeWithExchangeIsByteIdentical) {
   const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
@@ -463,7 +463,7 @@ TEST(ExchangeDeterminism, DeterministicModeWithExchangeIsByteIdentical) {
   directSim.runUntil(drainUntil);
 
   pipeline::Options opts;
-  opts.deterministic = true;
+  opts.workers = 1;
   opts.knowledgeExchange = true;  // must not perturb single-shard output
   pipeline::KalisEngineOptions engineOpts;
   engineOpts.seedBase = 7;

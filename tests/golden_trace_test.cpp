@@ -109,7 +109,7 @@ TEST(GoldenTrace, IcmpFloodScenarioSiemStream) {
 
 TEST(GoldenTrace, PipelineTraceReplaySiemStream) {
   const chaos::RunOutput out =
-      scenarios::runTraceReplayWorkload(21, nullptr, 0);
+      scenarios::runTraceReplayWorkload(21, nullptr, 1);
   ASSERT_FALSE(out.siemLines.empty());
   checkGolden("trace_replay_pipeline_seed21.siem.jsonl", out.siemLines);
 }

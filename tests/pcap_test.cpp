@@ -255,7 +255,7 @@ TEST(PacketSourceSeam, PipelineEnqueueFromMatchesPerPacketEnqueue) {
   const trace::Trace& trace = attackTrace();
   const auto runWith = [&](bool viaSource) {
     pipeline::Options opts;
-    opts.deterministic = true;
+    opts.workers = 1;
     pipeline::KalisEngineOptions engineOpts;
     engineOpts.seedBase = 7;
     engineOpts.drainUntil = seconds(30);

@@ -1,7 +1,7 @@
 // kalis::pipeline tests: ring-buffer backpressure policies (fired and
 // counted), shard-key/linkSource agreement, per-source shard affinity and
 // ordering, timestamp-ordered alert merging, drain-on-shutdown losslessness,
-// and bit-exact equivalence of deterministic mode with the direct
+// and bit-exact equivalence of a one-worker pipeline with the direct
 // KalisNode::replayFeed path.
 #include <gtest/gtest.h>
 
@@ -747,8 +747,17 @@ TEST(PipelineDrain, StopLosesNoEnqueuedPacket) {
   EXPECT_EQ(rec.seen.size(), kPackets);
 }
 
-// --- deterministic mode == direct replayFeed --------------------------------------
+// --- one worker == direct replayFeed ----------------------------------------------
 
+std::vector<std::string> siemLinesOf(const std::vector<ids::Alert>& alerts) {
+  std::vector<std::string> lines;
+  for (const ids::Alert& alert : alerts) lines.push_back(ids::toSiemJson(alert));
+  return lines;
+}
+
+/// A one-worker Kalis pipeline emits the direct replayFeed SIEM stream byte
+/// for byte whatever its batch size and ring capacity: neither batch
+/// boundaries nor a producer blocked on a full ring change the output.
 TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
   const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
   ASSERT_GT(trace.size(), 100u);
@@ -761,31 +770,34 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
   direct.start();
   for (const auto& pkt : trace) direct.replayFeed(pkt);
   directSim.runUntil(drainUntil);
+  const std::vector<std::string> expected = siemLinesOf(direct.alerts());
+  ASSERT_FALSE(expected.empty()) << "attack trace raised no alerts";
 
-  // Deterministic pipeline: single shard, caller thread, same seed.
-  pipeline::Options opts;
-  opts.deterministic = true;
-  pipeline::KalisEngineOptions engineOpts;
-  engineOpts.seedBase = 7;
-  engineOpts.drainUntil = drainUntil;
-  engineOpts.configure = [](ids::KalisNode& node) {
-    node.useStandardLibrary();
-  };
-  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
-  pipe.start();
-  for (const auto& pkt : trace) ASSERT_TRUE(pipe.enqueue(pkt));
-  pipe.stop();
+  for (const std::size_t maxBatch : {1u, 7u, 64u}) {
+    for (const std::size_t queueCapacity : {4u, 4096u}) {
+      SCOPED_TRACE("maxBatch " + std::to_string(maxBatch) +
+                   ", queueCapacity " + std::to_string(queueCapacity));
+      pipeline::Options opts;
+      opts.workers = 1;
+      opts.maxBatch = maxBatch;
+      opts.queueCapacity = queueCapacity;
+      opts.policy = Backpressure::kBlock;
+      pipeline::KalisEngineOptions engineOpts;
+      engineOpts.seedBase = 7;
+      engineOpts.drainUntil = drainUntil;
+      engineOpts.configure = [](ids::KalisNode& node) {
+        node.useStandardLibrary();
+      };
+      Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+      pipe.start();
+      for (const auto& pkt : trace) ASSERT_TRUE(pipe.enqueue(pkt));
+      pipe.stop();
 
-  ASSERT_GT(direct.alerts().size(), 0u) << "attack trace raised no alerts";
-  ASSERT_EQ(pipe.alerts().size(), direct.alerts().size());
-  for (std::size_t i = 0; i < direct.alerts().size(); ++i) {
-    // Byte-for-byte: compare the serialized SIEM records.
-    EXPECT_EQ(ids::toSiemJson(pipe.alerts()[i]),
-              ids::toSiemJson(direct.alerts()[i]))
-        << "alert " << i << " diverged";
+      EXPECT_EQ(siemLinesOf(pipe.alerts()), expected);
+      EXPECT_EQ(pipe.stats().processed, trace.size());
+      EXPECT_EQ(pipe.stats().dropped(), 0u);
+    }
   }
-  EXPECT_EQ(pipe.stats().processed, trace.size());
-  EXPECT_EQ(pipe.stats().dropped(), 0u);
 }
 
 /// Multi-worker mode on the same trace still finds the flood (all flood
@@ -818,18 +830,12 @@ TEST(PipelineDeterminism, ThreadedModeStillDetectsFlood) {
 
 // --- every Fig. 8 capture: pipeline == synchronous Kalis --------------------------
 
-std::vector<std::string> siemLinesOf(const std::vector<ids::Alert>& alerts) {
-  std::vector<std::string> lines;
-  for (const ids::Alert& alert : alerts) lines.push_back(ids::toSiemJson(alert));
-  return lines;
-}
-
 /// Parameterised over the Fig. 8 scenario names (seed 7 captures).
 class Fig8Capture : public ::testing::TestWithParam<std::string> {};
 
-/// A deterministic Pipeline and a one-worker threaded Pipeline, each with
-/// the full library, emit exactly the SIEM stream of the synchronous Kalis
-/// replay (scenarios::evaluate) of the same capture.
+/// A one-worker Pipeline with the full library emits exactly the SIEM
+/// stream of the synchronous Kalis replay (scenarios::evaluate) of the same
+/// capture.
 TEST_P(Fig8Capture, PipelineReproducesSynchronousKalis) {
   const std::optional<scenarios::Capture> capture =
       scenarios::capture(GetParam(), 7);
@@ -838,23 +844,19 @@ TEST_P(Fig8Capture, PipelineReproducesSynchronousKalis) {
       scenarios::evaluate(scenarios::SystemKind::kKalis, *capture).alerts);
   ASSERT_FALSE(expected.empty());
 
-  for (const bool deterministic : {true, false}) {
-    SCOPED_TRACE(deterministic ? "deterministic" : "1 worker");
-    pipeline::Options opts;
-    opts.deterministic = deterministic;
-    opts.workers = 1;
-    pipeline::KalisEngineOptions engineOpts;
-    engineOpts.node.id = "K1";
-    engineOpts.drainUntil = capture->end;
-    engineOpts.configure = [](ids::KalisNode& node) {
-      node.useStandardLibrary();
-    };
-    Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
-    pipe.start();
-    for (const auto& pkt : capture->packets) ASSERT_TRUE(pipe.enqueue(pkt));
-    pipe.stop();
-    EXPECT_EQ(siemLinesOf(pipe.alerts()), expected);
-  }
+  pipeline::Options opts;
+  opts.workers = 1;
+  pipeline::KalisEngineOptions engineOpts;
+  engineOpts.node.id = "K1";
+  engineOpts.drainUntil = capture->end;
+  engineOpts.configure = [](ids::KalisNode& node) {
+    node.useStandardLibrary();
+  };
+  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  pipe.start();
+  for (const auto& pkt : capture->packets) ASSERT_TRUE(pipe.enqueue(pkt));
+  pipe.stop();
+  EXPECT_EQ(siemLinesOf(pipe.alerts()), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

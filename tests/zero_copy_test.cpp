@@ -1,8 +1,7 @@
 // Unit tests for the zero-copy packet memory model primitives
-// (DESIGN.md §10): PacketView pull/trim cursors, BatchArena lifetime and
-// chunk reuse, EntityRef identity/format parity, the EntityKeyedMap
-// label-order iteration contract the golden SIEM streams depend on, and the
-// subscription-backed KnowggetEntityCache.
+// (DESIGN.md §10): PacketView pull/trim cursors, EntityRef identity/format
+// parity, the EntityKeyedMap label-order iteration contract the golden SIEM
+// streams depend on, and the subscription-backed KnowggetEntityCache.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "kalis/entity_map.hpp"
-#include "net/batch_arena.hpp"
 #include "net/entity_ref.hpp"
 #include "net/packet_view.hpp"
 
@@ -46,48 +44,6 @@ TEST(PacketView, EmptyFrame) {
   EXPECT_EQ(view.pullByte(), std::nullopt);
   EXPECT_TRUE(view.pull(0));
   EXPECT_FALSE(view.pull(1));
-}
-
-// --- BatchArena --------------------------------------------------------------
-
-TEST(BatchArena, ResetReusesChunks) {
-  BatchArena arena(256);
-  void* first = arena.allocate(64, 8);
-  ASSERT_NE(first, nullptr);
-  arena.reset();
-  // After a reset the same chunk is handed out again — no new allocation.
-  void* second = arena.allocate(64, 8);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(arena.stats().resets, 1u);
-}
-
-TEST(BatchArena, GrowsBeyondOneChunk) {
-  BatchArena arena(64);
-  std::vector<void*> ptrs;
-  for (int i = 0; i < 32; ++i) ptrs.push_back(arena.allocate(48, 8));
-  for (void* p : ptrs) EXPECT_NE(p, nullptr);
-  EXPECT_GE(arena.stats().highWater, 32u * 48u);
-}
-
-TEST(BatchArena, CopyDetachesSlice) {
-  BatchArena arena;
-  Bytes src = {9, 8, 7};
-  const BytesView copy = arena.copy(BytesView(src));
-  src.assign({0, 0, 0});  // mutate the original
-  ASSERT_EQ(copy.size(), 3u);
-  EXPECT_EQ(copy[0], 9);
-  EXPECT_EQ(copy[2], 7);
-  EXPECT_TRUE(arena.copy(BytesView{}).empty());
-}
-
-TEST(BatchArena, AlignedTypedAllocation) {
-  BatchArena arena;
-  arena.allocate(1, 1);  // misalign the cursor
-  auto* v = arena.create<std::uint64_t>(0x1122334455667788ull);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v) % alignof(std::uint64_t), 0u);
-  EXPECT_EQ(*v, 0x1122334455667788ull);
-  auto* arr = arena.allocateArray<std::uint32_t>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arr) % alignof(std::uint32_t), 0u);
 }
 
 // --- EntityRef ---------------------------------------------------------------
