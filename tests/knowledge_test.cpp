@@ -233,5 +233,121 @@ TEST(KnowledgeBase, SubscriberCanSubscribeDuringNotify) {
   EXPECT_EQ(nested, 1);
 }
 
+// --- notification semantics under reentrant callbacks -------------------------
+
+TEST(KnowledgeBase, UnsubscribedLaterSubscriberStillFiresForCurrentChange) {
+  // The set of subscribers a change notifies is fixed when the change
+  // happens: unsubscribing a later matching subscriber from inside a
+  // callback takes effect from the next change on.
+  KnowledgeBase kb("K1");
+  std::vector<std::string> fired;
+  int laterId = 0;
+  kb.subscribe("X", [&](const Knowgget& k) {
+    fired.push_back("first:" + k.value);
+    kb.unsubscribe(laterId);
+  });
+  laterId = kb.subscribe("X", [&](const Knowgget& k) {
+    fired.push_back("later:" + k.value);
+  });
+  kb.put("X", "1");
+  kb.put("X", "2");
+  EXPECT_EQ(fired,
+            (std::vector<std::string>{"first:1", "later:1", "first:2"}));
+}
+
+TEST(KnowledgeBase, SubscriptionAddedInCallbackFiresFromNextChange) {
+  KnowledgeBase kb("K1");
+  std::vector<std::string> fired;
+  bool added = false;
+  kb.subscribe("X*", [&](const Knowgget& k) {
+    fired.push_back("outer:" + k.value);
+    if (added) return;
+    added = true;
+    kb.subscribe("X", [&](const Knowgget& inner) {
+      fired.push_back("added:" + inner.value);
+    });
+  });
+  kb.put("X", "1");
+  EXPECT_EQ(fired, std::vector<std::string>{"outer:1"});
+  kb.put("X", "2");
+  EXPECT_EQ(fired, (std::vector<std::string>{"outer:1", "outer:2", "added:2"}));
+}
+
+TEST(KnowledgeBase, PutFromCallbackNestsInsideTheOuterNotification) {
+  // A callback that writes another key runs that change's notification to
+  // completion before the outer change reaches its remaining subscribers,
+  // and every subscriber of the outer change sees the outer knowgget.
+  KnowledgeBase kb("K1");
+  std::vector<std::string> fired;
+  kb.subscribe("A", [&](const Knowgget& k) {
+    fired.push_back("a1:" + k.label + "=" + k.value);
+    kb.put("B", "b" + k.value);
+  });
+  kb.subscribe("*", [&](const Knowgget& k) {
+    fired.push_back("all:" + k.label + "=" + k.value);
+  });
+  kb.subscribe("A", [&](const Knowgget& k) {
+    fired.push_back("a2:" + k.label + "=" + k.value);
+  });
+  kb.put("A", "1");
+  EXPECT_EQ(fired, (std::vector<std::string>{"a1:A=1", "all:B=b1", "all:A=1",
+                                             "a2:A=1"}));
+  EXPECT_EQ(kb.local("B"), "b1");
+}
+
+TEST(KnowledgeBase, RewriteOfSameKeyFromCallbackKeepsOuterValueForLaterSubs) {
+  // The first subscriber overwrites the key it was notified about; the
+  // later subscriber and the collective sink still receive the outer change
+  // after the nested one, and the store keeps the nested (last) value.
+  KnowledgeBase kb("K1");
+  std::vector<std::string> fired;
+  struct Sink final : CollectiveSink {
+    void onCollective(const Knowgget& k) override { values.push_back(k.value); }
+    std::vector<std::string> values;
+  } sink;
+  kb.addCollectiveSink(&sink);
+  kb.subscribe("X", [&](const Knowgget& k) {
+    fired.push_back("first:" + k.value);
+    if (k.value == "1") kb.put("X", "2", "", /*collective=*/true);
+  });
+  kb.subscribe("X", [&](const Knowgget& k) {
+    fired.push_back("later:" + k.value);
+  });
+  kb.put("X", "1", "", /*collective=*/true);
+  EXPECT_EQ(fired, (std::vector<std::string>{"first:1", "first:2", "later:2",
+                                             "later:1"}));
+  EXPECT_EQ(sink.values, (std::vector<std::string>{"2", "1"}));
+  EXPECT_EQ(kb.local("X"), "2");
+}
+
+TEST(KnowledgeBase, SubscriptionFiresCountsEveryMatchedCallback) {
+  KnowledgeBase kb("K1");
+  kb.subscribe("TrafficFrequency.*", [](const Knowgget&) {});
+  kb.subscribe("TrafficFrequency.UDP", [](const Knowgget&) {});
+  kb.subscribe("Mobility", [](const Knowgget&) {});
+  kb.put("TrafficFrequency.UDP", 1.0);   // 2 matches
+  kb.put("TrafficFrequency.UDP", 1.0);   // unchanged: none
+  kb.put("TrafficFrequency.TCPSYN", 2.0, "0x0005");  // 1 match
+  kb.put("Multihop", true);              // no match, still a publish
+  EXPECT_EQ(kb.subscriptionFires().value(), obs::kEnabled ? 3u : 0u);
+  EXPECT_EQ(kb.publishes().value(), obs::kEnabled ? 3u : 0u);
+}
+
+TEST(KnowledgeBase, CollectiveSinkGetsOneCopyPerChangeOnly) {
+  KnowledgeBase kb("K1");
+  RecordingSink sink;
+  kb.addCollectiveSink(&sink);
+  int subscriberCalls = 0;
+  kb.subscribe("*", [&](const Knowgget&) { ++subscriberCalls; });
+  kb.subscribe("Mobility", [&](const Knowgget&) { ++subscriberCalls; });
+  kb.put("Mobility", true, "", /*collective=*/true);
+  kb.put("Mobility", true, "", /*collective=*/true);  // unchanged
+  kb.put("Mobility", false, "", /*collective=*/true);
+  kb.put("Mobility", false, "", /*collective=*/true);  // unchanged
+  EXPECT_EQ(sink.labels,
+            (std::vector<std::string>{"Mobility", "Mobility"}));
+  EXPECT_EQ(subscriberCalls, 4);
+}
+
 }  // namespace
 }  // namespace kalis::ids

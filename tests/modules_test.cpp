@@ -3,6 +3,10 @@
 // behavioral contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
 #include "kalis/module_registry.hpp"
 #include "kalis/modules/forwarding_watchdog.hpp"
 #include "kalis/modules/icmp_flood.hpp"
@@ -13,6 +17,8 @@
 #include "kalis/modules/topology_discovery.hpp"
 #include "kalis/modules/traffic_stats.hpp"
 #include "util/checksum.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace kalis::ids {
 namespace {
@@ -593,6 +599,130 @@ TEST(ReplicationStatic, SingleTransmitterStaysClean) {
   }
   h.tick(module, seconds(22));
   EXPECT_TRUE(h.alerts.empty());
+}
+
+/// ReplicationStaticModule's rule restated the direct way, with the
+/// module's defaults: each identity keeps its 20 s window of (time, RSSI)
+/// samples, and every tick copies the window, sorts it and splits it at the
+/// largest gap.
+class CopyAndSortReplicationReference {
+ public:
+  void onPacket(const std::string& entity, SimTime t, double rssi) {
+    auto& window = samples_[entity];
+    window.emplace_back(t, rssi);
+    prune(window, t);
+  }
+
+  /// The alerts of one tick, as "entity|time|detail".
+  std::vector<std::string> onTick(SimTime now) {
+    std::vector<std::string> out;
+    for (auto& [entity, window] : samples_) {
+      prune(window, now);
+      if (window.size() < 2 * kMinPerCluster) continue;
+      std::vector<double> values;
+      for (const auto& sample : window) values.push_back(sample.second);
+      std::sort(values.begin(), values.end());
+      std::size_t gapAt = 0;
+      double gap = 0.0;
+      for (std::size_t i = 1; i < values.size(); ++i) {
+        if (values[i] - values[i - 1] > gap) {
+          gap = values[i] - values[i - 1];
+          gapAt = i;
+        }
+      }
+      if (gap < 8.0) continue;
+      if (gapAt < kMinPerCluster || values.size() - gapAt < kMinPerCluster) {
+        continue;
+      }
+      if (values[gapAt - 1] - values.front() > 3.0 ||
+          values.back() - values[gapAt] > 3.0) {
+        continue;
+      }
+      auto last = lastAlert_.find(entity);
+      if (last != lastAlert_.end() && now < last->second + seconds(15)) continue;
+      lastAlert_[entity] = now;
+      out.push_back(entity + "|" + std::to_string(now) +
+                    "|bimodal RSSI: clusters at " +
+                    formatDouble(values.front()) + ".." +
+                    formatDouble(values[gapAt - 1]) + " and " +
+                    formatDouble(values[gapAt]) + ".." +
+                    formatDouble(values.back()) + " dBm");
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kMinPerCluster = 3;
+
+  static void prune(std::deque<std::pair<SimTime, double>>& window, SimTime t) {
+    const SimTime cutoff = t > seconds(20) ? t - seconds(20) : 0;
+    while (!window.empty() && window.front().first <= cutoff) {
+      window.pop_front();
+    }
+  }
+
+  std::map<std::string, std::deque<std::pair<SimTime, double>>> samples_;
+  std::map<std::string, SimTime> lastAlert_;
+};
+
+TEST(ReplicationStatic, MatchesCopyAndSortReferenceOnSeededStreams) {
+  // Six identities per seed: clones (two RSSI clusters 8-14 dB apart),
+  // single transmitters, and loose ones whose clusters are too wide. RSSI
+  // comes from a 0.5 dB grid so values repeat; timestamps sit on a 250 ms
+  // grid so several samples share a time and samples expire exactly at the
+  // tick that reaches their window edge. Identities go quiet for a while,
+  // so windows drain and refill.
+  std::size_t totalAlerts = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    ModuleHarness h;
+    ReplicationStaticModule module;
+    CopyAndSortReplicationReference reference;
+    std::vector<std::string> expected;
+    Rng rng(seed);
+    struct Identity {
+      net::Mac16 mac;
+      double low;
+      double high;
+      int spreadSteps;
+    };
+    std::vector<Identity> identities;
+    for (std::uint16_t n = 2; n < 8; ++n) {
+      const double low = -90.0 + 0.5 * static_cast<double>(rng.nextInt(0, 20));
+      const double high = low + 0.5 * static_cast<double>(rng.nextInt(0, 28));
+      identities.push_back(Identity{net::Mac16{n}, low, high,
+                                    static_cast<int>(rng.nextInt(0, 8))});
+    }
+    SimTime t = milliseconds(250);
+    SimTime nextTick = seconds(1);
+    std::uint8_t seq = 0;
+    while (t < seconds(150)) {
+      while (nextTick <= t) {
+        h.tick(module, nextTick);
+        for (std::string& a : reference.onTick(nextTick)) {
+          expected.push_back(std::move(a));
+        }
+        nextTick += seconds(1);
+      }
+      const Identity& id = identities[rng.pickIndex(identities.size())];
+      const bool quiet = ((t / seconds(30)) + id.mac.value) % 4 == 0;
+      if (!quiet) {
+        const double base = rng.nextBelow(2) == 0 ? id.low : id.high;
+        const double rssi =
+            base - 0.5 * static_cast<double>(rng.nextInt(0, id.spreadSteps));
+        h.feed(module, zigbeeReport(id.mac, seq++, t, rssi));
+        reference.onPacket(net::toString(id.mac), t, rssi);
+      }
+      t += milliseconds(250) * rng.nextBelow(3);
+    }
+    std::vector<std::string> actual;
+    for (const Alert& a : h.alerts) {
+      actual.push_back(a.victimEntity + "|" + std::to_string(a.time) + "|" +
+                       a.detail);
+    }
+    EXPECT_EQ(actual, expected) << "seed " << seed;
+    totalAlerts += expected.size();
+  }
+  EXPECT_GT(totalAlerts, 10u);
 }
 
 TEST(ReplicationMobile, ImpossibleMovesFlagClone) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 
 #include "util/bytes.hpp"
@@ -304,6 +308,54 @@ TEST(Strings, FormatDoubleCompact) {
   EXPECT_EQ(formatDouble(12.0), "12");
   EXPECT_EQ(formatDouble(-67.0), "-67");
   EXPECT_EQ(formatDouble(0.037), "0.037");
+}
+
+TEST(Strings, FormatDoubleMatchesPrintfReference) {
+  // Integral values below 1e15 print as "%.0f", everything else as "%g".
+  const auto reference = [](double v) {
+    char buf[64];
+    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+      std::snprintf(buf, sizeof buf, "%.0f", v);
+    } else {
+      std::snprintf(buf, sizeof buf, "%g", v);
+    }
+    return std::string(buf);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double largestSubnormal =
+      std::nextafter(std::numeric_limits<double>::min(), 0.0);
+  std::vector<double> values = {
+      0.0, -0.0, 1e15 - 1, 1e15, 1e15 + 1, -(1e15 - 1), -1e15, 1e-5, 0.1,
+      123456.5, 1234567.0, 999999.5, 0.0001, 0.00001234, 9.999995e-5,
+      largestSubnormal, -largestSubnormal, std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), nan, std::copysign(nan, -1.0),
+      -67.5, 0.037, 12.0, 0.5, 2.5, -0.5};
+  Rng rng(0xf0a7);
+  for (int i = 0; i < 20000; ++i) {
+    switch (i % 4) {
+      case 0:  // any bit pattern
+        values.push_back(std::bit_cast<double>(rng.next()));
+        break;
+      case 1:  // integers and half-integers up to 2^53
+        values.push_back(static_cast<double>(rng.nextInt(-(1ll << 53), 1ll << 53)) /
+                         static_cast<double>(1 + rng.nextBelow(2)));
+        break;
+      case 2:  // decimal magnitudes across the whole exponent range
+        values.push_back(rng.nextDouble(-10.0, 10.0) *
+                         std::pow(10.0, static_cast<double>(rng.nextInt(-320, 300))));
+        break;
+      default:  // knowgget-like rates and RSSI readings
+        values.push_back(std::round(rng.nextDouble(-120.0, 5000.0) * 1000.0) /
+                         static_cast<double>(1ll << rng.nextBelow(12)));
+        break;
+    }
+  }
+  for (const double v : values) {
+    EXPECT_EQ(formatDouble(v), reference(v)) << std::hexfloat << v;
+  }
 }
 
 // --- sliding windows -----------------------------------------------------------------
