@@ -4,17 +4,26 @@
 
 namespace kalis::ids {
 
+namespace {
+/// encodeKey into `out`, replacing its contents (reusing its capacity).
+void encodeKeyInto(std::string& out, std::string_view creator,
+                   std::string_view label, std::string_view entity) {
+  out.clear();
+  out.reserve(creator.size() + label.size() + entity.size() + 2);
+  out.append(creator);
+  out.push_back('$');
+  out.append(label);
+  if (!entity.empty()) {
+    out.push_back('@');
+    out.append(entity);
+  }
+}
+}  // namespace
+
 std::string encodeKey(std::string_view creator, std::string_view label,
                       std::string_view entity) {
   std::string key;
-  key.reserve(creator.size() + label.size() + entity.size() + 2);
-  key.append(creator);
-  key.push_back('$');
-  key.append(label);
-  if (!entity.empty()) {
-    key.push_back('@');
-    key.append(entity);
-  }
+  encodeKeyInto(key, creator, label, entity);
   return key;
 }
 
@@ -74,30 +83,31 @@ void KnowledgeBase::putEncoded(const std::string& label, std::string value,
                                const std::string& entity, bool collective) {
   owner_.check("KnowledgeBase::put");
   if (!writesEnabled_) return;
-  const std::string key = encodeKey(selfId_, label, entity);
-  auto it = store_.find(key);
-  if (it != store_.end() && it->second.value == value) return;  // unchanged
-  if (it == store_.end() && baseline_) {
-    // Copy-on-write: re-asserting the baseline value costs no overlay entry.
-    const Knowgget* base = baseline_->find(key);
-    if (base != nullptr && base->value == value) return;
+  // One ordered lookup. The key buffer is free again before any callback
+  // runs, so a put nested inside notify() may reuse it.
+  encodeKeyInto(putKey_, selfId_, label, entity);
+  auto it = store_.lower_bound(putKey_);
+  if (it != store_.end() && it->first == putKey_) {
+    if (it->second.value == value) return;  // unchanged
+  } else {
+    if (baseline_) {
+      // Copy-on-write: re-asserting the baseline value costs no overlay
+      // entry.
+      const Knowgget* base = baseline_->find(putKey_);
+      if (base != nullptr && base->value == value) return;
+    }
+    it = store_.emplace_hint(it, putKey_, Knowgget{});
   }
 
-  Knowgget k;
+  Knowgget& k = it->second;
   k.label = label;
   k.value = std::move(value);
   k.creator = selfId_;
   k.entity = entity;
   k.collective = collective;
   k.updated = nowTs();
-  store_[key] = k;
   publishes_.inc();
-  notify(k);
-  if (collective) {
-    // Snapshot: a sink may (un)register sinks while handling the knowgget.
-    const std::vector<CollectiveSink*> sinks = collectiveSinks_;
-    for (CollectiveSink* sink : sinks) sink->onCollective(k);
-  }
+  notify(k, collective);
 }
 
 bool KnowledgeBase::putRemote(const Knowgget& k) {
@@ -129,11 +139,11 @@ bool KnowledgeBase::putRemote(const Knowgget& k) {
       if (base->value == k.value) return true;
     }
   }
-  Knowgget stored = k;
+  Knowgget& stored = store_[key];
+  stored = k;
   stored.updated = nowTs();
-  store_[key] = stored;
   remoteAccepted_.inc();
-  notify(stored);
+  notify(stored, /*toSinks=*/false);
   return true;
 }
 
@@ -220,7 +230,8 @@ std::size_t KnowledgeBase::memoryBytes() const {
 int KnowledgeBase::subscribe(const std::string& labelPattern, Subscription fn) {
   owner_.check("KnowledgeBase::subscribe");
   const int id = nextSubId_++;
-  subs_.push_back(Sub{id, labelPattern, std::move(fn)});
+  subs_.push_back(
+      std::make_shared<const Sub>(Sub{id, labelPattern, std::move(fn)}));
   return id;
 }
 
@@ -243,25 +254,40 @@ void KnowledgeBase::removeCollectiveSink(CollectiveSink* sink) {
 void KnowledgeBase::unsubscribe(int id) {
   owner_.check("KnowledgeBase::unsubscribe");
   subs_.erase(std::remove_if(subs_.begin(), subs_.end(),
-                             [id](const Sub& s) { return s.id == id; }),
+                             [id](const auto& s) { return s->id == id; }),
               subs_.end());
 }
 
-void KnowledgeBase::notify(const Knowgget& k) {
-  // Iterate over a snapshot: callbacks may subscribe/unsubscribe.
-  const std::vector<Sub> snapshot = subs_;
-  for (const auto& sub : snapshot) {
-    bool match;
-    if (!sub.pattern.empty() && sub.pattern.back() == '*') {
-      match = startsWith(k.label,
-                         std::string_view(sub.pattern).substr(0, sub.pattern.size() - 1));
-    } else {
-      match = (k.label == sub.pattern);
-    }
-    if (match) {
-      subscriptionFires_.inc();
-      sub.fn(k);
-    }
+bool KnowledgeBase::Sub::matches(const std::string& label) const {
+  if (!pattern.empty() && pattern.back() == '*') {
+    return startsWith(label,
+                      std::string_view(pattern).substr(0, pattern.size() - 1));
+  }
+  return label == pattern;
+}
+
+void KnowledgeBase::notify(const Knowgget& stored, bool toSinks) {
+  // Select the matching subscriptions first: callbacks may subscribe,
+  // unsubscribe and put (nesting another notify above this one on firing_).
+  const std::size_t first = firing_.size();
+  for (const auto& sub : subs_) {
+    if (sub->matches(stored.label)) firing_.push_back(sub);
+  }
+  const std::size_t last = firing_.size();
+  toSinks = toSinks && !collectiveSinks_.empty();
+  if (first == last && !toSinks) return;
+
+  // Callbacks may rewrite this very entry; everyone sees the change made.
+  const Knowgget k = stored;
+  for (std::size_t i = first; i < last; ++i) {
+    subscriptionFires_.inc();
+    firing_[i]->fn(k);
+  }
+  firing_.resize(first);
+  if (toSinks) {
+    // Snapshot: a sink may (un)register sinks while handling the knowgget.
+    const std::vector<CollectiveSink*> sinks = collectiveSinks_;
+    for (CollectiveSink* sink : sinks) sink->onCollective(k);
   }
 }
 

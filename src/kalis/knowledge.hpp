@@ -257,7 +257,11 @@ class KnowledgeBase {
 
   /// `labelPattern` is an exact label, or a prefix pattern ending in "*"
   /// ("TrafficFrequency.*"). The callback fires on any value change with a
-  /// matching label, from any creator.
+  /// matching label, from any creator. A change notifies the subscriptions
+  /// registered when it is made, in registration order — including one an
+  /// earlier callback unsubscribes; one a callback adds fires from the next
+  /// change on. A put made by a callback is notified in full before the
+  /// outer change reaches its remaining subscribers.
   using Subscription = std::function<void(const Knowgget&)>;
   int subscribe(const std::string& labelPattern, Subscription fn);
   void unsubscribe(int id);
@@ -295,7 +299,11 @@ class KnowledgeBase {
   /// string form.
   void putEncoded(const std::string& label, std::string value,
                   const std::string& entity, bool collective);
-  void notify(const Knowgget& k);
+  /// Fires the subscriptions matching `stored` (a store entry that just
+  /// changed) — those registered when it changed, in registration order —
+  /// then, if `toSinks`, the collective sinks. Callbacks and sinks receive
+  /// one copy of the change, made only when any of them is there.
+  void notify(const Knowgget& stored, bool toSinks);
   SimTime nowTs() const { return clock_ ? clock_() : 0; }
   /// Visits every logical entry in key order: the overlay merged over the
   /// baseline, overlay entries shadowing same-key baseline entries.
@@ -306,13 +314,21 @@ class KnowledgeBase {
   std::string selfId_;
   std::function<SimTime()> clock_;
   std::map<std::string, Knowgget> store_;  ///< overlay, by encoded key
+  std::string putKey_;  ///< putEncoded's key buffer, reused across puts
   std::shared_ptr<const BaselineSegment> baseline_;  ///< read-through layer
   struct Sub {
     int id;
     std::string pattern;
     Subscription fn;
+
+    bool matches(const std::string& label) const;
   };
-  std::vector<Sub> subs_;
+  /// Shared so that a subscription a notification has selected outlives an
+  /// unsubscribe() made by an earlier callback of the same notification.
+  std::vector<std::shared_ptr<const Sub>> subs_;
+  /// The subscriptions of the notifications in progress, the innermost
+  /// (nested) change's on top.
+  std::vector<std::shared_ptr<const Sub>> firing_;
   int nextSubId_ = 1;
   std::vector<CollectiveSink*> collectiveSinks_;
   bool writesEnabled_ = true;

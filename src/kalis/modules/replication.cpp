@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace kalis::ids {
 
@@ -26,32 +25,44 @@ void ReplicationStaticModule::configure(
   }
 }
 
+void ReplicationStaticModule::Window::add(const Sample& s) {
+  samples.push_back(s);
+  sortedRssi.insert(
+      std::upper_bound(sortedRssi.begin(), sortedRssi.end(), s.rssi), s.rssi);
+}
+
+void ReplicationStaticModule::Window::expire(SimTime cutoff) {
+  while (!samples.empty() && samples.front().time <= cutoff) {
+    sortedRssi.erase(std::lower_bound(sortedRssi.begin(), sortedRssi.end(),
+                                      samples.front().rssi));
+    samples.pop_front();
+  }
+}
+
 void ReplicationStaticModule::onPacket(const net::CapturedPacket& pkt,
                                        const net::Dissection& dis,
                                        ModuleContext& ctx) {
   (void)ctx;
   if (!isWpanSender(dis)) return;
-  auto& queue = samples_.tryEmplace(dis.linkSourceRef()).first->value;
-  queue.push_back(Sample{pkt.meta.timestamp, pkt.meta.rssiDbm});
-  const SimTime cutoff =
-      pkt.meta.timestamp > window_ ? pkt.meta.timestamp - window_ : 0;
-  while (!queue.empty() && queue.front().time <= cutoff) queue.pop_front();
+  // A NaN reading has no place in an ordered window; only a crafted
+  // capture carries one.
+  if (std::isnan(pkt.meta.rssiDbm)) return;
+  Window& window = samples_.tryEmplace(dis.linkSourceRef()).first->value;
+  window.add(Sample{pkt.meta.timestamp, pkt.meta.rssiDbm});
+  window.expire(pkt.meta.timestamp > window_ ? pkt.meta.timestamp - window_
+                                             : 0);
 }
 
 void ReplicationStaticModule::onTick(ModuleContext& ctx) {
-  samples_.forEachOrdered([&](EntityKeyedMap<std::deque<Sample>>::Entry& e) {
+  const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
+  samples_.forEachOrdered([&](EntityKeyedMap<Window>::Entry& e) {
     const std::string& entity = e.label;
-    std::deque<Sample>& queue = e.value;
-    const SimTime cutoff = ctx.now > window_ ? ctx.now - window_ : 0;
-    while (!queue.empty() && queue.front().time <= cutoff) queue.pop_front();
-    if (queue.size() < 2 * minPerCluster_) return;
+    e.value.expire(cutoff);
+    const std::vector<double>& values = e.value.sortedRssi;
+    if (values.size() < 2 * minPerCluster_) return;
 
     // Split the sorted RSSI values at the largest gap; two tight, populated,
     // well-separated clusters mean two radios under one identity.
-    std::vector<double> values;
-    values.reserve(queue.size());
-    for (const Sample& s : queue) values.push_back(s.rssi);
-    std::sort(values.begin(), values.end());
     std::size_t gapAt = 0;
     double gap = 0.0;
     for (std::size_t i = 1; i < values.size(); ++i) {
@@ -88,10 +99,10 @@ void ReplicationStaticModule::onTick(ModuleContext& ctx) {
 std::size_t ReplicationStaticModule::memoryBytes() const {
   std::size_t bytes =
       sizeof(*this) + alertStateBytes() + samples_.entryOverheadBytes();
-  samples_.forEachUnordered(
-      [&](const EntityKeyedMap<std::deque<Sample>>::Entry& e) {
-        bytes += e.value.size() * sizeof(Sample);
-      });
+  samples_.forEachUnordered([&](const EntityKeyedMap<Window>::Entry& e) {
+    bytes += e.value.samples.size() * sizeof(Sample) +
+             e.value.sortedRssi.size() * sizeof(double);
+  });
   return bytes;
 }
 

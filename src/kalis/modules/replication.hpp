@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
@@ -56,13 +57,24 @@ class ReplicationStaticModule final : public DetectionModule {
     SimTime time;
     double rssi;
   };
+  /// One identity's samples in arrival order, and the same samples' RSSI
+  /// kept ascending, so a tick scans for the largest gap without copying
+  /// or sorting.
+  struct Window {
+    std::deque<Sample> samples;
+    std::vector<double> sortedRssi;
+
+    void add(const Sample& s);
+    /// Drops the samples at or before `cutoff` from both views.
+    void expire(SimTime cutoff);
+  };
 
   double clusterGapDb_ = 8.0;   ///< separation identifying two transmitters
   double clusterTightDb_ = 3.0; ///< max spread within each cluster
   std::size_t minPerCluster_ = 3;
   Duration window_ = seconds(20);
   Duration cooldown_ = seconds(15);
-  EntityKeyedMap<std::deque<Sample>> samples_;  ///< by entity
+  EntityKeyedMap<Window> samples_;  ///< by entity
 };
 
 class ReplicationMobileModule final : public DetectionModule {

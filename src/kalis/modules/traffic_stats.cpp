@@ -2,6 +2,21 @@
 
 namespace kalis::ids {
 
+namespace {
+/// "TrafficFrequency.<TYPE>" for every packet type, built once.
+const std::array<std::string, net::kNumPacketTypes>& rateLabels() {
+  static const auto names = [] {
+    std::array<std::string, net::kNumPacketTypes> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::string(labels::kTrafficFrequency) + "." +
+               net::packetTypeName(static_cast<net::PacketType>(i));
+    }
+    return out;
+  }();
+  return names;
+}
+}  // namespace
+
 TrafficStatsModule::TrafficStatsModule() {
   for (auto& counter : global_) {
     counter = std::make_unique<SlidingCounter>(window_);
@@ -88,21 +103,13 @@ void TrafficStatsModule::onTick(ModuleContext& ctx) {
   lastNow_ = ctx.now;
   for (std::size_t i = 0; i < global_.size(); ++i) {
     const double rate = global_[i]->rate(ctx.now);
-    if (rate > 0.0) {
-      ctx.kb.put(std::string(labels::kTrafficFrequency) + "." +
-                     net::packetTypeName(static_cast<net::PacketType>(i)),
-                 rate);
-    }
+    if (rate > 0.0) ctx.kb.put(rateLabels()[i], rate);
   }
   for (std::size_t i = 0; i < perDevice_.size(); ++i) {
     perDevice_[i].forEachOrdered(
         [&](EntityKeyedMap<SlidingCounter>::Entry& entry) {
           const double rate = entry.value.rate(ctx.now);
-          if (rate > 0.0) {
-            ctx.kb.put(std::string(labels::kTrafficFrequency) + "." +
-                           net::packetTypeName(static_cast<net::PacketType>(i)),
-                       rate, entry.label);
-          }
+          if (rate > 0.0) ctx.kb.put(rateLabels()[i], rate, entry.label);
         });
   }
 }

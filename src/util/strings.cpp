@@ -3,7 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 #include "util/types.hpp"
 
@@ -93,14 +93,17 @@ std::optional<bool> parseBool(std::string_view s) {
 }
 
 std::string formatDouble(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
+  // Byte for byte what printf gives: integral values below 1e15 as "%.0f",
+  // everything else as "%g" (six significant digits).
+  char buf[32];
+  const bool integral =
+      std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15;
+  const std::to_chars_result r =
+      integral
+          ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 0)
+          : std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                          6);
+  return std::string(buf, r.ptr);
 }
 
 std::string defaultNodeName(NodeId id) {

@@ -1,6 +1,7 @@
 // Allocation regression tests for the per-packet path (DESIGN.md §10):
-// net::dissect never allocates, and KalisNode::feed stays (nearly)
-// allocation-free in steady state, on recorded home-flood and 6LoWPAN captures
+// net::dissect never allocates, KalisNode::feed stays (nearly)
+// allocation-free in steady state, and the periodic module ticks allocate a
+// bounded handful each, on recorded home-flood, 6LoWPAN and ZigBee captures
 // replayed the way the benchmark's traced pass does: run the simulator up to
 // the packet, dissect it, feed it.
 //
@@ -74,23 +75,35 @@ struct AllocCounts {
   std::uint64_t dissect = 0;      ///< over the whole capture
   std::uint64_t feedLateHalf = 0; ///< over the second half of the capture
   std::size_t lateHalfPackets = 0;
+  /// Inside Simulator::runUntil between the second half's packets: the
+  /// node's periodic module ticks.
+  std::uint64_t advanceLateHalf = 0;
+  std::uint64_t lateHalfTicks = 0;
 };
 
 /// Replays `rec` into a KalisNode running the standard module library,
-/// counting the allocations made inside net::dissect and KalisNode::feed.
+/// counting the allocations made inside the simulator advance,
+/// net::dissect and KalisNode::feed.
 AllocCounts replayCounting(const scenarios::Capture& rec) {
   sim::Simulator simulator(1);
   ids::KalisNode node(simulator);
   node.useStandardLibrary();
-  node.start();
+  node.start();  // at sim time 0: ticks fall on every whole tick interval
+  const Duration tick = ids::KalisNode::Options{}.tickInterval;
   AllocCounts counts;
   const std::size_t half = rec.packets.size() / 2;
   for (std::size_t i = 0; i < rec.packets.size(); ++i) {
     const net::CapturedPacket& pkt = rec.packets[i];
-    if (pkt.meta.timestamp > simulator.now()) {
-      simulator.runUntil(pkt.meta.timestamp);
-    }
     std::uint64_t before = tAllocations;
+    if (pkt.meta.timestamp > simulator.now()) {
+      const SimTime from = simulator.now();
+      simulator.runUntil(pkt.meta.timestamp);
+      if (i >= half) {
+        counts.advanceLateHalf += tAllocations - before;
+        counts.lateHalfTicks += simulator.now() / tick - from / tick;
+      }
+    }
+    before = tAllocations;
     const net::Dissection dis = net::dissect(pkt);
     counts.dissect += tAllocations - before;
     before = tAllocations;
@@ -125,6 +138,28 @@ TEST(AllocationFree, HomeFeedSteadyStateBelowQuarterAllocPerPacket) {
                            static_cast<double>(counts.lateHalfPackets);
   EXPECT_LT(perPacket, 0.25) << counts.feedLateHalf << " allocations over "
                              << counts.lateHalfPackets << " packets";
+}
+
+/// Asserts that the module ticks over the second half of `rec` average
+/// fewer than 16 allocations each.
+void expectTicksBelowSixteenAllocations(const scenarios::Capture& rec) {
+  const AllocCounts counts = replayCounting(rec);
+  ASSERT_GT(counts.lateHalfTicks, 30u);
+  const double perTick = static_cast<double>(counts.advanceLateHalf) /
+                         static_cast<double>(counts.lateHalfTicks);
+  EXPECT_LT(perTick, 16.0) << counts.advanceLateHalf << " allocations over "
+                           << counts.lateHalfTicks << " ticks";
+}
+
+// A tick publishes every traffic rate and re-examines every identity's RSSI
+// window without allocating; what a tick still allocates is listed in
+// DESIGN.md §10 ("Tick path").
+TEST(AllocationFree, SmurfTickBelowSixteenAllocations) {
+  expectTicksBelowSixteenAllocations(scenarios::captureSmurf(7));
+}
+
+TEST(AllocationFree, ReplicationTickBelowSixteenAllocations) {
+  expectTicksBelowSixteenAllocations(scenarios::captureReplication(7));
 }
 
 }  // namespace

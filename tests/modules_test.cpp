@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 
 #include "kalis/module_registry.hpp"
@@ -723,6 +724,31 @@ TEST(ReplicationStatic, MatchesCopyAndSortReferenceOnSeededStreams) {
     totalAlerts += expected.size();
   }
   EXPECT_GT(totalAlerts, 10u);
+}
+
+TEST(ReplicationStatic, NanRssiIsNotASample) {
+  // Only a crafted capture carries a NaN reading. It must not enter the
+  // ordered window, where it would break the search that expires samples.
+  ModuleHarness h;
+  ReplicationStaticModule module;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 10; ++i) {
+    const auto seq = static_cast<std::uint8_t>(i);
+    h.feed(module, zigbeeReport(net::Mac16{5}, seq, seconds(1 + 2 * i), -60.0));
+    h.feed(module, zigbeeReport(net::Mac16{5}, seq, seconds(2 + 2 * i),
+                                i % 2 == 0 ? -85.0 : nan));
+  }
+  h.tick(module, seconds(21));
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].detail,
+            "bimodal RSSI: clusters at -85..-85 and -60..-60 dBm");
+  // Once those samples expire, one transmitter alone raises nothing.
+  for (int i = 0; i < 10; ++i) {
+    h.feed(module, zigbeeReport(net::Mac16{5}, static_cast<std::uint8_t>(i),
+                                seconds(50 + i), i % 2 == 0 ? -61.0 : nan));
+  }
+  h.tick(module, seconds(60));
+  EXPECT_EQ(h.alerts.size(), 1u);
 }
 
 TEST(ReplicationMobile, ImpossibleMovesFlagClone) {
