@@ -43,16 +43,35 @@ std::array<std::uint16_t, 256> makeCrc16Table() {
   return table;
 }
 
-std::array<std::uint32_t, 256> makeCrc32Table() {
-  std::array<std::uint32_t, 256> table{};
+/// CRC-32 (reflected poly 0xedb88320), slicing-by-8: table[0][i] is the
+/// register after shifting byte i through a zero register, and table[k][i]
+/// is table[k-1][i] shifted on by one more zero byte, so eight lookups fold
+/// eight input bytes at once.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Crc32Tables makeCrc32Tables() {
+  Crc32Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xff] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+std::uint32_t loadLe32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -81,11 +100,18 @@ std::uint16_t crc16Ccitt(BytesView data) {
 }
 
 std::uint32_t crc32(BytesView data) {
-  static const auto table = makeCrc32Table();
+  static const Crc32Tables t = makeCrc32Tables();
   std::uint32_t c = 0xffffffffu;
-  for (std::uint8_t byte : data) {
-    c = table[(c ^ byte) & 0xff] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ loadLe32(p);
+    const std::uint32_t hi = loadLe32(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

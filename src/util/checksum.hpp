@@ -18,6 +18,7 @@ std::uint16_t internetChecksum2(BytesView a, BytesView b);
 std::uint16_t crc16Ccitt(BytesView data);
 
 /// CRC-32 (IEEE 802.3), used by the 802.11 FCS and the trace file format.
+/// Table-driven, eight bytes per step (slicing-by-8).
 std::uint32_t crc32(BytesView data);
 
 /// 64-bit FNV-1a hash, used for payload fingerprinting (wormhole correlation,

@@ -135,6 +135,33 @@ TEST(Checksum, Crc32KnownVector) {
   EXPECT_EQ(crc32(BytesView(data)), 0xcbf43926u);
 }
 
+TEST(Checksum, Crc32MatchesBitwiseReference) {
+  // The textbook bit-at-a-time reflected register, on buffers that start
+  // at every offset modulo 8 and end on every tail length.
+  const auto reference = [](BytesView data) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::uint8_t byte : data) {
+      c ^= byte;
+      for (int i = 0; i < 8; ++i) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+    }
+    return c ^ 0xffffffffu;
+  };
+  Rng rng(0x80211);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (int i = 0; i < 48; ++i) lengths.push_back(65 + rng.nextBelow(2048 - 65));
+  lengths.push_back(2048);
+  Bytes buffer(2048 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng.next());
+      const BytesView data(buffer.data() + offset, len);
+      EXPECT_EQ(crc32(data), reference(data))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
 TEST(Checksum, Crc16CcittDiffersOnSingleBitFlip) {
   Bytes data = bytesOf("hello 802.15.4");
   const std::uint16_t original = crc16Ccitt(BytesView(data));
