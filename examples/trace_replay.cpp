@@ -35,14 +35,17 @@
 // modes).
 //
 // --pcap FILE replays a recorded pcap capture (written by a real sniffer or
-// by --dump-pcap) instead of simulating: the frames flow through the exact
-// same KalisNode / Pipeline engines via the unified PacketSource seam, so a
-// dumped trace replays byte-identically to the in-memory run that produced
-// it. --dump-pcap FILE writes the replayed trace as a mixed-medium pcap
+// by --dump-pcap) instead of simulating: trace::readPcapFile turns it into
+// a trace, which takes the same two replay steps as a recorded one
+// (KalisNode::replayFeed per packet, or Pipeline::enqueueBatch), so a dumped
+// trace replays byte-identically to the in-memory run that produced it. A
+// file cut short replays the packets before the cut and says [TRUNCATED].
+// --dump-pcap FILE writes the replayed trace as a mixed-medium pcap
 // (DLT_USER0 + Kalis pseudo-header, lossless RxMeta).
 //
 // Run `trace_replay --help` for the full flag reference; a malformed
 // numeric value or --workers 0 exits 2 with the usage text.
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -58,7 +61,6 @@
 #include "kalis/kalis_node.hpp"
 #include "metrics/evaluation.hpp"
 #include "metrics/metrics_export.hpp"
-#include "net/packet_source.hpp"
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scenarios/chaos_workload.hpp"
@@ -421,11 +423,11 @@ int runFleetReplay(std::size_t homes, std::size_t regions, std::size_t workers,
   return converged ? 0 : 1;
 }
 
-/// Replay through the kalis::pipeline ingestion engine: the source drains
-/// into worker shards via the unified seam, alerts emerge from the ordered
+/// Replay through the kalis::pipeline ingestion engine: the trace goes to
+/// the worker shards through enqueueBatch, alerts emerge from the ordered
 /// merge stage. `truth` is null for --pcap replays (no ground truth on a
 /// recorded capture), which also disables the detection-rate exit gate.
-int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
+int replayPipeline(const trace::Trace& packets, const ReplayOptions& opt,
                    const chaos::FaultPlan* plan,
                    const metrics::GroundTruth* truth) {
   pipeline::Options popts;
@@ -434,11 +436,8 @@ int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
   popts.knowledgeExchange = opt.kbSync;
   popts.knowledgeSyncInterval = milliseconds(opt.kbSyncMs);
   if (plan) popts.faults = plan->ingestFaults();
-  pipeline::KalisEngineOptions eopts;
-  eopts.seedBase = 99;
-  eopts.drainUntil = seconds(80);
-  eopts.configure = [](ids::KalisNode& node) { node.useStandardLibrary(); };
-  pipeline::Pipeline pipe(popts, pipeline::makeKalisEngineFactory(eopts));
+  pipeline::Pipeline pipe(popts, pipeline::makeKalisEngineFactory(
+                                     scenarios::traceReplayEngineOptions()));
   pipe.setAlertSink([](const ids::Alert& alert) {
     std::printf("REPLAY ALERT  %s\n", ids::toString(alert).c_str());
   });
@@ -446,9 +445,10 @@ int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
               pipe.shardCount(), pipe.shardCount() == 1 ? "" : "s",
               opt.kbSync ? ", knowledge exchange on" : "");
   pipe.start();
-  // Unified ingestion seam: enqueueFrom drains the source through the
-  // batched producer path in 1024-packet chunks.
-  pipe.enqueueFrom(source);
+  constexpr std::size_t kChunk = 1024;
+  for (std::size_t i = 0; i < packets.size(); i += kChunk) {
+    pipe.enqueueBatch(packets.data() + i, std::min(kChunk, packets.size() - i));
+  }
   pipe.stop();
 
   double rate = 0.0;
@@ -487,20 +487,22 @@ int replayPipeline(net::PacketSource& source, const ReplayOptions& opt,
 }
 
 /// Replay through a directly-fed Kalis node: a *fresh* node on a fresh
-/// virtual clock consumes the source packet by packet — the same replayFeed
+/// virtual clock takes the trace packet by packet — the same replayFeed
 /// step the pipeline shard engines use, so alerts match a one-worker
 /// pipeline byte for byte. `truth` as in replayPipeline.
-int replayDirect(net::PacketSource& source, const chaos::FaultPlan* plan,
+int replayDirect(const trace::Trace& packets, const chaos::FaultPlan* plan,
                  const metrics::GroundTruth* truth) {
-  sim::Simulator replaySim(99);
-  ids::KalisNode kalisBox(replaySim);
-  kalisBox.useStandardLibrary();
+  const pipeline::KalisEngineOptions eopts =
+      scenarios::traceReplayEngineOptions();
+  sim::Simulator replaySim(eopts.seedBase);
+  ids::KalisNode kalisBox(replaySim, eopts.node);
+  eopts.configure(kalisBox);
   kalisBox.setAlertSink([](const ids::Alert& alert) {
     std::printf("REPLAY ALERT  %s\n", ids::toString(alert).c_str());
   });
   kalisBox.start();
-  kalisBox.consume(source);
-  replaySim.runUntil(seconds(80));
+  for (const net::CapturedPacket& pkt : packets) kalisBox.replayFeed(pkt);
+  replaySim.runUntil(eopts.drainUntil);
 
   double rate = 0.0;
   if (truth) {
@@ -545,32 +547,35 @@ int main(int argc, char** argv) {
   // RxMeta losslessly, so this run's SIEM stream is byte-identical to the
   // in-memory replay that produced the dump.
   if (!opt.pcapIn.empty()) {
-    auto source = trace::openPcapSource(opt.pcapIn);
-    if (!source) {
+    const std::optional<trace::PcapReadResult> capture =
+        trace::readPcapFile(opt.pcapIn);
+    if (!capture) {
       std::fprintf(stderr, "trace_replay: cannot read pcap file %s\n",
                    opt.pcapIn.c_str());
       return 2;
     }
-    std::printf("Replaying %zu packets from %s\n", source->remaining(),
-                opt.pcapIn.c_str());
-    return opt.usePipeline ? replayPipeline(*source, opt, plan, nullptr)
-                           : replayDirect(*source, plan, nullptr);
+    std::printf("Replaying %zu packets from %s%s\n", capture->packets.size(),
+                opt.pcapIn.c_str(), capture->truncated ? " [TRUNCATED]" : "");
+    return opt.usePipeline
+               ? replayPipeline(capture->packets, opt, plan, nullptr)
+               : replayDirect(capture->packets, plan, nullptr);
   }
 
   if (plan) {
     std::printf("Chaos plan active: %s\n", plan->describe().c_str());
   }
 
-  // 1. Record benign traffic and, separately, an attack run.
-  const scenarios::Capture benign =
-      scenarios::captureHomeTrace(opt.seed, false, plan);
-  const scenarios::Capture withAttack =
-      scenarios::captureHomeTrace(opt.seed + 1, true, plan);
+  // 1. Record benign traffic and, separately, an attack run; splice them
+  //    and persist the merged trace in the KTRC on-disk format and reload
+  //    it — exactly what the Data Store's log/replay path does.
+  const scenarios::TraceReplayRecording rec =
+      scenarios::recordTraceReplay(opt.seed, plan);
+  const trace::Trace& reloaded = rec.replay.packets;
   std::printf("Recorded %zu benign packets and %zu attack-run packets\n",
-              benign.packets.size(), withAttack.packets.size());
+              rec.benign.packets.size(), rec.withAttack.packets.size());
   if (plan) {
-    const chaos::LinkChaos::Stats& a = benign.linkFaults;
-    const chaos::LinkChaos::Stats& b = withAttack.linkFaults;
+    const chaos::LinkChaos::Stats& a = rec.benign.linkFaults;
+    const chaos::LinkChaos::Stats& b = rec.withAttack.linkFaults;
     std::printf(
         "Injected link faults: %llu dropped, %llu corrupted, %llu "
         "duplicated, %llu delayed, %llu crashes\n",
@@ -581,33 +586,26 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(a.crashes + b.crashes));
   }
 
-  // 2. Persist the merged trace in the KTRC on-disk format and reload it —
-  //    exactly what the Data Store's log/replay path does.
-  const trace::Trace merged =
-      trace::mergeTraces(benign.packets, withAttack.packets);
-  const Bytes fileBytes = trace::serializeTrace(merged);
-  auto reloaded = trace::readTrace(BytesView(fileBytes));
   std::printf("KTRC round trip: %zu packets (%zu bytes on disk)%s\n",
-              reloaded.packets.size(), fileBytes.size(),
-              reloaded.truncated ? " [TRUNCATED]" : "");
+              reloaded.size(), rec.ktrcBytes,
+              rec.replay.truncated ? " [TRUNCATED]" : "");
 
-  // 2b. --dump-pcap: write the exact packet sequence the replay below will
-  //     consume (post-KTRC-roundtrip) as a mixed-medium pcap, so a later
-  //     --pcap run reproduces this run's SIEM stream byte for byte.
+  // 2. --dump-pcap: write the exact packet sequence the replay below will
+  //    take (post-KTRC-roundtrip) as a mixed-medium pcap, so a later --pcap
+  //    run reproduces this run's SIEM stream byte for byte.
   if (!opt.pcapOut.empty()) {
     trace::PcapWriter writer(net::kDltKalisMixed);
-    for (const net::CapturedPacket& pkt : reloaded.packets) writer.append(pkt);
+    for (const net::CapturedPacket& pkt : reloaded) writer.append(pkt);
     const bool ok = writer.writeFile(opt.pcapOut);
     std::printf("Pcap dump: %zu packets (%zu bytes) written to %s\n",
-                reloaded.packets.size(), writer.buffer().size(),
+                reloaded.size(), writer.buffer().size(),
                 ok ? opt.pcapOut.c_str() : "<failed>");
     if (!ok) return 2;
   }
 
-  // 3. Replay the trace "as if operating on live traffic", via the unified
-  //    PacketSource seam — the same path a pcap or KTRC file takes.
-  net::VectorPacketSource source(std::move(reloaded.packets));
+  // 3. Replay the trace "as if operating on live traffic" — the same steps
+  //    a pcap file's packets take.
   return opt.usePipeline
-             ? replayPipeline(source, opt, plan, &withAttack.truth)
-             : replayDirect(source, plan, &withAttack.truth);
+             ? replayPipeline(reloaded, opt, plan, &rec.withAttack.truth)
+             : replayDirect(reloaded, plan, &rec.withAttack.truth);
 }

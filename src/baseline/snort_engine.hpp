@@ -35,7 +35,6 @@ class SnortEngine {
   void onPacket(const net::CapturedPacket& pkt);
 
   const std::vector<ids::Alert>& alerts() const { return alerts_; }
-  void clearAlerts() { alerts_.clear(); }
 
   // --- resource proxies ---------------------------------------------------
   std::uint64_t workUnits() const { return workUnits_; }

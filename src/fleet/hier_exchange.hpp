@@ -164,8 +164,6 @@ class HierarchicalExchange {
 
   explicit HierarchicalExchange(Options options);
 
-  std::size_t regionCount() const { return regions_.size(); }
-
   // --- upward flow ----------------------------------------------------------
 
   /// Home `home` publishes one changed collective knowgget at its clock

@@ -60,8 +60,6 @@ class DataStore {
   // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) -----------
   /// Packets dropped off the back of the in-memory window.
   const obs::Counter& windowEvictions() const { return windowEvictions_; }
-  /// Packets appended to the on-disk KTRC log.
-  const obs::Counter& loggedPackets() const { return loggedPackets_; }
 
   /// Appends Data Store metrics under `prefix` (e.g. "kalis.data_store").
   void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
@@ -79,7 +77,7 @@ class DataStore {
   std::uint64_t totalPackets_ = 0;
   bool dirty_ = false;
   obs::Counter windowEvictions_;
-  obs::Counter loggedPackets_;
+  obs::Counter loggedPackets_;  ///< packets appended to the on-disk KTRC log
 };
 
 }  // namespace kalis::ids

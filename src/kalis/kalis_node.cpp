@@ -100,15 +100,6 @@ void KalisNode::replayFeed(const net::CapturedPacket& pkt) {
   feed(pkt, net::dissect(pkt));
 }
 
-std::size_t KalisNode::consume(net::PacketSource& source) {
-  std::size_t n = 0;
-  while (auto pkt = source.next()) {
-    replayFeed(*pkt);
-    ++n;
-  }
-  return n;
-}
-
 void KalisNode::start() {
   if (started_) return;
   started_ = true;

@@ -27,7 +27,6 @@
 #include "kalis/knowledge.hpp"
 #include "kalis/module_manager.hpp"
 #include "kalis/module_registry.hpp"
-#include "net/packet_source.hpp"
 #include "sim/world.hpp"
 
 namespace kalis::ids {
@@ -83,23 +82,17 @@ class KalisNode {
               std::initializer_list<net::Medium> media);
   /// Direct packet feed with a shared Dissection, the zero-copy path (dis
   /// must alias pkt.raw; callers holding only the packet pass
-  /// net::dissect(pkt)). Superseded as an ingestion entry point by
-  /// consume() — kept for per-packet callers (sniffer attachments,
-  /// replayFeed, tests).
+  /// net::dissect(pkt)). The live path: sniffer attachments call it as the
+  /// simulator delivers each frame.
   void feed(const net::CapturedPacket& pkt, const net::Dissection& dis);
   /// Replay feed: first advances this node's simulator clock to the packet's
   /// capture timestamp — firing pending ticks exactly as live operation
-  /// would — then dissects it once and feeds it. This is the per-packet step
-  /// of the synchronous replay path and of kalis::pipeline shard engines;
-  /// only meaningful when this node (and its peers, if any) are the sole
-  /// users of the simulator. Superseded as an ingestion entry point by
-  /// consume().
+  /// would — then dissects it once and feeds it. Recorded traffic (a
+  /// trace::Trace from a simulator capture, a KTRC log or a pcap file) comes
+  /// in by looping this over the trace in capture order; kalis::pipeline
+  /// shard engines take the same step. Only meaningful when this node (and
+  /// its peers, if any) are the sole users of the simulator.
   void replayFeed(const net::CapturedPacket& pkt);
-  /// Unified ingestion seam: drains a PacketSource (simulator capture,
-  /// KTRC trace, pcap file — anything implementing the pull interface)
-  /// through the replay-feed path, packet by packet, in capture order.
-  /// Returns the number of packets consumed.
-  std::size_t consume(net::PacketSource& source);
 
   /// Starts the module manager and the periodic tick. Call once.
   void start();

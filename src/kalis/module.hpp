@@ -107,9 +107,6 @@ class DetectionModule : public Module {
     return bytes;
   }
 
-  /// Clears rate-limit state (on deactivation).
-  void resetAlertState() { lastAlert_.clear(); }
-
  private:
   std::map<std::string, SimTime> lastAlert_;
 };

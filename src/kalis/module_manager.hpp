@@ -53,7 +53,6 @@ class ModuleManager {
 
   // --- alerts ---------------------------------------------------------------
   const std::vector<Alert>& alerts() const { return alerts_; }
-  void clearAlerts() { alerts_.clear(); }
   /// Optional extra consumer (countermeasure engine, SIEM export, tests).
   void setAlertSink(std::function<void(const Alert&)> sink) {
     alertSink_ = std::move(sink);

@@ -118,14 +118,6 @@ double TrafficStatsModule::globalRate(net::PacketType type, SimTime now) {
   return global_[static_cast<std::size_t>(type)]->rate(now);
 }
 
-double TrafficStatsModule::deviceRate(net::PacketType type,
-                                      const std::string& entity, SimTime now) {
-  auto* entry = const_cast<EntityKeyedMap<SlidingCounter>::Entry*>(
-      perDevice_[static_cast<std::size_t>(type)].findByLabel(entity));
-  if (!entry) return 0.0;
-  return entry->value.rate(now);
-}
-
 std::size_t TrafficStatsModule::memoryBytes() const {
   std::size_t bytes = sizeof(*this);
   for (const auto& counter : global_) bytes += counter->memoryBytes();

@@ -36,7 +36,6 @@ class TrafficStatsModule final : public SensingModule {
 
   /// Programmatic access for tests and anomaly modules.
   double globalRate(net::PacketType type, SimTime now);
-  double deviceRate(net::PacketType type, const std::string& entity, SimTime now);
 
   std::uint32_t workUnitsPerPacket() const override { return 1; }
   std::size_t memoryBytes() const override;

@@ -16,13 +16,4 @@ std::optional<Medium> mediumForDlt(std::uint32_t dlt) {
   return std::nullopt;
 }
 
-const char* dltName(std::uint32_t dlt) {
-  if (dlt == kDltKalisMixed) return "USER0";
-  if (dlt == kDltRaw) return "RAW";
-  for (const auto& row : kMediumDltTable) {
-    if (row.dlt == dlt) return row.name;
-  }
-  return nullptr;
-}
-
 }  // namespace kalis::net

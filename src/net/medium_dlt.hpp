@@ -43,8 +43,4 @@ std::uint32_t dltForMedium(Medium m);
 /// kDltKalisMixed, which is per-record, not per-file).
 std::optional<Medium> mediumForDlt(std::uint32_t dlt);
 
-/// Registry name for a DLT in the table ("IEEE802_11"), "USER0" for the
-/// mixed container, or nullptr when unknown.
-const char* dltName(std::uint32_t dlt);
-
 }  // namespace kalis::net

@@ -17,7 +17,6 @@ Pipeline::Pipeline(Options options, EngineFactory factory)
   if (options_.knowledgeExchange) {
     KnowledgeExchange::Options xo;
     xo.shards = shards_.size();
-    xo.inboxCapacity = options_.exchangeCapacity;
     exchange_ = std::make_unique<KnowledgeExchange>(xo);
   }
 }
@@ -59,25 +58,6 @@ std::size_t Pipeline::enqueueBatch(const net::CapturedPacket* pkts,
     const PacketRing::BatchPushResult r = shards_[s]->ring.pushBatch(
         groups[s].data(), groups[s].size(), options_.policy);
     accepted += r.accepted;
-  }
-  return accepted;
-}
-
-std::size_t Pipeline::enqueueFrom(net::PacketSource& source) {
-  constexpr std::size_t kChunk = 1024;
-  std::vector<net::CapturedPacket> staging;
-  staging.reserve(kChunk);
-  std::size_t accepted = 0;
-  for (;;) {
-    staging.clear();
-    while (staging.size() < kChunk) {
-      auto pkt = source.next();
-      if (!pkt) break;
-      staging.push_back(std::move(*pkt));
-    }
-    if (staging.empty()) break;
-    accepted += enqueueBatch(staging.data(), staging.size());
-    if (staging.size() < kChunk) break;  // source exhausted mid-chunk
   }
   return accepted;
 }

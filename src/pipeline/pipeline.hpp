@@ -47,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/packet_source.hpp"
 #include "pipeline/engine.hpp"
 #include "pipeline/knowledge_exchange.hpp"
 #include "pipeline/ring_buffer.hpp"
@@ -83,8 +82,6 @@ struct Options {
   /// clock advances past this interval, bounding staleness to roughly
   /// (interval + one batch span). Publishes are never delayed.
   Duration knowledgeSyncInterval = milliseconds(10);
-  /// Ring slots per shard exchange inbox (in-flight remote knowggets).
-  std::size_t exchangeCapacity = 1024;
   /// Injected consumer stalls (off by default; see IngestFaults).
   IngestFaults faults;
 };
@@ -105,7 +102,6 @@ class Pipeline {
   /// Spawns one worker per shard; each builds its own engine. Call once.
   void start();
   bool started() const { return started_; }
-  bool stopped() const { return stopped_; }
 
   /// Hash-routes the packet to its shard. Returns true iff this packet was
   /// accepted (under kDropOldest an *older* packet may have been evicted —
@@ -115,19 +111,13 @@ class Pipeline {
 
   /// Batched enqueue: hash-groups `count` packets by shard and pushes each
   /// group with ONE ring lock acquisition and at most one worker wake-up
-  /// (BoundedRing::pushBatch) — the producer-side fast path for replay
-  /// loops and capture bursts. Per-packet semantics (acceptance, eviction
-  /// order, loss tallies, per-source FIFO) are identical to calling
+  /// (BoundedRing::pushBatch) — the producer-side fast path for capture
+  /// bursts and for recorded traffic, which comes in as a trace::Trace
+  /// handed over whole or in chunks. Per-packet semantics (acceptance,
+  /// eviction order, loss tallies, per-source FIFO) are identical to calling
   /// enqueue() in order. Returns the number of packets accepted. Same
   /// threading contract as enqueue().
   std::size_t enqueueBatch(const net::CapturedPacket* pkts, std::size_t count);
-
-  /// Unified ingestion seam: drains a PacketSource (simulator capture, KTRC
-  /// trace, pcap file) to exhaustion through enqueueBatch() in 1024-packet
-  /// chunks. Returns the number of packets accepted. Same threading contract
-  /// as enqueue(). enqueue()/enqueueBatch() remain the per-packet/per-burst
-  /// primitives underneath this seam.
-  std::size_t enqueueFrom(net::PacketSource& source);
 
   /// Drains every queued packet, joins the workers, runs engine finish()
   /// and flushes the merge stage. Idempotent.

@@ -4,11 +4,8 @@
 #include <utility>
 
 #include "attacks/dos_attacks.hpp"
-#include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
-#include "pipeline/kalis_engine.hpp"
 #include "scenarios/environments.hpp"
-#include "trace/trace_file.hpp"
 
 namespace kalis::scenarios {
 
@@ -39,6 +36,26 @@ Capture captureHomeTrace(std::uint64_t seed, bool withAttack,
   return cap;
 }
 
+TraceReplayRecording recordTraceReplay(std::uint64_t seed,
+                                       const chaos::FaultPlan* plan) {
+  TraceReplayRecording rec;
+  rec.benign = captureHomeTrace(seed, false, plan);
+  rec.withAttack = captureHomeTrace(seed + 1, true, plan);
+  const Bytes fileBytes = trace::serializeTrace(
+      trace::mergeTraces(rec.benign.packets, rec.withAttack.packets));
+  rec.ktrcBytes = fileBytes.size();
+  rec.replay = trace::readTrace(BytesView(fileBytes));
+  return rec;
+}
+
+pipeline::KalisEngineOptions traceReplayEngineOptions() {
+  pipeline::KalisEngineOptions eopts;
+  eopts.seedBase = 99;
+  eopts.drainUntil = seconds(80);
+  eopts.configure = [](ids::KalisNode& node) { node.useStandardLibrary(); };
+  return eopts;
+}
+
 chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
                                         const chaos::FaultPlan* plan,
                                         std::size_t workers) {
@@ -46,37 +63,28 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
   out.label = (plan ? "faulted/" : "clean/") + std::to_string(workers) +
               (workers == 1 ? " worker" : " workers");
 
-  const Capture benign = captureHomeTrace(seed, false, plan);
-  const Capture withAttack = captureHomeTrace(seed + 1, true, plan);
-  const trace::Trace merged =
-      trace::mergeTraces(benign.packets, withAttack.packets);
-
-  // KTRC round trip, as the Data Store's log/replay path would do it.
-  const Bytes fileBytes = trace::serializeTrace(merged);
-  const auto reloaded = trace::readTrace(BytesView(fileBytes));
+  const TraceReplayRecording rec = recordTraceReplay(seed, plan);
+  const trace::Trace& packets = rec.replay.packets;
 
   pipeline::Options popts;
   popts.workers = workers;
   popts.policy = pipeline::Backpressure::kBlock;
   if (plan) popts.faults = plan->ingestFaults();
-  pipeline::KalisEngineOptions eopts;
-  eopts.seedBase = 99;
-  eopts.drainUntil = seconds(80);
-  eopts.configure = [](ids::KalisNode& node) { node.useStandardLibrary(); };
-  pipeline::Pipeline pipe(popts, pipeline::makeKalisEngineFactory(eopts));
+  pipeline::Pipeline pipe(
+      popts, pipeline::makeKalisEngineFactory(traceReplayEngineOptions()));
   pipe.start();
-  for (const net::CapturedPacket& pkt : reloaded.packets) pipe.enqueue(pkt);
+  for (const net::CapturedPacket& pkt : packets) pipe.enqueue(pkt);
   pipe.stop();
 
-  out.packetsFed = reloaded.packets.size();
+  out.packetsFed = packets.size();
   out.alerts = pipe.alerts();
   out.siemLines.reserve(out.alerts.size());
   for (const ids::Alert& alert : out.alerts) {
     out.siemLines.push_back(ids::toSiemJson(alert));
   }
   out.pipelineStats = pipe.stats();
-  const chaos::LinkChaos::Stats& a = benign.linkFaults;
-  const chaos::LinkChaos::Stats& b = withAttack.linkFaults;
+  const chaos::LinkChaos::Stats& a = rec.benign.linkFaults;
+  const chaos::LinkChaos::Stats& b = rec.withAttack.linkFaults;
   out.linkRxDropped = a.rxDropped + b.rxDropped;
   out.linkCorrupted = a.corrupted + b.corrupted;
   out.linkDuplicated = a.duplicated + b.duplicated;

@@ -1,15 +1,19 @@
-// The trace_replay reference workload packaged for chaos::DiffRunner
-// (DESIGN.md §9): capture a benign HomeWifi trace and a separate ICMP-flood
-// run, splice them (KTRC round trip), and replay the merged trace through
-// kalis::pipeline. The optional FaultPlan perturbs both capture worlds
-// (link level) and the pipeline workers (ingestion level), so one plan
-// exercises every chaos seam end to end.
+// The trace_replay reference workload: capture a benign HomeWifi trace and a
+// separate ICMP-flood run, splice them (KTRC round trip), and replay the
+// merged trace through a Kalis engine. examples/trace_replay and the
+// chaos::DiffRunner packaging below (DESIGN.md §9) both take the recording
+// and the engine from here. The optional FaultPlan perturbs both capture
+// worlds (link level) and the pipeline workers (ingestion level), so one
+// plan exercises every chaos seam end to end.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "chaos/diff_runner.hpp"
+#include "pipeline/kalis_engine.hpp"
 #include "scenarios/common.hpp"
+#include "trace/trace_file.hpp"
 
 namespace kalis::scenarios {
 
@@ -19,6 +23,24 @@ namespace kalis::scenarios {
 /// fault `plan`.
 Capture captureHomeTrace(std::uint64_t seed, bool withAttack,
                          const chaos::FaultPlan* plan);
+
+/// The workload's recorded input: a benign captureHomeTrace(seed) and an
+/// attack run captureHomeTrace(seed + 1), merged by timestamp and
+/// round-tripped through the KTRC on-disk format, as the Data Store's
+/// log/replay path would do it.
+struct TraceReplayRecording {
+  Capture benign;
+  Capture withAttack;             ///< its truth is the replay's ground truth
+  std::size_t ktrcBytes = 0;      ///< size of the KTRC file
+  trace::TraceReadResult replay;  ///< the merged trace as read back
+};
+TraceReplayRecording recordTraceReplay(std::uint64_t seed,
+                                       const chaos::FaultPlan* plan);
+
+/// The replay engine: simulator seed 99, the full standard library, clock
+/// drained to 80 s after the last packet. A directly fed node built from
+/// these options matches a one-worker pipeline byte for byte.
+pipeline::KalisEngineOptions traceReplayEngineOptions();
 
 /// One full run through a Pipeline of `workers` threads; one worker is the
 /// byte-reproducible reference. A null `plan` runs clean. The returned

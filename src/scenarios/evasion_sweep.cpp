@@ -1,6 +1,7 @@
 #include "scenarios/evasion_sweep.hpp"
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "kalis/siem_export.hpp"
@@ -44,13 +45,6 @@ const char* systemToken(scenarios::SystemKind system) {
     case scenarios::SystemKind::kSnort: return "snort";
   }
   return "?";
-}
-
-std::optional<scenarios::SystemKind> systemFromToken(std::string_view token) {
-  if (token == "kalis") return scenarios::SystemKind::kKalis;
-  if (token == "traditional") return scenarios::SystemKind::kTraditionalIds;
-  if (token == "snort") return scenarios::SystemKind::kSnort;
-  return std::nullopt;
 }
 
 SweepResult runSweep(const SweepOptions& options) {

@@ -11,7 +11,6 @@
 // subsystem.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +69,6 @@ SweepResult runSweep(const SweepOptions& options);
 
 /// Short system tokens for JSON/CLI: "kalis", "traditional", "snort".
 const char* systemToken(scenarios::SystemKind system);
-std::optional<scenarios::SystemKind> systemFromToken(std::string_view token);
 
 /// DiffRunner evasion lane, end to end: diffs one scenario's unperturbed
 /// alert stream (baseline) against the same scenario under `plan` (subject),

@@ -51,10 +51,6 @@ class InternetCloud {
     routerNode_ = routerNode;
   }
 
-  /// Round-trip latency between the local network and Internet hosts.
-  void setLatency(Duration oneWay) { latency_ = oneWay; }
-  Duration latency() const { return latency_; }
-
   /// Called by the router for every outbound packet.
   void deliverFromLocal(const net::Ipv4Header& ip, BytesView l4);
 
@@ -66,11 +62,13 @@ class InternetCloud {
   const std::vector<Host>& hosts() const { return hosts_; }
 
  private:
+  /// One-way latency between the local network and Internet hosts.
+  static constexpr Duration kLatency = milliseconds(20);
+
   std::vector<Host> hosts_;
   RouterAgent* router_ = nullptr;
   World* world_ = nullptr;
   NodeId routerNode_ = kInvalidNode;
-  Duration latency_ = milliseconds(20);
   std::uint8_t nextHostOctet_ = 1;
 };
 

@@ -58,8 +58,6 @@ class Simulator {
     while (!queue_.empty() && queue_.top().time <= hardStop) step();
   }
 
-  std::size_t pendingEvents() const { return queue_.size(); }
-
   // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) ----------
   const obs::Counter& eventsDispatched() const { return eventsDispatched_; }
   /// Queue depth at the last schedule, plus its high-water mark.

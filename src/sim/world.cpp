@@ -33,10 +33,6 @@ void NodeHandle::send(net::Medium medium, Bytes frame) {
   world_->send(id_, medium, std::move(frame));
 }
 
-void NodeHandle::scheduleAfter(Duration delay, std::function<void()> fn) {
-  world_->sim().schedule(delay, std::move(fn));
-}
-
 // --- World -------------------------------------------------------------------
 
 World::World(Simulator& sim) : sim_(sim), fadingRng_(sim.rng().fork()) {}
@@ -63,10 +59,6 @@ void World::enableRadio(NodeId id, net::Medium medium,
     radio.config = RadioConfig{d.txPowerDbm, d.sensitivityDbm, 0};
   }
   radio.enabled = true;
-}
-
-void World::disableRadio(NodeId id, net::Medium medium) {
-  nodes_.at(id).radios[mindex(medium)].enabled = false;
 }
 
 void World::setBehavior(NodeId id, std::unique_ptr<Behavior> behavior) {
@@ -120,7 +112,6 @@ std::optional<NodeId> World::nodeByMac16(net::Mac16 mac) const {
 const std::string& World::nameOf(NodeId id) const { return nodes_.at(id).name; }
 NodeRole World::roleOf(NodeId id) const { return nodes_.at(id).role; }
 Vec2 World::positionOf(NodeId id) const { return nodes_.at(id).position; }
-void World::setPosition(NodeId id, Vec2 pos) { nodes_.at(id).position = pos; }
 
 PropagationModel& World::propagation(net::Medium medium) {
   return propagation_[mindex(medium)];
@@ -162,14 +153,14 @@ void World::start() {
       });
     }
   }
-  sim_.schedule(mobilityTick_, [this] { mobilityTickFn(); });
+  sim_.schedule(kMobilityTick, [this] { mobilityTickFn(); });
 }
 
 void World::mobilityTickFn() {
   for (auto& node : nodes_) {
     if (node.mobility) node.position = node.mobility->positionAt(sim_.now());
   }
-  sim_.schedule(mobilityTick_, [this] { mobilityTickFn(); });
+  sim_.schedule(kMobilityTick, [this] { mobilityTickFn(); });
 }
 
 Duration txDuration(net::Medium medium, std::size_t frameBytes) {

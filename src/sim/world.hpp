@@ -56,7 +56,6 @@ class NodeHandle {
   Rng& rng();
   Vec2 position() const;
   void send(net::Medium medium, Bytes frame);
-  void scheduleAfter(Duration delay, std::function<void()> fn);
   World& world() { return *world_; }
 
  private:
@@ -122,7 +121,6 @@ class World {
   NodeId addNode(std::string name, NodeRole role, Vec2 pos);
   void enableRadio(NodeId id, net::Medium medium,
                    std::optional<RadioConfig> config = std::nullopt);
-  void disableRadio(NodeId id, net::Medium medium);
   void setBehavior(NodeId id, std::unique_ptr<Behavior> behavior);
   /// Registers promiscuous capture on one medium of one node (the IDS box).
   void addSniffer(NodeId id, net::Medium medium, SnifferCallback cb);
@@ -165,7 +163,6 @@ class World {
   const std::string& nameOf(NodeId id) const;
   NodeRole roleOf(NodeId id) const;
   Vec2 positionOf(NodeId id) const;
-  void setPosition(NodeId id, Vec2 pos);
   PropagationModel& propagation(net::Medium medium);
   NodeHandle handle(NodeId id) { return NodeHandle(this, id); }
 
@@ -179,9 +176,6 @@ class World {
   /// Per-packet loss probability applied after the RSSI threshold
   /// (models interference; 0 by default).
   void setLossProbability(net::Medium medium, double p);
-
-  /// How often mobile node positions are re-sampled.
-  void setMobilityTick(Duration tick) { mobilityTick_ = tick; }
 
  private:
   struct RadioState {
@@ -205,6 +199,9 @@ class World {
     SimTime downUntil = 0;  ///< injected crash (setDownFor), not revocation
   };
 
+  /// How often mobile node positions are re-sampled.
+  static constexpr Duration kMobilityTick = milliseconds(200);
+
   static std::size_t mindex(net::Medium m) { return static_cast<std::size_t>(m); }
   void deliver(NodeId from, net::Medium medium, const Bytes& frame);
   void mobilityTickFn();
@@ -213,7 +210,6 @@ class World {
   std::vector<NodeState> nodes_;
   std::array<PropagationModel, 3> propagation_;
   std::array<double, 3> lossProbability_{0.0, 0.0, 0.0};
-  Duration mobilityTick_ = milliseconds(200);
   bool started_ = false;
   Counters counters_;
   Rng fadingRng_;

@@ -1,6 +1,7 @@
 #include "trace/pcap.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -30,9 +31,12 @@ bool readPseudoHeader(BytesView bytes, net::CapturedPacket& pkt) {
   auto capturedBy = r.u32le();
   auto captureSeq = r.u64le();
   if (!captureSeq || *medium > 2) return false;
+  // Outside input: NaN or ±inf RSSI would break the modules' RSSI orderings.
+  const double rssiDbm = std::bit_cast<double>(*rssiBits);
+  if (!std::isfinite(rssiDbm)) return false;
   pkt.medium = static_cast<net::Medium>(*medium);
   pkt.meta.channel = static_cast<std::int32_t>(*channel);
-  pkt.meta.rssiDbm = std::bit_cast<double>(*rssiBits);
+  pkt.meta.rssiDbm = rssiDbm;
   pkt.meta.capturedBy = *capturedBy;
   pkt.meta.captureSeq = *captureSeq;
   return true;
@@ -156,18 +160,6 @@ Bytes serializePcap(const Trace& trace, std::uint32_t dlt) {
   PcapWriter w(dlt);
   for (const auto& pkt : trace) w.append(pkt);
   return w.buffer();
-}
-
-std::optional<net::VectorPacketSource> openPcapSource(const std::string& path) {
-  auto result = readPcapFile(path);
-  if (!result) return std::nullopt;
-  return net::VectorPacketSource(std::move(result->packets));
-}
-
-std::optional<net::VectorPacketSource> openKtrcSource(const std::string& path) {
-  auto result = readTraceFile(path);
-  if (!result) return std::nullopt;
-  return net::VectorPacketSource(std::move(result->packets));
 }
 
 }  // namespace kalis::trace

@@ -15,7 +15,13 @@
 //   medium u8 | channel i32 | rssiBits u64 (IEEE-754 double) | capturedBy u32
 //   | captureSeq u64
 // which preserves RxMeta losslessly (KTRC quantizes RSSI to deci-dBm; the
-// mixed pcap mode does not — required for byte-identical SIEM replay).
+// mixed pcap mode does not — required for byte-identical SIEM replay). The
+// pseudo-header is outside input: a record naming no Kalis medium or
+// carrying a non-finite RSSI (NaN, ±inf) ends the read like a truncated
+// record, keeping the packets before it.
+//
+// A read yields a Trace, which callers replay like any other recorded trace
+// (KalisNode::replayFeed per packet, or Pipeline::enqueueBatch).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +29,6 @@
 #include <string>
 
 #include "net/medium_dlt.hpp"
-#include "net/packet_source.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis::trace {
@@ -51,7 +56,7 @@ class PcapWriter {
 struct PcapReadResult {
   Trace packets;
   std::uint32_t dlt = 0;
-  bool truncated = false;  ///< true if a structurally bad record was hit
+  bool truncated = false;  ///< true if a bad record was hit (see top)
 };
 
 /// Parses a pcap byte stream. Frames whose DLT maps to no Kalis medium make
@@ -62,13 +67,5 @@ std::optional<PcapReadResult> readPcapFile(const std::string& path);
 
 /// Serializes a whole trace (convenience over PcapWriter).
 Bytes serializePcap(const Trace& trace, std::uint32_t dlt);
-
-/// Opens a pcap file (any supported DLT, incl. mixed) as a PacketSource over
-/// its parsed packets — the unified ingestion seam for recorded captures
-/// (see net/packet_source.hpp). nullopt when the file is unreadable.
-std::optional<net::VectorPacketSource> openPcapSource(const std::string& path);
-
-/// Opens a KTRC trace file as a PacketSource, like openPcapSource.
-std::optional<net::VectorPacketSource> openKtrcSource(const std::string& path);
 
 }  // namespace kalis::trace

@@ -118,21 +118,4 @@ Trace mergeTraces(const Trace& a, const Trace& b) {
   return merged;
 }
 
-void replay(const Trace& trace,
-            const std::function<void(const net::CapturedPacket&)>& sink) {
-  for (const auto& pkt : trace) sink(pkt);
-}
-
-void replayInto(sim::Simulator& sim, Trace trace,
-                std::function<void(const net::CapturedPacket&)> sink) {
-  auto shared = std::make_shared<Trace>(std::move(trace));
-  auto sharedSink =
-      std::make_shared<std::function<void(const net::CapturedPacket&)>>(
-          std::move(sink));
-  for (std::size_t i = 0; i < shared->size(); ++i) {
-    const SimTime t = (*shared)[i].meta.timestamp;
-    sim.at(t, [shared, sharedSink, i] { (*sharedSink)((*shared)[i]); });
-  }
-}
-
 }  // namespace kalis::trace

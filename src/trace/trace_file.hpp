@@ -3,9 +3,10 @@
 // The paper's evaluation records traces of real device traffic and replays
 // them with attack symptoms spliced in (§VI-A). This module provides the
 // same workflow: serialize CapturedPackets to disk or memory, read them
-// back, merge traces, and replay them through a sink — either immediately
-// (offline analysis) or paced through a Simulator (online detection, with
-// the Data Store replaying "transparently to the detection modules").
+// back and merge traces. A Trace is the one form recorded traffic takes on
+// the way into an engine: callers loop KalisNode::replayFeed over it, which
+// advances the node's clock to each capture timestamp so detection runs "as
+// if operating on live traffic", or hand it to Pipeline::enqueueBatch.
 //
 // Record layout (all integers little-endian):
 //   file   := magic("KTRC") u32 | version u16 | record*
@@ -14,13 +15,11 @@
 // The CRC covers the record from `medium` through the frame bytes.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/simulator.hpp"
 
 namespace kalis::trace {
 
@@ -55,14 +54,5 @@ Bytes serializeTrace(const Trace& trace);
 /// Merges traces by timestamp (stable for ties) — how attack symptom
 /// packets get spliced into a recorded benign trace.
 Trace mergeTraces(const Trace& a, const Trace& b);
-
-/// Immediately pushes every packet into the sink, in order.
-void replay(const Trace& trace,
-            const std::function<void(const net::CapturedPacket&)>& sink);
-
-/// Schedules each packet at its recorded timestamp on the simulator clock,
-/// so detection runs exactly as if the traffic were live.
-void replayInto(sim::Simulator& sim, Trace trace,
-                std::function<void(const net::CapturedPacket&)> sink);
 
 }  // namespace kalis::trace

@@ -58,12 +58,6 @@ bool iequals(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::optional<long long> parseInt(std::string_view s) {
   s = trim(s);
   if (s.empty()) return std::nullopt;

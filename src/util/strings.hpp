@@ -24,8 +24,6 @@ bool endsWith(std::string_view s, std::string_view suffix);
 /// Case-insensitive ASCII equality.
 bool iequals(std::string_view a, std::string_view b);
 
-std::string toLower(std::string_view s);
-
 /// Strict integer / double / bool parsing: the whole string must be consumed.
 std::optional<long long> parseInt(std::string_view s);
 std::optional<double> parseDouble(std::string_view s);

@@ -1,6 +1,6 @@
 // Data Store and KTRC trace-format tests: the sliding packet window, the
-// disk log round trip, corruption handling, merge-based symptom splicing,
-// and timed replay ("transparently to the detection modules").
+// disk log round trip, corruption handling and merge-based symptom
+// splicing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -104,30 +104,6 @@ TEST(TraceFile, MergeSplicesByTimestamp) {
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].meta.timestamp, merged[i].meta.timestamp);
   }
-}
-
-TEST(TraceFile, ReplayPreservesOrder) {
-  trace::Trace traceData = {packetAt(seconds(1), 1), packetAt(seconds(2), 2)};
-  std::vector<std::uint8_t> seen;
-  trace::replay(traceData, [&](const net::CapturedPacket& pkt) {
-    seen.push_back(pkt.raw[9]);  // first payload byte (src tag)
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint8_t>{1, 2}));
-}
-
-TEST(TraceFile, ReplayIntoHonorsTimestamps) {
-  sim::Simulator simulator(1);
-  trace::Trace traceData = {packetAt(seconds(5), 1), packetAt(seconds(9), 2)};
-  std::vector<SimTime> deliveredAt;
-  trace::replayInto(simulator, traceData, [&](const net::CapturedPacket&) {
-    deliveredAt.push_back(simulator.now());
-  });
-  simulator.runUntil(seconds(7));
-  EXPECT_EQ(deliveredAt.size(), 1u);
-  simulator.runUntil(seconds(10));
-  ASSERT_EQ(deliveredAt.size(), 2u);
-  EXPECT_EQ(deliveredAt[0], seconds(5));
-  EXPECT_EQ(deliveredAt[1], seconds(9));
 }
 
 // --- DataStore -------------------------------------------------------------------------

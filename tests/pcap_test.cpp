@@ -1,12 +1,13 @@
-// trace::pcap + the unified PacketSource ingestion seam.
+// trace::pcap.
 //
 // Covers: classic-pcap write→read roundtrips (homogeneous DLTs and the
 // mixed DLT_USER0 mode with its lossless RxMeta pseudo-header), the shared
-// medium↔DLT table, malformed/unsupported inputs, PacketSource draining,
-// and the equivalence guarantees the seam promises: KalisNode::consume and
-// Pipeline::enqueueFrom reproduce the direct replay-feed paths alert for
-// alert — including after a pcap dump/reload cycle.
+// medium↔DLT table, malformed/unsupported inputs (including pseudo-headers
+// naming no medium or carrying a non-finite RSSI), the file round trip, and
+// the --dump-pcap/--pcap guarantee: a trace replays alert for alert after a
+// pcap dump/reload cycle.
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,9 +16,6 @@
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "net/medium_dlt.hpp"
-#include "net/packet_source.hpp"
-#include "pipeline/kalis_engine.hpp"
-#include "pipeline/pipeline.hpp"
 #include "recorded_captures.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_file.hpp"
@@ -146,141 +144,103 @@ TEST(Pcap, TruncatedRecordRecoversPrefix) {
   EXPECT_EQ(read->packets[0].raw, (Bytes{0x01, 0x02}));
 }
 
-// --- file I/O + PacketSource draining ---------------------------------------------
+TEST(Pcap, NonFiniteRssiEndsTheReadAndKeepsThePrefix) {
+  // The mixed-mode pseudo-header stores RSSI as raw double bits, so a
+  // crafted file can carry NaN or ±inf; none of them may reach the modules.
+  for (const double rssi : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(rssi);
+    trace::Trace original;
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      original.push_back(makePacket(net::Medium::kWifi, 1 + i, {i}));
+    }
+    original[1].meta.rssiDbm = rssi;
+    const Bytes file = trace::serializePcap(original, net::kDltKalisMixed);
+    const auto read = trace::readPcap(BytesView(file));
+    ASSERT_TRUE(read.has_value());
+    EXPECT_TRUE(read->truncated);
+    ASSERT_FALSE(read->packets.empty());
+    EXPECT_EQ(read->packets.size(), 1u);
+    EXPECT_EQ(read->packets[0].raw, Bytes{0x00});
+  }
+}
 
-TEST(Pcap, FileTraceSourceDrainsOnceThenStaysEmpty) {
+TEST(Pcap, UnknownMediumByteEndsTheReadAndKeepsThePrefix) {
+  trace::Trace original;
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    original.push_back(makePacket(net::Medium::kWifi, 1 + i, {i}));
+  }
+  Bytes file = trace::serializePcap(original, net::kDltKalisMixed);
+  // 24-byte file header, then per record a 16-byte record header, the
+  // 25-byte pseudo-header (medium byte first) and one frame byte.
+  const std::size_t secondMedium = 24 + (16 + 25 + 1) + 16;
+  ASSERT_EQ(file[secondMedium], static_cast<std::uint8_t>(net::Medium::kWifi));
+  file[secondMedium] = 3;  // one past kBluetooth
+  const auto read = trace::readPcap(BytesView(file));
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->truncated);
+  ASSERT_EQ(read->packets.size(), 1u);
+  EXPECT_EQ(read->packets[0].raw, Bytes{0x00});
+}
+
+// --- file I/O ---------------------------------------------------------------------
+
+TEST(Pcap, FileRoundTripAndMissingFile) {
   trace::Trace original;
   for (int i = 0; i < 5; ++i) {
     original.push_back(makePacket(net::Medium::kBluetooth, 10 + i,
                                   {static_cast<std::uint8_t>(i)}));
   }
-  const std::string path = tempPath("kalis_pcap_source_test.pcap");
+  const std::string path = tempPath("kalis_pcap_file_test.pcap");
   trace::PcapWriter writer(net::kDltKalisMixed);
   for (const auto& pkt : original) writer.append(pkt);
   ASSERT_TRUE(writer.writeFile(path));
 
-  auto source = trace::openPcapSource(path);
-  ASSERT_TRUE(source.has_value());
-  EXPECT_EQ(source->remaining(), original.size());
-  std::size_t drained = 0;
-  while (auto pkt = source->next()) {
-    EXPECT_EQ(pkt->raw, original[drained].raw);
-    ++drained;
+  const auto read = trace::readPcapFile(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->dlt, net::kDltKalisMixed);
+  EXPECT_FALSE(read->truncated);
+  ASSERT_EQ(read->packets.size(), original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(read->packets[i].raw, original[i].raw);
+    EXPECT_EQ(read->packets[i].meta.timestamp, original[i].meta.timestamp);
   }
-  EXPECT_EQ(drained, original.size());
-  EXPECT_EQ(source->remaining(), 0u);
-  EXPECT_FALSE(source->next().has_value());  // exhausted stays exhausted
-  std::filesystem::remove(path);
 
-  EXPECT_FALSE(trace::openPcapSource("/nonexistent/kalis.pcap").has_value());
+  EXPECT_FALSE(trace::readPcapFile("/nonexistent/kalis.pcap").has_value());
 }
 
-TEST(Pcap, KtrcSourceDrainsTheSameSeam) {
-  trace::Trace original;
-  original.push_back(makePacket(net::Medium::kIeee802154, 5, {0x61, 0x88}));
-  const std::string path = tempPath("kalis_pcap_ktrc_source_test.ktrc");
-  trace::TraceWriter writer;
-  for (const auto& pkt : original) writer.append(pkt);
-  ASSERT_TRUE(writer.writeFile(path));
+// --- dump → reload → replay -------------------------------------------------------
 
-  auto source = trace::openKtrcSource(path);
-  ASSERT_TRUE(source.has_value());
-  auto pkt = source->next();
-  ASSERT_TRUE(pkt.has_value());
-  EXPECT_EQ(pkt->raw, original[0].raw);
-  EXPECT_FALSE(source->next().has_value());
-  std::filesystem::remove(path);
-}
-
-// --- ingestion-seam equivalence ---------------------------------------------------
-
-/// The short ICMP-flood capture, cached — three equivalence tests below
-/// replay it.
-const trace::Trace& attackTrace() {
-  static const scenarios::Capture capture = recorded::recordShortIcmpFlood(21);
-  return capture.packets;
-}
-
-/// Replays a source through a fresh node via consume(); returns SIEM lines.
-std::vector<std::string> consumeAlerts(net::PacketSource& source) {
+/// Replays a trace through a fresh node, packet by packet via replayFeed;
+/// returns the SIEM lines.
+std::vector<std::string> replayAlerts(const trace::Trace& trace) {
   sim::Simulator sim(7);
   ids::KalisNode node(sim);
   node.useStandardLibrary();
   node.start();
-  node.consume(source);
+  for (const auto& pkt : trace) node.replayFeed(pkt);
   sim.runUntil(seconds(30));
   std::vector<std::string> lines;
   for (const ids::Alert& a : node.alerts()) lines.push_back(ids::toSiemJson(a));
   return lines;
 }
 
-TEST(PacketSourceSeam, ConsumeMatchesDirectReplayFeed) {
-  const trace::Trace& trace = attackTrace();
-  ASSERT_GT(trace.size(), 100u);
-
-  sim::Simulator directSim(7);
-  ids::KalisNode direct(directSim);
-  direct.useStandardLibrary();
-  direct.start();
-  for (const auto& pkt : trace) direct.replayFeed(pkt);
-  directSim.runUntil(seconds(30));
-  std::vector<std::string> expected;
-  for (const ids::Alert& a : direct.alerts()) {
-    expected.push_back(ids::toSiemJson(a));
-  }
+TEST(Pcap, DumpReloadReplaysByteIdentically) {
+  const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
+  const std::vector<std::string> expected = replayAlerts(trace);
   ASSERT_GT(expected.size(), 0u) << "attack trace raised no alerts";
-
-  net::VectorPacketSource source(trace);
-  EXPECT_EQ(consumeAlerts(source), expected);
-}
-
-TEST(PacketSourceSeam, PcapDumpReloadReplaysByteIdentically) {
-  const trace::Trace& trace = attackTrace();
-  net::VectorPacketSource memorySource(trace);
-  const std::vector<std::string> expected = consumeAlerts(memorySource);
-  ASSERT_GT(expected.size(), 0u);
 
   // Dump → reload through the mixed-mode pcap format, then replay the
   // reloaded packets through an identical fresh engine: the SIEM stream
   // must not change by a single byte (the --dump-pcap/--pcap contract).
   const Bytes file = trace::serializePcap(trace, net::kDltKalisMixed);
-  auto read = trace::readPcap(BytesView(file));
+  const auto read = trace::readPcap(BytesView(file));
   ASSERT_TRUE(read.has_value());
+  EXPECT_FALSE(read->truncated);
   ASSERT_EQ(read->packets.size(), trace.size());
-  net::VectorPacketSource pcapSource(std::move(read->packets));
-  EXPECT_EQ(consumeAlerts(pcapSource), expected);
-}
-
-TEST(PacketSourceSeam, PipelineEnqueueFromMatchesPerPacketEnqueue) {
-  const trace::Trace& trace = attackTrace();
-  const auto runWith = [&](bool viaSource) {
-    pipeline::Options opts;
-    opts.workers = 1;
-    pipeline::KalisEngineOptions engineOpts;
-    engineOpts.seedBase = 7;
-    engineOpts.drainUntil = seconds(30);
-    engineOpts.configure = [](ids::KalisNode& node) {
-      node.useStandardLibrary();
-    };
-    pipeline::Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
-    pipe.start();
-    if (viaSource) {
-      net::VectorPacketSource source(trace);
-      EXPECT_EQ(pipe.enqueueFrom(source), trace.size());
-    } else {
-      for (const auto& pkt : trace) EXPECT_TRUE(pipe.enqueue(pkt));
-    }
-    pipe.stop();
-    std::vector<std::string> lines;
-    for (const ids::Alert& a : pipe.alerts()) {
-      lines.push_back(ids::toSiemJson(a));
-    }
-    return lines;
-  };
-  const std::vector<std::string> perPacket = runWith(false);
-  const std::vector<std::string> viaSeam = runWith(true);
-  ASSERT_GT(perPacket.size(), 0u);
-  EXPECT_EQ(viaSeam, perPacket);
+  EXPECT_EQ(replayAlerts(read->packets), expected);
 }
 
 }  // namespace

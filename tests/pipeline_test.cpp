@@ -800,6 +800,44 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
   }
 }
 
+/// Recorded traffic enters a pipeline through enqueueBatch, whole or in
+/// chunks (trace_replay hands it over 1024 packets at a time); either way a
+/// one-worker pipeline emits exactly what per-packet enqueue() does.
+TEST(PipelineDeterminism, EnqueueBatchWholeAndChunkedMatchPerPacketEnqueue) {
+  const scenarios::Capture capture = recorded::recordHomeFloods(7);
+  const trace::Trace& trace = capture.packets;
+  constexpr std::size_t kChunk = 1024;
+  ASSERT_GT(trace.size(), 2 * kChunk);
+  // chunk == 0: one enqueue() per packet.
+  const auto runWith = [&](std::size_t chunk) {
+    pipeline::Options opts;
+    opts.workers = 1;
+    pipeline::KalisEngineOptions engineOpts;
+    engineOpts.seedBase = 7;
+    engineOpts.drainUntil = capture.end;
+    engineOpts.configure = [](ids::KalisNode& node) {
+      node.useStandardLibrary();
+    };
+    Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+    pipe.start();
+    if (chunk == 0) {
+      for (const auto& pkt : trace) EXPECT_TRUE(pipe.enqueue(pkt));
+    } else {
+      for (std::size_t i = 0; i < trace.size(); i += chunk) {
+        const std::size_t n = std::min(chunk, trace.size() - i);
+        EXPECT_EQ(pipe.enqueueBatch(trace.data() + i, n), n);
+      }
+    }
+    pipe.stop();
+    EXPECT_EQ(pipe.stats().processed, trace.size());
+    return siemLinesOf(pipe.alerts());
+  };
+  const std::vector<std::string> perPacket = runWith(0);
+  ASSERT_FALSE(perPacket.empty()) << "attack trace raised no alerts";
+  EXPECT_EQ(runWith(trace.size()), perPacket);
+  EXPECT_EQ(runWith(kChunk), perPacket);
+}
+
 /// Multi-worker mode on the same trace still finds the flood (all flood
 /// packets share one link source, so one shard owns the whole attack).
 TEST(PipelineDeterminism, ThreadedModeStillDetectsFlood) {
