@@ -12,9 +12,12 @@
 //
 //   ./bench_fleet [--smoke] [--max-homes N] [--rounds R] [--workers W]
 //
-// Default mode sweeps {1k, 10k, max-homes} CoW + {1k, 10k} naive and emits
-// BENCH_fleet.json (the committed acceptance artifact; scripts/perf_gate.py
-// gates pps and --max-rss-per-home against it).
+// Default mode sweeps {1k, 10k, max-homes} CoW + {1k, 10k} naive, emits
+// BENCH_fleet.json and exits non-zero unless every run propagates within the
+// staleness bound with closed exchange accounting, the largest CoW run stays
+// within kMaxRssPerHomeBytes resident bytes per home, and that run's exact
+// KB bytes per home undercut every naive run's. Wall-clock pps is reported,
+// not gated.
 //
 // --smoke runs one small fleet and hard-asserts the correctness
 // invariants CI relies on: the novel signature activates, every home
@@ -55,6 +58,11 @@ void trimHeap() {
   ::malloc_trim(0);
 #endif
 }
+
+/// Resident-set budget per home for the largest CoW run: about 4x the
+/// ~1.1 KiB recorded in BENCH_fleet.json, headroom for allocator and kernel
+/// variance. RSS is not exact, so it gets an absolute budget, not a diff.
+constexpr double kMaxRssPerHomeBytes = 4096;
 
 struct RunResult {
   std::string name;
@@ -266,6 +274,25 @@ int main(int argc, char** argv) {
   bool allOk = true;
   for (const RunResult& r : results) {
     if (!r.withinBound || !accountingCloses(r.exchange)) allOk = false;
+  }
+  // The CoW runs come first, ascending: the last of them is the largest.
+  const RunResult& biggestCow = results[cowSizes.size() - 1];
+  if (biggestCow.rssPerHomeBytes > kMaxRssPerHomeBytes) {
+    std::fprintf(stderr,
+                 "bench_fleet: %s uses %.0f RSS bytes/home (budget %.0f)\n",
+                 biggestCow.name.c_str(), biggestCow.rssPerHomeBytes,
+                 kMaxRssPerHomeBytes);
+    allOk = false;
+  }
+  for (const RunResult& r : results) {
+    if (r.shareBaseline || biggestCow.kbBytesPerHome < r.kbBytesPerHome) {
+      continue;
+    }
+    std::fprintf(stderr,
+                 "bench_fleet: %s KB bytes/home %.0f not below %s's %.0f\n",
+                 biggestCow.name.c_str(), biggestCow.kbBytesPerHome,
+                 r.name.c_str(), r.kbBytesPerHome);
+    allOk = false;
   }
 
   const std::string jsonPath = "BENCH_fleet.json";

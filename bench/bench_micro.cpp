@@ -5,21 +5,15 @@
 // CPU column.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "baseline/snort_engine.hpp"
 #include "kalis/entity_map.hpp"
 #include "kalis/kalis_node.hpp"
 #include "metrics/metrics_export.hpp"
-#include "net/ble.hpp"
 #include "net/codec.hpp"
-#include "net/ctp.hpp"
 #include "net/dissect_legacy.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
@@ -154,8 +148,8 @@ void BM_EntityStateTouch_StringKey(benchmark::State& state) {
 BENCHMARK(BM_EntityStateTouch_StringKey);
 
 // The serializer half of the codec roundtrip (net/codec.hpp): re-emitting
-// the wire bytes of an already-dissected frame. Gated by BENCH_codec.json —
-// see dumpCodecBench() below.
+// the wire bytes of an already-dissected frame. Reported, not gated: its
+// allocations per packet are pinned exactly by kalis_alloc_tests.
 void BM_SerializeDissection(benchmark::State& state) {
   const net::CapturedPacket pkt = makeIcmpPacket(7);
   const net::Dissection dis = net::dissect(pkt);
@@ -201,78 +195,6 @@ void BM_TraceRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRoundTrip);
 
-/// Post-benchmark codec sweep: wall-clock throughput of serialize() and of
-/// the full dissect→serialize roundtrip over a three-medium packet mix,
-/// written as BENCH_codec.json — the artifact scripts/perf_gate.py diffs
-/// against the committed baseline of the same name.
-void dumpCodecBench() {
-  std::vector<net::CapturedPacket> pkts;
-  pkts.push_back(makeIcmpPacket(7));  // wifi / llc-snap / ipv4 / icmp
-  {
-    net::CtpData data;
-    data.thl = 3;
-    data.etx = 40;
-    data.origin = net::Mac16{0x0004};
-    data.seqno = 9;
-    data.payload = bytesOf("ctpdata");
-    net::Ieee802154Frame f;
-    f.type = net::WpanFrameType::kData;
-    f.seq = 12;
-    f.panId = 0x22;
-    f.dst = net::Mac16{0x0001};
-    f.src = net::Mac16{0x0004};
-    f.payload = net::wrapTinyosAm(net::kAmCtpData, BytesView(data.encode()));
-    net::CapturedPacket pkt;
-    pkt.medium = net::Medium::kIeee802154;
-    pkt.raw = f.encode();
-    pkts.push_back(std::move(pkt));
-  }
-  {
-    net::BleAdvPdu pdu;
-    pdu.type = net::BlePduType::kAdvInd;
-    pdu.advAddr = net::Mac48{{2, 0, 0, 0, 0, 9}};
-    pdu.advData = bytesOf("\x02\x01\x06");
-    net::CapturedPacket pkt;
-    pkt.medium = net::Medium::kBluetooth;
-    pkt.raw = pdu.encode();
-    pkts.push_back(std::move(pkt));
-  }
-  std::vector<net::Dissection> dis;
-  dis.reserve(pkts.size());
-  for (const auto& pkt : pkts) dis.push_back(net::dissect(pkt));
-
-  const auto timed = [&](auto&& body) {
-    constexpr std::uint64_t kIters = 300000;
-    const auto begin = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < kIters; ++i) body(i % pkts.size());
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-            .count();
-    return sec > 0 ? static_cast<double>(kIters) / sec : 0.0;
-  };
-  const double serializePps =
-      timed([&](std::size_t i) { benchmark::DoNotOptimize(net::serialize(dis[i])); });
-  const double roundtripPps = timed([&](std::size_t i) {
-    benchmark::DoNotOptimize(net::serialize(net::dissect(pkts[i])));
-  });
-
-  const char* jsonPath = "BENCH_codec.json";
-  std::ofstream out(jsonPath, std::ios::trunc);
-  out << "{\n  \"bench\": \"codec\",\n";
-  out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ",\n  \"runs\": [\n";
-  out << "    {\"name\": \"serialize_mixed\", \"pps\": " << serializePps
-      << "},\n";
-  out << "    {\"name\": \"dissect_serialize_roundtrip\", \"pps\": "
-      << roundtripPps << "}\n";
-  out << "  ]\n}\n";
-  out.close();
-  std::fprintf(stderr,
-               "bench_micro: codec throughput (serialize %.0f pps, roundtrip "
-               "%.0f pps) written to %s\n",
-               serializePps, roundtripPps, out ? jsonPath : "<failed>");
-}
-
 /// Post-benchmark instrumented sweep: a fixed packet mix through the full
 /// engine, dumped as the kalis::obs metrics JSON (per-module packet counts
 /// and latency histograms) that CI uploads as an artifact.
@@ -301,7 +223,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  dumpCodecBench();
   dumpEngineMetrics();
   return 0;
 }

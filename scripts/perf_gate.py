@@ -1,217 +1,130 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the bench JSON artifacts.
+"""Wall-clock performance gate: the repo benchmark on a base tree and a head tree.
 
-Compares a freshly produced BENCH_pipeline.json / BENCH_chaos.json against
-the committed baseline of the same name and fails (exit 1) when any matched
-run's packets-per-second drops by more than the tolerance (default 10%).
-Faster-than-baseline runs always pass; new runs with no baseline entry are
-reported but do not fail the gate (the baseline should be refreshed to
-include them).
+    scripts/perf_gate.py BASE HEAD
 
-Usage:
-  scripts/perf_gate.py --baseline BENCH_pipeline.json \
-                       --current build/bench/BENCH_pipeline.json \
-                       [--tolerance 0.10]
+BASE and HEAD are two checkouts of the repository, for a pull request its
+base and its head. For every workload BENCHMARK.json declares, the script
+runs BENCHMARK.json's command (perfbench/run.py, untraced) in each tree,
+PAIRS times, alternating which tree runs first, with the same seed and run
+length on both sides. It compares the medians of the pps the runs report.
+The only threshold is BENCHMARK.json's own bound on pps:
 
-Runs are matched by a stable identity: (name, workers, exchange) for
-pipeline runs, (name, workers) for chaos pipeline runs, and (name,) for
-chaos scenario rows (scenario rows gate on wall_sec growth instead of pps).
-When the baseline was recorded on a machine with a different
-hardware_concurrency the pps comparison is apples-to-oranges; the gate
-widens the tolerance to --cross-machine-tolerance (default 35%) and says
-so, rather than silently passing or spuriously failing.
+    fail        a run's last line says "correct": false or "failed" > 0,
+                or head's median pps is below base's by more than the bound;
+    unresolved  base's interquartile range, relative to its median, is wider
+                than the bound, so the runs cannot tell a regression of that
+                size from noise (reported; does not fail the gate);
+    pass        otherwise.
 
-Multi-core scaling gate (--min-scaling-efficiency): additionally require
-the current run's N-worker, exchange-off pipeline row (N =
---scaling-workers, default 4) to reach at least the given speedup over the
-synchronous path. This is an absolute threshold on the *current* machine,
-not a baseline diff, and it only makes sense on hardware with at least N
-cores — on smaller runners it is skipped with a notice (core counts are
-recorded in the BENCH JSON precisely so multi-core expectations are never
-held against single-core runs).
+When perfbench/ or BENCHMARK.json differ between the trees, the two sides
+measure different things: the script says so and compares nothing. A
+benchmark change sets a new baseline.
 
-Fleet memory gate (--max-rss-per-home BYTES): for BENCH_fleet.json, require
-the largest shared-baseline (CoW) run's resident-set delta per home to stay
-under the given absolute byte budget. Like the scaling gate this checks the
-*current* run, not a baseline diff — RSS is allocator- and kernel-
-dependent, so an absolute budget with headroom beats a brittle percentage
-diff. The gate also re-asserts the sublinearity claim: the CoW run must
-beat every naive (private-copy) run's per-home KB bytes.
+Exit status: 0 when no workload fails, 1 when one does, 2 on bad usage or a
+run that printed no JSON line (for example a build failure).
 """
 
-import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
 
+PAIRS = 5          # base/head run pairs per workload
+RUN_SECONDS = 3    # perfbench --seconds, the same for both trees
+SEED = 1           # perfbench --seed, the same for both trees
 
-def load(path):
+
+def decide(base_runs, head_runs, bound):
+    """Verdict for one workload from the last JSON line of every run.
+
+    Returns (status, detail) with status "pass", "fail" or "unresolved".
+    """
+    for side, runs in (("base", base_runs), ("head", head_runs)):
+        for run in runs:
+            if run.get("correct") is not True or run.get("failed", 0) > 0:
+                return "fail", (f"a {side} run reported correct="
+                                f"{run.get('correct')} failed={run.get('failed')}")
+    base = [run["metrics"]["pps"]["value"] for run in base_runs]
+    head = [run["metrics"]["pps"]["value"] for run in head_runs]
+    base_median = statistics.median(base)
+    head_median = statistics.median(head)
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    spread = (q3 - q1) / base_median
+    change = head_median / base_median - 1.0
+    detail = (f"pps median base {base_median:.0f} (IQR {spread:.1%}), "
+              f"head {head_median:.0f} ({change:+.1%}); bound {bound:.0%}")
+    if spread > bound:
+        return "unresolved", detail
+    if change < -bound:
+        return "fail", detail
+    return "pass", detail
+
+
+def benchmark_files(tree):
+    """BENCHMARK.json and every file under perfbench/, by relative path."""
+    files = {}
+    paths = [os.path.join(tree, "BENCHMARK.json")]
+    for dirpath, _, names in os.walk(os.path.join(tree, "perfbench")):
+        paths += [os.path.join(dirpath, name) for name in names]
+    for path in paths:
+        with open(path, "rb") as f:
+            files[os.path.relpath(path, tree)] = f.read()
+    return files
+
+
+def run_once(tree, command, workload):
+    """Runs one untraced benchmark pass in `tree`; returns its last JSON line."""
+    argv = command + ["--workload", workload, "--seed", str(SEED),
+                      "--seconds", str(RUN_SECONDS), "--trace", "0"]
+    out = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE,
+                         text=True).stdout
+    lines = out.strip().splitlines()
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"perf_gate: cannot read {path}: {e}", file=sys.stderr)
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        print(f"perf_gate: {workload} in {tree} printed no JSON line",
+              file=sys.stderr)
         sys.exit(2)
-
-
-def run_identity(run):
-    """Stable key for matching a run between baseline and current."""
-    key = [run.get("name", "?")]
-    if "workers" in run:
-        key.append(f"workers={run['workers']}")
-    if "exchange" in run:
-        key.append(f"exchange={run['exchange']}")
-    return " ".join(str(k) for k in key)
-
-
-def collect_runs(doc):
-    """Yield (identity, metric_name, value, higher_is_better) per gated row."""
-    for run in doc.get("runs", []) + doc.get("pipeline_runs", []):
-        if "pps" in run:
-            yield run_identity(run), "pps", float(run["pps"]), True
-    for run in doc.get("scenario_runs", []):
-        if "wall_sec" in run:
-            yield run_identity(run), "wall_sec", float(run["wall_sec"]), False
-
-
-def scaling_gate(cur_doc, workers, threshold):
-    """Absolute multi-core scaling check on the current run.
-
-    Returns a list of failure identities (empty on pass/skip). Skips with a
-    notice when the runner has fewer cores than `workers` — a single-core
-    machine cannot beat its own synchronous path and the BENCH JSON records
-    hardware_concurrency exactly so this gate never compares across unlike
-    machines.
-    """
-    cores = cur_doc.get("hardware_concurrency")
-    if cores is None or cores < workers:
-        print(f"perf_gate: SKIP scaling gate — runner has "
-              f"{cores if cores is not None else 'unknown'} core(s), "
-              f"needs >= {workers}")
-        return []
-    for run in cur_doc.get("runs", []):
-        if run.get("workers") != workers or run.get("exchange") is not False:
-            continue
-        speedup = float(run.get("speedup", 0.0))
-        ok = speedup >= threshold
-        print(f"perf_gate: {'ok   ' if ok else 'FAIL '}scaling "
-              f"{run_identity(run)}: speedup vs synchronous "
-              f"{speedup:.2f}x (need >= {threshold:.2f}x on "
-              f"{cores} cores)")
-        return [] if ok else [f"scaling {run_identity(run)}"]
-    print(f"perf_gate: FAIL scaling — no exchange-off run with "
-          f"workers={workers} in current JSON", file=sys.stderr)
-    return [f"scaling workers={workers} missing"]
-
-
-def rss_gate(cur_doc, limit_bytes):
-    """Absolute per-home memory check on the current fleet run.
-
-    Gates the biggest shared-baseline (CoW) run's rss_per_home_bytes against
-    the budget, and requires its exact per-home KB bytes to undercut every
-    naive run's (the sublinear-memory acceptance criterion of the fleet
-    bench). Returns a list of failure identities (empty on pass).
-    """
-    cow = [r for r in cur_doc.get("runs", [])
-           if r.get("share_baseline") is True and "rss_per_home_bytes" in r]
-    if not cow:
-        print("perf_gate: FAIL rss — no shared-baseline fleet run with "
-              "rss_per_home_bytes in current JSON", file=sys.stderr)
-        return ["rss no cow run"]
-    biggest = max(cow, key=lambda r: r.get("homes", 0))
-    failures = []
-    rss = float(biggest["rss_per_home_bytes"])
-    ok = rss <= limit_bytes
-    print(f"perf_gate: {'ok   ' if ok else 'FAIL '}rss "
-          f"{run_identity(biggest)}: {rss:.0f} bytes/home "
-          f"(budget {limit_bytes:.0f}, {biggest.get('homes', '?')} homes)")
-    if not ok:
-        failures.append(f"rss {run_identity(biggest)}")
-    cow_kb = float(biggest.get("kb_bytes_per_home", 0.0))
-    for run in cur_doc.get("runs", []):
-        if run.get("share_baseline") is not False:
-            continue
-        naive_kb = float(run.get("kb_bytes_per_home", 0.0))
-        ok = cow_kb < naive_kb
-        print(f"perf_gate: {'ok   ' if ok else 'FAIL '}rss sublinearity: "
-              f"cow {cow_kb:.0f} vs naive {run_identity(run)} "
-              f"{naive_kb:.0f} kb-bytes/home")
-        if not ok:
-            failures.append(f"rss sublinearity vs {run_identity(run)}")
-    return failures
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", required=True)
-    ap.add_argument("--current", required=True)
-    ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="max fractional regression before failing (0.10 = 10%%)")
-    ap.add_argument("--cross-machine-tolerance", type=float, default=0.35,
-                    help="tolerance when hardware_concurrency differs")
-    ap.add_argument("--min-scaling-efficiency", type=float, default=None,
-                    help="minimum speedup (pps vs synchronous) required of "
-                         "the --scaling-workers exchange-off pipeline run; "
-                         "skipped when the runner has fewer cores than that")
-    ap.add_argument("--scaling-workers", type=int, default=4,
-                    help="worker count the scaling gate inspects (default 4)")
-    ap.add_argument("--max-rss-per-home", type=float, default=None,
-                    help="absolute byte budget for the largest CoW fleet "
-                         "run's resident-set delta per home (BENCH_fleet)")
-    args = ap.parse_args()
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    base_tree, head_tree = sys.argv[1], sys.argv[2]
+    if benchmark_files(base_tree) != benchmark_files(head_tree):
+        print("perf_gate: perfbench/ or BENCHMARK.json differ between the "
+              "trees; nothing compared (a benchmark change sets a new "
+              "baseline)")
+        return 0
+    with open(os.path.join(head_tree, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "pps")
 
-    base_doc = load(args.baseline)
-    cur_doc = load(args.current)
+    failed = []
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = {base_tree: [], head_tree: []}
+        for pair in range(PAIRS):
+            order = (base_tree, head_tree) if pair % 2 == 0 else (head_tree,
+                                                                  base_tree)
+            for tree in order:
+                run = run_once(tree, bench["command"], workload)
+                runs[tree].append(run)
+                side = "base" if tree == base_tree else "head"
+                print(f"perf_gate: {workload} pair {pair + 1} {side}: "
+                      f"pps {run['metrics']['pps']['value']:.0f}", flush=True)
+        status, detail = decide(runs[base_tree], runs[head_tree], bound)
+        print(f"perf_gate: {status.upper()} {workload}: {detail}", flush=True)
+        if status == "fail":
+            failed.append(workload)
 
-    tol = args.tolerance
-    base_hw = base_doc.get("hardware_concurrency")
-    cur_hw = cur_doc.get("hardware_concurrency")
-    if base_hw is not None and cur_hw is not None and base_hw != cur_hw:
-        tol = max(tol, args.cross_machine_tolerance)
-        print(f"perf_gate: baseline hardware_concurrency={base_hw} != "
-              f"current {cur_hw}; widening tolerance to {tol:.0%}")
-
-    baseline = {ident: (metric, value, hib)
-                for ident, metric, value, hib in collect_runs(base_doc)}
-
-    failures = []
-    compared = 0
-    for ident, metric, value, higher_is_better in collect_runs(cur_doc):
-        if ident not in baseline:
-            print(f"perf_gate: NEW   {ident}: no baseline entry "
-                  f"({metric}={value:g}) — refresh the committed baseline")
-            continue
-        _, base_value, _ = baseline[ident]
-        compared += 1
-        if base_value <= 0:
-            continue
-        if higher_is_better:
-            change = (value - base_value) / base_value
-            regressed = change < -tol
-        else:
-            change = (base_value - value) / base_value
-            regressed = value > base_value * (1 + tol)
-        status = "FAIL " if regressed else "ok   "
-        print(f"perf_gate: {status}{ident}: {metric} {base_value:g} -> "
-              f"{value:g} ({change:+.1%})")
-        if regressed:
-            failures.append(ident)
-
-    if args.min_scaling_efficiency is not None:
-        failures += scaling_gate(cur_doc, args.scaling_workers,
-                                 args.min_scaling_efficiency)
-    if args.max_rss_per_home is not None:
-        failures += rss_gate(cur_doc, args.max_rss_per_home)
-
-    if compared == 0:
-        print("perf_gate: no comparable runs found — baseline and current "
-              "share no run identities", file=sys.stderr)
-        sys.exit(2)
-    if failures:
-        print(f"perf_gate: {len(failures)}/{compared} run(s) regressed more "
-              f"than {tol:.0%}: {', '.join(failures)}", file=sys.stderr)
-        sys.exit(1)
-    print(f"perf_gate: all {compared} matched run(s) within {tol:.0%}")
+    if failed:
+        print(f"perf_gate: failed on {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

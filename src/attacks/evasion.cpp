@@ -52,11 +52,11 @@ bool applyKey(EvasionPlan& p, std::string_view key, std::string_view value,
     return asFlag(p.mimic);
   } else if (key == "gap-ms") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
+    if (!v || !toDuration(*v, milliseconds(1))) return bad();
     p.gapStretchMs = *v;
   } else if (key == "jitter-ms") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
+    if (!v || !toDuration(*v, milliseconds(1))) return bad();
     p.jitterMs = *v;
   } else if (key == "dilute-max") {
     const auto v = asDouble();
@@ -298,12 +298,16 @@ EvasionChaos::TxFault EvasionChaos::onTransmit(NodeId from, net::Medium medium,
   if (plan_.timing) {
     const double gapMeanUs = budget * plan_.gapStretchMs * 1000.0;
     const double jitterUs = budget * plan_.jitterMs * 1000.0;
+    // A draw past the end of virtual time (the exponential's tail on a huge
+    // mean) saturates instead of overflowing the cast.
     Duration gap = 0;
     if (gapMeanUs > 0.0) {
-      gap += static_cast<Duration>(rng_.nextExponential(gapMeanUs));
+      gap += toDuration(rng_.nextExponential(gapMeanUs), microseconds(1))
+                 .value_or(kSimTimeMax);
     }
     if (jitterUs > 0.0) {
-      gap += static_cast<Duration>(rng_.nextDouble(0.0, jitterUs));
+      gap += toDuration(rng_.nextDouble(0.0, jitterUs), microseconds(1))
+                 .value_or(kSimTimeMax);
     }
     SimTime& cursor = nextFreeAt_[from * 3 + mediumIndex(medium)];
     const SimTime desired = std::max(now, cursor) + gap;

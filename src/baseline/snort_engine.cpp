@@ -73,10 +73,8 @@ void SnortEngine::onPacket(const net::CapturedPacket& pkt,
                : net::toString(dis.ipv4->dst));
       ThresholdState& state = thresholds_[trackKey];
       const SimTime now = pkt.meta.timestamp;
-      const SimTime cutoff =
-          now > static_cast<SimTime>(rule.threshold->seconds * 1e6)
-              ? now - static_cast<SimTime>(rule.threshold->seconds * 1e6)
-              : 0;
+      const Duration window = rule.threshold->window;
+      const SimTime cutoff = now > window ? now - window : 0;
       while (!state.hits.empty() && state.hits.front() <= cutoff) {
         state.hits.pop_front();
       }

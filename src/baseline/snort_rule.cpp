@@ -89,9 +89,11 @@ std::optional<ThresholdSpec> parseThreshold(std::string_view value) {
       if (!n || *n <= 0) return std::nullopt;
       spec.count = static_cast<std::size_t>(*n);
     } else if (kv[0] == "seconds") {
-      auto s = parseDouble(kv[1]);
-      if (!s || *s <= 0) return std::nullopt;
-      spec.seconds = *s;
+      const auto s = parseDouble(kv[1]);
+      const auto window =
+          s && *s > 0 ? toDuration(*s, seconds(1)) : std::nullopt;
+      if (!window) return std::nullopt;
+      spec.window = *window;
     } else if (kv[0] == "type") {
       // "type both|limit|threshold": tracked identically here.
     } else {

@@ -73,7 +73,7 @@ struct DsizeSpec {
 struct ThresholdSpec {
   enum class Track { kBySrc, kByDst } track = Track::kByDst;
   std::size_t count = 1;
-  double seconds = 1.0;
+  Duration window = seconds(1);  ///< the rule's "seconds S"
 };
 
 struct TcpFlagsSpec {

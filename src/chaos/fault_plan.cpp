@@ -79,12 +79,15 @@ bool applyKey(FaultPlan& p, std::string_view key, std::string_view value,
     p.rssiJitterDb = *v;
   } else if (key == "crash-s") {
     const auto v = asDouble();
-    if (!v || *v < 0.0) return bad();
-    p.crashMeanUptime = static_cast<Duration>(*v * 1e6);
+    const auto uptime = v ? toDuration(*v, seconds(1)) : std::nullopt;
+    if (!uptime) return bad();
+    p.crashMeanUptime = *uptime;
   } else if (key == "down-s") {
     const auto v = asDouble();
-    if (!v || *v <= 0.0) return bad();
-    p.crashDowntime = static_cast<Duration>(*v * 1e6);
+    const auto downtime =
+        v && *v > 0.0 ? toDuration(*v, seconds(1)) : std::nullopt;
+    if (!downtime) return bad();
+    p.crashDowntime = *downtime;
   } else if (key == "stall-batches") {
     const auto v = asInt();
     if (!v || *v < 0) return bad();

@@ -20,8 +20,12 @@ LinkChaos::~LinkChaos() {
 }
 
 void LinkChaos::scheduleCrash(NodeId id) {
-  const Duration uptime = static_cast<Duration>(
-      rng_.nextExponential(static_cast<double>(plan_.crashMeanUptime)));
+  // A draw past the end of virtual time saturates: that node never crashes.
+  const Duration uptime =
+      toDuration(rng_.nextExponential(
+                     static_cast<double>(plan_.crashMeanUptime)),
+                 microseconds(1))
+          .value_or(kSimTimeMax);
   world_.sim().schedule(uptime, [this, id] {
     ++stats_.crashes;
     world_.setDownFor(id, plan_.crashDowntime);

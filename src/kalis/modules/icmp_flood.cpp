@@ -17,8 +17,10 @@ void IcmpFloodModule::configure(
     }
   }
   if (auto it = params.find("windowSeconds"); it != params.end()) {
-    if (auto v = parseDouble(it->second); v && *v > 0) {
-      window_ = static_cast<Duration>(*v * 1e6);
+    const auto v = parseDouble(it->second);
+    const auto w = v && *v > 0 ? toDuration(*v, seconds(1)) : std::nullopt;
+    if (w) {
+      window_ = *w;
       replyLog_.clear();
     }
   }

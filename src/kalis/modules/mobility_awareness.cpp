@@ -15,8 +15,10 @@ void MobilityAwarenessModule::configure(
     }
   }
   if (auto it = params.find("holdSeconds"); it != params.end()) {
-    if (auto v = parseDouble(it->second); v && *v > 0) {
-      holdTime_ = static_cast<Duration>(*v * 1e6);
+    const auto v = parseDouble(it->second);
+    const auto h = v && *v > 0 ? toDuration(*v, seconds(1)) : std::nullopt;
+    if (h) {
+      holdTime_ = *h;
     }
   }
   if (auto it = params.find("minMobileEntities"); it != params.end()) {

@@ -26,8 +26,10 @@ TrafficStatsModule::TrafficStatsModule() {
 void TrafficStatsModule::configure(
     const std::map<std::string, std::string>& params) {
   if (auto it = params.find("windowSeconds"); it != params.end()) {
-    if (auto v = parseDouble(it->second); v && *v > 0) {
-      window_ = static_cast<Duration>(*v * 1e6);
+    const auto v = parseDouble(it->second);
+    const auto w = v && *v > 0 ? toDuration(*v, seconds(1)) : std::nullopt;
+    if (w) {
+      window_ = *w;
       for (auto& counter : global_) {
         counter = std::make_unique<SlidingCounter>(window_);
       }

@@ -5,18 +5,26 @@
 
 namespace kalis::ids {
 
+namespace {
+
+/// Labels of the feature knowggets frozen into the generated config.
+constexpr const char* kFrozenLabels[] = {
+    labels::kMultihop, labels::kMultihopWpan, labels::kMultihopWifi,
+    labels::kMobility, labels::kCtpRoot, "Protocols.TCP", "Protocols.UDP",
+    "Protocols.ICMP", "Protocols.CTP", "Protocols.RPL", "Protocols.ZigBee",
+    "Protocols.WiFi", "Protocols.BLE", "LinkEncryption.P802154",
+    "LinkEncryption.WiFi"};
+
+}  // namespace
+
 DeploymentProfile generateProfile(const KnowledgeBase& kb,
-                                  const ModuleRegistry& registry,
-                                  const ProfileOptions& options) {
+                                  const ModuleRegistry& registry) {
   DeploymentProfile profile;
 
   for (const std::string& name : registry.names()) {
     auto module = registry.create(name);
     if (!module) continue;
-    const bool isSensing = !module->isDetection();
-    const bool keep =
-        isSensing ? options.keepSensingModules : module->required(kb);
-    if (keep) {
+    if (module->isDetection() && module->required(kb)) {
       profile.modules.push_back(name);
       profile.estimatedFootprintBytes += module->memoryBytes();
       profile.config.modules.push_back(ModuleSpec{name, {}});
@@ -27,7 +35,7 @@ DeploymentProfile generateProfile(const KnowledgeBase& kb,
 
   // Freeze the learned features as a-priori knowggets: the constrained
   // deployment will not re-learn them.
-  for (const std::string& label : options.frozenLabels) {
+  for (const char* label : kFrozenLabels) {
     for (const Knowgget& k : kb.byLabelPrefix(label)) {
       if (k.creator != kb.selfId()) continue;  // only our own knowledge
       profile.config.knowggets.push_back(

@@ -27,25 +27,13 @@ struct DeploymentProfile {
   std::size_t estimatedFootprintBytes = 0; ///< module state estimate
 };
 
-struct ProfileOptions {
-  /// Labels of knowggets to freeze into the generated config as a-priori
-  /// knowledge. Defaults cover the feature knowggets the activation
-  /// predicates consume.
-  std::vector<std::string> frozenLabels = {
-      labels::kMultihop, labels::kMultihopWpan, labels::kMultihopWifi,
-      labels::kMobility, labels::kCtpRoot, "Protocols.TCP", "Protocols.UDP",
-      "Protocols.ICMP", "Protocols.CTP", "Protocols.RPL", "Protocols.ZigBee",
-      "Protocols.WiFi", "Protocols.BLE", "LinkEncryption.P802154",
-      "LinkEncryption.WiFi"};
-  /// Sensing modules to keep even though they are always "required":
-  /// constrained deployments may drop knowledge discovery entirely.
-  bool keepSensingModules = false;
-};
-
-/// Computes the profile for the network described by `kb`.
+/// Computes the profile for the network described by `kb`: the detection
+/// modules it requires (sensing modules are dropped: a constrained
+/// deployment does not re-learn its features) and the node's own feature
+/// knowggets the activation predicates consume, frozen as a-priori
+/// knowledge.
 DeploymentProfile generateProfile(const KnowledgeBase& kb,
-                                  const ModuleRegistry& registry,
-                                  const ProfileOptions& options = {});
+                                  const ModuleRegistry& registry);
 
 /// Renders the build manifest: one "module <name>" line per compiled-in
 /// module plus the frozen feature summary, '#'-commented header.

@@ -7,11 +7,17 @@ namespace kalis::metrics {
 
 namespace {
 
-bool inWindow(SimTime alertTime, SimTime instanceTime,
-              const EvaluationOptions& options) {
+/// An alert within [instance.time, instance.time + kGraceWindow] can match.
+constexpr Duration kGraceWindow = seconds(20);
+/// Alerts this long *before* an instance can still match it (detection
+/// modules aggregate over windows, so an ongoing attack may be flagged
+/// marginally before a specific symptom instance is logged).
+constexpr Duration kEarlySlack = seconds(5);
+
+bool inWindow(SimTime alertTime, SimTime instanceTime) {
   const SimTime lo =
-      instanceTime > options.earlySlack ? instanceTime - options.earlySlack : 0;
-  const SimTime hi = instanceTime + options.graceWindow;
+      instanceTime > kEarlySlack ? instanceTime - kEarlySlack : 0;
+  const SimTime hi = instanceTime + kGraceWindow;
   return alertTime >= lo && alertTime <= hi;
 }
 
@@ -37,8 +43,7 @@ bool entityMatches(const ids::Alert& alert, const SymptomInstance& instance) {
 }  // namespace
 
 EvaluationResult evaluate(const GroundTruth& truth,
-                          const std::vector<ids::Alert>& alerts,
-                          EvaluationOptions options) {
+                          const std::vector<ids::Alert>& alerts) {
   EvaluationResult result;
   result.totalInstances = truth.size();
   result.totalAlerts = alerts.size();
@@ -46,7 +51,7 @@ EvaluationResult evaluate(const GroundTruth& truth,
   for (const SymptomInstance& instance : truth.instances()) {
     const bool detected = std::any_of(
         alerts.begin(), alerts.end(), [&](const ids::Alert& alert) {
-          return inWindow(alert.time, instance.time, options) &&
+          return inWindow(alert.time, instance.time) &&
                  entityMatches(alert, instance);
         });
     if (detected) ++result.detectedInstances;

@@ -22,15 +22,6 @@
 
 namespace kalis::metrics {
 
-struct EvaluationOptions {
-  /// An alert within [instance.time, instance.time + graceWindow] can match.
-  Duration graceWindow = seconds(20);
-  /// Alerts this long *before* an instance can still match it (detection
-  /// modules aggregate over windows, so an ongoing attack may be flagged
-  /// marginally before a specific symptom instance is logged).
-  Duration earlySlack = seconds(5);
-};
-
 struct EvaluationResult {
   std::size_t totalInstances = 0;
   std::size_t detectedInstances = 0;
@@ -52,8 +43,7 @@ struct EvaluationResult {
 };
 
 EvaluationResult evaluate(const GroundTruth& truth,
-                          const std::vector<ids::Alert>& alerts,
-                          EvaluationOptions options = EvaluationOptions());
+                          const std::vector<ids::Alert>& alerts);
 
 /// Countermeasure outcome: which suspects named by alerts are real attackers
 /// (to be revoked) vs legitimate nodes (collateral damage).

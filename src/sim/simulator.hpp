@@ -23,9 +23,10 @@ class Simulator {
   SimTime now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  /// Schedules fn to run `delay` after the current time.
+  /// Schedules fn to run `delay` after the current time; a delay past the
+  /// end of virtual time saturates there instead of wrapping into the past.
   void schedule(Duration delay, std::function<void()> fn) {
-    at(now_ + delay, std::move(fn));
+    at(delay > kSimTimeMax - now_ ? kSimTimeMax : now_ + delay, std::move(fn));
   }
 
   /// Schedules fn at an absolute virtual time (>= now).

@@ -117,10 +117,6 @@ PropagationModel& World::propagation(net::Medium medium) {
   return propagation_[mindex(medium)];
 }
 
-void World::setLossProbability(net::Medium medium, double p) {
-  lossProbability_[mindex(medium)] = p;
-}
-
 void World::revoke(NodeId id, Duration period) {
   nodes_.at(id).revokedUntil = sim_.now() + period;
   KALIS_INFO("world", "revoked " << nameOf(id) << " until "
@@ -181,7 +177,6 @@ void World::send(NodeId from, net::Medium medium, Bytes frame) {
     return;
   }
   if (isRevoked(from) || isDown(from)) return;
-  ++counters_.framesSent;
   Duration airtime = txDuration(medium, frame.size());
   if (faults_) {
     LinkFaultInjector::TxFault tx =
@@ -233,10 +228,6 @@ void World::deliver(NodeId from, net::Medium medium, const Bytes& frame) {
       rssi += rx.rssiOffsetDb;
     }
     if (rssi < radio.config.sensitivityDbm) continue;
-    if (lossProbability_[mindex(medium)] > 0.0 &&
-        fadingRng_.nextBool(lossProbability_[mindex(medium)])) {
-      continue;
-    }
 
     pkt.meta.timestamp = sim_.now();
     pkt.meta.rssiDbm = rssi;
@@ -246,7 +237,6 @@ void World::deliver(NodeId from, net::Medium medium, const Bytes& frame) {
     // Promiscuous sniffers see every decodable transmission.
     for (auto& sniffer : receiver.sniffers[mindex(medium)]) {
       pkt.meta.captureSeq = sniffer.captureSeq++;
-      ++counters_.framesSniffed;
       sniffer.callback(pkt, dis);
     }
 
@@ -262,7 +252,6 @@ void World::deliver(NodeId from, net::Medium medium, const Bytes& frame) {
         }
       }
       if (accepted) {
-        ++counters_.framesDelivered;
         NodeHandle h(this, to);
         receiver.behavior->onFrame(h, pkt, dis);
       }

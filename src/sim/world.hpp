@@ -166,17 +166,6 @@ class World {
   PropagationModel& propagation(net::Medium medium);
   NodeHandle handle(NodeId id) { return NodeHandle(this, id); }
 
-  struct Counters {
-    std::uint64_t framesSent = 0;
-    std::uint64_t framesDelivered = 0;   ///< behavior-level deliveries
-    std::uint64_t framesSniffed = 0;
-  };
-  const Counters& counters() const { return counters_; }
-
-  /// Per-packet loss probability applied after the RSSI threshold
-  /// (models interference; 0 by default).
-  void setLossProbability(net::Medium medium, double p);
-
  private:
   struct RadioState {
     bool enabled = false;
@@ -209,9 +198,7 @@ class World {
   Simulator& sim_;
   std::vector<NodeState> nodes_;
   std::array<PropagationModel, 3> propagation_;
-  std::array<double, 3> lossProbability_{0.0, 0.0, 0.0};
   bool started_ = false;
-  Counters counters_;
   Rng fadingRng_;
   LinkFaultInjector* faults_ = nullptr;
 };

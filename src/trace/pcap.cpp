@@ -1,7 +1,6 @@
 #include "trace/pcap.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -31,9 +30,10 @@ bool readPseudoHeader(BytesView bytes, net::CapturedPacket& pkt) {
   auto capturedBy = r.u32le();
   auto captureSeq = r.u64le();
   if (!captureSeq || *medium > 2) return false;
-  // Outside input: NaN or ±inf RSSI would break the modules' RSSI orderings.
+  // Outside input: NaN or ±inf RSSI would break the modules' RSSI
+  // orderings, and a Data Store logging the replay writes it to KTRC.
   const double rssiDbm = std::bit_cast<double>(*rssiBits);
-  if (!std::isfinite(rssiDbm)) return false;
+  if (!ktrcHoldsRssi(rssiDbm)) return false;
   pkt.medium = static_cast<net::Medium>(*medium);
   pkt.meta.channel = static_cast<std::int32_t>(*channel);
   pkt.meta.rssiDbm = rssiDbm;
@@ -146,6 +146,7 @@ std::optional<PcapReadResult> readPcap(BytesView data) {
     pkt.raw.assign(frame.begin(), frame.end());
     result.packets.push_back(std::move(pkt));
   }
+  sortByCaptureTime(result.packets);
   return result;
 }
 

@@ -17,8 +17,9 @@
 // which preserves RxMeta losslessly (KTRC quantizes RSSI to deci-dBm; the
 // mixed pcap mode does not — required for byte-identical SIEM replay). The
 // pseudo-header is outside input: a record naming no Kalis medium or
-// carrying a non-finite RSSI (NaN, ±inf) ends the read like a truncated
-// record, keeping the packets before it.
+// carrying an RSSI a KTRC log cannot hold (NaN, ±inf, beyond about
+// ±3276.8 dBm; trace::ktrcHoldsRssi) ends the read like a truncated record,
+// keeping the packets before it.
 //
 // A read yields a Trace, which callers replay like any other recorded trace
 // (KalisNode::replayFeed per packet, or Pipeline::enqueueBatch).
@@ -59,9 +60,10 @@ struct PcapReadResult {
   bool truncated = false;  ///< true if a bad record was hit (see top)
 };
 
-/// Parses a pcap byte stream. Frames whose DLT maps to no Kalis medium make
-/// the whole read fail (nullopt) — an unsupported link type, not a corrupt
-/// file. Timestamps land on the virtual clock as sec*1e6 + usec.
+/// Parses a pcap byte stream into capture-time order (sortByCaptureTime).
+/// Frames whose DLT maps to no Kalis medium make the whole read fail
+/// (nullopt) — an unsupported link type, not a corrupt file. Timestamps
+/// land on the virtual clock as sec*1e6 + usec.
 std::optional<PcapReadResult> readPcap(BytesView data);
 std::optional<PcapReadResult> readPcapFile(const std::string& path);
 

@@ -13,6 +13,12 @@ constexpr std::uint32_t kMagic = 0x4354524bu;  // "KTRC" little-endian
 constexpr std::uint16_t kVersion = 1;
 }  // namespace
 
+bool ktrcHoldsRssi(double rssiDbm) {
+  // The int16 conversion truncates toward zero; NaN fails both comparisons.
+  const double deciDbm = rssiDbm * 10.0;
+  return deciDbm > -32769.0 && deciDbm < 32768.0;
+}
+
 TraceWriter::TraceWriter() {
   ByteWriter w(buffer_);
   w.u32le(kMagic);
@@ -84,6 +90,7 @@ TraceReadResult readTrace(BytesView data) {
     pkt.raw.assign(frame->begin(), frame->end());
     result.packets.push_back(std::move(pkt));
   }
+  sortByCaptureTime(result.packets);
   return result;
 }
 
@@ -111,11 +118,18 @@ Trace mergeTraces(const Trace& a, const Trace& b) {
   merged.reserve(a.size() + b.size());
   merged.insert(merged.end(), a.begin(), a.end());
   merged.insert(merged.end(), b.begin(), b.end());
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const net::CapturedPacket& x, const net::CapturedPacket& y) {
-                     return x.meta.timestamp < y.meta.timestamp;
-                   });
+  sortByCaptureTime(merged);
   return merged;
+}
+
+void sortByCaptureTime(Trace& trace) {
+  const auto earlier = [](const net::CapturedPacket& x,
+                          const net::CapturedPacket& y) {
+    return x.meta.timestamp < y.meta.timestamp;
+  };
+  if (!std::is_sorted(trace.begin(), trace.end(), earlier)) {
+    std::stable_sort(trace.begin(), trace.end(), earlier);
+  }
 }
 
 }  // namespace kalis::trace

@@ -25,7 +25,12 @@ namespace kalis::trace {
 
 using Trace = std::vector<net::CapturedPacket>;
 
-/// Serializes packets into the KTRC byte stream.
+/// Whether a KTRC record can hold `rssiDbm`, which it stores as int16
+/// deci-dBm (about ±3276.8 dBm); NaN and ±inf never fit.
+bool ktrcHoldsRssi(double rssiDbm);
+
+/// Serializes packets into the KTRC byte stream. Every packet's RSSI must
+/// satisfy ktrcHoldsRssi.
 class TraceWriter {
  public:
   TraceWriter();
@@ -38,8 +43,9 @@ class TraceWriter {
   Bytes buffer_;
 };
 
-/// Parses a KTRC byte stream. Stops at the first corrupt record (CRC or
-/// structural failure) and reports how many records were recovered.
+/// Parses a KTRC byte stream into capture-time order (sortByCaptureTime).
+/// Stops at the first corrupt record (CRC or structural failure) and
+/// reports how many records were recovered.
 struct TraceReadResult {
   Trace packets;
   bool truncated = false;  ///< true if a corrupt/partial record was hit
@@ -54,5 +60,12 @@ Bytes serializeTrace(const Trace& trace);
 /// Merges traces by timestamp (stable for ties) — how attack symptom
 /// packets get spliced into a recorded benign trace.
 Trace mergeTraces(const Trace& a, const Trace& b);
+
+/// Stable-sorts a trace by capture timestamp, the order replayFeed and
+/// enqueueBatch require. Both readers apply it: a file's record order need
+/// not be capture order (a pcap merged from several interfaces steps back
+/// in time), and a module alert stamped with an earlier capture time than
+/// one already published would break the pipeline merge's ordering.
+void sortByCaptureTime(Trace& trace);
 
 }  // namespace kalis::trace

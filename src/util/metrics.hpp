@@ -8,8 +8,8 @@
 //              is a bit_width + two adds, no allocation ever
 //
 // and one cold-path sink: Registry, which components fill with named
-// snapshots of their metrics and which serializes to JSON or CSV for the
-// bench/CI artifact pipeline.
+// snapshots of their metrics and which serializes to JSON for the bench/CI
+// artifact pipeline.
 //
 // Everything compiles away under -DKALIS_METRICS_DISABLED=1 (the CMake
 // option KALIS_METRICS=OFF): the primitives become empty no-op stubs with
@@ -181,7 +181,7 @@ class Histogram {
 
 /// Cold-path snapshot sink. Components append named metric values with
 /// `collectMetrics(Registry&, prefix)`; the registry serializes everything
-/// to JSON (the CI artifact format) or CSV. Always compiled in — with
+/// to JSON (the CI artifact format). Always compiled in — with
 /// metrics off it simply snapshots zeros, so export paths keep working.
 class Registry {
  public:
@@ -271,34 +271,6 @@ class Registry {
       out << "]}";
     }
     out << (histograms_.empty() ? "" : "\n  ") << "}\n}\n";
-    return out.str();
-  }
-
-  /// One row per scalar: kind,name,field,value.
-  std::string toCsv() const {
-    std::ostringstream out;
-    out << "kind,name,field,value\n";
-    for (const auto& [k, v] : labels_) {
-      out << "label," << k << ",value," << v << "\n";
-    }
-    for (const auto& [name, v] : counters_) {
-      out << "counter," << name << ",value," << v << "\n";
-    }
-    for (const GaugeEntry& g : gauges_) {
-      out << "gauge," << g.name << ",value," << formatNumber(g.value) << "\n";
-      out << "gauge," << g.name << ",high_water," << formatNumber(g.highWater)
-          << "\n";
-    }
-    for (const auto& [name, h] : histograms_) {
-      out << "histogram," << name << ",count," << h.count() << "\n";
-      out << "histogram," << name << ",sum," << h.sum() << "\n";
-      out << "histogram," << name << ",min," << h.min() << "\n";
-      out << "histogram," << name << ",max," << h.max() << "\n";
-      out << "histogram," << name << ",mean," << formatNumber(h.mean()) << "\n";
-      out << "histogram," << name << ",p50," << h.quantile(0.50) << "\n";
-      out << "histogram," << name << ",p90," << h.quantile(0.90) << "\n";
-      out << "histogram," << name << ",p99," << h.quantile(0.99) << "\n";
-    }
     return out.str();
   }
 

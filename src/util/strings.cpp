@@ -75,7 +75,9 @@ std::optional<double> parseDouble(std::string_view s) {
   std::string buf(s);
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  if (end != buf.c_str() + buf.size() || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

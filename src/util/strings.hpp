@@ -25,6 +25,7 @@ bool endsWith(std::string_view s, std::string_view suffix);
 bool iequals(std::string_view a, std::string_view b);
 
 /// Strict integer / double / bool parsing: the whole string must be consumed.
+/// parseDouble also refuses "nan", "inf" and values beyond double's range.
 std::optional<long long> parseInt(std::string_view s);
 std::optional<double> parseDouble(std::string_view s);
 std::optional<bool> parseBool(std::string_view s);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
 namespace kalis {
@@ -22,6 +23,15 @@ inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();
 inline constexpr Duration microseconds(std::uint64_t us) { return us; }
 inline constexpr Duration milliseconds(std::uint64_t ms) { return ms * 1000ull; }
 inline constexpr Duration seconds(std::uint64_t s) { return s * 1'000'000ull; }
+
+/// `value` counted in `unit` (seconds(1), milliseconds(1), ...) as a
+/// Duration, or nullopt when it is negative, NaN or past the end of virtual
+/// time, where a plain cast to Duration would be undefined.
+inline std::optional<Duration> toDuration(double value, Duration unit) {
+  const double us = value * static_cast<double>(unit);
+  if (!(us >= 0.0 && us < 0x1p64)) return std::nullopt;
+  return static_cast<Duration>(us);
+}
 
 /// Seconds as a double, for reporting only.
 inline constexpr double toSeconds(Duration d) {

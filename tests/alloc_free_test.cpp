@@ -1,9 +1,10 @@
 // Allocation regression tests for the per-packet path (DESIGN.md §10):
 // net::dissect never allocates, KalisNode::feed stays (nearly)
-// allocation-free in steady state, and the periodic module ticks allocate a
-// bounded handful each, on recorded home-flood, 6LoWPAN and ZigBee captures
-// replayed the way the benchmark's traced pass does: run the simulator up to
-// the packet, dissect it, feed it.
+// allocation-free in steady state, the periodic module ticks allocate a
+// bounded handful each, and net::serialize makes exactly the allocations it
+// makes today, on recorded home-flood, 6LoWPAN and ZigBee captures replayed
+// the way the benchmark's traced pass does: run the simulator up to the
+// packet, dissect it, feed it.
 //
 // A separate executable from kalis_tests: the global operator new
 // replacement below, which counts heap allocations per thread, would switch
@@ -15,6 +16,7 @@
 #include <new>
 
 #include "kalis/kalis_node.hpp"
+#include "net/codec.hpp"
 #include "recorded_captures.hpp"
 #include "scenarios/scenarios.hpp"
 
@@ -160,6 +162,32 @@ TEST(AllocationFree, SmurfTickBelowSixteenAllocations) {
 
 TEST(AllocationFree, ReplicationTickBelowSixteenAllocations) {
   expectTicksBelowSixteenAllocations(scenarios::captureReplication(7));
+}
+
+/// Allocations made inside net::serialize over every packet of `rec`.
+std::uint64_t serializeAllocations(const scenarios::Capture& rec) {
+  std::uint64_t total = 0;
+  for (const net::CapturedPacket& pkt : rec.packets) {
+    const net::Dissection dis = net::dissect(pkt);
+    const std::uint64_t before = tAllocations;
+    const Bytes wire = net::serialize(dis);
+    total += tAllocations - before;
+  }
+  return total;
+}
+
+// The serializer's allocations are a property of its code alone, so they are
+// pinned exactly: an extra copy anywhere in net::serialize changes a count.
+TEST(AllocationCount, SerializeOnHomeFloods) {
+  const scenarios::Capture rec = recorded::recordHomeFloods(7);
+  ASSERT_EQ(rec.packets.size(), 16794u);
+  EXPECT_EQ(serializeAllocations(rec), 362766u);
+}
+
+TEST(AllocationCount, SerializeOnSixlowpanSmurf) {
+  const scenarios::Capture rec = scenarios::captureSmurf(7);
+  ASSERT_EQ(rec.packets.size(), 9616u);
+  EXPECT_EQ(serializeAllocations(rec), 190100u);
 }
 
 }  // namespace

@@ -98,6 +98,22 @@ TEST(ChaosPlan, PresetsAndRoundTrip) {
   EXPECT_EQ(reparsed->describe(), spec);
 }
 
+TEST(ChaosPlan, ParseRejectsCrashTimesPastVirtualTime) {
+  for (const char* spec : {"crash-s=1e300", "down-s=1e300", "crash-s=inf",
+                           "down-s=nan"}) {
+    EXPECT_FALSE(FaultPlan::parse(spec).has_value()) << spec;
+  }
+  EXPECT_TRUE(FaultPlan::parse("crash-s=1e6,down-s=1e6").has_value());
+}
+
+TEST(ChaosPlan, ParseRejectsNanProbabilityAndJitter) {
+  // NaN compares false, so a range check alone would let it through.
+  for (const char* spec : {"loss=nan", "dup=nan", "reorder=nan",
+                           "corrupt=nan", "jitter=nan", "burst=nan"}) {
+    EXPECT_FALSE(FaultPlan::parse(spec).has_value()) << spec;
+  }
+}
+
 TEST(ChaosPlan, ParseRejectsMalformedSpecs) {
   std::string error;
   EXPECT_FALSE(FaultPlan::parse("nosuchkey=1", &error).has_value());

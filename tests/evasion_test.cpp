@@ -132,6 +132,20 @@ TEST(EvasionSpec, RejectsMalformedSpecs) {
   }
 }
 
+TEST(EvasionSpec, RejectsGapsPastVirtualTime) {
+  for (const char* bad : {"gap-ms=1e300", "jitter-ms=1e300", "gap-ms=inf"}) {
+    EXPECT_FALSE(ev::EvasionPlan::parse(bad).has_value()) << bad;
+  }
+}
+
+TEST(EvasionSpec, RejectsNanBudgetAndFractions) {
+  // NaN compares false, so a range check alone would let it through.
+  for (const char* bad : {"budget=nan", "dilute-max=nan",
+                          "forward-relief=nan"}) {
+    EXPECT_FALSE(ev::EvasionPlan::parse(bad).has_value()) << bad;
+  }
+}
+
 TEST(EvasionSpec, ZeroPlanForms) {
   EXPECT_TRUE(ev::EvasionPlan{}.zero());  // default budget 0
   ev::EvasionPlan allOff;

@@ -3,8 +3,15 @@
 // synchronization, and resource accounting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "kalis/kalis_node.hpp"
 #include "kalis/modules/wormhole.hpp"
+#include "kalis/siem_export.hpp"
+#include "recorded_captures.hpp"
+#include "scenarios/scenarios.hpp"
 
 namespace kalis::ids {
 namespace {
@@ -191,6 +198,47 @@ TEST_F(NodeFixture, WormholeCorrelationAcrossTwoNodes) {
     }
   }
   EXPECT_TRUE(sawWormhole);
+}
+
+/// Knowledge changes and alerts of a standard-library node replaying `rec`,
+/// with `module` added first and configured by `params`.
+std::vector<std::string> replayOutput(
+    const scenarios::Capture& rec, const std::string& module,
+    const std::map<std::string, std::string>& params) {
+  sim::Simulator simulator(1);
+  KalisNode node(simulator);
+  node.addModuleByName(module, params);
+  node.useStandardLibrary();
+  std::vector<std::string> lines;
+  node.kb().subscribe("*", [&lines](const Knowgget& k) {
+    lines.push_back(std::to_string(k.updated) + " " + k.label + "@" +
+                    k.entity + "=" + k.value);
+  });
+  node.start();
+  for (const net::CapturedPacket& pkt : rec.packets) node.replayFeed(pkt);
+  simulator.runUntil(rec.end);
+  for (const Alert& alert : node.alerts()) lines.push_back(toSiemJson(alert));
+  return lines;
+}
+
+// A Fig. 6 config can name a window or hold time past the end of virtual
+// time; the module refuses it and keeps its default, as if it were absent.
+TEST(ModuleConfig, TimesPastVirtualTimeKeepTheDefaults) {
+  const scenarios::Capture floods = recorded::recordHomeFloods(7);
+  // The replication capture moves nodes, so the hold time matters there.
+  const scenarios::Capture mobile = scenarios::captureReplication(7);
+  const struct {
+    const scenarios::Capture& rec;
+    const char* module;
+    const char* key;
+  } cases[] = {{floods, "IcmpFloodModule", "windowSeconds"},
+               {floods, "TrafficStatsModule", "windowSeconds"},
+               {mobile, "MobilityAwarenessModule", "holdSeconds"}};
+  for (const auto& c : cases) {
+    EXPECT_EQ(replayOutput(c.rec, c.module, {{c.key, "1e300"}}),
+              replayOutput(c.rec, c.module, {}))
+        << c.module << " " << c.key;
+  }
 }
 
 }  // namespace

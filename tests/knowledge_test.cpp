@@ -47,6 +47,14 @@ TEST(KnowledgeBase, PutAndTypedReads) {
   EXPECT_EQ(kb.raw("K1$SignalStrength@SensorA"), "-67");
 }
 
+TEST(KnowledgeBase, NonFiniteDoubleReadsAsAbsent) {
+  KnowledgeBase kb("K1");
+  for (const char* value : {"nan", "inf", "1e400"}) {
+    kb.put("Share", value);
+    EXPECT_EQ(kb.local<double>("Share"), std::nullopt) << value;
+  }
+}
+
 TEST(KnowledgeBase, TypeMismatchYieldsNullopt) {
   KnowledgeBase kb("K1");
   kb.put("Multihop", "maybe");

@@ -143,18 +143,6 @@ TEST(ObsRegistry, JsonSnapshotRoundTrip) {
   EXPECT_EQ(depth, 0);
 }
 
-TEST(ObsRegistry, CsvSnapshot) {
-  obs::Registry reg;
-  reg.counter("a", 5u);
-  reg.gauge("b", 1.0, 2.0);
-  const std::string csv = reg.toCsv();
-  EXPECT_NE(csv.find("kind,name,field,value\n"), std::string::npos);
-  EXPECT_NE(csv.find("counter,a,value,5\n"), std::string::npos);
-  if constexpr (obs::kEnabled) {
-    EXPECT_NE(csv.find("gauge,b,high_water,2\n"), std::string::npos);
-  }
-}
-
 TEST(ObsRegistry, WriteJsonFileRoundTrip) {
   obs::Registry reg;
   reg.counter("file.count", 77u);

@@ -166,6 +166,56 @@ TEST(Pcap, NonFiniteRssiEndsTheReadAndKeepsThePrefix) {
   }
 }
 
+TEST(Pcap, RssiBeyondKtrcRangeEndsTheReadAndKeepsThePrefix) {
+  // A Data Store logging the replay writes KTRC, which stores RSSI as int16
+  // deci-dBm: a value it cannot hold must not get past the reader.
+  for (const double rssi : {3276.8, -3276.9, 1e300}) {
+    SCOPED_TRACE(rssi);
+    trace::Trace original;
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      original.push_back(makePacket(net::Medium::kWifi, 1 + i, {i}));
+    }
+    original[1].meta.rssiDbm = rssi;
+    const Bytes file = trace::serializePcap(original, net::kDltKalisMixed);
+    const auto read = trace::readPcap(BytesView(file));
+    ASSERT_TRUE(read.has_value());
+    EXPECT_TRUE(read->truncated);
+    ASSERT_EQ(read->packets.size(), 1u);
+    EXPECT_EQ(read->packets[0].raw, Bytes{0x00});
+  }
+  // The extremes a KTRC record holds still read.
+  trace::Trace edge;
+  edge.push_back(makePacket(net::Medium::kWifi, 1, {0x01}));
+  edge.push_back(makePacket(net::Medium::kWifi, 2, {0x02}));
+  edge[0].meta.rssiDbm = 3276.7;
+  edge[1].meta.rssiDbm = -3276.8;
+  const auto read = trace::readPcap(
+      BytesView(trace::serializePcap(edge, net::kDltKalisMixed)));
+  ASSERT_TRUE(read.has_value());
+  EXPECT_FALSE(read->truncated);
+  EXPECT_EQ(read->packets.size(), 2u);
+}
+
+// A file's record order need not be capture order (a pcap merged from two
+// interfaces steps back in time); both readers return capture-time order.
+TEST(Pcap, ReadersReturnCaptureTimeOrder) {
+  trace::Trace fileOrder;
+  fileOrder.push_back(makePacket(net::Medium::kWifi, seconds(2), {0x02}));
+  fileOrder.push_back(makePacket(net::Medium::kWifi, seconds(1), {0x01}));
+  const auto pcap = trace::readPcap(
+      BytesView(trace::serializePcap(fileOrder, net::kDltKalisMixed)));
+  ASSERT_TRUE(pcap.has_value());
+  const trace::TraceReadResult ktrc =
+      trace::readTrace(BytesView(trace::serializeTrace(fileOrder)));
+  for (const trace::Trace* read : {&pcap->packets, &ktrc.packets}) {
+    ASSERT_EQ(read->size(), 2u);
+    EXPECT_EQ((*read)[0].meta.timestamp, seconds(1));
+    EXPECT_EQ((*read)[0].raw, Bytes{0x01});
+    EXPECT_EQ((*read)[1].meta.timestamp, seconds(2));
+    EXPECT_EQ((*read)[1].raw, Bytes{0x02});
+  }
+}
+
 TEST(Pcap, UnknownMediumByteEndsTheReadAndKeepsThePrefix) {
   trace::Trace original;
   for (std::uint8_t i = 0; i < 3; ++i) {

@@ -838,6 +838,41 @@ TEST(PipelineDeterminism, EnqueueBatchWholeAndChunkedMatchPerPacketEnqueue) {
   EXPECT_EQ(runWith(kChunk), perPacket);
 }
 
+/// Routing, batching and the merge at a fixed shard count, pinned exactly.
+/// The whole capture is queued before start(), so each worker finds its ring
+/// full and drains it in maxBatch-sized batches: per-shard packets follow
+/// the shard key alone, per-shard batches follow the ring, and the merged
+/// alert count follows the shard engines and the merge.
+TEST(PipelineCounts, HomeFloodsAtFourWorkers) {
+  const scenarios::Capture capture = recorded::recordHomeFloods(7);
+  const trace::Trace& trace = capture.packets;
+  pipeline::Options opts;
+  opts.workers = 4;
+  opts.queueCapacity = trace.size();
+  pipeline::KalisEngineOptions engineOpts;
+  engineOpts.seedBase = 7;
+  engineOpts.drainUntil = capture.end;
+  engineOpts.configure = [](ids::KalisNode& node) {
+    node.useStandardLibrary();
+  };
+  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  ASSERT_EQ(pipe.enqueueBatch(trace.data(), trace.size()), trace.size());
+  pipe.start();
+  pipe.stop();
+
+  obs::Registry reg;
+  pipe.collectMetrics(reg, "pipeline");
+  const std::uint64_t packets[] = {40, 490, 7092, 9172};
+  const std::uint64_t batches[] = {1, 8, 111, 144};
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    const std::string ring =
+        "pipeline.shard." + std::to_string(shard) + ".ring";
+    EXPECT_EQ(reg.counterValue(ring + ".popped"), packets[shard]) << ring;
+    EXPECT_EQ(reg.counterValue(ring + ".batches"), batches[shard]) << ring;
+  }
+  EXPECT_EQ(pipe.alerts().size(), 72u);
+}
+
 /// Multi-worker mode on the same trace still finds the flood (all flood
 /// packets share one link source, so one shard owns the whole attack).
 TEST(PipelineDeterminism, ThreadedModeStillDetectsFlood) {

@@ -1,12 +1,13 @@
 // Randomized property sweeps (seed-parameterized): encode/decode inverses
 // across the protocol stack, Knowledge Base key round trips, config
 // format/parse idempotence, trace-format round trips under random content,
-// event-queue ordering under random scheduling, and loss-model sanity.
+// event-queue ordering under random scheduling, and link-loss sanity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
+#include "chaos/link_chaos.hpp"
 #include "kalis/config.hpp"
 #include "kalis/knowledge.hpp"
 #include "net/packet.hpp"
@@ -210,7 +211,7 @@ TEST_P(Seeded, EventsAlwaysFireInNondecreasingTimeOrder) {
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
-// --- world loss model -----------------------------------------------------------------
+// --- link loss (chaos::LinkChaos) ------------------------------------------------------
 
 TEST_P(Seeded, LossProbabilityExtremes) {
   sim::Simulator simulator(GetParam());
@@ -222,7 +223,10 @@ TEST_P(Seeded, LossProbabilityExtremes) {
   std::size_t received = 0;
   world.addSniffer(b, net::Medium::kIeee802154,
                    [&](const net::CapturedPacket&, const net::Dissection&) { ++received; });
-  world.setLossProbability(net::Medium::kIeee802154, 1.0);
+  chaos::FaultPlan total;
+  total.seed = GetParam();
+  total.lossStart = 1.0;
+  auto lossy = std::make_unique<chaos::LinkChaos>(world, total);
   world.start();
   net::Ieee802154Frame frame;
   frame.src = world.mac16Of(a);
@@ -232,8 +236,9 @@ TEST_P(Seeded, LossProbabilityExtremes) {
   }
   simulator.runUntil(seconds(1));
   EXPECT_EQ(received, 0u);  // total loss
+  EXPECT_EQ(lossy->stats().rxDropped, 20u);
 
-  world.setLossProbability(net::Medium::kIeee802154, 0.0);
+  lossy.reset();  // detaches: no loss
   for (int i = 0; i < 20; ++i) {
     world.send(a, net::Medium::kIeee802154, frame.encode());
   }

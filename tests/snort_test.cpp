@@ -85,8 +85,19 @@ TEST(RuleParser, ThresholdOption) {
   ASSERT_EQ(result.rules.size(), 1u);
   ASSERT_TRUE(result.rules[0].threshold.has_value());
   EXPECT_EQ(result.rules[0].threshold->count, 40u);
-  EXPECT_DOUBLE_EQ(result.rules[0].threshold->seconds, 5.0);
+  EXPECT_EQ(result.rules[0].threshold->window, seconds(5));
   EXPECT_EQ(result.rules[0].threshold->track, ThresholdSpec::Track::kByDst);
+}
+
+TEST(RuleParser, ThresholdSecondsPastVirtualTimeRejected) {
+  for (const char* window : {"1e300", "inf", "nan"}) {
+    const auto result = parseRules(
+        std::string("alert icmp any any -> any any (itype:0; threshold: type "
+                    "both, track by_dst, count 40, seconds ") +
+        window + "; sid:1;)");
+    EXPECT_TRUE(result.rules.empty()) << window;
+    EXPECT_EQ(result.errors.size(), 1u) << window;
+  }
 }
 
 TEST(RuleParser, HexContent) {

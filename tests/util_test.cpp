@@ -323,6 +323,14 @@ TEST(Strings, ParseDoubleStrict) {
   EXPECT_EQ(parseDouble("1.2.3"), std::nullopt);
 }
 
+TEST(Strings, ParseDoubleRejectsNonFinite) {
+  for (const char* s : {"nan", "NaN", "inf", "-inf", "infinity", "1e400",
+                        "-1e400"}) {
+    EXPECT_EQ(parseDouble(s), std::nullopt) << s;
+  }
+  EXPECT_DOUBLE_EQ(*parseDouble("1e300"), 1e300);
+}
+
 TEST(Strings, ParseBoolVariants) {
   EXPECT_EQ(parseBool("true"), true);
   EXPECT_EQ(parseBool("FALSE"), false);
