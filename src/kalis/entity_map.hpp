@@ -118,8 +118,9 @@ class EntityKeyedMap {
 /// through a Knowledge Base subscription so the packet path compares
 /// EntityRefs instead of looking the knowgget up and comparing strings on
 /// every packet. Binds to the KB it is first read from (and rebinds if
-/// handed another); that KB must outlive the cache. Like module activation,
-/// it follows put()s, not KnowledgeBase::remove().
+/// handed another); that KB must outlive the cache. A local knowgget
+/// changes only through put(), which notifies the subscription, and is never
+/// removed, so the cache is always current.
 class KnowggetEntityCache {
  public:
   explicit KnowggetEntityCache(std::string label) : label_(std::move(label)) {}

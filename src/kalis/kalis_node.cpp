@@ -77,7 +77,7 @@ bool KalisNode::applyConfig(const KalisConfig& config) {
 void KalisNode::emulateTraditionalIds() {
   traditional_ = true;
   manager_.setAllAlwaysActive(true);
-  kb_.setWritesEnabled(false);
+  kb_.disableWrites();
 }
 
 void KalisNode::attach(sim::World& world, NodeId nodeId,

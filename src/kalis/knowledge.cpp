@@ -147,11 +147,6 @@ bool KnowledgeBase::putRemote(const Knowgget& k) {
   return true;
 }
 
-bool KnowledgeBase::remove(const std::string& label, const std::string& entity) {
-  owner_.check("KnowledgeBase::remove");
-  return store_.erase(encodeKey(selfId_, label, entity)) > 0;
-}
-
 std::optional<std::string> KnowledgeBase::raw(const std::string& key) const {
   auto it = store_.find(key);
   if (it != store_.end()) return it->second.value;

@@ -26,7 +26,7 @@
 // subscriptions and sinks — is owned by exactly one thread for its
 // lifetime; it carries no locks by design. kalis::pipeline gives every
 // shard its own KB built on the owning worker thread. Debug builds bind an
-// ownership checker on the first mutation (put/putRemote/remove/subscribe)
+// ownership checker on the first mutation (put/putRemote/subscribe)
 // and abort on any cross-thread access; reads follow the same confinement.
 // Collective sync via putRemote is a *same-thread* mechanism: peer nodes
 // must share the owner thread (and simulator). The one sanctioned way for
@@ -210,9 +210,6 @@ class KnowledgeBase {
   /// id, or if an existing entry under the same key has a different creator.
   bool putRemote(const Knowgget& k);
 
-  /// Removes a local knowgget; returns true if it existed.
-  bool remove(const std::string& label, const std::string& entity = "");
-
   // --- reads ----------------------------------------------------------------
 
   /// Raw value by full key ("K1$Multihop").
@@ -273,9 +270,13 @@ class KnowledgeBase {
   void addCollectiveSink(CollectiveSink* sink);
   void removeCollectiveSink(CollectiveSink* sink);
 
-  /// Disables all writes (used to emulate the "traditional IDS" baseline,
-  /// which runs without a Knowledge Base).
-  void setWritesEnabled(bool enabled) { writesEnabled_ = enabled; }
+  /// Disables all writes for the rest of this KB's life: every later put
+  /// and putRemote is a no-op (used to emulate the "traditional IDS"
+  /// baseline, which runs without a Knowledge Base). There is no way back,
+  /// and no entry is ever removed, so a value a module put stays what the
+  /// KB holds until the module puts another; TrafficStatsModule's
+  /// change-only publishing relies on that.
+  void disableWrites() { writesEnabled_ = false; }
   bool writesEnabled() const { return writesEnabled_; }
 
   // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) -----------

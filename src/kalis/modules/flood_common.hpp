@@ -7,16 +7,40 @@
 // alert time.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "kalis/entity_map.hpp"
 #include "net/packet.hpp"
 #include "util/types.hpp"
 
 namespace kalis::ids {
+
+/// Whether `events` name at least `n` distinct sources, where
+/// `sourceOf(event)` points at an event's source, or is nullptr for an
+/// event that does not count. Decides a flood module's per-tick "enough
+/// sources?" test without building a set: the scan stops at the n-th
+/// distinct source, so `seen` never holds more than n entries, and as a
+/// scratch buffer the caller reuses across ticks it stops allocating once
+/// it has grown that far.
+template <class Events, class SourceOf>
+bool hasDistinctSources(const Events& events, std::size_t n,
+                        std::vector<net::EntityRef>& seen, SourceOf sourceOf) {
+  seen.clear();
+  for (const auto& event : events) {
+    if (seen.size() >= n) break;
+    const net::EntityRef* src = sourceOf(event);
+    if (src != nullptr &&
+        std::find(seen.begin(), seen.end(), *src) == seen.end()) {
+      seen.push_back(*src);
+    }
+  }
+  return seen.size() >= n;
+}
 
 /// Events aimed at one victim within a trailing window.
 class VictimEventLog {
@@ -53,6 +77,18 @@ class VictimEventLog {
     return static_cast<double>(events_.size()) / toSeconds(window_);
   }
 
+  /// Whether the window holds at least `n` distinct claimed sources (see
+  /// hasDistinctSources; `seen` is the caller's scratch buffer).
+  bool hasDistinctClaimedSources(SimTime now, std::size_t n,
+                                 std::vector<net::EntityRef>& seen) {
+    evict(now);
+    return hasDistinctSources(events_, n, seen, [](const Event& ev) {
+      return &ev.claimedSrc;
+    });
+  }
+
+  /// The number of distinct claimed sources in the window. Builds a set:
+  /// for alert text only.
   std::size_t distinctClaimedSources(SimTime now) {
     evict(now);
     std::set<net::EntityRef> srcs;

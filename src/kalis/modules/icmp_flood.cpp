@@ -65,7 +65,9 @@ void IcmpFloodModule::onTick(ModuleContext& ctx) {
   replyLog_.forEachOrdered([&](EntityKeyedMap<VictimEventLog>::Entry& entry) {
     VictimEventLog& log = entry.value;
     if (log.rate(ctx.now) < detectionThresh_) return;
-    if (log.distinctClaimedSources(ctx.now) < minSources_) return;
+    if (!log.hasDistinctClaimedSources(ctx.now, minSources_, seenSources_)) {
+      return;
+    }
 
     // Symptom present. Consult the Knowledge Base for the topology of the
     // medium the flood rides on.

@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "kalis/module.hpp"
 #include "kalis/modules/flood_common.hpp"
@@ -57,6 +58,7 @@ class IcmpFloodModule final : public DetectionModule {
   std::unordered_map<net::EntityRef, SimTime> spoofedRequests_;  ///< victim
   std::unordered_map<net::EntityRef, net::EntityRef>
       identityBinding_;  ///< net src -> link src
+  std::vector<net::EntityRef> seenSources_;  ///< tick scratch
 };
 
 }  // namespace kalis::ids

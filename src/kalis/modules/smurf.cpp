@@ -96,7 +96,9 @@ void SmurfModule::onTick(ModuleContext& ctx) {
   replyLog_.forEachOrdered([&](EntityKeyedMap<VictimEventLog>::Entry& entry) {
     VictimEventLog& log = entry.value;
     if (log.rate(ctx.now) < detectionThresh_) return;
-    if (log.distinctClaimedSources(ctx.now) < minSources_) return;
+    if (!log.hasDistinctClaimedSources(ctx.now, minSources_, seenSources_)) {
+      return;
+    }
 
     auto spoofIt = spoofed_.find(entry.key);
     const bool haveTrigger = spoofIt != spoofed_.end() &&

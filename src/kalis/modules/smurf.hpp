@@ -22,6 +22,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "kalis/module.hpp"
 #include "kalis/modules/flood_common.hpp"
@@ -70,6 +71,7 @@ class SmurfModule final : public DetectionModule {
   std::unordered_map<net::EntityRef, net::EntityRef> identityBinding_;
   // Observed adjacency over network addresses (for the fallback suspects).
   std::map<net::EntityRef, std::set<net::EntityRef>> adjacency_;
+  std::vector<net::EntityRef> seenSources_;  ///< tick scratch
 };
 
 }  // namespace kalis::ids

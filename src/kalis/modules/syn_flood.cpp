@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "kalis/modules/flood_common.hpp"
+
 namespace kalis::ids {
 
 void SynFloodModule::configure(
@@ -64,34 +66,41 @@ void SynFloodModule::onTick(ModuleContext& ctx) {
     VictimState& state = entry.value;
     evict(state, ctx.now);
     if (state.syns.empty()) return;
-    std::size_t halfOpen = 0;
-    std::set<net::EntityRef> sources;
     // Grace period: a SYN younger than 1 s may simply not be answered yet.
+    const auto isMature = [&](const SynRecord& rec) {
+      return ctx.now >= rec.time + seconds(1);
+    };
+    const auto halfOpenSource =
+        [&](const SynRecord& rec) -> const net::EntityRef* {
+      return isMature(rec) && !rec.completed ? &rec.claimedSrc : nullptr;
+    };
+    std::size_t halfOpen = 0;
     std::size_t mature = 0;
     for (const SynRecord& rec : state.syns) {
-      const bool isMature = ctx.now >= rec.time + seconds(1);
-      if (!isMature) continue;
+      if (!isMature(rec)) continue;
       ++mature;
-      if (!rec.completed) {
-        ++halfOpen;
-        sources.insert(rec.claimedSrc);
-      }
+      if (!rec.completed) ++halfOpen;
     }
     if (mature == 0) return;
     const double halfOpenRate =
         static_cast<double>(halfOpen) / toSeconds(window_);
     const double ratio =
         static_cast<double>(halfOpen) / static_cast<double>(mature);
-    if (halfOpenRate < rateThresh_ || sources.size() < minSources_ ||
-        ratio < halfOpenRatio_) {
+    // The three tests form one ||: the source scan, the only one that walks
+    // the window again, goes last.
+    if (halfOpenRate < rateThresh_ || ratio < halfOpenRatio_ ||
+        !hasDistinctSources(state.syns, minSources_, seenSources_,
+                            halfOpenSource)) {
       return;
     }
     if (!shouldAlert(entry.label, ctx.now, cooldown_)) return;
 
     // Physical suspects: link transmitters of the half-open SYNs.
     std::map<net::EntityRef, std::size_t> linkCounts;
+    std::set<net::EntityRef> sources;
     for (const SynRecord& rec : state.syns) {
       if (!rec.completed) ++linkCounts[rec.linkSrc];
+      if (const net::EntityRef* src = halfOpenSource(rec)) sources.insert(*src);
     }
     Alert alert;
     alert.type = AttackType::kSynFlood;

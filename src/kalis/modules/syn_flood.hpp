@@ -9,6 +9,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "kalis/entity_map.hpp"
 #include "kalis/module.hpp"
@@ -57,6 +58,7 @@ class SynFloodModule final : public DetectionModule {
   Duration cooldown_ = seconds(10);
 
   EntityKeyedMap<VictimState> victims_;  ///< by victim net addr
+  std::vector<net::EntityRef> seenSources_;  ///< tick scratch
 };
 
 }  // namespace kalis::ids

@@ -19,7 +19,7 @@ const std::array<std::string, net::kNumPacketTypes>& rateLabels() {
 
 TrafficStatsModule::TrafficStatsModule() {
   for (auto& counter : global_) {
-    counter = std::make_unique<SlidingCounter>(window_);
+    counter = std::make_unique<RateCounter>(window_);
   }
 }
 
@@ -31,7 +31,7 @@ void TrafficStatsModule::configure(
     if (w) {
       window_ = *w;
       for (auto& counter : global_) {
-        counter = std::make_unique<SlidingCounter>(window_);
+        counter = std::make_unique<RateCounter>(window_);
       }
       for (auto& m : perDevice_) m.clear();
     }
@@ -84,14 +84,14 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
   (void)pkt;
   lastNow_ = ctx.now;
   const auto typeIdx = static_cast<std::size_t>(dis.type);
-  global_[typeIdx]->record(ctx.now);
+  global_[typeIdx]->counter.record(ctx.now);
 
   // Per-device accounting against the traffic's *target* — the entity a
   // DoS-style attack would be aimed at. Allocation-free on the hit path.
   net::EntityRef target = dis.networkDestRef();
   if (!target.valid()) target = dis.linkDestRef();
   auto [entry, inserted] = perDevice_[typeIdx].tryEmplace(target, window_);
-  entry->value.record(ctx.now);
+  entry->value.counter.record(ctx.now);
 
   if (const Protocol proto = protocolOf(dis);
       proto != kNoProtocol && !protocolsSeen_[proto]) {
@@ -101,32 +101,60 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
   }
 }
 
+// Change-only publishing. A tick puts a counter's rate only when it
+// differs from the rate last put for that counter; the skip comes before
+// formatDouble, the key encode and the KB's ordered lookup. It is exact:
+// the KB holds formatDouble(lastPut) under every key this module put,
+// because
+//  - no other code writes this node's TrafficFrequency.* keys (putRemote
+//    refuses a peer that claims this node's id as creator),
+//  - the KB never removes an entry, and
+//  - while writes are disabled every put is a no-op, and disabling is
+//    one-way (KnowledgeBase::disableWrites).
+// So the KB would have ignored every skipped put as unchanged: no publish,
+// no subscription fire, no `updated` stamp. A zero rate is never put, so a
+// rate that leaves and returns (A -> 0 -> A) finds A still in the KB. A
+// reconfigured window starts new counters with lastPut = 0, whose first
+// put reaches the KB, which compares the values itself.
+void TrafficStatsModule::publishRate(RateCounter& rc, const std::string& label,
+                                     const std::string& entity,
+                                     ModuleContext& ctx) {
+  const double rate = rc.counter.rate(ctx.now);
+  // Both sides are positive or zero, never NaN: != is bit difference.
+  if (rate > 0.0 && rate != rc.lastPut) {
+    rc.lastPut = rate;
+    ctx.kb.put(label, rate, entity);
+  }
+}
+
 void TrafficStatsModule::onTick(ModuleContext& ctx) {
   lastNow_ = ctx.now;
+  static const std::string kNoEntity;
   for (std::size_t i = 0; i < global_.size(); ++i) {
-    const double rate = global_[i]->rate(ctx.now);
-    if (rate > 0.0) ctx.kb.put(rateLabels()[i], rate);
+    publishRate(*global_[i], rateLabels()[i], kNoEntity, ctx);
   }
   for (std::size_t i = 0; i < perDevice_.size(); ++i) {
     perDevice_[i].forEachOrdered(
-        [&](EntityKeyedMap<SlidingCounter>::Entry& entry) {
-          const double rate = entry.value.rate(ctx.now);
-          if (rate > 0.0) ctx.kb.put(rateLabels()[i], rate, entry.label);
+        [&](EntityKeyedMap<RateCounter>::Entry& entry) {
+          publishRate(entry.value, rateLabels()[i], entry.label, ctx);
         });
   }
 }
 
 double TrafficStatsModule::globalRate(net::PacketType type, SimTime now) {
-  return global_[static_cast<std::size_t>(type)]->rate(now);
+  return global_[static_cast<std::size_t>(type)]->counter.rate(now);
 }
 
 std::size_t TrafficStatsModule::memoryBytes() const {
   std::size_t bytes = sizeof(*this);
-  for (const auto& counter : global_) bytes += counter->memoryBytes();
+  for (const auto& counter : global_) {
+    bytes += counter->counter.memoryBytes() + sizeof(counter->lastPut);
+  }
   for (const auto& m : perDevice_) {
+    // sizeof(Entry) covers each per-device lastPut.
     bytes += m.entryOverheadBytes();
-    m.forEachUnordered([&](const EntityKeyedMap<SlidingCounter>::Entry& e) {
-      bytes += e.value.memoryBytes() + 32;
+    m.forEachUnordered([&](const EntityKeyedMap<RateCounter>::Entry& e) {
+      bytes += e.value.counter.memoryBytes() + 32;
     });
   }
   return bytes;

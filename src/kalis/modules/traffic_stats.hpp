@@ -2,7 +2,7 @@
 //
 // Maintains packets-per-unit-of-time for every traffic type — globally and
 // per monitored device — over a configurable unit (paper default: 5 s), and
-// publishes them as multilevel knowggets:
+// publishes them, each time they change, as multilevel knowggets:
 //
 //   TrafficFrequency.TCPSYN          = 0.037      (global rate, pkts/s)
 //   TrafficFrequency.TCPSYN@0x0005   = 0.2        (per-device rate)
@@ -49,12 +49,24 @@ class TrafficStatsModule final : public SensingModule {
       "TCP", "UDP", "ICMP", "CTP", "ZigBee", "RPL", "WiFi", "BLE"};
   static Protocol protocolOf(const net::Dissection& dis);
 
+  /// A rate counter and the last rate onTick put for it (0 before the
+  /// first put: only positive rates are put).
+  struct RateCounter {
+    explicit RateCounter(Duration window) : counter(window) {}
+    SlidingCounter counter;
+    double lastPut = 0.0;
+  };
+  /// Puts the counter's rate under `label` (and `entity`) unless it is zero
+  /// or the rate last put for it.
+  static void publishRate(RateCounter& rc, const std::string& label,
+                          const std::string& entity, ModuleContext& ctx);
+
   Duration window_ = seconds(5);
-  std::array<std::unique_ptr<SlidingCounter>, net::kNumPacketTypes> global_;
+  std::array<std::unique_ptr<RateCounter>, net::kNumPacketTypes> global_;
   // Per-device counters: one entity-keyed map per traffic type, created on
   // demand. Iterating type-major then label-ascending reproduces the old
   // std::map<std::pair<int, std::string>, ...> publication order exactly.
-  std::array<EntityKeyedMap<SlidingCounter>, net::kNumPacketTypes> perDevice_;
+  std::array<EntityKeyedMap<RateCounter>, net::kNumPacketTypes> perDevice_;
   std::array<bool, kNoProtocol> protocolsSeen_{};
   SimTime lastNow_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "kalis/modules/wormhole.hpp"
 
+#include <charconv>
 #include <set>
 #include <sstream>
 
@@ -9,11 +10,18 @@ namespace kalis::ids {
 
 namespace {
 
+/// The fingerprints in a Wormhole.* value: comma-separated fields of 1-16
+/// hex digits. Values arrive from peers (putRemote), so a field that is
+/// anything else (empty, signed, prefixed, too long, not hex) is skipped.
 std::set<std::uint64_t> parseFpCsv(const std::string& csv) {
   std::set<std::uint64_t> out;
   for (const std::string& part : split(csv, ',')) {
-    if (part.empty()) continue;
-    out.insert(std::stoull(part, nullptr, 16));
+    if (part.empty() || part.size() > 16) continue;
+    const char* end = part.data() + part.size();
+    std::uint64_t fp = 0;
+    const auto [parsed, error] = std::from_chars(part.data(), end, fp, 16);
+    if (error != std::errc{} || parsed != end) continue;
+    out.insert(fp);
   }
   return out;
 }

@@ -28,19 +28,30 @@ std::uint16_t foldOnes(std::uint32_t acc) {
   return static_cast<std::uint16_t>(~acc);
 }
 
-/// CRC-16/XMODEM (poly 0x1021, MSB first): table[i] is the CRC register
-/// after shifting byte i through a zero register.
-std::array<std::uint16_t, 256> makeCrc16Table() {
-  std::array<std::uint16_t, 256> table{};
+/// CRC-16/XMODEM (poly 0x1021, MSB first), slicing-by-8: table[0][i] is
+/// the CRC register after shifting byte i through a zero register, and
+/// table[k][i] is table[k-1][i] shifted on by one more zero byte, so eight
+/// lookups fold eight input bytes at once.
+using Crc16Tables = std::array<std::array<std::uint16_t, 256>, 8>;
+
+Crc16Tables makeCrc16Tables() {
+  Crc16Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint16_t c = static_cast<std::uint16_t>(i << 8);
     for (int k = 0; k < 8; ++k) {
       c = (c & 0x8000) ? static_cast<std::uint16_t>((c << 1) ^ 0x1021)
                        : static_cast<std::uint16_t>(c << 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint16_t prev = tables[k - 1][i];
+      tables[k][i] =
+          static_cast<std::uint16_t>((prev << 8) ^ tables[0][prev >> 8]);
+    }
+  }
+  return tables;
 }
 
 /// CRC-32 (reflected poly 0xedb88320), slicing-by-8: table[0][i] is the
@@ -91,10 +102,19 @@ std::uint16_t internetChecksum2(BytesView a, BytesView b) {
 }
 
 std::uint16_t crc16Ccitt(BytesView data) {
-  static const auto table = makeCrc16Table();
+  static const Crc16Tables t = makeCrc16Tables();
   std::uint16_t crc = 0x0000;
-  for (std::uint8_t byte : data) {
-    crc = static_cast<std::uint16_t>((crc << 8) ^ table[(crc >> 8) ^ byte]);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  // The 16-bit register is shifted out entirely by the first two bytes of
+  // each step, so it folds into those two bytes' lookups.
+  for (; n >= 8; p += 8, n -= 8) {
+    crc = static_cast<std::uint16_t>(
+        t[7][p[0] ^ (crc >> 8)] ^ t[6][p[1] ^ (crc & 0xff)] ^ t[5][p[2]] ^
+        t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]]);
+  }
+  for (; n > 0; ++p, --n) {
+    crc = static_cast<std::uint16_t>((crc << 8) ^ t[0][(crc >> 8) ^ *p]);
   }
   return crc;
 }

@@ -14,7 +14,8 @@ std::uint16_t internetChecksum(BytesView data);
 std::uint16_t internetChecksum2(BytesView a, BytesView b);
 
 /// CRC-16/CCITT (polynomial 0x1021, init 0x0000, unreflected — the
-/// CRC-16/XMODEM parameters), the IEEE 802.15.4 FCS. Table-driven.
+/// CRC-16/XMODEM parameters), the IEEE 802.15.4 FCS. Table-driven, eight
+/// bytes per step (slicing-by-8).
 std::uint16_t crc16Ccitt(BytesView data);
 
 /// CRC-32 (IEEE 802.3), used by the 802.11 FCS and the trace file format.

@@ -143,25 +143,30 @@ TEST(AllocationFree, HomeFeedSteadyStateBelowQuarterAllocPerPacket) {
 }
 
 /// Asserts that the module ticks over the second half of `rec` average
-/// fewer than 16 allocations each.
-void expectTicksBelowSixteenAllocations(const scenarios::Capture& rec) {
+/// fewer than `bound` allocations each.
+void expectTickAllocationsBelow(const scenarios::Capture& rec, double bound) {
   const AllocCounts counts = replayCounting(rec);
   ASSERT_GT(counts.lateHalfTicks, 30u);
   const double perTick = static_cast<double>(counts.advanceLateHalf) /
                          static_cast<double>(counts.lateHalfTicks);
-  EXPECT_LT(perTick, 16.0) << counts.advanceLateHalf << " allocations over "
-                           << counts.lateHalfTicks << " ticks";
+  EXPECT_LT(perTick, bound) << counts.advanceLateHalf << " allocations over "
+                            << counts.lateHalfTicks << " ticks";
 }
 
-// A tick publishes every traffic rate and re-examines every identity's RSSI
-// window without allocating; what a tick still allocates is listed in
-// DESIGN.md §10 ("Tick path").
-TEST(AllocationFree, SmurfTickBelowSixteenAllocations) {
-  expectTicksBelowSixteenAllocations(scenarios::captureSmurf(7));
+// A tick publishes only the traffic rates that changed, decides the flood
+// modules' "enough distinct sources?" without building a set, and
+// re-examines every identity's RSSI window without allocating; what a tick
+// still allocates is listed in DESIGN.md §10 ("Tick path").
+TEST(AllocationFree, HomeFloodsTickBelowNineAllocations) {
+  expectTickAllocationsBelow(recorded::recordHomeFloods(7), 9.0);
 }
 
-TEST(AllocationFree, ReplicationTickBelowSixteenAllocations) {
-  expectTicksBelowSixteenAllocations(scenarios::captureReplication(7));
+TEST(AllocationFree, SmurfTickBelowSixAllocations) {
+  expectTickAllocationsBelow(scenarios::captureSmurf(7), 6.0);
+}
+
+TEST(AllocationFree, ReplicationTickBelowEightAllocations) {
+  expectTickAllocationsBelow(scenarios::captureReplication(7), 8.0);
 }
 
 /// Allocations made inside net::serialize over every packet of `rec`.

@@ -191,7 +191,7 @@ TEST(KnowledgeBase, RemoteUpdateOnlyOwnKnowggets) {
 
 TEST(KnowledgeBase, WritesDisabledFreezesEverything) {
   KnowledgeBase kb("K1");
-  kb.setWritesEnabled(false);
+  kb.disableWrites();
   kb.put("Multihop", true);
   Knowgget remote;
   remote.creator = "K2";
@@ -199,14 +199,6 @@ TEST(KnowledgeBase, WritesDisabledFreezesEverything) {
   remote.value = "1";
   EXPECT_FALSE(kb.putRemote(remote));
   EXPECT_EQ(kb.size(), 0u);
-}
-
-TEST(KnowledgeBase, RemoveLocal) {
-  KnowledgeBase kb("K1");
-  kb.put("Multihop", true);
-  EXPECT_TRUE(kb.remove("Multihop"));
-  EXPECT_FALSE(kb.remove("Multihop"));
-  EXPECT_EQ(kb.local("Multihop"), std::nullopt);
 }
 
 TEST(KnowledgeBase, ClockStampsUpdates) {

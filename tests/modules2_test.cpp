@@ -336,6 +336,29 @@ TEST(Wormhole, UnexplainedInjectionPlusDropEvidenceCorrelate) {
   EXPECT_EQ(suspects[1], "0x0004");
 }
 
+TEST(Wormhole, MalformedPeerFingerprintsAreSkipped) {
+  // Drop evidence is a peer's value (putRemote). A field that is not 1-16
+  // hex digits is skipped instead of throwing out of the tick, and the
+  // well-formed fields of the same value still correlate.
+  ModuleHarness h;
+  WormholeModule module;
+  h.kb.put(labels::kWormholeUnexplained,
+           "def456,abc123,facade,ffffffffffffffff", "0x0004",
+           /*collective=*/true);
+  Knowgget drops;
+  drops.creator = "K9";
+  drops.label = labels::kWormholeDrops;
+  drops.entity = "0x0005";
+  drops.value =
+      "zz,abc123,-1,0xdef456, facade,1ffffffffffffffff,ffffffffffffffff,,12";
+  ASSERT_TRUE(h.kb.putRemote(drops));
+  ASSERT_NO_THROW(h.tick(module, seconds(1)));
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].detail, "2 tunneled packets matched between K9 and K1");
+  EXPECT_EQ(h.alerts[0].suspectEntities,
+            (std::vector<std::string>{"0x0005", "0x0004"}));
+}
+
 TEST(Wormhole, HonestRelayNotUnexplained) {
   ModuleHarness h;
   WormholeModule module;

@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <set>
 
 #include "kalis/module_registry.hpp"
 #include "kalis/modules/forwarding_watchdog.hpp"
@@ -210,12 +211,198 @@ TEST(TrafficStats, RatesQueryable) {
                    0.0);
 }
 
+/// TrafficStatsModule's rate publishing restated the direct way: every tick
+/// puts every nonzero rate, globally and per target, in type then label
+/// order, and leaves it to the KB to drop the puts that change nothing.
+class PutEveryTickTrafficReference {
+ public:
+  void setWindow(Duration window) {
+    window_ = window;
+    global_.clear();
+    perTarget_.clear();
+  }
+
+  void onPacket(const net::Dissection& dis, SimTime t) {
+    const auto type = static_cast<std::size_t>(dis.type);
+    net::EntityRef target = dis.networkDestRef();
+    if (!target.valid()) target = dis.linkDestRef();
+    global_.try_emplace(type, window_).first->second.record(t);
+    perTarget_.try_emplace({type, target.toString()}, window_)
+        .first->second.record(t);
+  }
+
+  void onTick(KnowledgeBase& kb, SimTime now) {
+    for (auto& [type, counter] : global_) {
+      const double rate = counter.rate(now);
+      if (rate > 0.0) kb.put(label(type), rate);
+    }
+    for (auto& [key, counter] : perTarget_) {
+      const double rate = counter.rate(now);
+      if (rate > 0.0) kb.put(label(key.first), rate, key.second);
+    }
+  }
+
+ private:
+  static std::string label(std::size_t type) {
+    return std::string(labels::kTrafficFrequency) + "." +
+           net::packetTypeName(static_cast<net::PacketType>(type));
+  }
+
+  Duration window_ = seconds(5);
+  std::map<std::size_t, SlidingCounter> global_;
+  std::map<std::pair<std::size_t, std::string>, SlidingCounter> perTarget_;
+};
+
+TEST(TrafficStats, ChangeOnlyPublishingMatchesPutEveryTickReference) {
+  // Per seed, four targets each run 10 s phases of silence, a steady
+  // 4 packets/s (the same rate on consecutive ticks, and again after a
+  // silence: A -> 0 -> A) or a random burst, in one of three ICMP types.
+  // The window changes from 5 s to 2.5 s at 60 s; on even seeds writes are
+  // disabled at 100 s. The TrafficFrequency.* change streams (key, value,
+  // `updated`) of the module and the reference must be equal.
+  const net::IcmpType kTypes[] = {net::IcmpType::kEchoReply,
+                                  net::IcmpType::kEchoRequest,
+                                  net::IcmpType::kDestUnreachable};
+  std::size_t totalChanges = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SimTime now = 0;
+    ModuleHarness h;
+    KnowledgeBase referenceKb("K1");
+    h.kb.setClock([&] { return now; });
+    referenceKb.setClock([&] { return now; });
+    std::vector<std::string> actual;
+    std::vector<std::string> expected;
+    const auto recordInto = [](std::vector<std::string>& stream) {
+      return [&stream](const Knowgget& k) {
+        stream.push_back(encodeKey(k.creator, k.label, k.entity) + "=" +
+                         k.value + " @" + std::to_string(k.updated));
+      };
+    };
+    h.kb.subscribe("TrafficFrequency.*", recordInto(actual));
+    referenceKb.subscribe("TrafficFrequency.*", recordInto(expected));
+
+    Rng rng(seed);
+    std::vector<net::CapturedPacket> packets;
+    for (std::uint32_t target = 0; target < 4; ++target) {
+      const net::Ipv4Addr dst{kVictimIp.value + target};
+      for (SimTime phase = 0; phase < seconds(120); phase += seconds(10)) {
+        const net::IcmpType type = kTypes[rng.pickIndex(3)];
+        const auto add = [&](SimTime t) {
+          packets.push_back(
+              icmpPacket(kAttackerMac, net::Ipv4Addr{1}, dst, type, t));
+        };
+        switch (rng.nextBelow(3)) {
+          case 0:  // silence
+            break;
+          case 1:  // steady
+            for (SimTime t = phase; t < phase + seconds(10);
+                 t += milliseconds(250)) {
+              add(t);
+            }
+            break;
+          default:  // burst on a 50 ms grid
+            for (std::int64_t n = rng.nextInt(5, 40); n > 0; --n) {
+              add(phase + milliseconds(50) * rng.nextBelow(200));
+            }
+            break;
+        }
+      }
+    }
+    std::stable_sort(packets.begin(), packets.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.meta.timestamp < b.meta.timestamp;
+                     });
+
+    TrafficStatsModule module;
+    PutEveryTickTrafficReference reference;
+    const auto tickBoth = [&](SimTime t) {
+      now = t;
+      h.tick(module, t);
+      reference.onTick(referenceKb, t);
+      if (t == seconds(60)) {
+        module.configure({{"windowSeconds", "2.5"}});
+        reference.setWindow(milliseconds(2500));
+      }
+      if (t == seconds(100) && seed % 2 == 0) {
+        h.kb.disableWrites();
+        referenceKb.disableWrites();
+      }
+    };
+    SimTime nextTick = seconds(1);
+    for (const net::CapturedPacket& pkt : packets) {
+      for (; nextTick <= pkt.meta.timestamp; nextTick += seconds(1)) {
+        tickBoth(nextTick);
+      }
+      now = pkt.meta.timestamp;
+      h.feed(module, pkt);
+      reference.onPacket(net::dissect(pkt), pkt.meta.timestamp);
+    }
+    for (; nextTick <= seconds(130); nextTick += seconds(1)) tickBoth(nextTick);
+
+    EXPECT_EQ(actual, expected) << "seed " << seed;
+    totalChanges += expected.size();
+  }
+  EXPECT_GT(totalChanges, 500u);
+}
+
 // --- IcmpFloodModule ------------------------------------------------------------------------
 
 net::CapturedPacket floodReply(int i, SimTime t) {
   const net::Ipv4Addr spoofed{0xac100700u + static_cast<std::uint32_t>(i % 12)};
   return icmpPacket(kAttackerMac, spoofed, kVictimIp,
                     net::IcmpType::kEchoReply, t);
+}
+
+/// Replies at kVictimIp for a tick at `tick`: 60 inside the 5 s window
+/// (tick - 5 s, tick] from exactly `distinct` claimed sources, each at least
+/// once and the rest duplicates, in shuffled order, after replies from four
+/// other sources up to and exactly at the window's edge, which the tick
+/// must not count.
+std::vector<net::CapturedPacket> replyStormAcrossWindowEdge(
+    Rng& rng, std::uint32_t distinct, SimTime tick) {
+  const SimTime edge = tick - seconds(5);
+  std::vector<net::CapturedPacket> out;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    out.push_back(icmpPacket(kAttackerMac, net::Ipv4Addr{0xac100800u + i},
+                             kVictimIp, net::IcmpType::kEchoReply,
+                             edge - milliseconds(300) * (3 - i)));
+  }
+  std::vector<std::uint32_t> sources;
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    sources.push_back(
+        i < distinct ? i : static_cast<std::uint32_t>(rng.nextBelow(distinct)));
+  }
+  rng.shuffle(sources);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    out.push_back(icmpPacket(kAttackerMac,
+                             net::Ipv4Addr{0xac100700u + sources[i]}, kVictimIp,
+                             net::IcmpType::kEchoReply,
+                             edge + 1 + milliseconds(70) * i));
+  }
+  return out;
+}
+
+/// The echo replies a tick at `tick` sees, with their claimed sources
+/// collected in a set: the set-building reference for the ICMP flood and
+/// smurf modules' "enough sources?" test.
+struct ReplyWindow {
+  std::size_t replies = 0;
+  std::set<std::string> sources;
+};
+
+ReplyWindow replyWindowAt(const std::vector<net::CapturedPacket>& packets,
+                          SimTime tick) {
+  ReplyWindow window;
+  for (const net::CapturedPacket& pkt : packets) {
+    const net::Dissection dis = net::dissect(pkt);
+    if (dis.type != net::PacketType::kIcmpEchoRep ||
+        pkt.meta.timestamp <= tick - seconds(5)) {
+      continue;
+    }
+    ++window.replies;
+    window.sources.insert(dis.networkSourceRef().toString());
+  }
+  return window;
 }
 
 TEST(IcmpFlood, DetectsReplyStormOnKnownSinglehop) {
@@ -273,7 +460,7 @@ TEST(IcmpFlood, DefersToSmurfOnMultihopWithTrigger) {
 
 TEST(IcmpFlood, AlertsOnRawSymptomWithoutKnowledgeBase) {
   ModuleHarness h;
-  h.kb.setWritesEnabled(false);  // traditional-IDS emulation
+  h.kb.disableWrites();  // traditional-IDS emulation
   IcmpFloodModule module;
   for (int i = 0; i < 80; ++i) {
     h.feed(module, floodReply(i, seconds(10) + i * milliseconds(20)));
@@ -288,6 +475,42 @@ TEST(IcmpFlood, RequiredFollowsIcmpPresence) {
   EXPECT_FALSE(module.required(kb));
   kb.put("Protocols.ICMP", true);
   EXPECT_TRUE(module.required(kb));
+}
+
+TEST(IcmpFlood, SourceThresholdMatchesSetReference) {
+  // Windows holding exactly minSources - 1 and exactly minSources (3)
+  // distinct claimed sources.
+  std::size_t alerts = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::uint32_t distinct : {2u, 3u}) {
+      ModuleHarness h;
+      h.kb.put(labels::kMultihopWifi, false);
+      IcmpFloodModule module;
+      Rng rng(seed);
+      const SimTime tick = seconds(20);
+      const auto packets = replyStormAcrossWindowEdge(rng, distinct, tick);
+      for (const net::CapturedPacket& pkt : packets) h.feed(module, pkt);
+      h.tick(module, tick);
+
+      const ReplyWindow window = replyWindowAt(packets, tick);
+      ASSERT_EQ(window.sources.size(), distinct);
+      const double rate = static_cast<double>(window.replies) / 5.0;
+      std::vector<std::string> expected;
+      if (rate >= 10.0 && window.sources.size() >= 3) {
+        expected.push_back("10.0.0.2|echo-reply rate " + formatDouble(rate) +
+                           "/s from " + std::to_string(window.sources.size()) +
+                           " claimed sources");
+      }
+      std::vector<std::string> actual;
+      for (const Alert& a : h.alerts) {
+        actual.push_back(a.victimEntity + "|" + a.detail);
+      }
+      EXPECT_EQ(actual, expected) << "seed " << seed << ", " << distinct
+                                  << " sources";
+      alerts += actual.size();
+    }
+  }
+  EXPECT_EQ(alerts, 6u);
 }
 
 // --- SmurfModule ------------------------------------------------------------------------------
@@ -321,7 +544,7 @@ TEST(Smurf, SilentWithoutTriggerWhenKnowledgeTrusted) {
 
 TEST(Smurf, FallbackTwoHopSuspectIsVictimOnStarTopology) {
   ModuleHarness h;
-  h.kb.setWritesEnabled(false);  // traditional mode
+  h.kb.disableWrites();  // traditional mode
   SmurfModule module;
   for (int i = 0; i < 80; ++i) {
     h.feed(module, floodReply(i, seconds(10) + i * milliseconds(20)));
@@ -343,6 +566,47 @@ TEST(Smurf, RequiredNeedsMultihop) {
   EXPECT_TRUE(module.required(kb));
   kb.put(labels::kMultihopWifi, false);
   EXPECT_FALSE(module.required(kb));
+}
+
+TEST(Smurf, SourceThresholdMatchesSetReference) {
+  // Windows holding exactly minSources - 1 and exactly minSources (3)
+  // distinct claimed sources, with the spoofed-request trigger present.
+  std::size_t alerts = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::uint32_t distinct : {2u, 3u}) {
+      ModuleHarness h;
+      SmurfModule module;
+      Rng rng(seed);
+      const SimTime tick = seconds(20);
+      h.feed(module, icmpPacket(kVictimMac, kVictimIp, net::Ipv4Addr{9},
+                                net::IcmpType::kEchoRequest, seconds(1)));
+      const auto packets = replyStormAcrossWindowEdge(rng, distinct, tick);
+      for (const net::CapturedPacket& pkt : packets) h.feed(module, pkt);
+      h.feed(module, icmpPacket(kAttackerMac, kVictimIp, net::Ipv4Addr{5},
+                                net::IcmpType::kEchoRequest,
+                                tick - milliseconds(500)));
+      h.tick(module, tick);
+
+      const ReplyWindow window = replyWindowAt(packets, tick);
+      ASSERT_EQ(window.sources.size(), distinct);
+      std::vector<std::string> expected;
+      if (static_cast<double>(window.replies) / 5.0 >= 10.0 &&
+          window.sources.size() >= 3) {
+        expected.push_back("10.0.0.2|reply storm with spoofed echo-request "
+                           "trigger|" +
+                           net::toString(kAttackerMac));
+      }
+      std::vector<std::string> actual;
+      for (const Alert& a : h.alerts) {
+        actual.push_back(a.victimEntity + "|" + a.detail + "|" +
+                         join(a.suspectEntities, ','));
+      }
+      EXPECT_EQ(actual, expected) << "seed " << seed << ", " << distinct
+                                  << " sources";
+      alerts += actual.size();
+    }
+  }
+  EXPECT_EQ(alerts, 6u);
 }
 
 // --- SynFloodModule ------------------------------------------------------------------------------
@@ -409,6 +673,104 @@ TEST(SynFlood, BenignHandshakesDontAlert) {
   }
   h.tick(module, seconds(11));
   EXPECT_TRUE(h.alerts.empty());
+}
+
+TEST(SynFlood, SourceThresholdMatchesSetReference) {
+  // Windows whose mature half-open SYNs come from exactly minSources - 1
+  // and exactly minSources (5) distinct claimed sources, with duplicates.
+  // SYNs from other sources must not count: those at or before the
+  // window's edge, one younger than the 1 s grace period, and completed
+  // handshakes. The reference restates the rule with a std::set.
+  struct Syn {
+    SimTime time;
+    std::uint32_t src;
+    bool completes;
+  };
+  net::TcpFlags synFlags;
+  synFlags.syn = true;
+  net::TcpFlags ackFlags;
+  ackFlags.ack = true;
+  constexpr net::Mac48 kClientMac{{2, 0, 0, 0, 0, 0x30}};
+  std::size_t alerts = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const std::uint32_t distinct : {4u, 5u}) {
+      Rng rng(seed);
+      const SimTime tick = seconds(20);
+      const SimTime edge = tick - seconds(5);
+      std::vector<Syn> syns;
+      for (std::uint32_t i = 0; i < 3; ++i) {
+        syns.push_back(Syn{edge - milliseconds(400) * (2 - i), 100 + i, false});
+      }
+      std::vector<std::uint32_t> sources;
+      for (std::uint32_t i = 0; i < 90; ++i) {
+        sources.push_back(i < distinct ? i : static_cast<std::uint32_t>(
+                                                 rng.nextBelow(distinct)));
+      }
+      rng.shuffle(sources);
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        syns.push_back(Syn{edge + 1 + milliseconds(44) * i, sources[i], false});
+      }
+      for (std::uint32_t i = 0; i < 10; ++i) {
+        syns.push_back(
+            Syn{edge + milliseconds(500) + milliseconds(100) * i, 200, true});
+      }
+      syns.push_back(Syn{tick - seconds(1), sources.front(), false});
+      syns.push_back(Syn{tick - seconds(1) + 1, 300, false});
+
+      std::vector<net::CapturedPacket> packets;
+      for (std::size_t i = 0; i < syns.size(); ++i) {
+        const Syn& syn = syns[i];
+        const net::Ipv4Addr src{0xac100700u + syn.src};
+        const auto isn = static_cast<std::uint32_t>(1000 + 10 * i);
+        packets.push_back(tcpPacket(syn.completes ? kClientMac : kAttackerMac,
+                                    src, kVictimIp, synFlags, isn, syn.time));
+        if (syn.completes) {
+          packets.push_back(tcpPacket(kClientMac, src, kVictimIp, ackFlags,
+                                      isn + 1, syn.time + milliseconds(30)));
+        }
+      }
+      std::stable_sort(packets.begin(), packets.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.meta.timestamp < b.meta.timestamp;
+                       });
+      ModuleHarness h;
+      SynFloodModule module;
+      for (const net::CapturedPacket& pkt : packets) h.feed(module, pkt);
+      h.tick(module, tick);
+
+      std::size_t mature = 0;
+      std::size_t halfOpen = 0;
+      std::set<std::uint32_t> halfOpenSources;
+      for (const Syn& syn : syns) {
+        if (syn.time <= edge || tick < syn.time + seconds(1)) continue;
+        ++mature;
+        if (syn.completes) continue;
+        ++halfOpen;
+        halfOpenSources.insert(syn.src);
+      }
+      ASSERT_EQ(halfOpenSources.size(), distinct);
+      const double rate = static_cast<double>(halfOpen) / 5.0;
+      const double ratio =
+          static_cast<double>(halfOpen) / static_cast<double>(mature);
+      std::vector<std::string> expected;
+      if (rate >= 15.0 && halfOpenSources.size() >= 5 && ratio >= 0.7) {
+        expected.push_back(
+            "10.0.0.2|half-open SYN rate " + formatDouble(rate) + "/s, ratio " +
+            formatDouble(ratio) + ", " +
+            std::to_string(halfOpenSources.size()) + " sources|" +
+            net::toString(kAttackerMac));
+      }
+      std::vector<std::string> actual;
+      for (const Alert& a : h.alerts) {
+        actual.push_back(a.victimEntity + "|" + a.detail + "|" +
+                         join(a.suspectEntities, ','));
+      }
+      EXPECT_EQ(actual, expected) << "seed " << seed << ", " << distinct
+                                  << " sources";
+      alerts += actual.size();
+    }
+  }
+  EXPECT_EQ(alerts, 6u);
 }
 
 // --- ForwardingWatchdog -----------------------------------------------------------------------------

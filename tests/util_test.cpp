@@ -175,7 +175,8 @@ TEST(Checksum, Crc16CcittKnownVector) {
 }
 
 TEST(Checksum, Crc16CcittMatchesBitwiseReference) {
-  // The textbook bit-at-a-time register, MSB first.
+  // The textbook bit-at-a-time register, MSB first, on buffers that start
+  // at every offset modulo 8 and end on every tail length.
   const auto reference = [](BytesView data) {
     std::uint16_t crc = 0x0000;
     for (std::uint8_t byte : data) {
@@ -188,11 +189,18 @@ TEST(Checksum, Crc16CcittMatchesBitwiseReference) {
     return crc;
   };
   Rng rng(0x802154);
-  for (std::size_t len = 0; len < 128; ++len) {
-    Bytes data(len);
-    for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next());
-    EXPECT_EQ(crc16Ccitt(BytesView(data)), reference(BytesView(data)))
-        << "length " << len;
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  for (int i = 0; i < 48; ++i) lengths.push_back(65 + rng.nextBelow(2048 - 65));
+  lengths.push_back(2048);
+  Bytes buffer(2048 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng.next());
+      const BytesView data(buffer.data() + offset, len);
+      EXPECT_EQ(crc16Ccitt(data), reference(data))
+          << "offset " << offset << ", length " << len;
+    }
   }
 }
 
