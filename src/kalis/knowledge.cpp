@@ -85,18 +85,18 @@ void KnowledgeBase::putEncoded(const std::string& label, std::string value,
   if (!writesEnabled_) return;
   // One ordered lookup. The key buffer is free again before any callback
   // runs, so a put nested inside notify() may reuse it.
-  encodeKeyInto(putKey_, selfId_, label, entity);
-  auto it = store_.lower_bound(putKey_);
-  if (it != store_.end() && it->first == putKey_) {
+  encodeKeyInto(keyBuf_, selfId_, label, entity);
+  auto it = store_.lower_bound(keyBuf_);
+  if (it != store_.end() && it->first == keyBuf_) {
     if (it->second.value == value) return;  // unchanged
   } else {
     if (baseline_) {
       // Copy-on-write: re-asserting the baseline value costs no overlay
       // entry.
-      const Knowgget* base = baseline_->find(putKey_);
+      const Knowgget* base = baseline_->find(keyBuf_);
       if (base != nullptr && base->value == value) return;
     }
-    it = store_.emplace_hint(it, putKey_, Knowgget{});
+    it = store_.emplace_hint(it, keyBuf_, Knowgget{});
   }
 
   Knowgget& k = it->second;
@@ -155,6 +155,12 @@ std::optional<std::string> KnowledgeBase::raw(const std::string& key) const {
     if (base != nullptr) return base->value;
   }
   return std::nullopt;
+}
+
+std::optional<std::string> KnowledgeBase::rawLocal(
+    const std::string& label, const std::string& entity) const {
+  encodeKeyInto(keyBuf_, selfId_, label, entity);
+  return raw(keyBuf_);
 }
 
 std::vector<Knowgget> KnowledgeBase::byLabel(const std::string& label) const {

@@ -223,7 +223,7 @@ class KnowledgeBase {
     static_assert(
         std::is_same_v<T, KnowggetValueT<T>>,
         "local<T>: T must be bool, long long, double or std::string");
-    std::optional<std::string> v = raw(encodeKey(selfId_, label, entity));
+    std::optional<std::string> v = rawLocal(label, entity);
     if (!v) return std::nullopt;
     return KnowggetCodec<T>::decode(*std::move(v));
   }
@@ -300,6 +300,9 @@ class KnowledgeBase {
   /// string form.
   void putEncoded(const std::string& label, std::string value,
                   const std::string& entity, bool collective);
+  /// raw() of the local key for (label, entity), encoded into keyBuf_.
+  std::optional<std::string> rawLocal(const std::string& label,
+                                      const std::string& entity) const;
   /// Fires the subscriptions matching `stored` (a store entry that just
   /// changed) — those registered when it changed, in registration order —
   /// then, if `toSinks`, the collective sinks. Callbacks and sinks receive
@@ -315,7 +318,11 @@ class KnowledgeBase {
   std::string selfId_;
   std::function<SimTime()> clock_;
   std::map<std::string, Knowgget> store_;  ///< overlay, by encoded key
-  std::string putKey_;  ///< putEncoded's key buffer, reused across puts
+  /// The key buffer of putEncoded and rawLocal, reused so that neither
+  /// allocates for a key longer than the small-string buffer. Mutable for
+  /// the const reads: the KB is owned by one thread (owner_), and each use
+  /// ends before any callback runs, so no two uses overlap.
+  mutable std::string keyBuf_;
   std::shared_ptr<const BaselineSegment> baseline_;  ///< read-through layer
   struct Sub {
     int id;

@@ -82,7 +82,6 @@ void TrafficStatsModule::onPacket(const net::CapturedPacket& pkt,
                                   const net::Dissection& dis,
                                   ModuleContext& ctx) {
   (void)pkt;
-  lastNow_ = ctx.now;
   const auto typeIdx = static_cast<std::size_t>(dis.type);
   global_[typeIdx]->counter.record(ctx.now);
 
@@ -128,7 +127,6 @@ void TrafficStatsModule::publishRate(RateCounter& rc, const std::string& label,
 }
 
 void TrafficStatsModule::onTick(ModuleContext& ctx) {
-  lastNow_ = ctx.now;
   static const std::string kNoEntity;
   for (std::size_t i = 0; i < global_.size(); ++i) {
     publishRate(*global_[i], rateLabels()[i], kNoEntity, ctx);

@@ -68,7 +68,6 @@ class TrafficStatsModule final : public SensingModule {
   // std::map<std::pair<int, std::string>, ...> publication order exactly.
   std::array<EntityKeyedMap<RateCounter>, net::kNumPacketTypes> perDevice_;
   std::array<bool, kNoProtocol> protocolsSeen_{};
-  SimTime lastNow_ = 0;
 };
 
 }  // namespace kalis::ids

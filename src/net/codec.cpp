@@ -171,7 +171,7 @@ std::string toReadableByteString(const Dissection& d) {
             d.wpan->securityEnabled ? 1u : 0u, d.wpan->ackRequest ? 1u : 0u,
             d.wpan->seq, d.wpan->panId, d.wpan->dst.value, d.wpan->src.value,
             d.wpan->fcfExtra, d.wpan->wireFcs.value_or(0),
-            d.wpanFcsValid ? 1u : 0u);
+            d.wpanFcsValid() ? 1u : 0u);
     appendHexField(out, "payload", d.wpan->payload);
     out += '\n';
   }
@@ -210,7 +210,7 @@ std::string toReadableByteString(const Dissection& d) {
     appendMac48(out, "src", d.wifi->src);
     appendMac48(out, "bssid", d.wifi->bssid);
     appendf(out, " seqCtl=0x%04x fcs=0x%08x fcsValid=%u", d.wifi->seqCtl,
-            d.wifi->wireFcs.value_or(0), d.wifiFcsValid ? 1u : 0u);
+            d.wifi->wireFcs.value_or(0), d.wifiFcsValid() ? 1u : 0u);
     appendHexField(out, "body", d.wifi->body);
     out += '\n';
   }

@@ -72,7 +72,7 @@ Bytes WifiFrameT<Storage>::encode() const {
 template struct WifiFrameT<Bytes>;
 template struct WifiFrameT<BytesView>;
 
-std::optional<WifiDecoded> decodeWifi(BytesView raw) {
+std::optional<WifiFrameView> decodeWifi(BytesView raw) {
   if (raw.size() < 24 + 4) return std::nullopt;
   ByteReader r(raw);
   auto fc0 = *r.u8();
@@ -80,51 +80,55 @@ std::optional<WifiDecoded> decodeWifi(BytesView raw) {
   auto duration = *r.u16le();
   if ((fc0 & 0x03) != 0) return std::nullopt;  // protocol version must be 0
 
-  WifiDecoded d;
+  WifiFrameView f;
   const std::uint8_t type = (fc0 >> 2) & 0x3;
   const std::uint8_t subtype = (fc0 >> 4) & 0xf;
   if (type == 2) {
-    d.frame.kind = WifiFrameKind::kData;
-    d.frame.dataSubtype = subtype;
+    f.kind = WifiFrameKind::kData;
+    f.dataSubtype = subtype;
   } else if (type == 0 && subtype == 8) {
-    d.frame.kind = WifiFrameKind::kBeacon;
+    f.kind = WifiFrameKind::kBeacon;
   } else if (type == 0 && subtype == 4) {
-    d.frame.kind = WifiFrameKind::kProbeRequest;
+    f.kind = WifiFrameKind::kProbeRequest;
   } else if (type == 0 && subtype == 12) {
-    d.frame.kind = WifiFrameKind::kDeauth;
+    f.kind = WifiFrameKind::kDeauth;
   } else {
     return std::nullopt;
   }
-  d.frame.toDs = fc1 & 0x01;
-  d.frame.fromDs = fc1 & 0x02;
-  d.frame.protectedFrame = fc1 & 0x40;
-  d.frame.fc1Extra = fc1 & static_cast<std::uint8_t>(~0x43);
-  d.frame.duration = duration;
+  f.toDs = fc1 & 0x01;
+  f.fromDs = fc1 & 0x02;
+  f.protectedFrame = fc1 & 0x40;
+  f.fc1Extra = fc1 & static_cast<std::uint8_t>(~0x43);
+  f.duration = duration;
 
   const Mac48 a1 = readMac(r);
   const Mac48 a2 = readMac(r);
   const Mac48 a3 = readMac(r);
-  if (d.frame.toDs && !d.frame.fromDs) {
-    d.frame.bssid = a1;
-    d.frame.src = a2;
-    d.frame.dst = a3;
-  } else if (!d.frame.toDs && d.frame.fromDs) {
-    d.frame.dst = a1;
-    d.frame.bssid = a2;
-    d.frame.src = a3;
+  if (f.toDs && !f.fromDs) {
+    f.bssid = a1;
+    f.src = a2;
+    f.dst = a3;
+  } else if (!f.toDs && f.fromDs) {
+    f.dst = a1;
+    f.bssid = a2;
+    f.src = a3;
   } else {
-    d.frame.dst = a1;
-    d.frame.src = a2;
-    d.frame.bssid = a3;
+    f.dst = a1;
+    f.src = a2;
+    f.bssid = a3;
   }
-  d.frame.seqCtl = *r.u16le();
+  f.seqCtl = *r.u16le();
 
   const std::size_t bodyLen = r.remaining() - 4;
-  d.frame.body = *r.take(bodyLen);  // aliases `raw`
-  auto fcs = *r.u32le();
-  d.frame.wireFcs = fcs;
-  d.fcsValid = (fcs == crc32(raw.subspan(0, raw.size() - 4)));
-  return d;
+  f.body = *r.take(bodyLen);  // aliases `raw`
+  f.wireFcs = *r.u32le();
+  return f;
+}
+
+bool verifyWifiFcs(BytesView frame) {
+  if (frame.size() < 4) return false;
+  const std::size_t n = frame.size() - 4;
+  return *ByteReader(frame.subspan(n)).u32le() == crc32(frame.first(n));
 }
 
 Bytes llcSnapWrap(std::uint16_t ethertype, BytesView payload) {

@@ -56,12 +56,15 @@ struct WifiFrameT {
 using WifiFrame = WifiFrameT<Bytes>;
 using WifiFrameView = WifiFrameT<BytesView>;
 
-struct WifiDecoded {
-  WifiFrameView frame;
-  bool fcsValid = false;
-};
+/// Parses the frame's structure; nullopt when truncated or of a kind this
+/// stack does not model. The FCS is kept in wireFcs but not checked: a bad
+/// FCS still decodes (an IDS wants to see corrupted traffic), and
+/// verifyWifiFcs gives the verdict when something asks for it.
+std::optional<WifiFrameView> decodeWifi(BytesView raw);
 
-std::optional<WifiDecoded> decodeWifi(BytesView raw);
+/// True when the frame's last four bytes are the CRC-32 (little-endian) of
+/// the bytes before them; false for a frame shorter than an FCS.
+bool verifyWifiFcs(BytesView frame);
 
 // LLC/SNAP encapsulation for data frame bodies.
 inline constexpr std::uint16_t kEthertypeIpv4 = 0x0800;

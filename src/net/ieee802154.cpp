@@ -33,7 +33,7 @@ Bytes Ieee802154FrameT<Storage>::encode() const {
 template struct Ieee802154FrameT<Bytes>;
 template struct Ieee802154FrameT<BytesView>;
 
-std::optional<Ieee802154Decoded> decodeIeee802154(BytesView raw) {
+std::optional<Ieee802154FrameView> decodeIeee802154(BytesView raw) {
   ByteReader r(raw);
   auto fcf = r.u16le();
   auto seq = r.u8();
@@ -43,25 +43,30 @@ std::optional<Ieee802154Decoded> decodeIeee802154(BytesView raw) {
   if (!fcf || !seq || !pan || !dst || !src) return std::nullopt;
   if (r.remaining() < 2) return std::nullopt;  // room for the FCS
 
-  Ieee802154Decoded d;
-  d.frame.type = static_cast<WpanFrameType>(*fcf & kFrameTypeMask);
-  d.frame.securityEnabled = (*fcf & kSecurityBit) != 0;
-  d.frame.ackRequest = (*fcf & kAckRequestBit) != 0;
-  d.frame.fcfExtra =
+  Ieee802154FrameView f;
+  f.type = static_cast<WpanFrameType>(*fcf & kFrameTypeMask);
+  f.securityEnabled = (*fcf & kSecurityBit) != 0;
+  f.ackRequest = (*fcf & kAckRequestBit) != 0;
+  f.fcfExtra =
       *fcf & static_cast<std::uint16_t>(
                  ~(kFrameTypeMask | kSecurityBit | kAckRequestBit));
-  d.frame.seq = *seq;
-  d.frame.panId = *pan;
-  d.frame.dst = Mac16{*dst};
-  d.frame.src = Mac16{*src};
+  f.seq = *seq;
+  f.panId = *pan;
+  f.dst = Mac16{*dst};
+  f.src = Mac16{*src};
 
   const std::size_t payloadLen = r.remaining() - 2;
   auto payload = r.take(payloadLen);
   auto fcs = r.u16le();
-  d.frame.payload = *payload;  // aliases `raw`
-  d.frame.wireFcs = *fcs;
-  d.fcsValid = (*fcs == crc16Ccitt(raw.subspan(0, raw.size() - 2)));
-  return d;
+  f.payload = *payload;  // aliases `raw`
+  f.wireFcs = *fcs;
+  return f;
+}
+
+bool verifyIeee802154Fcs(BytesView frame) {
+  if (frame.size() < 2) return false;
+  const std::size_t n = frame.size() - 2;
+  return *ByteReader(frame.subspan(n)).u16le() == crc16Ccitt(frame.first(n));
 }
 
 }  // namespace kalis::net

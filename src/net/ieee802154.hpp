@@ -56,16 +56,17 @@ struct Ieee802154FrameT {
 using Ieee802154Frame = Ieee802154FrameT<Bytes>;
 using Ieee802154FrameView = Ieee802154FrameT<BytesView>;
 
-struct Ieee802154Decoded {
-  Ieee802154FrameView frame;
-  bool fcsValid = false;
-};
+/// Decodes a frame's structure; nullopt when structurally truncated. The FCS
+/// is kept in wireFcs but not checked: a bad FCS still decodes (an IDS wants
+/// to see corrupted traffic), and verifyIeee802154Fcs gives the verdict when
+/// something asks for it. The result's payload is a view aliasing `raw` —
+/// the caller keeps the backing buffer alive for as long as the decoded
+/// frame is used.
+std::optional<Ieee802154FrameView> decodeIeee802154(BytesView raw);
 
-/// Decodes a frame; nullopt when structurally truncated. A bad FCS still
-/// decodes (an IDS wants to see corrupted traffic) with fcsValid=false.
-/// The result's payload is a view aliasing `raw` — the caller keeps the
-/// backing buffer alive for as long as the decoded frame is used.
-std::optional<Ieee802154Decoded> decodeIeee802154(BytesView raw);
+/// True when the frame's last two bytes are the CRC-16/CCITT (little-endian)
+/// of the bytes before them; false for a frame shorter than an FCS.
+bool verifyIeee802154Fcs(BytesView frame);
 
 // --- payload dispatch -------------------------------------------------------
 // The first payload byte selects the network protocol stacked on 802.15.4.

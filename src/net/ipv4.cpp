@@ -40,7 +40,7 @@ std::optional<Ipv4Decoded> decodeIpv4(BytesView raw) {
   auto flagsFrag = r.u16be();
   auto ttl = r.u8();
   auto proto = r.u8();
-  auto checksum = r.u16be();  // validated over the whole header below
+  auto checksum = r.u16be();
   auto src = r.u32be();
   auto dst = r.u32be();
   if (!dst) return std::nullopt;
@@ -57,13 +57,19 @@ std::optional<Ipv4Decoded> decodeIpv4(BytesView raw) {
   d.header.flagsFrag = *flagsFrag;
   d.header.wireChecksum = *checksum;
   d.header.wireTotalLen = *totalLen;
-  d.checksumValid = internetChecksum(raw.subspan(0, ihl)) == 0;
 
   std::size_t payloadLen = *totalLen >= ihl ? *totalLen - ihl : 0;
   if (payloadLen > raw.size() - ihl) payloadLen = raw.size() - ihl;
   d.payload = raw.subspan(ihl, payloadLen);   // aliases `raw`
   d.trailer = raw.subspan(ihl + payloadLen);  // totalLength slack, ditto
   return d;
+}
+
+bool verifyIpv4Checksum(BytesView packet) {
+  if (packet.empty()) return false;
+  const std::size_t ihl = (packet[0] & 0x0f) * 4u;
+  if (ihl < 20 || packet.size() < ihl) return false;
+  return internetChecksum(packet.first(ihl)) == 0;
 }
 
 std::array<std::uint8_t, 12> ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst,

@@ -45,16 +45,21 @@ struct Ipv4Header {
 
 struct Ipv4Decoded {
   Ipv4Header header;
-  bool checksumValid = false;
   BytesView payload;  ///< aliases the decoded buffer
   /// Bytes past totalLength (link-layer padding / slack), aliases the buffer.
   BytesView trailer;
 };
 
+/// Parses the header's structure. The header checksum is kept in
+/// wireChecksum but not checked; verifyIpv4Checksum gives the verdict.
 std::optional<Ipv4Decoded> decodeIpv4(BytesView raw);
 
+/// True when the header (IHL bytes from the start of `packet`) checksums to
+/// zero; false when the IHL is below 20 or runs past the buffer.
+bool verifyIpv4Checksum(BytesView packet);
+
 /// The 12-byte IPv4 pseudo-header used by TCP/UDP checksums. Built on the
-/// stack: the decoders checksum every segment without allocating.
+/// stack: the encoders and verifiers checksum a segment without allocating.
 std::array<std::uint8_t, 12> ipv4PseudoHeader(Ipv4Addr src, Ipv4Addr dst,
                                               IpProto proto,
                                               std::uint16_t length);

@@ -84,20 +84,23 @@ Bytes Icmpv6MessageT<Storage>::encode(const Ipv6Addr& src, const Ipv6Addr& dst) 
 template struct Icmpv6MessageT<Bytes>;
 template struct Icmpv6MessageT<BytesView>;
 
-std::optional<Icmpv6Decoded> decodeIcmpv6(BytesView raw, const Ipv6Addr& src,
-                                          const Ipv6Addr& dst) {
+std::optional<Icmpv6MessageView> decodeIcmpv6(BytesView raw) {
   if (raw.size() < 4) return std::nullopt;
   ByteReader r(raw);
-  Icmpv6Decoded d;
-  d.message.type = static_cast<Icmpv6Type>(*r.u8());
-  d.message.code = *r.u8();
-  d.message.wireChecksum = *r.u16be();
-  d.message.body = r.rest();  // aliases `raw`
+  Icmpv6MessageView msg;
+  msg.type = static_cast<Icmpv6Type>(*r.u8());
+  msg.code = *r.u8();
+  msg.wireChecksum = *r.u16be();
+  msg.body = r.rest();  // aliases `raw`
+  return msg;
+}
+
+bool verifyIcmpv6Checksum(BytesView message, const Ipv6Addr& src,
+                          const Ipv6Addr& dst) {
   const auto pseudo =
-      ipv6PseudoHeader(src, dst, static_cast<std::uint32_t>(raw.size()),
+      ipv6PseudoHeader(src, dst, static_cast<std::uint32_t>(message.size()),
                        static_cast<std::uint8_t>(IpProto::kIcmpv6));
-  d.checksumValid = internetChecksum2(pseudo, raw) == 0;
-  return d;
+  return internetChecksum2(pseudo, message) == 0;
 }
 
 Bytes RplDio::encodeBody() const {

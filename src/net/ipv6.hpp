@@ -76,13 +76,14 @@ struct Icmpv6MessageT {
 using Icmpv6Message = Icmpv6MessageT<Bytes>;
 using Icmpv6MessageView = Icmpv6MessageT<BytesView>;
 
-struct Icmpv6Decoded {
-  Icmpv6MessageView message;
-  bool checksumValid = false;
-};
+/// Parses the message's structure. The checksum is kept in wireChecksum but
+/// not checked; verifyIcmpv6Checksum gives the verdict.
+std::optional<Icmpv6MessageView> decodeIcmpv6(BytesView raw);
 
-std::optional<Icmpv6Decoded> decodeIcmpv6(BytesView raw, const Ipv6Addr& src,
-                                          const Ipv6Addr& dst);
+/// True when the whole message checksums to zero over the IPv6 pseudo-header
+/// of src, dst and the message's length.
+bool verifyIcmpv6Checksum(BytesView message, const Ipv6Addr& src,
+                          const Ipv6Addr& dst);
 
 // --- RPL ---------------------------------------------------------------------
 

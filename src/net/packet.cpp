@@ -92,9 +92,9 @@ void dissectIpv4Payload(Dissection& d, const Ipv4Decoded& ip) {
   d.l3Trailer = ip.trailer;
   switch (ip.header.protocol) {
     case IpProto::kTcp: {
-      if (auto t = decodeTcp(ip.payload, ip.header.src, ip.header.dst)) {
-        d.tcp = t->segment;
-        d.appPayload = t->segment.payload;
+      d.tcp = decodeTcp(ip.payload);
+      if (d.tcp) {
+        d.appPayload = d.tcp->payload;
         classifyTcp(d);
       } else {
         d.type = PacketType::kMalformed;
@@ -102,10 +102,10 @@ void dissectIpv4Payload(Dissection& d, const Ipv4Decoded& ip) {
       break;
     }
     case IpProto::kUdp: {
-      if (auto u = decodeUdp(ip.payload, ip.header.src, ip.header.dst)) {
-        d.udp = u->datagram;
-        d.appPayload = u->datagram.payload;
-        d.l4Trailer = ip.payload.subspan(8 + u->datagram.payload.size());
+      d.udp = decodeUdp(ip.payload);
+      if (d.udp) {
+        d.appPayload = d.udp->payload;
+        d.l4Trailer = ip.payload.subspan(8 + d.udp->payload.size());
         d.type = PacketType::kUdp;
       } else {
         d.type = PacketType::kMalformed;
@@ -113,10 +113,10 @@ void dissectIpv4Payload(Dissection& d, const Ipv4Decoded& ip) {
       break;
     }
     case IpProto::kIcmp: {
-      if (auto m = decodeIcmp(ip.payload)) {
-        d.icmp = m->message;
-        d.appPayload = m->message.payload;
-        switch (m->message.type) {
+      d.icmp = decodeIcmp(ip.payload);
+      if (d.icmp) {
+        d.appPayload = d.icmp->payload;
+        switch (d.icmp->type) {
           case IcmpType::kEchoRequest: d.type = PacketType::kIcmpEchoReq; break;
           case IcmpType::kEchoReply: d.type = PacketType::kIcmpEchoRep; break;
           default: d.type = PacketType::kIcmpOther; break;
@@ -141,13 +141,12 @@ void dissectIpv6Payload(Dissection& d, const Ipv6Decoded& ip) {
     d.appPayload = ip.payload;
     return;
   }
-  auto m = decodeIcmpv6(ip.payload, ip.header.src, ip.header.dst);
-  if (!m) {
+  d.icmpv6 = decodeIcmpv6(ip.payload);
+  if (!d.icmpv6) {
     d.type = PacketType::kMalformed;
     return;
   }
-  d.icmpv6 = m->message;
-  switch (m->message.type) {
+  switch (d.icmpv6->type) {
     case Icmpv6Type::kEchoRequest:
       d.type = PacketType::kIcmpv6EchoReq;
       break;
@@ -155,11 +154,11 @@ void dissectIpv6Payload(Dissection& d, const Ipv6Decoded& ip) {
       d.type = PacketType::kIcmpv6EchoRep;
       break;
     case Icmpv6Type::kRplControl:
-      if (m->message.code == kRplCodeDio) {
-        d.rplDio = decodeRplDio(m->message.body);
+      if (d.icmpv6->code == kRplCodeDio) {
+        d.rplDio = decodeRplDio(d.icmpv6->body);
         d.type = d.rplDio ? PacketType::kRplDio : PacketType::kMalformed;
-      } else if (m->message.code == kRplCodeDao) {
-        d.rplDao = decodeRplDao(m->message.body);
+      } else if (d.icmpv6->code == kRplCodeDao) {
+        d.rplDao = decodeRplDao(d.icmpv6->body);
         d.type = d.rplDao ? PacketType::kRplDao : PacketType::kMalformed;
       } else {
         d.type = PacketType::kSixlowpanOther;
@@ -169,13 +168,11 @@ void dissectIpv6Payload(Dissection& d, const Ipv6Decoded& ip) {
 }
 
 void dissectWpan(Dissection& d, BytesView raw) {
-  auto decoded = decodeIeee802154(raw);
-  if (!decoded) {
+  d.wpan = decodeIeee802154(raw);
+  if (!d.wpan) {
     d.type = PacketType::kMalformed;
     return;
   }
-  d.wpan = decoded->frame;
-  d.wpanFcsValid = decoded->fcsValid;
   const BytesView payload = d.wpan->payload;
 
   if (d.wpan->type == WpanFrameType::kAck) {
@@ -242,13 +239,11 @@ void dissectWpan(Dissection& d, BytesView raw) {
 }
 
 void dissectWifi(Dissection& d, BytesView raw) {
-  auto decoded = decodeWifi(raw);
-  if (!decoded) {
+  d.wifi = decodeWifi(raw);
+  if (!d.wifi) {
     d.type = PacketType::kMalformed;
     return;
   }
-  d.wifi = decoded->frame;
-  d.wifiFcsValid = decoded->fcsValid;
   switch (d.wifi->kind) {
     case WifiFrameKind::kBeacon:
       d.type = PacketType::kWifiBeacon;

@@ -102,7 +102,6 @@ struct Dissection {
 
   // 802.15.4 stack
   std::optional<Ieee802154FrameView> wpan;
-  bool wpanFcsValid = false;
   std::optional<CtpDataView> ctpData;
   std::optional<CtpRoutingBeacon> ctpBeacon;
   std::optional<ZigbeeNwkFrameView> zigbee;
@@ -113,7 +112,6 @@ struct Dissection {
 
   // WiFi stack
   std::optional<WifiFrameView> wifi;
-  bool wifiFcsValid = false;
   std::optional<Ipv4Header> ipv4;
   std::optional<TcpSegmentView> tcp;
   std::optional<UdpDatagramView> udp;
@@ -140,6 +138,12 @@ struct Dissection {
 
   /// The frame this dissection was parsed from (aliases the capture buffer).
   BytesView raw;
+
+  // Integrity verdicts. dissect() parses structure only; these compute the
+  // link-layer FCS check over `raw` when asked (no detector asks; the
+  // readable dump does). False when that link layer did not parse.
+  bool wpanFcsValid() const { return wpan && verifyIeee802154Fcs(raw); }
+  bool wifiFcsValid() const { return wifi && verifyWifiFcs(raw); }
 
   // Allocation-free entity identities — the per-packet hot-path accessors.
   /// Link-layer sender (EntityRef::none() when no link layer parsed).

@@ -52,28 +52,31 @@ Bytes TcpSegmentT<Storage>::encode(Ipv4Addr src, Ipv4Addr dst) const {
   return out;
 }
 
-std::optional<TcpDecoded> decodeTcp(BytesView raw, Ipv4Addr src, Ipv4Addr dst) {
+std::optional<TcpSegmentView> decodeTcp(BytesView raw) {
   if (raw.size() < 20) return std::nullopt;
   ByteReader r(raw);
-  TcpDecoded d;
-  d.segment.srcPort = *r.u16be();
-  d.segment.dstPort = *r.u16be();
-  d.segment.seq = *r.u32be();
-  d.segment.ackNo = *r.u32be();
+  TcpSegmentView seg;
+  seg.srcPort = *r.u16be();
+  seg.dstPort = *r.u16be();
+  seg.seq = *r.u32be();
+  seg.ackNo = *r.u32be();
   auto offsetByte = *r.u8();
   const std::size_t headerLen = (offsetByte >> 4) * 4u;
   if (headerLen < 20 || headerLen > raw.size()) return std::nullopt;
-  d.segment.flags = TcpFlags::decode(*r.u8());
-  d.segment.window = *r.u16be();
-  d.segment.wireChecksum = *r.u16be();
-  d.segment.urgent = *r.u16be();
-  d.segment.offsetReserved = offsetByte & 0x0f;
-  d.segment.options = *r.take(headerLen - 20);  // aliases `raw`
-  d.segment.payload = r.rest();                 // ditto
-  const auto pseudo = ipv4PseudoHeader(src, dst, IpProto::kTcp,
-                                        static_cast<std::uint16_t>(raw.size()));
-  d.checksumValid = internetChecksum2(pseudo, raw) == 0;
-  return d;
+  seg.flags = TcpFlags::decode(*r.u8());
+  seg.window = *r.u16be();
+  seg.wireChecksum = *r.u16be();
+  seg.urgent = *r.u16be();
+  seg.offsetReserved = offsetByte & 0x0f;
+  seg.options = *r.take(headerLen - 20);  // aliases `raw`
+  seg.payload = r.rest();                 // ditto
+  return seg;
+}
+
+bool verifyTcpChecksum(BytesView segment, Ipv4Addr src, Ipv4Addr dst) {
+  const auto pseudo = ipv4PseudoHeader(
+      src, dst, IpProto::kTcp, static_cast<std::uint16_t>(segment.size()));
+  return internetChecksum2(pseudo, segment) == 0;
 }
 
 template struct TcpSegmentT<Bytes>;
@@ -101,20 +104,25 @@ Bytes UdpDatagramT<Storage>::encode(Ipv4Addr src, Ipv4Addr dst) const {
   return out;
 }
 
-std::optional<UdpDecoded> decodeUdp(BytesView raw, Ipv4Addr src, Ipv4Addr dst) {
+std::optional<UdpDatagramView> decodeUdp(BytesView raw) {
   if (raw.size() < 8) return std::nullopt;
   ByteReader r(raw);
-  UdpDecoded d;
-  d.datagram.srcPort = *r.u16be();
-  d.datagram.dstPort = *r.u16be();
+  UdpDatagramView dg;
+  dg.srcPort = *r.u16be();
+  dg.dstPort = *r.u16be();
   auto len = *r.u16be();
-  d.datagram.wireChecksum = *r.u16be();
+  dg.wireChecksum = *r.u16be();
   if (len < 8 || len > raw.size()) return std::nullopt;
-  d.datagram.payload = raw.subspan(8, len - 8);  // aliases `raw`
-  const auto pseudo =
-      ipv4PseudoHeader(src, dst, IpProto::kUdp, static_cast<std::uint16_t>(len));
-  d.checksumValid = internetChecksum2(pseudo, raw.subspan(0, len)) == 0;
-  return d;
+  dg.payload = raw.subspan(8, len - 8);  // aliases `raw`
+  return dg;
+}
+
+bool verifyUdpChecksum(BytesView datagram, Ipv4Addr src, Ipv4Addr dst) {
+  if (datagram.size() < 8) return false;
+  const std::uint16_t len = *ByteReader(datagram.subspan(4)).u16be();
+  if (len < 8 || len > datagram.size()) return false;
+  const auto pseudo = ipv4PseudoHeader(src, dst, IpProto::kUdp, len);
+  return internetChecksum2(pseudo, datagram.first(len)) == 0;
 }
 
 template struct UdpDatagramT<Bytes>;
@@ -139,18 +147,21 @@ Bytes IcmpMessageT<Storage>::encode() const {
 template struct IcmpMessageT<Bytes>;
 template struct IcmpMessageT<BytesView>;
 
-std::optional<IcmpDecoded> decodeIcmp(BytesView raw) {
+std::optional<IcmpMessageView> decodeIcmp(BytesView raw) {
   if (raw.size() < 8) return std::nullopt;
   ByteReader r(raw);
-  IcmpDecoded d;
-  d.message.type = static_cast<IcmpType>(*r.u8());
-  d.message.code = *r.u8();
-  d.message.wireChecksum = *r.u16be();
-  d.message.identifier = *r.u16be();
-  d.message.sequence = *r.u16be();
-  d.message.payload = r.rest();  // aliases `raw`
-  d.checksumValid = internetChecksum(raw) == 0;
-  return d;
+  IcmpMessageView msg;
+  msg.type = static_cast<IcmpType>(*r.u8());
+  msg.code = *r.u8();
+  msg.wireChecksum = *r.u16be();
+  msg.identifier = *r.u16be();
+  msg.sequence = *r.u16be();
+  msg.payload = r.rest();  // aliases `raw`
+  return msg;
+}
+
+bool verifyIcmpChecksum(BytesView message) {
+  return internetChecksum(message) == 0;
 }
 
 }  // namespace kalis::net

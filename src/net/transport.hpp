@@ -3,8 +3,9 @@
 // Builders emit the 20-byte base TCP header (no options) — enough for the
 // SYN-flood detection path, which keys off flags and the 4-tuple. The parser
 // additionally preserves options, the urgent pointer and the on-wire checksum
-// so the codec can re-emit segments verbatim. Checksums are computed over the
-// appropriate pseudo-header.
+// so the codec can re-emit segments verbatim. The decoders parse structure
+// only; each verify* function checks a segment's checksum (over the
+// appropriate pseudo-header) when something asks for the verdict.
 #pragma once
 
 #include <cstdint>
@@ -62,12 +63,11 @@ struct TcpSegmentT {
 using TcpSegment = TcpSegmentT<Bytes>;
 using TcpSegmentView = TcpSegmentT<BytesView>;
 
-struct TcpDecoded {
-  TcpSegmentView segment;
-  bool checksumValid = false;
-};
+std::optional<TcpSegmentView> decodeTcp(BytesView raw);
 
-std::optional<TcpDecoded> decodeTcp(BytesView raw, Ipv4Addr src, Ipv4Addr dst);
+/// True when `segment` (header and payload) checksums to zero over the IPv4
+/// pseudo-header of src, dst and the segment's length.
+bool verifyTcpChecksum(BytesView segment, Ipv4Addr src, Ipv4Addr dst);
 
 // --- UDP --------------------------------------------------------------------
 
@@ -86,12 +86,12 @@ struct UdpDatagramT {
 using UdpDatagram = UdpDatagramT<Bytes>;
 using UdpDatagramView = UdpDatagramT<BytesView>;
 
-struct UdpDecoded {
-  UdpDatagramView datagram;
-  bool checksumValid = false;
-};
+std::optional<UdpDatagramView> decodeUdp(BytesView raw);
 
-std::optional<UdpDecoded> decodeUdp(BytesView raw, Ipv4Addr src, Ipv4Addr dst);
+/// True when the first `length` bytes of `datagram` (its own length field)
+/// checksum to zero over the IPv4 pseudo-header; false when that length is
+/// below 8 or runs past the buffer.
+bool verifyUdpChecksum(BytesView datagram, Ipv4Addr src, Ipv4Addr dst);
 
 // --- ICMP (v4) ---------------------------------------------------------------
 
@@ -119,12 +119,10 @@ struct IcmpMessageT {
 using IcmpMessage = IcmpMessageT<Bytes>;
 using IcmpMessageView = IcmpMessageT<BytesView>;
 
-struct IcmpDecoded {
-  IcmpMessageView message;
-  bool checksumValid = false;
-};
+std::optional<IcmpMessageView> decodeIcmp(BytesView raw);
 
-std::optional<IcmpDecoded> decodeIcmp(BytesView raw);
+/// True when the whole message checksums to zero.
+bool verifyIcmpChecksum(BytesView message);
 
 // Materialize zero-copy views into owning structs — the explicit copy points
 // for code that retains a segment past the dissection's lifetime (e.g. the

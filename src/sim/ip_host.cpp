@@ -42,24 +42,21 @@ void InternetCloud::deliverFromLocal(const net::Ipv4Header& ip, BytesView l4) {
   for (auto& host : hosts_) {
     if (host.addr != ip.dst || !host.handler) continue;
     // Parse transport for the handler's convenience.
-    std::optional<net::TcpDecoded> tcp;
-    std::optional<net::UdpDecoded> udp;
-    std::optional<net::IcmpDecoded> icmp;
+    std::optional<net::TcpSegmentView> tcp;
+    std::optional<net::UdpDatagramView> udp;
+    std::optional<net::IcmpMessageView> icmp;
     switch (ip.protocol) {
-      case net::IpProto::kTcp: tcp = net::decodeTcp(l4, ip.src, ip.dst); break;
-      case net::IpProto::kUdp: udp = net::decodeUdp(l4, ip.src, ip.dst); break;
+      case net::IpProto::kTcp: tcp = net::decodeTcp(l4); break;
+      case net::IpProto::kUdp: udp = net::decodeUdp(l4); break;
       case net::IpProto::kIcmp: icmp = net::decodeIcmp(l4); break;
       default: break;
     }
     // The handler runs after the WAN latency, at the "cloud".
     net::Ipv4Header ipCopy = ip;
     auto handler = host.handler;
-    auto tcpSeg = tcp ? std::optional(net::toOwned(tcp->segment))
-                      : std::nullopt;
-    auto udpDg =
-        udp ? std::optional(net::toOwned(udp->datagram)) : std::nullopt;
-    auto icmpMsg =
-        icmp ? std::optional(net::toOwned(icmp->message)) : std::nullopt;
+    auto tcpSeg = tcp ? std::optional(net::toOwned(*tcp)) : std::nullopt;
+    auto udpDg = udp ? std::optional(net::toOwned(*udp)) : std::nullopt;
+    auto icmpMsg = icmp ? std::optional(net::toOwned(*icmp)) : std::nullopt;
     world_->sim().schedule(kLatency, [handler, ipCopy, tcpSeg, udpDg, icmpMsg] {
       handler(ipCopy, tcpSeg ? &*tcpSeg : nullptr, udpDg ? &*udpDg : nullptr,
               icmpMsg ? &*icmpMsg : nullptr);

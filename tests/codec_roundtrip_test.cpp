@@ -248,14 +248,20 @@ bool regenRequested() {
   return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
+std::vector<std::string> linesOf(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream split(text);
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(CodecGolden, ReadableByteStrings) {
   std::vector<std::string> lines;
   for (const auto& [name, pkt] : referencePackets()) {
     lines.push_back("# " + name);
-    std::string rendered = toReadableByteString(dissect(pkt));
-    if (!rendered.empty() && rendered.back() == '\n') rendered.pop_back();
-    std::istringstream split(rendered);
-    for (std::string line; std::getline(split, line);) lines.push_back(line);
+    for (std::string& line : linesOf(toReadableByteString(dissect(pkt)))) {
+      lines.push_back(std::move(line));
+    }
   }
 
   std::ostringstream produced;
@@ -277,6 +283,38 @@ TEST(CodecGolden, ReadableByteStrings) {
       << "readable byte strings drifted from " << path
       << "\nIf the change is intended, regenerate with KALIS_REGEN_GOLDEN=1 "
          "and review the diff.";
+}
+
+// --- a flipped FCS byte changes the verdict and nothing else ------------------
+// dissect() parses structure only; the FCS verdict is derived from the bytes
+// when asked. A frame whose FCS is off by one byte must parse to the same
+// layers, type and fields as the intact frame, render fcsValid=0 and still
+// re-serialize to its own (corrupt) bytes. The golden above holds only valid
+// frames.
+
+TEST(CodecRoundtrip, FlippedFcsByteChangesOnlyTheVerdict) {
+  std::size_t checked = 0;
+  for (const auto& [name, intact] : referencePackets()) {
+    if (name != "wifi-tcp-syn" && name != "rpl-dio") continue;
+    ++checked;
+    CapturedPacket corrupt = intact;
+    corrupt.raw.back() ^= 0x01;  // the last FCS byte, on either medium
+    const Dissection d = dissect(corrupt);
+    const auto good = linesOf(toReadableByteString(dissect(intact)));
+    const auto bad = linesOf(toReadableByteString(d));
+    // Line 0 is medium and type, line 1 the link layer (with the FCS), then
+    // one line per inner layer, and last the raw bytes (with the FCS).
+    ASSERT_EQ(bad.size(), good.size()) << name;
+    for (std::size_t i = 0; i + 1 < good.size(); ++i) {
+      if (i == 1) continue;
+      EXPECT_EQ(bad[i], good[i]) << name;
+    }
+    EXPECT_NE(good[1].find(" fcsValid=1 "), std::string::npos) << good[1];
+    EXPECT_NE(bad[1].find(" fcsValid=0 "), std::string::npos) << bad[1];
+    EXPECT_EQ(toHex(BytesView(serialize(d))), toHex(BytesView(corrupt.raw)))
+        << name << ": serialize(dissect(pkt)) != pkt.raw";
+  }
+  EXPECT_EQ(checked, 2u);
 }
 
 // --- valid frames of every family, plus seeded mutations ---------------------

@@ -34,8 +34,10 @@ void expectEqual(const legacy::LegacyDissection& L, const Dissection& D,
                  const std::string& ctx) {
   KEXPECT(medium);
   KEXPECT(type);
-  KEXPECT(wpanFcsValid);
-  KEXPECT(wifiFcsValid);
+  // The legacy dissector computes FCS verdicts eagerly; the accessors
+  // compute them on demand from the same bytes.
+  EXPECT_EQ(L.wpanFcsValid, D.wpanFcsValid()) << ctx << ": wpanFcsValid";
+  EXPECT_EQ(L.wifiFcsValid, D.wifiFcsValid()) << ctx << ": wifiFcsValid";
 
   ASSERT_EQ(L.wpan.has_value(), D.wpan.has_value()) << ctx;
   if (L.wpan) {

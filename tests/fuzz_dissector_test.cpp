@@ -70,6 +70,18 @@ PacketType exercise(const CapturedPacket& pkt) {
   if (d.udp) sink += d.udp->payload.size();
   if (d.icmp) sink += d.icmp->payload.size();
   if (d.icmpv6) sink += d.icmpv6->body.size();
+  // dissect() computes no integrity verdict: run the IP and transport
+  // verifiers on every such layer that parsed (the FCS accessors run inside
+  // toReadableByteString below), so the sanitizers see all seven checks.
+  if (d.ipv4) {
+    sink += verifyIpv4Checksum(d.wifi->body.subspan(d.llcHeader.size()));
+    if (d.tcp) sink += verifyTcpChecksum(d.l3Payload, d.ipv4->src, d.ipv4->dst);
+    if (d.udp) sink += verifyUdpChecksum(d.l3Payload, d.ipv4->src, d.ipv4->dst);
+    if (d.icmp) sink += verifyIcmpChecksum(d.l3Payload);
+  }
+  if (d.icmpv6) {
+    sink += verifyIcmpv6Checksum(d.l3Payload, d.ipv6->src, d.ipv6->dst);
+  }
   EXPECT_GE(sink, 0u);  // keep `sink` observable
   // Codec roundtrip (packetlib discipline): whatever the parse verdict,
   // serialization must reproduce the input exactly, and a second parse of
