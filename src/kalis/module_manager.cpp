@@ -88,14 +88,16 @@ void ModuleManager::onPacket(const net::CapturedPacket& pkt,
       obs::kEnabled && (packetsProcessed_ % kLatencySampleEvery) == 0;
   if (dis.type == net::PacketType::kMalformed) ++malformedPackets_;
   ModuleContext ctx = makeContext(now);
-  // Iterate by index: modules may trigger KB changes that activate/deactivate
-  // other modules (vector growth is not possible here, state flips are).
+  // A module's KB changes may activate or deactivate other modules during
+  // this loop (state flips), but nothing adds or removes an entry, so the
+  // references stay valid.
   for (auto& entry : entries_) {
     if (!entry.active) continue;
     ++moduleActivations_;
-    totalWorkUnits_ += entry.module->workUnitsPerPacket();
+    const std::uint32_t units = entry.module->workUnitsPerPacket();
+    totalWorkUnits_ += units;
     entry.stats.packets.inc();
-    entry.stats.workUnits.inc(entry.module->workUnitsPerPacket());
+    entry.stats.workUnits.inc(units);
     currentStats_ = &entry.stats;
     if (sampleLatency) {
       const std::uint64_t t0 = obs::nowNs();

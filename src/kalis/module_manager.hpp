@@ -119,7 +119,6 @@ class ModuleManager {
   std::function<void(const Alert&)> alertSink_;
   bool allAlwaysActive_ = false;
   bool started_ = false;
-  bool evaluating_ = false;  ///< guards re-entrant KB-triggered evaluation
   std::uint64_t totalWorkUnits_ = 0;
   std::uint64_t packetsProcessed_ = 0;
   std::uint64_t malformedPackets_ = 0;

@@ -94,15 +94,15 @@ class KnowledgeInbox {
   std::size_t drain(const std::function<void(const RemoteKnowgget&)>& fn) {
     std::size_t drained = 0;
     SimTime watermark = watermark_.load(std::memory_order_relaxed);
-    while (ring_.tryPopBatch(scratch_, kDrainBatch) > 0) {
-      for (Ring::Item& item : scratch_) {
+    for (std::span<const Ring::Item> batch = ring_.tryPopBatch(kDrainBatch);
+         !batch.empty(); batch = ring_.tryPopBatch(kDrainBatch)) {
+      for (const Ring::Item& item : batch) {
         fn(item.value);
         if (item.value.publishedAt > watermark) {
           watermark = item.value.publishedAt;
         }
       }
-      drained += scratch_.size();
-      scratch_.clear();
+      drained += batch.size();
     }
     if (drained > 0) watermark_.store(watermark, std::memory_order_release);
     return drained;
@@ -128,7 +128,6 @@ class KnowledgeInbox {
 
   Ring ring_;
   std::atomic<SimTime> watermark_{0};
-  std::vector<Ring::Item> scratch_;  ///< consumer-thread-only drain buffer
 };
 
 class KnowledgeExchange {

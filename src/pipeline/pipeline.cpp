@@ -76,17 +76,15 @@ void Pipeline::workerMain(std::size_t shardIdx) {
   // The engine is created on its owning thread, so thread-ownership
   // checkers inside KnowledgeBase / DataStore bind to this worker.
   shard.engine = factory_(shardIdx);
-  std::vector<PacketRing::Item> batch;
-  batch.reserve(options_.maxBatch);
   std::vector<const net::CapturedPacket*> pkts;
   pkts.reserve(options_.maxBatch);
   std::uint64_t batches = 0;
   for (;;) {
-    batch.clear();
-    const std::size_t n = shard.ring.popBatch(batch, options_.maxBatch);
-    if (n == 0) break;  // closed and drained
-    // Hand the whole dequeue to the engine at once: the Items own the
-    // capture buffers for the duration of the call.
+    const std::span<const PacketRing::Item> batch =
+        shard.ring.popBatch(options_.maxBatch);
+    if (batch.empty()) break;  // closed and drained
+    // Hand the whole dequeue to the engine at once: the ring's consumer
+    // batch holds the capture buffers until the next pop.
     pkts.clear();
     for (const PacketRing::Item& item : batch) pkts.push_back(&item.value);
     shard.engine->onBatch(pkts.data(), pkts.size());

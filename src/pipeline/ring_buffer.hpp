@@ -14,6 +14,12 @@
 //               the next immediate hit), so a steadily-fed ring never pays
 //               wake-up latency.
 //
+// The ring owns its items' storage for its whole life: a pop swaps each
+// queued slot with an entry of a ring-owned consumer batch and hands the
+// consumer a span over that batch, so the producer's next copy-assign into
+// the slot reuses what the consumer finished with. The ring holds at most
+// capacity + one batch of item buffers and, once warm, never allocates.
+//
 // Two instantiations exist:
 //
 //   PacketRing  = BoundedRing<net::CapturedPacket>   ingress stage: many
@@ -44,6 +50,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -195,21 +203,23 @@ class BoundedRing {
     return r;
   }
 
-  /// Moves up to `maxBatch` items into `out` (appended). Blocks until at
-  /// least one item is available or the ring is closed; returns the number
-  /// of items appended — 0 means closed and fully drained. Single consumer.
+  /// Hands the consumer up to `maxBatch` queued items, oldest first, as a
+  /// span over the ring-owned consumer batch. The span stays valid until
+  /// this consumer's next pop; the items' storage goes back into the ring
+  /// then. Blocks until at least one item is available or the ring is
+  /// closed; an empty span means closed and fully drained. Single consumer.
   ///
   /// Before parking on the condvar the consumer spins briefly; the spin
   /// budget adapts (a fruitless spin round collapses it to zero until the
   /// next immediate hit), so an idle ring parks at once while a busy one
   /// never pays the futex round-trip.
-  std::size_t popBatch(std::vector<Item>& out, std::size_t maxBatch) {
+  std::span<const Item> popBatch(std::size_t maxBatch) {
     for (int spin = spinBudget_; spin > 0; --spin) {
       {
         std::unique_lock<std::mutex> lock(mu_);
         if (count_ > 0 || closed_) {
           spinBudget_ = kSpinIters;
-          return popLocked(lock, out, maxBatch);
+          return popLocked(lock, maxBatch);
         }
       }
       for (int i = 0; i < kPausePerSpin; ++i) detail::cpuRelax();
@@ -224,16 +234,16 @@ class BoundedRing {
     } else {
       spinBudget_ = kSpinIters;  // data arrived between spin and lock
     }
-    return popLocked(lock, out, maxBatch);
+    return popLocked(lock, maxBatch);
   }
 
-  /// Non-blocking popBatch: returns immediately with 0 when the ring is
+  /// Non-blocking popBatch: returns an empty span at once when the ring is
   /// empty (open or closed). Used by consumers that poll at batch
   /// boundaries, e.g. the knowledge-exchange drain.
-  std::size_t tryPopBatch(std::vector<Item>& out, std::size_t maxBatch) {
+  std::span<const Item> tryPopBatch(std::size_t maxBatch) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (count_ == 0) return 0;
-    return popLocked(lock, out, maxBatch);
+    if (count_ == 0) return {};
+    return popLocked(lock, maxBatch);
   }
 
   /// Rejects all future pushes and wakes every waiter; queued items stay
@@ -297,26 +307,26 @@ class BoundedRing {
 
   /// Pop body shared by the blocking and non-blocking variants; requires
   /// count_ > 0 or closed_, with `lock` held on mu_.
-  std::size_t popLocked(std::unique_lock<std::mutex>& lock,
-                        std::vector<Item>& out, std::size_t maxBatch) {
+  std::span<const Item> popLocked(std::unique_lock<std::mutex>& lock,
+                                  std::size_t maxBatch) {
     const std::size_t n = std::min(maxBatch == 0 ? 1 : maxBatch, count_);
+    if (n == 0) return {};
+    if (batch_.size() < n) batch_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       Item& slot = slots_[head_];
       if (slot.enqueuedNs != 0) queueWaitNs_.record(obs::nowNs() - slot.enqueuedNs);
-      out.push_back(std::move(slot));
+      std::swap(batch_[i], slot);
       head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     }
     count_ -= n;
-    if (n > 0) {
-      stats_.popped += n;
-      ++stats_.batches;
-      batchSize_.record(n);
-      depth_.set(static_cast<double>(count_));
-      const bool wakeProducers = waitingProducers_ > 0;
-      lock.unlock();
-      if (wakeProducers) notFull_.notify_all();  // several may be parked
-    }
-    return n;
+    stats_.popped += n;
+    ++stats_.batches;
+    batchSize_.record(n);
+    depth_.set(static_cast<double>(count_));
+    const bool wakeProducers = waitingProducers_ > 0;
+    lock.unlock();
+    if (wakeProducers) notFull_.notify_all();  // several may be parked
+    return {batch_.data(), n};
   }
 
   const std::size_t capacity_;
@@ -324,6 +334,9 @@ class BoundedRing {
   std::condition_variable notFull_;
   std::condition_variable notEmpty_;
   std::vector<Item> slots_;
+  /// Consumer batch; [0, n) of the last pop is the consumer's span. Swapped
+  /// with slots under mu_, read outside it only by the one consumer.
+  std::vector<Item> batch_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   bool closed_ = false;

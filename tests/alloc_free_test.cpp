@@ -4,7 +4,9 @@
 // bounded handful each, and net::serialize makes exactly the allocations it
 // makes today, on recorded home-flood, 6LoWPAN and ZigBee captures replayed
 // the way the benchmark's traced pass does: run the simulator up to the
-// packet, dissect it, feed it.
+// packet, dissect it, feed it. The pipeline's rings recycle their items'
+// storage (DESIGN.md §7), so a warm PacketRing or KnowledgeInbox moves
+// items through without allocating.
 //
 // A separate executable from kalis_tests: the global operator new
 // replacement below, which counts heap allocations per thread, would switch
@@ -13,10 +15,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <vector>
 
 #include "kalis/kalis_node.hpp"
 #include "net/codec.hpp"
+#include "pipeline/knowledge_exchange.hpp"
+#include "pipeline/ring_buffer.hpp"
 #include "recorded_captures.hpp"
 #include "scenarios/scenarios.hpp"
 
@@ -194,6 +200,107 @@ TEST(AllocationCount, SerializeOnSixlowpanSmurf) {
   const scenarios::Capture rec = scenarios::captureSmurf(7);
   ASSERT_EQ(rec.packets.size(), 9616u);
   EXPECT_EQ(serializeAllocations(rec), 190100u);
+}
+
+// A ring holds at most capacity + one consumer batch of item buffers. The
+// warm-up below fills every one of them with a largest-size frame: the
+// first fill, one pop (which sizes the consumer batch and hands its empty
+// entries to the popped slots), one batch to refill those slots, then a
+// drain. After that, pushing and popping smaller frames reuses the buffers
+// and makes no allocation at all; a ring that moved items out would
+// allocate once per frame.
+TEST(AllocationCount, PacketRingRecyclesFrameBuffersAfterWarmUp) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kBatch = 16;
+  constexpr std::size_t kLargest = 2048;
+  using pipeline::Backpressure;
+  pipeline::PacketRing ring(kCapacity);
+  net::CapturedPacket largest;
+  largest.raw.assign(kLargest, 0xab);
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    ring.push(largest, Backpressure::kBlock);
+  }
+  ring.popBatch(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    ring.push(largest, Backpressure::kBlock);
+  }
+  while (!ring.tryPopBatch(kBatch).empty()) {
+  }
+
+  std::vector<net::CapturedPacket> frames(kBatch);
+  std::vector<const net::CapturedPacket*> ptrs;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i].raw.assign(1 + (i * 397) % kLargest,
+                         static_cast<std::uint8_t>(i));
+    ptrs.push_back(&frames[i]);
+  }
+  constexpr std::size_t kCycles = 1000;
+  std::size_t popped = 0;
+  const std::uint64_t before = tAllocations;
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    // Pop a little less than is pushed, so the ring fills up and both drop
+    // policies fire (a kBlock push would wait forever on one thread).
+    if (c % 2 == 0) {
+      ring.pushBatch(ptrs.data(), ptrs.size(), Backpressure::kDropOldest);
+    } else {
+      for (const net::CapturedPacket& f : frames) {
+        ring.push(f, Backpressure::kDropNewest);
+      }
+    }
+    popped += ring.popBatch(kBatch - 1).size();
+  }
+  while (true) {
+    const std::size_t n = ring.tryPopBatch(kBatch).size();
+    if (n == 0) break;
+    popped += n;
+  }
+  const std::uint64_t allocations = tAllocations - before;
+  EXPECT_EQ(allocations, 0u) << "over " << kCycles * kBatch << " frames";
+  const pipeline::PacketRing::Stats stats = ring.stats();
+  EXPECT_GT(stats.droppedOldest, 0u);
+  EXPECT_GT(stats.droppedNewest, 0u);
+  EXPECT_EQ(popped + stats.droppedOldest + stats.droppedNewest,
+            kCycles * kBatch);
+}
+
+// The same for a knowledge inbox: once every slot and the drain batch hold
+// knowggets with the longest strings, delivering and draining shorter ones
+// allocates nothing.
+TEST(AllocationCount, KnowledgeInboxRecyclesStringsAfterWarmUp) {
+  constexpr std::size_t kCapacity = 128;
+  constexpr std::size_t kBatch = pipeline::KnowledgeInbox::kDrainBatch;
+  pipeline::KnowledgeInbox inbox(kCapacity);
+  const auto knowgget = [](std::size_t len, char c) {
+    pipeline::RemoteKnowgget rk;
+    rk.knowgget.label.assign(len, c);
+    rk.knowgget.value.assign(len, c);
+    rk.knowgget.creator.assign(len, c);
+    rk.knowgget.entity.assign(len, c);
+    return rk;
+  };
+  std::size_t seen = 0;
+  const auto count = [&seen](const pipeline::RemoteKnowgget&) { ++seen; };
+  const pipeline::RemoteKnowgget largest = knowgget(96, 'x');
+  for (std::size_t i = 0; i < kCapacity; ++i) inbox.deliver(largest);
+  inbox.drain(count);
+  for (std::size_t i = 0; i < kBatch; ++i) inbox.deliver(largest);
+  inbox.drain(count);
+
+  std::vector<pipeline::RemoteKnowgget> items;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    items.push_back(knowgget(16 + i, static_cast<char>('a' + i % 26)));
+  }
+  // One std::function for every drain: it is built before the count.
+  const std::function<void(const pipeline::RemoteKnowgget&)> fn = count;
+  constexpr std::size_t kCycles = 500;
+  seen = 0;
+  const std::uint64_t before = tAllocations;
+  for (std::size_t c = 0; c < kCycles; ++c) {
+    for (std::size_t i = 0; i < 1 + c % kBatch; ++i) inbox.deliver(items[i]);
+    inbox.drain(fn);
+  }
+  EXPECT_EQ(tAllocations - before, 0u) << "over " << seen << " knowggets";
+  EXPECT_GT(seen, kCycles);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "kalis/kalis_node.hpp"
@@ -135,6 +136,31 @@ class AlertPerPacketEngine : public pipeline::PacketEngine {
 
 // --- ring buffer ------------------------------------------------------------------
 
+/// Appends copies of one popped batch to `out` (a pop's span is valid only
+/// until the ring's next pop) and returns the batch size.
+std::size_t keep(std::vector<PacketRing::Item>& out,
+                 std::span<const PacketRing::Item> batch) {
+  out.insert(out.end(), batch.begin(), batch.end());
+  return batch.size();
+}
+
+/// A frame of `len` bytes tagged `seq`, every byte drawn from `seq`: a
+/// recycled ring buffer that kept a stale tail or took a short copy shows
+/// in a byte compare with patternedFrame(seq, len).
+net::CapturedPacket patternedFrame(std::uint64_t seq, std::size_t len) {
+  net::CapturedPacket pkt;
+  pkt.raw.resize(len);
+  std::uint64_t x = seq * 0x9e3779b97f4a7c15ULL + 1;
+  for (std::size_t i = 0; i < len; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    pkt.raw[i] = static_cast<std::uint8_t>(x);
+  }
+  pkt.meta.captureSeq = seq;
+  return pkt;
+}
+
 TEST(PipelineRing, FifoBatchDequeue) {
   PacketRing ring(8);
   for (std::uint8_t i = 0; i < 5; ++i) {
@@ -142,8 +168,8 @@ TEST(PipelineRing, FifoBatchDequeue) {
               PacketRing::PushResult::kOk);
   }
   std::vector<PacketRing::Item> out;
-  EXPECT_EQ(ring.popBatch(out, 3), 3u);
-  EXPECT_EQ(ring.popBatch(out, 100), 2u);
+  EXPECT_EQ(keep(out, ring.popBatch(3)), 3u);
+  EXPECT_EQ(keep(out, ring.popBatch(100)), 2u);
   ASSERT_EQ(out.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(out[i].value.meta.captureSeq, i);
@@ -166,7 +192,7 @@ TEST(PipelineRing, DropNewestRejectsIncoming) {
   EXPECT_EQ(accepted, 4u);
   EXPECT_EQ(ring.stats().droppedNewest, 6u);
   std::vector<PacketRing::Item> out;
-  ring.popBatch(out, 100);
+  keep(out, ring.popBatch(100));
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].value.meta.captureSeq, 0u);  // oldest survived
   EXPECT_EQ(out[3].value.meta.captureSeq, 3u);
@@ -181,7 +207,7 @@ TEST(PipelineRing, DropOldestEvictsQueued) {
   EXPECT_EQ(ring.stats().droppedOldest, 6u);
   EXPECT_EQ(ring.stats().pushed, 10u);
   std::vector<PacketRing::Item> out;
-  ring.popBatch(out, 100);
+  keep(out, ring.popBatch(100));
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].value.meta.captureSeq, 6u);  // newest survived
   EXPECT_EQ(out[3].value.meta.captureSeq, 9u);
@@ -194,9 +220,9 @@ TEST(PipelineRing, CloseRejectsPushAndDrains) {
   EXPECT_EQ(ring.push(wifiFrom(1, seconds(2), 8), Backpressure::kBlock),
             PacketRing::PushResult::kClosed);
   std::vector<PacketRing::Item> out;
-  EXPECT_EQ(ring.popBatch(out, 100), 1u);  // drain-on-shutdown
+  EXPECT_EQ(keep(out, ring.popBatch(100)), 1u);  // drain-on-shutdown
   EXPECT_EQ(out[0].value.meta.captureSeq, 7u);
-  EXPECT_EQ(ring.popBatch(out, 100), 0u);  // closed and empty
+  EXPECT_EQ(keep(out, ring.popBatch(100)), 0u);  // closed and empty
 }
 
 // --- batched push -----------------------------------------------------------------
@@ -222,7 +248,7 @@ TEST(PipelineRing, BatchPushExactLossTalliesPerPolicy) {
     EXPECT_EQ(r.droppedOldest, 0u);
     EXPECT_EQ(ring.stats().droppedNewest, 6u);
     std::vector<PacketRing::Item> out;
-    ring.popBatch(out, 100);
+    keep(out, ring.popBatch(100));
     ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out.front().value.meta.captureSeq, 0u);  // oldest survived
     EXPECT_EQ(out.back().value.meta.captureSeq, 3u);
@@ -235,7 +261,7 @@ TEST(PipelineRing, BatchPushExactLossTalliesPerPolicy) {
     EXPECT_EQ(ring.stats().droppedOldest, 6u);
     EXPECT_EQ(ring.stats().pushed, 10u);
     std::vector<PacketRing::Item> out;
-    ring.popBatch(out, 100);
+    keep(out, ring.popBatch(100));
     ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out.front().value.meta.captureSeq, 6u);  // newest survived
     EXPECT_EQ(out.back().value.meta.captureSeq, 9u);
@@ -268,7 +294,8 @@ TEST(PipelineRing, BatchPushMatchesSerialPushExactly) {
     PacketRing::BatchPushResult totS;
 
     const auto drain = [&](std::size_t k) {
-      EXPECT_EQ(batched.tryPopBatch(outB, k), serial.tryPopBatch(outS, k));
+      EXPECT_EQ(keep(outB, batched.tryPopBatch(k)),
+                keep(outS, serial.tryPopBatch(k)));
     };
 
     for (int round = 0; round < 300; ++round) {
@@ -330,8 +357,14 @@ TEST(PipelineRing, BatchPushMatchesSerialPushExactly) {
 
 TEST(PipelineRing, MultiProducerBatchedPushKeepsPerSourceFifo) {
   // Four producers pushBatch variable-size chunks of their own tagged
-  // streams while one consumer drains. Per-source FIFO must hold and the
-  // loss accounting must be exact, under every policy.
+  // streams while one consumer drains. Per-source FIFO must hold, the loss
+  // accounting must be exact, and every delivered frame must carry exactly
+  // the bytes its producer pushed (frame lengths vary from 3 to ~1.4k
+  // bytes, so the ring's recycled buffers are refilled long over short and
+  // short over long), under every policy.
+  const auto frameLength = [](std::uint64_t seq) -> std::size_t {
+    return seq % 3 == 0 ? 1400 + seq % 64 : 3 + seq % 61;
+  };
   for (const Backpressure policy :
        {Backpressure::kBlock, Backpressure::kDropNewest,
         Backpressure::kDropOldest}) {
@@ -352,8 +385,8 @@ TEST(PipelineRing, MultiProducerBatchedPushKeepsPerSourceFifo) {
           std::vector<const net::CapturedPacket*> ptrs;
           for (std::uint64_t j = 0; j < n; ++j) {
             // captureSeq encodes producer * 10^6 + per-producer sequence.
-            pkts.push_back(wifiFrom(static_cast<std::uint8_t>(p + 1),
-                                    seconds(1), p * 1000000 + i + j));
+            const std::uint64_t seq = p * 1000000 + i + j;
+            pkts.push_back(patternedFrame(seq, frameLength(seq)));
           }
           for (const auto& pkt : pkts) ptrs.push_back(&pkt);
           const auto r = ring.pushBatch(ptrs.data(), n, policy);
@@ -367,7 +400,7 @@ TEST(PipelineRing, MultiProducerBatchedPushKeepsPerSourceFifo) {
     std::vector<PacketRing::Item> drained;
     std::thread consumer([&] {
       std::vector<PacketRing::Item> out;
-      while (ring.popBatch(out, 16) > 0) {
+      while (keep(out, ring.popBatch(16)) > 0) {
       }
       drained = std::move(out);
     });
@@ -390,7 +423,12 @@ TEST(PipelineRing, MultiProducerBatchedPushKeepsPerSourceFifo) {
     // Per-source FIFO: each producer's surviving subsequence is strictly
     // increasing (drop policies may leave gaps, never reorderings).
     std::map<std::uint64_t, std::uint64_t> lastSeq;
+    std::size_t corrupted = 0;
     for (const auto& item : drained) {
+      const std::uint64_t tag = item.value.meta.captureSeq;
+      if (item.value.raw != patternedFrame(tag, frameLength(tag)).raw) {
+        ++corrupted;
+      }
       const std::uint64_t producer = item.value.meta.captureSeq / 1000000;
       const std::uint64_t seq = item.value.meta.captureSeq % 1000000;
       auto [it, first] = lastSeq.emplace(producer, seq);
@@ -399,6 +437,73 @@ TEST(PipelineRing, MultiProducerBatchedPushKeepsPerSourceFifo) {
             << backpressureName(policy) << " reordered producer " << producer;
         it->second = seq;
       }
+    }
+    EXPECT_EQ(corrupted, 0u)
+        << backpressureName(policy) << ": frames whose bytes differ from "
+        << "what their producer pushed";
+  }
+}
+
+TEST(PipelineRing, RecycledSlotsDeliverExactBytesUnderEveryPolicy) {
+  // Frames alternate between ~1.5k and a few bytes through a 4-slot ring,
+  // so each buffer the ring recycles last held a frame of the other size.
+  // Pushes (single and batched) outrun pops, so the drop policies evict and
+  // reject; every frame that comes out must equal the pushed one byte for
+  // byte, and every pushed frame must be delivered or counted as lost.
+  const auto frameLength = [](std::uint64_t seq) -> std::size_t {
+    return seq % 2 == 0 ? 1500 - seq % 17 : 1 + seq % 5;
+  };
+  for (const Backpressure policy :
+       {Backpressure::kBlock, Backpressure::kDropNewest,
+        Backpressure::kDropOldest}) {
+    constexpr std::size_t kCap = 4;
+    PacketRing ring(kCap);
+    std::uint64_t seq = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t lastDelivered = 0;
+    const auto check = [&](std::span<const PacketRing::Item> batch) {
+      for (const PacketRing::Item& item : batch) {
+        const std::uint64_t tag = item.value.meta.captureSeq;
+        EXPECT_EQ(item.value.raw, patternedFrame(tag, frameLength(tag)).raw)
+            << backpressureName(policy) << " frame " << tag;
+        EXPECT_TRUE(delivered == 0 || tag > lastDelivered)
+            << backpressureName(policy) << " reordered frame " << tag;
+        lastDelivered = tag;
+        ++delivered;
+      }
+      return batch.size();
+    };
+    for (int round = 0; round < 400; ++round) {
+      std::size_t n = 1 + round % 7;
+      // No consumer thread: kBlock may only fill the free slots.
+      if (policy == Backpressure::kBlock) n = std::min(n, kCap - ring.size());
+      std::vector<net::CapturedPacket> pkts;
+      for (std::size_t i = 0; i < n; ++i, ++seq) {
+        pkts.push_back(patternedFrame(seq, frameLength(seq)));
+      }
+      if (round % 2 == 0) {
+        std::vector<const net::CapturedPacket*> ptrs;
+        for (const auto& p : pkts) ptrs.push_back(&p);
+        ring.pushBatch(ptrs.data(), ptrs.size(), policy);
+      } else {
+        for (const auto& p : pkts) ring.push(p, policy);
+      }
+      check(round % 3 == 0 ? ring.popBatch(1 + round % 4)
+                           : ring.tryPopBatch(1 + round % 4));
+    }
+    while (check(ring.tryPopBatch(kCap)) > 0) {
+    }
+
+    const auto stats = ring.stats();
+    EXPECT_EQ(delivered, stats.popped) << backpressureName(policy);
+    EXPECT_EQ(delivered + stats.droppedNewest + stats.droppedOldest, seq)
+        << backpressureName(policy);
+    if (policy == Backpressure::kBlock) {
+      EXPECT_EQ(delivered, seq);
+    } else if (policy == Backpressure::kDropNewest) {
+      EXPECT_GT(stats.droppedNewest, 0u);
+    } else {
+      EXPECT_GT(stats.droppedOldest, 0u);
     }
   }
 }
