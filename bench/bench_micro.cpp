@@ -1,12 +1,11 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot paths — the
-// Knowledge Base key-value operations (Fig. 5b encoding), packet encode/
-// dissect, the Kalis engine per packet, and the Snort-like rule engine per
-// packet. These quantify the per-packet cost asymmetry behind Table II's
-// CPU column.
+// Knowledge Base key-value operations (Fig. 5b encoding), packet dissect/
+// serialize, the per-packet entity-state lookup, the Kalis engine per
+// packet, and the Snort-like rule engine per packet. These quantify the
+// per-packet cost asymmetry behind Table II's CPU column.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "baseline/snort_engine.hpp"
@@ -14,7 +13,6 @@
 #include "kalis/kalis_node.hpp"
 #include "metrics/metrics_export.hpp"
 #include "net/codec.hpp"
-#include "net/dissect_legacy.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -86,35 +84,13 @@ void BM_Dissect(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::dissect(pkt));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Dissect);
 
-// Head-to-head for DESIGN.md §10: the in-place dissector (views aliasing
-// pkt.raw) vs the frozen copying dissector (every payload an owning
-// std::vector). Same frame, same layer stack.
-void BM_DissectInPlace(benchmark::State& state) {
-  const net::CapturedPacket pkt = makeIcmpPacket(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::dissect(pkt));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DissectInPlace);
-
-void BM_DissectLegacyCopy(benchmark::State& state) {
-  const net::CapturedPacket pkt = makeIcmpPacket(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::legacy::dissectLegacy(pkt));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_DissectLegacyCopy);
-
-// Per-packet detection-state touch: EntityRef-keyed lookup (constexpr FNV
-// key over 18 bytes) vs the legacy pattern of formatting the entity string
-// and probing a std::map<std::string, T>. Mirrors what the flood modules do
-// for every frame.
-void BM_EntityStateTouch_EntityRef(benchmark::State& state) {
+// Per-packet detection-state touch: an EntityRef-keyed lookup (constexpr
+// FNV key over 18 bytes), as the flood modules do for every frame.
+void BM_EntityStateTouch(benchmark::State& state) {
   ids::EntityKeyedMap<std::uint64_t> counters;
   for (std::uint16_t i = 0; i < 64; ++i) {
     counters.tryEmplace(net::EntityRef::of(net::Mac16{i}), 0);
@@ -128,24 +104,7 @@ void BM_EntityStateTouch_EntityRef(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EntityStateTouch_EntityRef);
-
-void BM_EntityStateTouch_StringKey(benchmark::State& state) {
-  std::map<std::string, std::uint64_t> counters;
-  for (std::uint16_t i = 0; i < 64; ++i) {
-    counters.emplace(net::EntityRef::of(net::Mac16{i}).toString(), 0);
-  }
-  const net::CapturedPacket pkt = makeIcmpPacket(7);
-  const net::Dissection dis = net::dissect(pkt);
-  for (auto _ : state) {
-    // The legacy hot path: format the label, then tree-walk on strings.
-    auto [it, inserted] = counters.emplace(dis.linkSource(), 0);
-    ++it->second;
-    benchmark::DoNotOptimize(it);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EntityStateTouch_StringKey);
+BENCHMARK(BM_EntityStateTouch);
 
 // The serializer half of the codec roundtrip (net/codec.hpp): re-emitting
 // the wire bytes of an already-dissected frame. Reported, not gated: its
