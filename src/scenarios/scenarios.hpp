@@ -11,7 +11,8 @@
 //   captureSmurf, captureSynFlood, captureSelectiveForwarding,
 //   captureBlackhole, captureSybil, captureSinkhole
 //                           — the remaining Fig. 8 breadth scenarios
-//   runWormhole             — §VI-D (two Kalis nodes, collective knowledge)
+//   captureWormhole, runWormhole
+//                           — §VI-D (two Kalis nodes, collective knowledge)
 //   runReactivity           — §VI-C (cold-start dynamic module activation)
 //   runLiveCountermeasure   — §VI-B metric iii, with the IDS in the loop
 #pragma once
@@ -71,8 +72,16 @@ std::optional<Capture> capture(
     const chaos::FaultPlan* faults = nullptr,
     const attacks::evasion::EvasionPlan* evasion = nullptr);
 
-/// §VI-D. Runs only Kalis (two nodes); `collaborative` toggles collective
-/// knowledge (the paper's mechanism) on and off (the ablation).
+/// §VI-D's capture: the ZigBee wormhole chain recorded at both IDS spots into
+/// one stream (meta.capturedBy names the spot). When `k1Spot` is non-null it
+/// receives the spot that watches the hub/B1 portion, whose packets feed K1.
+Capture captureWormhole(std::uint64_t seed,
+                        const chaos::FaultPlan* faults = nullptr,
+                        NodeId* k1Spot = nullptr);
+
+/// §VI-D. Replays captureWormhole into two Kalis nodes, each fed its own
+/// spot's packets; `collaborative` toggles collective knowledge (the paper's
+/// mechanism) on and off (the ablation).
 struct WormholeResult {
   ScenarioResult combined;      ///< alerts of both Kalis nodes merged
   bool wormholeClassified = false;

@@ -121,33 +121,37 @@ LiveCountermeasureResult runLiveCountermeasure(std::uint64_t seed) {
   return result;
 }
 
-WormholeResult runWormhole(std::uint64_t seed, bool collaborative,
-                           const chaos::FaultPlan* faults) {
+Capture captureWormhole(std::uint64_t seed, const chaos::FaultPlan* faults,
+                        NodeId* k1Spot) {
   Capture cap;
   cap.scenario = "Wormhole";
-  NodeId firstSpot = kInvalidNode;
-  {
-    sim::Simulator simulator(seed);
-    sim::World world(simulator);
-    ZigbeeWormholeChain chain =
-        buildZigbeeWormholeChain(world, /*commandInterval=*/milliseconds(1500));
+  sim::Simulator simulator(seed);
+  sim::World world(simulator);
+  ZigbeeWormholeChain chain =
+      buildZigbeeWormholeChain(world, /*commandInterval=*/milliseconds(1500));
 
-    attacks::WormholeRelayPolicy::Config policyConfig;
-    policyConfig.world = &world;
-    policyConfig.peer = chain.b2;
-    policyConfig.truth = &cap.truth;
-    chain.b1Agent->setRelayPolicy(
-        std::make_shared<attacks::WormholeRelayPolicy>(policyConfig));
+  attacks::WormholeRelayPolicy::Config policyConfig;
+  policyConfig.world = &world;
+  policyConfig.peer = chain.b2;
+  policyConfig.truth = &cap.truth;
+  chain.b1Agent->setRelayPolicy(
+      std::make_shared<attacks::WormholeRelayPolicy>(policyConfig));
 
-    // Two IDS spots with deliberately constrained radios: each hears only
-    // its own network portion (the premise of §VI-D).
-    for (NodeId ids : {chain.ids1, chain.ids2}) {
-      world.enableRadio(ids, net::Medium::kIeee802154, moteRadio());
-    }
-    record(world, {chain.ids1, chain.ids2}, {net::Medium::kIeee802154},
-           seconds(120), cap, faults);
-    firstSpot = chain.ids1;
+  // Two IDS spots with deliberately constrained radios: each hears only
+  // its own network portion (the premise of §VI-D).
+  for (NodeId ids : {chain.ids1, chain.ids2}) {
+    world.enableRadio(ids, net::Medium::kIeee802154, moteRadio());
   }
+  record(world, {chain.ids1, chain.ids2}, {net::Medium::kIeee802154},
+         seconds(120), cap, faults);
+  if (k1Spot != nullptr) *k1Spot = chain.ids1;
+  return cap;
+}
+
+WormholeResult runWormhole(std::uint64_t seed, bool collaborative,
+                           const chaos::FaultPlan* faults) {
+  NodeId firstSpot = kInvalidNode;
+  const Capture cap = captureWormhole(seed, faults, &firstSpot);
 
   // Two Kalis nodes on one replay clock, each fed what its own spot heard.
   sim::Simulator clock(1);

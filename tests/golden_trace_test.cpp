@@ -1,18 +1,22 @@
 // Golden SIEM-trace regression tests (DESIGN.md §9): the committed files in
 // tests/golden/ hold the exact SIEM JSON stream of every Fig. 8 scenario,
-// the collaborative wormhole run and one pipeline trace-replay run, plus the
+// the collaborative wormhole run and one pipeline trace-replay run, the
 // ordered knowledge changes of home, WSN-blackhole and ZigBee captures
-// replayed into a KalisNode. Any byte of drift — alert content, ordering,
-// JSON shape, timestamping, knowgget publication order — fails the test.
+// replayed into a KalisNode, and the sharded-pipeline matrix (every Fig. 8
+// capture and the wormhole capture at 1/2/4/8 workers). Any byte of drift —
+// alert content, ordering, JSON shape, timestamping, knowgget publication
+// order, a matrix cell — fails the test.
 //
 // Regenerating after an INTENDED output change:
 //
-//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests --gtest_filter='Golden*'
+//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests \
+//       --gtest_filter='Golden*:PipelineMatrix.*'
 //
 // then review the diff of tests/golden/ like any other code change.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +26,8 @@
 
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
+#include "pipeline/kalis_engine.hpp"
+#include "pipeline/pipeline.hpp"
 #include "recorded_captures.hpp"
 #include "scenarios/chaos_workload.hpp"
 #include "scenarios/scenarios.hpp"
@@ -147,6 +153,91 @@ TEST(GoldenTrace, WsnKnowledgeChangeStream) {
 TEST(GoldenTrace, ZigbeeKnowledgeChangeStream) {
   checkGolden("kb_zigbee_star_seed7.txt",
               knowledgeChanges(recorded::recordZigbeeStar(7)));
+}
+
+// --- sharded-pipeline matrix (ROADMAP item 4) --------------------------------
+
+/// Replays `capture` through a full-library Pipeline with the knowledge
+/// exchange off (the default); shard 0 is "K1" on a seed-1 clock, as in
+/// scenarios::evaluate.
+std::vector<ids::Alert> replayThroughPipeline(
+    const scenarios::Capture& capture, std::size_t workers) {
+  pipeline::Options opts;
+  opts.workers = workers;
+  pipeline::KalisEngineOptions engineOpts;
+  engineOpts.node.id = "K1";
+  engineOpts.drainUntil = capture.end;
+  engineOpts.configure = [](ids::KalisNode& node) {
+    node.useStandardLibrary();
+  };
+  pipeline::Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  pipe.start();
+  EXPECT_EQ(pipe.enqueueBatch(capture.packets.data(), capture.packets.size()),
+            capture.packets.size());
+  pipe.stop();
+  return pipe.alerts();
+}
+
+/// Every Fig. 8 capture and the wormhole capture (both spots in one stream),
+/// seed 7, at 1, 2, 4 and 8 workers. A cell holds the merged alert count,
+/// detection rate and accuracy, and whether its SIEM stream equals the
+/// one-worker stream; "divergent" names every cell where it does not. The
+/// exchange-on cells are left out: with the exchange on, the wormhole
+/// capture's multi-worker output depends on thread timing (DESIGN.md §8).
+TEST(PipelineMatrix, Fig8AndWormholeAtOneToEightWorkers) {
+  std::vector<scenarios::Capture> captures;
+  for (const std::string& name : scenarios::scenarioNames()) {
+    captures.push_back(*scenarios::capture(name, 7));
+  }
+  captures.push_back(scenarios::captureWormhole(7));
+
+  std::vector<std::string> cells;
+  std::vector<std::string> divergent;
+  for (const scenarios::Capture& capture : captures) {
+    SCOPED_TRACE(capture.scenario);
+    std::vector<std::string> reference;
+    std::string diverging;
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+      const std::vector<ids::Alert> alerts =
+          replayThroughPipeline(capture, workers);
+      const std::vector<std::string> stream = siemLines(alerts);
+      if (workers == 1) reference = stream;
+      const bool same = stream == reference;
+      if (!same) {
+        diverging += (diverging.empty() ? "" : ", ") + std::to_string(workers);
+      }
+      const metrics::EvaluationResult eval =
+          metrics::evaluate(capture.truth, alerts);
+      char cell[256];
+      std::snprintf(cell, sizeof(cell),
+                    "    {\"capture\": \"%s\", \"workers\": %zu, "
+                    "\"alerts\": %zu, \"detection_rate\": %.4f, "
+                    "\"accuracy\": %.4f, \"equals_one_worker\": %s}",
+                    capture.scenario.c_str(), workers, alerts.size(),
+                    eval.detectionRate(), eval.classificationAccuracy(),
+                    same ? "true" : "false");
+      cells.emplace_back(cell);
+    }
+    if (!diverging.empty()) {
+      divergent.push_back("    \"" + capture.scenario + "\": [" + diverging +
+                          "]");
+    }
+  }
+
+  std::vector<std::string> lines = {"{", "  \"seed\": 7,",
+                                    "  \"knowledge_exchange\": false,",
+                                    "  \"cells\": ["};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    lines.push_back(cells[i] + (i + 1 < cells.size() ? "," : ""));
+  }
+  lines.push_back("  ],");
+  lines.push_back("  \"divergent\": {");
+  for (std::size_t i = 0; i < divergent.size(); ++i) {
+    lines.push_back(divergent[i] + (i + 1 < divergent.size() ? "," : ""));
+  }
+  lines.push_back("  }");
+  lines.push_back("}");
+  checkGolden("pipeline_matrix.json", lines);
 }
 
 }  // namespace
