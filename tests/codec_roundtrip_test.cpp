@@ -12,8 +12,7 @@
 // 400 seeded rounds of valid frames, truncations and bit flips
 // (dissect_seeded.txt). Regenerate after an intended change with
 //
-//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests \
-//       --gtest_filter='CodecGolden.*:DissectGolden.*'
+//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests --gtest_filter='Codec*:Dissect*'
 //
 // and review the diff.
 #include <gtest/gtest.h>
@@ -495,7 +494,7 @@ void checkGolden(const std::string& name,
 TEST(CodecGolden, ReadableByteStrings) {
   std::vector<GoldenFrame> frames;
   for (const auto& [name, pkt] : referencePackets()) {
-    // Readable byte strings only: this file predates the entities line.
+    // The readable byte string alone; DissectGolden adds the entities line.
     frames.push_back(fullFrame(name, toReadableByteString(dissect(pkt))));
   }
   checkGolden("codec_readable.txt", frames, "CodecGolden.*");
@@ -531,7 +530,7 @@ TEST(DissectGolden, CommittedCorpus) {
 
 /// Valid frames are written out in full; each truncation and bit flip is one
 /// line, its context and the FNV-1a-64 of its rendering, which keeps the
-/// file reviewable at a tenth of the full text.
+/// file small enough to review.
 TEST(DissectGolden, RandomTrafficAndMutations) {
   std::vector<GoldenFrame> frames;
   forEachSeededFrame(

@@ -9,10 +9,10 @@
 //
 // Regenerating after an INTENDED output change:
 //
-//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests \
-//       --gtest_filter='Golden*:PipelineMatrix.*'
+//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests --gtest_filter='Golden*'
 //
-// then review the diff of tests/golden/ like any other code change.
+// (--gtest_filter='PipelineMatrix.*' for the matrix), then review the diff
+// of tests/golden/ like any other code change.
 #include <gtest/gtest.h>
 
 #include <cctype>
