@@ -27,6 +27,14 @@ std::string jsonEscape(std::string_view s);
 /// One alert as a JSON-lines record (no trailing newline).
 std::string toSiemJson(const Alert& alert);
 
+/// Every alert as a JSON-lines record, in order.
+inline std::vector<std::string> toSiemLines(const std::vector<Alert>& alerts) {
+  std::vector<std::string> lines;
+  lines.reserve(alerts.size());
+  for (const Alert& alert : alerts) lines.push_back(toSiemJson(alert));
+  return lines;
+}
+
 /// One knowgget change as a JSON-lines record.
 std::string toSiemJson(const Knowgget& knowgget);
 

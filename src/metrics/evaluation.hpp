@@ -35,6 +35,11 @@ struct EvaluationResult {
                      static_cast<double>(totalInstances);
   }
   /// "number of correctly classified attacks out of all the detected attacks"
+  /// A run that raised no alerts scores 1.0 by convention
+  /// (Evaluate.NoAlertsMeansVacuousAccuracy), so a missed attack reads as
+  /// perfect accuracy: tests/golden/pipeline_matrix.json's Smurf cell at 8
+  /// workers has 0 alerts, detection rate 0 and accuracy 1.0000. Read
+  /// accuracy together with the alert count.
   double classificationAccuracy() const {
     return totalAlerts == 0 ? 1.0
                             : static_cast<double>(correctAlerts) /

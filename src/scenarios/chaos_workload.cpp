@@ -78,10 +78,7 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
 
   out.packetsFed = packets.size();
   out.alerts = pipe.alerts();
-  out.siemLines.reserve(out.alerts.size());
-  for (const ids::Alert& alert : out.alerts) {
-    out.siemLines.push_back(ids::toSiemJson(alert));
-  }
+  out.siemLines = ids::toSiemLines(out.alerts);
   out.pipelineStats = pipe.stats();
   const chaos::LinkChaos::Stats& a = rec.benign.linkFaults;
   const chaos::LinkChaos::Stats& b = rec.withAttack.linkFaults;

@@ -11,15 +11,6 @@ namespace kalis::attacks::evasion {
 
 namespace {
 
-std::vector<std::string> siemLines(const scenarios::ScenarioResult& result) {
-  std::vector<std::string> lines;
-  lines.reserve(result.alerts.size());
-  for (const ids::Alert& alert : result.alerts) {
-    lines.push_back(ids::toSiemJson(alert));
-  }
-  return lines;
-}
-
 /// Captures one scenario under `plan` (nullptr = unperturbed); the
 /// capture carries its own perturbation tally.
 scenarios::Capture captureOnce(const std::string& scenario, std::uint64_t seed,
@@ -96,8 +87,8 @@ SweepResult runSweep(const SweepOptions& options) {
         result.roundtripViolations += tally.roundtripViolations;
         if (checkIdentity) {
           point.zeroBudgetIdentical =
-              siemLines(run) ==
-              siemLines(scenarios::evaluate(systems[sy], *bare));
+              ids::toSiemLines(run.alerts) ==
+              ids::toSiemLines(scenarios::evaluate(systems[sy], *bare).alerts);
           if (!point.zeroBudgetIdentical) {
             result.allZeroBudgetIdentical = false;
           }
@@ -191,7 +182,7 @@ chaos::DiffResult evasionDiff(const std::string& scenario,
   chaos::RunOutput baseline;
   baseline.label = scenario + " unperturbed";
   baseline.alerts = bare.alerts;
-  baseline.siemLines = siemLines(bare);
+  baseline.siemLines = ids::toSiemLines(bare.alerts);
   baseline.evasionPerturbed = bareCapture.evasionTally.perturbed();
 
   const scenarios::Capture evadedCapture = captureOnce(scenario, seed, &plan);
@@ -200,7 +191,7 @@ chaos::DiffResult evasionDiff(const std::string& scenario,
   chaos::RunOutput subject;
   subject.label = scenario + " evasion[" + plan.describe() + "]";
   subject.alerts = evaded.alerts;
-  subject.siemLines = siemLines(evaded);
+  subject.siemLines = ids::toSiemLines(evaded.alerts);
   subject.evasionPerturbed = evadedCapture.evasionTally.perturbed();
 
   return chaos::diffAlertStreams(baseline, subject);

@@ -5,14 +5,13 @@
 // divergence taxonomy — unit-level and end-to-end on the trace_replay
 // workload.
 //
-// Suites are named Chaos* so the CI chaos job (-R '^Chaos|^Fuzz|^Golden')
-// and the ThreadSanitizer job (^Pipeline|^Exchange|^Chaos|^Fuzz) pick them
-// up.
+// Suites are named Chaos* so the sanitizer CI job's raised-iteration subset
+// (-R '^Chaos|^Fuzz|^Golden|...') and the ThreadSanitizer job
+// (^Pipeline|^Exchange|^Chaos|^Fuzz|...) pick them up.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -23,21 +22,18 @@
 #include "chaos/link_chaos.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
-#include "net/ieee80211.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scenarios/chaos_workload.hpp"
 #include "scenarios/environments.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support.hpp"
 
 namespace kalis::chaos {
 namespace {
 
-std::vector<std::string> siemLinesOf(const scenarios::ScenarioResult& r) {
-  std::vector<std::string> lines;
-  lines.reserve(r.alerts.size());
-  for (const ids::Alert& a : r.alerts) lines.push_back(ids::toSiemJson(a));
-  return lines;
-}
+using test::outputOf;
+using test::viewOf;
+using test::wifiFrom;
 
 // --- FaultPlan parsing ------------------------------------------------------------
 
@@ -138,7 +134,7 @@ TEST(ChaosZero, ScenarioOutputByteIdentical) {
                                          scenarios::captureIcmpFlood(7));
   const auto wrapped = scenarios::evaluate(
       scenarios::SystemKind::kKalis, scenarios::captureIcmpFlood(7, &zero));
-  EXPECT_EQ(siemLinesOf(plain), siemLinesOf(wrapped));
+  EXPECT_EQ(ids::toSiemLines(plain.alerts), ids::toSiemLines(wrapped.alerts));
   EXPECT_EQ(plain.packetsSniffed, wrapped.packetsSniffed);
   EXPECT_DOUBLE_EQ(plain.cpuPercent, wrapped.cpuPercent);
 }
@@ -232,23 +228,6 @@ TEST(ChaosCrash, NodesCrashAndRestartDeterministically) {
 
 // --- ingestion stalls: exact loss accounting --------------------------------------
 
-net::CapturedPacket wifiPacket(std::uint8_t tag, SimTime ts,
-                               std::uint64_t seq) {
-  net::WifiFrame frame;
-  frame.kind = net::WifiFrameKind::kData;
-  frame.toDs = true;
-  frame.src = net::Mac48{{0x02, 0, 0, 0, 0, tag}};
-  frame.dst = net::Mac48{{0x02, 0, 0, 0, 0, 0xfe}};
-  frame.bssid = frame.dst;
-  frame.body = {0x01, 0x02, 0x03, tag};
-  net::CapturedPacket pkt;
-  pkt.medium = net::Medium::kWifi;
-  pkt.raw = frame.encode();
-  pkt.meta.timestamp = ts;
-  pkt.meta.captureSeq = seq;
-  return pkt;
-}
-
 /// Counts packets across engine instances (engines die with their workers).
 class CountingEngine : public pipeline::PacketEngine {
  public:
@@ -282,7 +261,7 @@ TEST(ChaosStall, DropNewestTallyAccountsEveryPacket) {
   const std::uint64_t kAttempts = 3000;
   std::uint64_t accepted = 0;
   for (std::uint64_t i = 0; i < kAttempts; ++i) {
-    if (pipe.enqueue(wifiPacket(1, seconds(1) + i, i))) ++accepted;
+    if (pipe.enqueue(wifiFrom(1, seconds(1) + i, i))) ++accepted;
   }
   pipe.stop();
 
@@ -315,7 +294,7 @@ TEST(ChaosStall, DropOldestTallyAccountsEveryEviction) {
   const std::uint64_t kAttempts = 3000;
   for (std::uint64_t i = 0; i < kAttempts; ++i) {
     // kDropOldest always accepts the incoming packet.
-    ASSERT_TRUE(pipe.enqueue(wifiPacket(1, seconds(1) + i, i)));
+    ASSERT_TRUE(pipe.enqueue(wifiFrom(1, seconds(1) + i, i)));
   }
   pipe.stop();
 
@@ -329,58 +308,6 @@ TEST(ChaosStall, DropOldestTallyAccountsEveryEviction) {
 }
 
 // --- exchange reconciliation under stalls -----------------------------------------
-
-/// Minimal knowledge-bearing engine (mirrors exchange_test's): every packet
-/// bumps a collective per-engine counter.
-class KnowledgeEngine : public pipeline::PacketEngine {
- public:
-  explicit KnowledgeEngine(std::size_t shard)
-      : kb_("E" + std::to_string(shard)) {
-    kb_.addCollectiveSink(&buffer_);
-  }
-  void onPacket(const net::CapturedPacket& pkt) override {
-    watermark_ = pkt.meta.timestamp;
-    ++packets_;
-    kb_.put("PacketCount", static_cast<long long>(packets_), "",
-            /*collective=*/true);
-  }
-  std::vector<ids::Alert> takeAlerts() override { return {}; }
-  SimTime watermark() const override { return watermark_; }
-  std::vector<ids::Knowgget> takeCollectiveUpdates() override {
-    return std::exchange(buffer_.pending, {});
-  }
-  bool applyRemoteKnowledge(const ids::Knowgget& k) override {
-    return kb_.putRemote(k);
-  }
-  std::vector<ids::Knowgget> collectiveKnowledge(bool ownedOnly) const override {
-    std::vector<ids::Knowgget> out;
-    for (ids::Knowgget& k : kb_.all()) {
-      if (!k.collective) continue;
-      if (ownedOnly && k.creator != kb_.selfId()) continue;
-      out.push_back(std::move(k));
-    }
-    return out;
-  }
-
- private:
-  struct BufferSink final : ids::CollectiveSink {
-    void onCollective(const ids::Knowgget& k) override { pending.push_back(k); }
-    std::vector<ids::Knowgget> pending;
-  };
-  ids::KnowledgeBase kb_;
-  BufferSink buffer_;
-  std::uint64_t packets_ = 0;
-  SimTime watermark_ = 0;
-};
-
-std::set<std::tuple<std::string, std::string, std::string, std::string>>
-viewOf(const std::vector<ids::Knowgget>& ks) {
-  std::set<std::tuple<std::string, std::string, std::string, std::string>> out;
-  for (const ids::Knowgget& k : ks) {
-    out.emplace(k.creator, k.label, k.entity, k.value);
-  }
-  return out;
-}
 
 TEST(ChaosStallExchange, ReconciliationConvergesUnderStallsAndDrops) {
   // Stalled workers + tiny kDropOldest rings: packets are lost mid-run, but
@@ -397,12 +324,12 @@ TEST(ChaosStallExchange, ReconciliationConvergesUnderStallsAndDrops) {
   opts.knowledgeSyncInterval = milliseconds(10);
   opts.faults = plan->ingestFaults();
   pipeline::Pipeline pipe(opts, [](std::size_t shard) {
-    return std::make_unique<KnowledgeEngine>(shard);
+    return std::make_unique<test::KnowledgeEngine>(shard);
   });
   pipe.start();
   const std::uint64_t kPackets = 1200;
   for (std::uint64_t i = 0; i < kPackets; ++i) {
-    ASSERT_TRUE(pipe.enqueue(wifiPacket(
+    ASSERT_TRUE(pipe.enqueue(wifiFrom(
         static_cast<std::uint8_t>(1 + i % 9), seconds(1) + i * 1000, i)));
   }
   pipe.stop();
@@ -433,16 +360,6 @@ ids::Alert alertOf(ids::AttackType type, SimTime time,
   a.victimEntity = victim;
   a.suspectEntities = std::move(suspects);
   return a;
-}
-
-RunOutput outputOf(std::string label, std::vector<ids::Alert> alerts) {
-  RunOutput out;
-  out.label = std::move(label);
-  out.alerts = std::move(alerts);
-  for (const ids::Alert& a : out.alerts) {
-    out.siemLines.push_back(ids::toSiemJson(a));
-  }
-  return out;
 }
 
 TEST(ChaosDiff, IdenticalStreamsDiffClean) {

@@ -10,21 +10,13 @@
 // compared with a committed file in tests/golden — one reference packet per
 // family (codec_readable.txt), every corpus input (dissect_corpus.txt) and
 // 400 seeded rounds of valid frames, truncations and bit flips
-// (dissect_seeded.txt). Regenerate after an intended change with
-//
-//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests --gtest_filter='Codec*:Dissect*'
-//
-// and review the diff.
+// (dissect_seeded.txt). A drift fails with the current rendering of the
+// first frames that differ and the command that regenerates the file
+// (test::checkGolden); review the regenerated diff.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,19 +31,17 @@
 #include "net/packet.hpp"
 #include "net/transport.hpp"
 #include "net/zigbee.hpp"
+#include "support.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace kalis::net {
 namespace {
 
-CapturedPacket packetOf(Medium medium, Bytes raw) {
-  CapturedPacket pkt;
-  pkt.medium = medium;
-  pkt.raw = std::move(raw);
-  pkt.meta.timestamp = seconds(1);
-  return pkt;
-}
+using test::fullFrame;
+using test::GoldenFrame;
+using test::packetOf;
+using test::randomBytes;
 
 /// The property under test: dissect, re-serialize, compare byte-for-byte,
 /// then re-dissect the serialized bytes and require an identical rendering.
@@ -65,58 +55,6 @@ void checkRoundtrip(const CapturedPacket& pkt, const std::string& ctx) {
   const Dissection d2 = dissect(again);
   EXPECT_EQ(toReadableByteString(d), toReadableByteString(d2))
       << ctx << ": reparse diverged";
-}
-
-Bytes randomBytes(Rng& rng, std::size_t maxLen) {
-  Bytes out(rng.nextBelow(maxLen + 1));
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
-  return out;
-}
-
-using NamedPacket = std::pair<std::string, CapturedPacket>;
-
-/// Reads every `.hex` file of the committed fuzz corpus, in filename order
-/// (directory iteration order is unspecified). A file holds a medium token
-/// (wpan, wifi or ble) and then hex bytes; `#` starts a comment.
-void loadCorpus(std::vector<NamedPacket>& out) {
-  const std::filesystem::path dir = KALIS_TEST_CORPUS_DIR;
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".hex") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  for (const std::filesystem::path& path : files) {
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << path;
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    std::string stripped;
-    bool inComment = false;
-    for (char c : content) {
-      if (c == '#') inComment = true;
-      if (c == '\n') inComment = false;
-      if (!inComment) stripped.push_back(c);
-    }
-    std::istringstream tokens(stripped);
-    std::string mediumToken;
-    ASSERT_TRUE(tokens >> mediumToken) << path;
-    Medium medium = Medium::kWifi;
-    if (mediumToken == "wpan") medium = Medium::kIeee802154;
-    else if (mediumToken == "ble") medium = Medium::kBluetooth;
-    else ASSERT_EQ(mediumToken, "wifi") << path;
-    std::string hex, tok;
-    while (tokens >> tok) hex += tok;
-    ASSERT_EQ(hex.size() % 2, 0u) << path;
-    Bytes raw;
-    for (std::size_t i = 0; i < hex.size(); i += 2) {
-      raw.push_back(static_cast<std::uint8_t>(
-          std::stoi(hex.substr(i, 2), nullptr, 16)));
-    }
-    out.emplace_back(path.filename().string(),
-                     packetOf(medium, std::move(raw)));
-  }
-  EXPECT_GE(out.size(), 10u);
 }
 
 /// The seeded traffic of the roundtrip and golden tests: 400 rounds, each a
@@ -254,8 +192,8 @@ void forEachSeededFrame(std::uint64_t seed, const char* beaconSsid,
 // --- corpus: every committed adversarial input must roundtrip ----------------
 
 TEST(CodecRoundtrip, CommittedCorpus) {
-  std::vector<NamedPacket> corpus;
-  ASSERT_NO_FATAL_FAILURE(loadCorpus(corpus));
+  std::vector<test::NamedPacket> corpus;
+  ASSERT_NO_FATAL_FAILURE(test::loadCorpus(corpus));
   for (const auto& [file, pkt] : corpus) checkRoundtrip(pkt, file);
 }
 
@@ -399,105 +337,13 @@ TEST(CodecRoundtrip, ReferencePacketsAllFamilies) {
   }
 }
 
-// --- golden files ------------------------------------------------------------
-
-bool regenRequested() {
-  const char* env = std::getenv("KALIS_REGEN_GOLDEN");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-std::vector<std::string> linesOf(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream split(text);
-  for (std::string line; std::getline(split, line);) lines.push_back(line);
-  return lines;
-}
-
-/// One frame's share of a golden file: the lines it writes there, and its
-/// full current rendering, printed when those lines drift.
-struct GoldenFrame {
-  std::vector<std::string> lines;
-  std::string rendering;
-};
-
-/// A frame written out in full: a `# <ctx>` line, then its rendering.
-GoldenFrame fullFrame(const std::string& ctx, const std::string& rendering) {
-  GoldenFrame frame{{"# " + ctx}, "# " + ctx + '\n' + rendering};
-  for (std::string& line : linesOf(rendering)) {
-    frame.lines.push_back(std::move(line));
-  }
-  return frame;
-}
-
-/// Compares the frames' lines with the committed golden file `name`, or
-/// rewrites the file when KALIS_REGEN_GOLDEN is set. On a mismatch, fails
-/// with the current rendering of the first few frames whose lines differ and
-/// the command that regenerates the file (`filter` selects the tests that
-/// write it).
-void checkGolden(const std::string& name,
-                 const std::vector<GoldenFrame>& frames,
-                 const std::string& filter) {
-  std::vector<std::string> lines;
-  std::vector<std::size_t> frameOfLine;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    for (const std::string& line : frames[f].lines) {
-      lines.push_back(line);
-      frameOfLine.push_back(f);
-    }
-  }
-  ASSERT_FALSE(lines.empty());
-  const std::filesystem::path path =
-      std::filesystem::path(KALIS_TEST_GOLDEN_DIR) / name;
-  const std::string regen =
-      "KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests --gtest_filter='" +
-      filter + "'";
-  if (regenRequested()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    for (const std::string& line : lines) out << line << '\n';
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path << "; create it with\n  "
-                  << regen;
-  std::stringstream committed;
-  committed << in.rdbuf();
-  const std::vector<std::string> expected = linesOf(committed.str());
-
-  constexpr std::size_t kReported = 3;
-  std::vector<std::size_t> drifted;  // frames, in file order
-  std::ostringstream firstDiff;
-  const std::size_t n = std::max(lines.size(), expected.size());
-  for (std::size_t i = 0; i < n && drifted.size() < kReported; ++i) {
-    if (i < lines.size() && i < expected.size() && lines[i] == expected[i]) {
-      continue;
-    }
-    if (drifted.empty()) {
-      firstDiff << "line " << i + 1 << ": golden \""
-                << (i < expected.size() ? expected[i] : "<end of file>")
-                << "\", produced \""
-                << (i < lines.size() ? lines[i] : "<end of output>") << "\"";
-    }
-    const std::size_t f = frameOfLine[std::min(i, lines.size() - 1)];
-    if (drifted.empty() || drifted.back() != f) drifted.push_back(f);
-  }
-  if (drifted.empty()) return;
-  std::ostringstream report;
-  for (const std::size_t f : drifted) report << frames[f].rendering;
-  ADD_FAILURE() << path << " drifted at " << firstDiff.str()
-                << "\nCurrent rendering of the first frames that differ:\n"
-                << report.str()
-                << "If the change is intended, regenerate with\n  " << regen
-                << "\nand review the diff.";
-}
-
 TEST(CodecGolden, ReadableByteStrings) {
   std::vector<GoldenFrame> frames;
   for (const auto& [name, pkt] : referencePackets()) {
     // The readable byte string alone; DissectGolden adds the entities line.
     frames.push_back(fullFrame(name, toReadableByteString(dissect(pkt))));
   }
-  checkGolden("codec_readable.txt", frames, "CodecGolden.*");
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "codec_readable.txt", frames);
 }
 
 // --- dissection goldens: every corpus input and seeded frame -----------------
@@ -519,13 +365,13 @@ std::string renderChecked(const CapturedPacket& pkt, const std::string& ctx) {
 }
 
 TEST(DissectGolden, CommittedCorpus) {
-  std::vector<NamedPacket> corpus;
-  ASSERT_NO_FATAL_FAILURE(loadCorpus(corpus));
+  std::vector<test::NamedPacket> corpus;
+  ASSERT_NO_FATAL_FAILURE(test::loadCorpus(corpus));
   std::vector<GoldenFrame> frames;
   for (const auto& [file, pkt] : corpus) {
     frames.push_back(fullFrame(file, renderChecked(pkt, file)));
   }
-  checkGolden("dissect_corpus.txt", frames, "DissectGolden.*");
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "dissect_corpus.txt", frames);
 }
 
 /// Valid frames are written out in full; each truncation and bit flip is one
@@ -548,7 +394,7 @@ TEST(DissectGolden, RandomTrafficAndMutations) {
         frames.push_back({{ctx + hash}, ctx + '\n' + rendering});
       });
   EXPECT_EQ(frames.size(), 3600u);
-  checkGolden("dissect_seeded.txt", frames, "DissectGolden.*");
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "dissect_seeded.txt", frames);
 }
 
 // --- a flipped FCS byte changes the verdict and nothing else ------------------
@@ -564,8 +410,8 @@ TEST(CodecRoundtrip, FlippedFcsByteChangesOnlyTheVerdict) {
     CapturedPacket corrupt = intact;
     corrupt.raw.back() ^= 0x01;  // the last FCS byte, on either medium
     const Dissection d = dissect(corrupt);
-    const auto good = linesOf(toReadableByteString(dissect(intact)));
-    const auto bad = linesOf(toReadableByteString(d));
+    const auto good = test::linesOf(toReadableByteString(dissect(intact)));
+    const auto bad = test::linesOf(toReadableByteString(d));
     // Line 0 is medium and type, line 1 the link layer (with the FCS), then
     // one line per inner layer, and last the raw bytes (with the FCS).
     ASSERT_EQ(bad.size(), good.size()) << name;

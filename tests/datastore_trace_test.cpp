@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "kalis/data_store.hpp"
+#include "support.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis {
@@ -27,9 +27,7 @@ net::CapturedPacket packetAt(SimTime t, std::uint8_t tag) {
   return pkt;
 }
 
-std::string tempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::tempPath;
 
 // --- trace format -----------------------------------------------------------------
 

@@ -14,14 +14,11 @@
 //                 evasion-mutated RPL/BLE corpus frames.
 //
 // Golden files (tests/golden/evasion_*.siem.jsonl) pin one representative
-// evaded run per attack family; regenerate intended changes with
-// KALIS_REGEN_GOLDEN=1 (same flow as golden_trace_test.cpp).
+// evaded run per attack family, and tests/corpus/evasion_*.hex the mutated
+// frames; both go through test::checkGolden and its regenerate flow.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -35,52 +32,14 @@
 #include "net/ipv6.hpp"
 #include "scenarios/evasion_sweep.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support.hpp"
 
 namespace kalis {
 namespace {
 
 namespace ev = attacks::evasion;
 using scenarios::SystemKind;
-
-std::vector<std::string> siemOf(const scenarios::ScenarioResult& result) {
-  std::vector<std::string> lines;
-  lines.reserve(result.alerts.size());
-  for (const ids::Alert& alert : result.alerts) {
-    lines.push_back(ids::toSiemJson(alert));
-  }
-  return lines;
-}
-
-bool regenRequested() {
-  const char* env = std::getenv("KALIS_REGEN_GOLDEN");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-/// Byte-exact golden comparison, same flow as golden_trace_test.cpp.
-void checkGolden(const std::string& name,
-                 const std::vector<std::string>& lines) {
-  std::ostringstream produced;
-  for (const std::string& line : lines) produced << line << '\n';
-
-  const std::filesystem::path path =
-      std::filesystem::path(KALIS_TEST_GOLDEN_DIR) / name;
-  if (regenRequested()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << produced.str();
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — run with KALIS_REGEN_GOLDEN=1 to create it";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), produced.str())
-      << "SIEM output drifted from " << path
-      << "\nIf the change is intended, regenerate with KALIS_REGEN_GOLDEN=1 "
-         "and review the diff.";
-}
+using test::outputOf;
 
 // --- spec parser -------------------------------------------------------------
 
@@ -167,7 +126,7 @@ TEST(EvasionIdentity, ZeroBudgetRunIsByteIdentical) {
       scenarios::captureIcmpFlood(7, nullptr, &zero);
   const auto wrapped = scenarios::evaluate(SystemKind::kKalis, wrappedCapture);
   ASSERT_FALSE(bare.alerts.empty());
-  EXPECT_EQ(siemOf(bare), siemOf(wrapped));
+  EXPECT_EQ(ids::toSiemLines(bare.alerts), ids::toSiemLines(wrapped.alerts));
   EXPECT_EQ(wrappedCapture.evasionTally.perturbed(), 0u);
 }
 
@@ -179,7 +138,8 @@ TEST(EvasionIdentity, ZeroBudgetComposesWithChaosPlan) {
       SystemKind::kKalis, scenarios::captureIcmpFlood(7, &*faults));
   const auto both = scenarios::evaluate(
       SystemKind::kKalis, scenarios::captureIcmpFlood(7, &*faults, &zero));
-  EXPECT_EQ(siemOf(chaosOnly), siemOf(both));
+  EXPECT_EQ(ids::toSiemLines(chaosOnly.alerts),
+            ids::toSiemLines(both.alerts));
 }
 
 // --- sweep determinism and monotonicity --------------------------------------
@@ -349,33 +309,19 @@ TEST(EvasionMutators, RewriteAndPadPreserveCodecInvariants) {
   EXPECT_FALSE(ev::padFrame(net::Medium::kBluetooth, bleFrame, 16).has_value());
 }
 
-/// Renders one corpus file in the tests/corpus format (medium token, hex,
-/// '#' comments) and pins it byte-exactly, with the golden regen flow. The
-/// committed files are also replayed by FuzzCorpus.CommittedRegressionInputs.
+/// One corpus file in the tests/corpus format (comment, medium token, 16
+/// hex bytes a line), pinned through the golden flow. The committed files
+/// are also replayed by FuzzCorpus.CommittedRegressionInputs.
 void checkCorpus(const std::string& name, const std::string& comment,
                  const char* mediumToken, const Bytes& frame) {
-  std::ostringstream produced;
-  produced << "# " << comment << "\n" << mediumToken << "\n";
+  std::vector<std::string> lines = {"# " + comment, mediumToken};
   for (std::size_t i = 0; i < frame.size(); ++i) {
-    char buf[4];
-    std::snprintf(buf, sizeof(buf), "%02x", frame[i]);
-    produced << buf << ((i + 1) % 16 == 0 || i + 1 == frame.size() ? "\n"
-                                                                   : " ");
+    char hex[4];
+    std::snprintf(hex, sizeof(hex), i % 16 == 0 ? "%02x" : " %02x", frame[i]);
+    if (i % 16 == 0) lines.emplace_back();
+    lines.back() += hex;
   }
-  const std::filesystem::path path =
-      std::filesystem::path(KALIS_TEST_CORPUS_DIR) / name;
-  if (regenRequested()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << produced.str();
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing corpus file " << path
-                  << " — run with KALIS_REGEN_GOLDEN=1 to create it";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), produced.str()) << "corpus drifted: " << path;
+  test::checkGolden(KALIS_TEST_CORPUS_DIR, name, lines);
 }
 
 TEST(EvasionCorpus, CommittedMutatedFramesAreStable) {
@@ -412,19 +358,6 @@ ids::Alert makeAlert(ids::AttackType type, const std::string& suspect) {
   alert.victimEntity = "thermostat";
   alert.suspectEntities = {suspect};
   return alert;
-}
-
-chaos::RunOutput outputOf(const std::string& label,
-                          const std::vector<ids::Alert>& alerts,
-                          std::uint64_t perturbed) {
-  chaos::RunOutput out;
-  out.label = label;
-  out.alerts = alerts;
-  for (const ids::Alert& alert : alerts) {
-    out.siemLines.push_back(ids::toSiemJson(alert));
-  }
-  out.evasionPerturbed = perturbed;
-  return out;
 }
 
 TEST(EvasionDiffLane, SuppressedAlertClassifiesAsEvasion) {
@@ -477,31 +410,36 @@ std::vector<std::string> evadedSiem(const std::string& scenario,
   EXPECT_TRUE(plan.has_value()) << spec;
   const auto evaded = scenarios::capture(scenario, 100, nullptr, &*plan);
   EXPECT_TRUE(evaded.has_value()) << scenario;
-  return siemOf(scenarios::evaluate(SystemKind::kKalis, *evaded));
+  return ids::toSiemLines(
+      scenarios::evaluate(SystemKind::kKalis, *evaded).alerts);
 }
 
 TEST(EvasionGolden, IcmpFloodFamilyEvadedStream) {
   const auto lines = evadedSiem("ICMP Flood", "full,budget=0.25");
   ASSERT_FALSE(lines.empty());
-  checkGolden("evasion_icmp_flood_b25.siem.jsonl", lines);
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_icmp_flood_b25.siem.jsonl",
+                    lines);
 }
 
 TEST(EvasionGolden, SmurfFamilyEvadedStream) {
   const auto lines = evadedSiem("Smurf", "full,budget=0.5");
   ASSERT_FALSE(lines.empty());
-  checkGolden("evasion_smurf_b50.siem.jsonl", lines);
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_smurf_b50.siem.jsonl",
+                    lines);
 }
 
 TEST(EvasionGolden, ForwardingFamilyEvadedStream) {
   const auto lines = evadedSiem("Blackhole", "full,budget=1");
   ASSERT_FALSE(lines.empty());
-  checkGolden("evasion_blackhole_b100.siem.jsonl", lines);
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_blackhole_b100.siem.jsonl",
+                    lines);
 }
 
 TEST(EvasionGolden, WpanFamilyEvadedStream) {
   const auto lines = evadedSiem("Sybil", "full,budget=0.75");
   ASSERT_FALSE(lines.empty());
-  checkGolden("evasion_sybil_b75.siem.jsonl", lines);
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_sybil_b75.siem.jsonl",
+                    lines);
 }
 
 }  // namespace

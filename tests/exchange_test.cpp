@@ -9,16 +9,10 @@
 // (-R '^Pipeline|^Exchange') covers every threaded path here.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <thread>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "kalis/kalis_node.hpp"
@@ -27,6 +21,7 @@
 #include "pipeline/knowledge_exchange.hpp"
 #include "pipeline/pipeline.hpp"
 #include "recorded_captures.hpp"
+#include "support.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis {
@@ -35,36 +30,11 @@ namespace {
 using pipeline::KnowledgeExchange;
 using pipeline::Pipeline;
 using pipeline::RemoteKnowgget;
-
-ids::Knowgget knowgget(const std::string& creator, const std::string& label,
-                       const std::string& value, const std::string& entity = "") {
-  ids::Knowgget k;
-  k.creator = creator;
-  k.label = label;
-  k.value = value;
-  k.entity = entity;
-  k.collective = true;
-  return k;
-}
-
-net::Mac48 mac(std::uint8_t tag) {
-  return net::Mac48{{0x02, 0x00, 0x00, 0x00, 0x00, tag}};
-}
-
-net::CapturedPacket wifiFrom(std::uint8_t tag, SimTime ts) {
-  net::WifiFrame frame;
-  frame.kind = net::WifiFrameKind::kData;
-  frame.toDs = true;
-  frame.src = mac(tag);
-  frame.dst = mac(0xfe);
-  frame.bssid = mac(0xfe);
-  frame.body = {0x01, 0x02, 0x03, tag};
-  net::CapturedPacket pkt;
-  pkt.medium = net::Medium::kWifi;
-  pkt.raw = frame.encode();
-  pkt.meta.timestamp = ts;
-  return pkt;
-}
+using test::ExchangeProbe;
+using test::KnowledgeEngine;
+using test::knowgget;
+using test::viewOf;
+using test::wifiFrom;
 
 // --- exchange unit tests ----------------------------------------------------------
 
@@ -191,80 +161,6 @@ TEST(ExchangeOneWayRule, ImpersonationAndForeignUpdatesRejected) {
 
 // --- pipeline-level tests with a knowledge-bearing test engine --------------------
 
-/// Counters shared across shard engines (engines die with their workers).
-struct ExchangeProbe {
-  std::atomic<std::uint64_t> appliedBeforeFinish{0};
-  std::atomic<std::uint64_t> appliedAfterFinish{0};
-};
-
-/// Minimal PacketEngine with a real KnowledgeBase: every packet bumps a
-/// collective per-engine packet counter, remote knowggets go through
-/// putRemote. Mirrors what KalisShardEngine does without the full stack.
-class KnowledgeEngine : public pipeline::PacketEngine {
- public:
-  KnowledgeEngine(std::size_t shard, ExchangeProbe& probe,
-                  std::chrono::microseconds delay = {})
-      : kb_("E" + std::to_string(shard)), probe_(probe), delay_(delay) {
-    kb_.addCollectiveSink(&buffer_);
-  }
-
-  void onPacket(const net::CapturedPacket& pkt) override {
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    watermark_ = pkt.meta.timestamp;
-    ++packets_;
-    kb_.put("PacketCount", static_cast<long long>(packets_), "",
-            /*collective=*/true);
-  }
-  std::vector<ids::Alert> takeAlerts() override { return {}; }
-  SimTime watermark() const override { return watermark_; }
-  void finish() override { finished_ = true; }
-
-  std::vector<ids::Knowgget> takeCollectiveUpdates() override {
-    return std::exchange(buffer_.pending, {});
-  }
-  bool applyRemoteKnowledge(const ids::Knowgget& k) override {
-    const bool accepted = kb_.putRemote(k);
-    if (accepted) {
-      (finished_ ? probe_.appliedAfterFinish : probe_.appliedBeforeFinish)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-    return accepted;
-  }
-  std::vector<ids::Knowgget> collectiveKnowledge(bool ownedOnly) const override {
-    std::vector<ids::Knowgget> out;
-    for (ids::Knowgget& k : kb_.all()) {
-      if (!k.collective) continue;
-      if (ownedOnly && k.creator != kb_.selfId()) continue;
-      out.push_back(std::move(k));
-    }
-    return out;
-  }
-
- private:
-  struct BufferSink final : ids::CollectiveSink {
-    void onCollective(const ids::Knowgget& k) override { pending.push_back(k); }
-    std::vector<ids::Knowgget> pending;
-  };
-
-  ids::KnowledgeBase kb_;
-  ExchangeProbe& probe_;
-  std::chrono::microseconds delay_;
-  BufferSink buffer_;
-  std::uint64_t packets_ = 0;
-  SimTime watermark_ = 0;
-  bool finished_ = false;
-};
-
-/// Comparable view of a collective knowgget set.
-std::set<std::tuple<std::string, std::string, std::string, std::string>>
-viewOf(const std::vector<ids::Knowgget>& ks) {
-  std::set<std::tuple<std::string, std::string, std::string, std::string>> out;
-  for (const ids::Knowgget& k : ks) {
-    out.emplace(k.creator, k.label, k.entity, k.value);
-  }
-  return out;
-}
-
 TEST(ExchangeSyncInterval, HugeIntervalDefersApplicationToShutdown) {
   pipeline::Options opts;
   opts.workers = 2;
@@ -275,7 +171,7 @@ TEST(ExchangeSyncInterval, HugeIntervalDefersApplicationToShutdown) {
   opts.knowledgeSyncInterval = seconds(24 * 3600);
   ExchangeProbe probe;
   Pipeline pipe(opts, [&probe](std::size_t shard) {
-    return std::make_unique<KnowledgeEngine>(shard, probe);
+    return std::make_unique<KnowledgeEngine>(shard, &probe);
   });
   pipe.start();
   for (std::uint64_t i = 0; i < 200; ++i) {
@@ -294,9 +190,8 @@ TEST(ExchangeDrainOnShutdown, InFlightKnowggetsSurviveImmediateStop) {
   opts.workers = 4;
   opts.knowledgeExchange = true;
   opts.knowledgeSyncInterval = 0;  // drain at every batch boundary
-  ExchangeProbe probe;
-  Pipeline pipe(opts, [&probe](std::size_t shard) {
-    return std::make_unique<KnowledgeEngine>(shard, probe);
+  Pipeline pipe(opts, [](std::size_t shard) {
+    return std::make_unique<KnowledgeEngine>(shard);
   });
   pipe.start();
   for (std::uint64_t i = 0; i < 400; ++i) {
@@ -335,11 +230,10 @@ TEST(ExchangeShutdown, StalledShardRendezvousNeitherSpinsNorDeadlocks) {
   opts.workers = 2;
   opts.knowledgeExchange = true;
   opts.knowledgeSyncInterval = 0;  // exchange on every batch boundary
-  ExchangeProbe probe;
-  Pipeline pipe(opts, [&probe](std::size_t shard) {
+  Pipeline pipe(opts, [](std::size_t shard) {
     // Shard 1 stalls ~2 ms per packet; shard 0 runs full speed.
     return std::make_unique<KnowledgeEngine>(
-        shard, probe,
+        shard, nullptr,
         shard == 1 ? std::chrono::microseconds(2000)
                    : std::chrono::microseconds(0));
   });
@@ -394,13 +288,9 @@ std::string normalizeCreator(std::string creator) {
   return creator;
 }
 
-std::set<std::tuple<std::string, std::string, std::string, std::string>>
-normalizedViewOf(const std::vector<ids::Knowgget>& ks) {
-  std::set<std::tuple<std::string, std::string, std::string, std::string>> out;
-  for (const ids::Knowgget& k : ks) {
-    out.emplace(normalizeCreator(k.creator), k.label, k.entity, k.value);
-  }
-  return out;
+test::KnowggetView normalizedViewOf(std::vector<ids::Knowgget> ks) {
+  for (ids::Knowgget& k : ks) k.creator = normalizeCreator(k.creator);
+  return viewOf(ks);
 }
 
 TEST(ExchangeConvergence, MultiWorkerMatchesDeterministicRun) {
@@ -477,12 +367,7 @@ TEST(ExchangeDeterminism, DeterministicModeWithExchangeIsByteIdentical) {
   pipe.stop();
 
   ASSERT_GT(direct.alerts().size(), 0u) << "attack trace raised no alerts";
-  ASSERT_EQ(pipe.alerts().size(), direct.alerts().size());
-  for (std::size_t i = 0; i < direct.alerts().size(); ++i) {
-    EXPECT_EQ(ids::toSiemJson(pipe.alerts()[i]),
-              ids::toSiemJson(direct.alerts()[i]))
-        << "alert " << i << " diverged";
-  }
+  EXPECT_EQ(ids::toSiemLines(pipe.alerts()), ids::toSiemLines(direct.alerts()));
   // The exchange had no receivers but still accounted the publishes.
   EXPECT_EQ(pipe.stats().knowledgeDroppedInFlight, 0u);
 }

@@ -11,15 +11,14 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "fleet/fleet.hpp"
 #include "fleet/hier_exchange.hpp"
 #include "fleet/home_model.hpp"
 #include "kalis/knowledge.hpp"
+#include "support.hpp"
 
 namespace kalis {
 namespace {
@@ -30,17 +29,8 @@ using fleet::HierarchicalExchange;
 using fleet::HomeNode;
 using fleet::TierTable;
 using pipeline::RemoteKnowgget;
-
-ids::Knowgget knowgget(const std::string& creator, const std::string& label,
-                       const std::string& value, const std::string& entity = "") {
-  ids::Knowgget k;
-  k.creator = creator;
-  k.label = label;
-  k.value = value;
-  k.entity = entity;
-  k.collective = true;
-  return k;
-}
+using test::knowgget;
+using test::viewOf;
 
 RemoteKnowgget remote(const ids::Knowgget& k, std::size_t from, SimTime at) {
   RemoteKnowgget item;
@@ -48,16 +38,6 @@ RemoteKnowgget remote(const ids::Knowgget& k, std::size_t from, SimTime at) {
   item.fromShard = from;
   item.publishedAt = at;
   return item;
-}
-
-/// Comparable projection of a collective view for convergence checks.
-std::set<std::tuple<std::string, std::string, std::string>> viewOf(
-    const std::vector<ids::Knowgget>& view) {
-  std::set<std::tuple<std::string, std::string, std::string>> out;
-  for (const ids::Knowgget& k : view) {
-    out.emplace(k.creator, k.label, k.value);
-  }
-  return out;
 }
 
 // --- broadcast log ----------------------------------------------------------

@@ -3,8 +3,8 @@
 // frames — truncation, extension, bit flips, span deletion, garbage
 // overwrite — plus the committed `tests/corpus/` regression inputs. The
 // contract under test: dissect() never crashes, never reads out of bounds
-// (the CI chaos job runs this under ASan/UBSan), and mangled input comes
-// back as kMalformed/kUnknown, not as UB.
+// (CI runs this under ASan/UBSan), and mangled input comes back as
+// kMalformed/kUnknown, not as UB.
 //
 // The same campaigns also exercise the codec (net/codec.hpp): for EVERY
 // input — valid, mutated or pure garbage — serialize(dissect(x)) must
@@ -18,9 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +31,7 @@
 #include "net/packet.hpp"
 #include "net/transport.hpp"
 #include "net/zigbee.hpp"
+#include "support.hpp"
 #include "trace/trace_file.hpp"
 #include "util/rng.hpp"
 
@@ -96,11 +94,10 @@ PacketType exercise(const CapturedPacket& pkt) {
   return d.type;
 }
 
-Bytes randomBytes(Rng& rng, std::size_t maxLen) {
-  Bytes out(rng.nextBelow(maxLen + 1));
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
-  return out;
-}
+using test::randomBytes;
+
+/// Every fuzzed frame is captured at this RSSI.
+constexpr double kRssiDbm = -40;
 
 /// Applies 1–3 random structural mutations. Never returns the input intact
 /// on purpose — the valid path is fed separately.
@@ -147,15 +144,6 @@ Bytes mutate(Bytes frame, Rng& rng) {
     }
   }
   return frame;
-}
-
-CapturedPacket packetOf(Medium medium, Bytes raw) {
-  CapturedPacket pkt;
-  pkt.medium = medium;
-  pkt.raw = std::move(raw);
-  pkt.meta.timestamp = seconds(1);
-  pkt.meta.rssiDbm = -40;
-  return pkt;
 }
 
 Ieee802154Frame wpanShell(Rng& rng) {
@@ -375,7 +363,8 @@ void fuzzFamily(const char* name, Medium medium, std::uint64_t seed,
     Bytes raw = build(rng);
     if (i % 8 != 0) raw = mutate(std::move(raw), rng);
     if (i % 97 == 0) raw = randomBytes(rng, 64);  // pure garbage rounds
-    if (exercise(packetOf(medium, std::move(raw))) == PacketType::kMalformed) {
+    if (exercise(test::packetOf(medium, std::move(raw), kRssiDbm)) ==
+        PacketType::kMalformed) {
       ++malformed;
     }
   }
@@ -424,7 +413,8 @@ TEST(FuzzDissector, MediumMismatchNeverCrashes) {
   for (std::size_t i = 0; i < 2000; ++i) {
     Bytes raw = builders[rng.nextBelow(7)](rng);
     if (rng.nextBool(0.5)) raw = mutate(std::move(raw), rng);
-    exercise(packetOf(media[rng.nextBelow(3)], std::move(raw)));
+    exercise(
+        test::packetOf(media[rng.nextBelow(3)], std::move(raw), kRssiDbm));
   }
 }
 
@@ -433,9 +423,10 @@ TEST(FuzzTrace, MutatedKtrcStreamNeverCrashes) {
   // path: a corrupted trace file must degrade to `truncated`, not crash.
   Rng rng(0xc7c);
   trace::Trace small;
-  small.push_back(packetOf(Medium::kWifi, buildIpv4(rng)));
-  small.push_back(packetOf(Medium::kIeee802154, buildIeee802154(rng)));
-  small.push_back(packetOf(Medium::kBluetooth, buildBle(rng)));
+  small.push_back(test::packetOf(Medium::kWifi, buildIpv4(rng), kRssiDbm));
+  small.push_back(
+      test::packetOf(Medium::kIeee802154, buildIeee802154(rng), kRssiDbm));
+  small.push_back(test::packetOf(Medium::kBluetooth, buildBle(rng), kRssiDbm));
   const Bytes clean = trace::serializeTrace(small);
   ASSERT_FALSE(trace::readTrace(BytesView(clean)).truncated);
   for (std::size_t i = 0; i < 4000; ++i) {
@@ -453,51 +444,10 @@ TEST(FuzzTrace, MutatedKtrcStreamNeverCrashes) {
 // broke — or was handcrafted to probe — a dissector edge lives here and is
 // replayed on every run.
 
-std::optional<Medium> mediumFromToken(const std::string& token) {
-  if (token == "wpan") return Medium::kIeee802154;
-  if (token == "wifi") return Medium::kWifi;
-  if (token == "ble") return Medium::kBluetooth;
-  return std::nullopt;
-}
-
 TEST(FuzzCorpus, CommittedRegressionInputs) {
-  const std::filesystem::path dir = KALIS_TEST_CORPUS_DIR;
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".hex") continue;
-    ++files;
-    std::ifstream in(entry.path());
-    ASSERT_TRUE(in) << entry.path();
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    // Strip comments.
-    std::string stripped;
-    bool inComment = false;
-    for (char c : content) {
-      if (c == '#') inComment = true;
-      if (c == '\n') inComment = false;
-      if (!inComment) stripped.push_back(c);
-    }
-    std::istringstream tokens(stripped);
-    std::string mediumToken;
-    ASSERT_TRUE(tokens >> mediumToken) << entry.path();
-    const auto medium = mediumFromToken(mediumToken);
-    ASSERT_TRUE(medium.has_value())
-        << entry.path() << ": bad medium " << mediumToken;
-    std::string hex;
-    std::string tok;
-    while (tokens >> tok) hex += tok;
-    ASSERT_EQ(hex.size() % 2, 0u) << entry.path();
-    Bytes raw;
-    raw.reserve(hex.size() / 2);
-    for (std::size_t i = 0; i < hex.size(); i += 2) {
-      raw.push_back(static_cast<std::uint8_t>(
-          std::stoi(hex.substr(i, 2), nullptr, 16)));
-    }
-    exercise(packetOf(*medium, std::move(raw)));
-  }
-  EXPECT_GE(files, 10u) << "corpus unexpectedly small";
+  std::vector<test::NamedPacket> corpus;
+  ASSERT_NO_FATAL_FAILURE(test::loadCorpus(corpus));
+  for (const auto& [file, pkt] : corpus) exercise(pkt);
 }
 
 }  // namespace

@@ -5,22 +5,13 @@
 // replayed into a KalisNode, and the sharded-pipeline matrix (every Fig. 8
 // capture and the wormhole capture at 1/2/4/8 workers). Any byte of drift —
 // alert content, ordering, JSON shape, timestamping, knowgget publication
-// order, a matrix cell — fails the test.
-//
-// Regenerating after an INTENDED output change:
-//
-//   KALIS_REGEN_GOLDEN=1 ./build/tests/kalis_tests --gtest_filter='Golden*'
-//
-// (--gtest_filter='PipelineMatrix.*' for the matrix), then review the diff
-// of tests/golden/ like any other code change.
+// order, a matrix cell — fails the test with the first differing line and
+// the command that regenerates the file (test::checkGolden); review the
+// regenerated diff of tests/golden/ like any other code change.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,51 +22,10 @@
 #include "recorded_captures.hpp"
 #include "scenarios/chaos_workload.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support.hpp"
 
 namespace kalis {
 namespace {
-
-bool regenRequested() {
-  const char* env = std::getenv("KALIS_REGEN_GOLDEN");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-std::filesystem::path goldenPath(const std::string& name) {
-  return std::filesystem::path(KALIS_TEST_GOLDEN_DIR) / name;
-}
-
-/// Compares the produced lines against the committed golden file byte for
-/// byte — or rewrites the file when KALIS_REGEN_GOLDEN is set.
-void checkGolden(const std::string& name,
-                 const std::vector<std::string>& lines) {
-  std::ostringstream produced;
-  for (const std::string& line : lines) produced << line << '\n';
-
-  const std::filesystem::path path = goldenPath(name);
-  if (regenRequested()) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << produced.str();
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden file " << path
-                  << " — run with KALIS_REGEN_GOLDEN=1 to create it";
-  std::stringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), produced.str())
-      << "output drifted from " << path
-      << "\nIf the change is intended, regenerate with KALIS_REGEN_GOLDEN=1 "
-         "and review the diff.";
-}
-
-std::vector<std::string> siemLines(const std::vector<ids::Alert>& alerts) {
-  std::vector<std::string> lines;
-  lines.reserve(alerts.size());
-  for (const ids::Alert& alert : alerts) lines.push_back(ids::toSiemJson(alert));
-  return lines;
-}
 
 /// "Selective Forwarding" -> "selective_forwarding".
 std::string slug(const std::string& name) {
@@ -110,14 +60,16 @@ TEST(GoldenTrace, IcmpFloodScenarioSiemStream) {
   const scenarios::ScenarioResult result = scenarios::evaluate(
       scenarios::SystemKind::kKalis, scenarios::captureIcmpFlood(42));
   ASSERT_FALSE(result.alerts.empty());
-  checkGolden("icmp_flood_kalis_seed42.siem.jsonl", siemLines(result.alerts));
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "icmp_flood_kalis_seed42.siem.jsonl",
+                    ids::toSiemLines(result.alerts));
 }
 
 TEST(GoldenTrace, PipelineTraceReplaySiemStream) {
   const chaos::RunOutput out =
       scenarios::runTraceReplayWorkload(21, nullptr, 1);
   ASSERT_FALSE(out.siemLines.empty());
-  checkGolden("trace_replay_pipeline_seed21.siem.jsonl", out.siemLines);
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR,
+                    "trace_replay_pipeline_seed21.siem.jsonl", out.siemLines);
 }
 
 TEST(GoldenTrace, Fig8ScenarioSiemStreams) {
@@ -128,31 +80,33 @@ TEST(GoldenTrace, Fig8ScenarioSiemStreams) {
     const scenarios::ScenarioResult result =
         scenarios::evaluate(scenarios::SystemKind::kKalis, *capture);
     ASSERT_FALSE(result.alerts.empty());
-    checkGolden("fig8_" + slug(name) + "_kalis_seed7.siem.jsonl",
-                siemLines(result.alerts));
+    test::checkGolden(KALIS_TEST_GOLDEN_DIR,
+                      "fig8_" + slug(name) + "_kalis_seed7.siem.jsonl",
+                      ids::toSiemLines(result.alerts));
   }
 }
 
 TEST(GoldenTrace, CollaborativeWormholeSiemStream) {
   const scenarios::WormholeResult result = scenarios::runWormhole(7, true);
   ASSERT_FALSE(result.combined.alerts.empty());
-  checkGolden("wormhole_collaborative_seed7.siem.jsonl",
-              siemLines(result.combined.alerts));
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR,
+                    "wormhole_collaborative_seed7.siem.jsonl",
+                    ids::toSiemLines(result.combined.alerts));
 }
 
 TEST(GoldenTrace, HomeKnowledgeChangeStream) {
-  checkGolden("kb_home_floods_seed7.txt",
-              knowledgeChanges(recorded::recordHomeFloods(7)));
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "kb_home_floods_seed7.txt",
+                    knowledgeChanges(recorded::recordHomeFloods(7)));
 }
 
 TEST(GoldenTrace, WsnKnowledgeChangeStream) {
-  checkGolden("kb_wsn_blackhole_seed7.txt",
-              knowledgeChanges(scenarios::captureBlackhole(7)));
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "kb_wsn_blackhole_seed7.txt",
+                    knowledgeChanges(scenarios::captureBlackhole(7)));
 }
 
 TEST(GoldenTrace, ZigbeeKnowledgeChangeStream) {
-  checkGolden("kb_zigbee_star_seed7.txt",
-              knowledgeChanges(recorded::recordZigbeeStar(7)));
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "kb_zigbee_star_seed7.txt",
+                    knowledgeChanges(recorded::recordZigbeeStar(7)));
 }
 
 // --- sharded-pipeline matrix (ROADMAP item 4) --------------------------------
@@ -200,7 +154,7 @@ TEST(PipelineMatrix, Fig8AndWormholeAtOneToEightWorkers) {
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
       const std::vector<ids::Alert> alerts =
           replayThroughPipeline(capture, workers);
-      const std::vector<std::string> stream = siemLines(alerts);
+      const std::vector<std::string> stream = ids::toSiemLines(alerts);
       if (workers == 1) reference = stream;
       const bool same = stream == reference;
       if (!same) {
@@ -237,7 +191,7 @@ TEST(PipelineMatrix, Fig8AndWormholeAtOneToEightWorkers) {
   }
   lines.push_back("  }");
   lines.push_back("}");
-  checkGolden("pipeline_matrix.json", lines);
+  test::checkGolden(KALIS_TEST_GOLDEN_DIR, "pipeline_matrix.json", lines);
 }
 
 }  // namespace

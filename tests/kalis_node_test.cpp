@@ -217,7 +217,8 @@ std::vector<std::string> replayOutput(
   node.start();
   for (const net::CapturedPacket& pkt : rec.packets) node.replayFeed(pkt);
   simulator.runUntil(rec.end);
-  for (const Alert& alert : node.alerts()) lines.push_back(toSiemJson(alert));
+  const std::vector<std::string> siem = toSiemLines(node.alerts());
+  lines.insert(lines.end(), siem.begin(), siem.end());
   return lines;
 }
 

@@ -13,44 +13,16 @@
 #include "kalis/modules/sinkhole.hpp"
 #include "kalis/modules/sybil.hpp"
 #include "kalis/modules/wormhole.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 
 namespace kalis::ids {
 namespace {
 
-struct ModuleHarness {
-  KnowledgeBase kb{"K1"};
-  DataStore store;
-  std::vector<Alert> alerts;
-
-  ModuleContext ctx(SimTime now) {
-    return ModuleContext{kb, store, now,
-                         [this](Alert a) { alerts.push_back(std::move(a)); }};
-  }
-  void feed(Module& module, const net::CapturedPacket& pkt) {
-    auto context = ctx(pkt.meta.timestamp);
-    module.onPacket(pkt, net::dissect(pkt), context);
-  }
-  void tick(Module& module, SimTime now) {
-    auto context = ctx(now);
-    module.onTick(context);
-  }
-  bool sawAttack(AttackType type) const {
-    for (const Alert& alert : alerts) {
-      if (alert.type == type) return true;
-    }
-    return false;
-  }
-};
-
-net::CapturedPacket wpan(net::Ieee802154Frame frame, SimTime t, double rssi) {
-  net::CapturedPacket pkt;
-  pkt.medium = net::Medium::kIeee802154;
-  pkt.raw = frame.encode();
-  pkt.meta.timestamp = t;
-  pkt.meta.rssiDbm = rssi;
-  return pkt;
-}
+using test::ctpBeaconPacket;
+using test::ctpDataPacket;
+using test::ModuleHarness;
+using test::wpanPacket;
 
 net::CapturedPacket zigbeeData(net::Mac16 linkSrc, net::Mac16 linkDst,
                                net::Mac16 nwkSrc, net::Mac16 nwkDst,
@@ -67,34 +39,7 @@ net::CapturedPacket zigbeeData(net::Mac16 linkSrc, net::Mac16 linkDst,
   frame.src = linkSrc;
   frame.dst = linkDst;
   frame.payload = nwk.encode();
-  return wpan(frame, t, rssi);
-}
-
-net::CapturedPacket ctpData(net::Mac16 linkSrc, net::Mac16 linkDst,
-                            net::Mac16 origin, std::uint8_t seqno,
-                            std::uint8_t thl, SimTime t, double rssi = -60.0) {
-  net::CtpData data;
-  data.origin = origin;
-  data.seqno = seqno;
-  data.thl = thl;
-  data.payload = bytesOf("xy");
-  net::Ieee802154Frame frame;
-  frame.src = linkSrc;
-  frame.dst = linkDst;
-  frame.payload = net::wrapTinyosAm(net::kAmCtpData, BytesView(data.encode()));
-  return wpan(frame, t, rssi);
-}
-
-net::CapturedPacket ctpBeacon(net::Mac16 src, std::uint16_t etx, SimTime t) {
-  net::CtpRoutingBeacon beacon;
-  beacon.parent = src;
-  beacon.etx = etx;
-  net::Ieee802154Frame frame;
-  frame.src = src;
-  frame.dst = net::Mac16{net::Mac16::kBroadcast};
-  frame.payload =
-      net::wrapTinyosAm(net::kAmCtpRouting, BytesView(beacon.encode()));
-  return wpan(frame, t, -60.0);
+  return wpanPacket(frame, t, rssi);
 }
 
 // --- SybilSinglehopModule ------------------------------------------------------
@@ -161,17 +106,18 @@ TEST(SybilMultihop, GhostOriginsFlagged) {
   ModuleHarness h;
   SybilMultihopModule module;
   // Legit relay 3 beacons and forwards origin 5's data: both participate.
-  h.feed(module, ctpBeacon(net::Mac16{3}, 20, seconds(1)));
-  h.feed(module, ctpBeacon(net::Mac16{5}, 30, seconds(2)));
-  h.feed(module, ctpData(net::Mac16{3}, net::Mac16{2}, net::Mac16{5}, 1, 1,
-                         seconds(3)));
+  h.feed(module, ctpBeaconPacket(net::Mac16{3}, 20, seconds(1)));
+  h.feed(module, ctpBeaconPacket(net::Mac16{5}, 30, seconds(2)));
+  h.feed(module, ctpDataPacket(net::Mac16{3}, net::Mac16{2}, net::Mac16{5}, 1,
+                               1, seconds(3), -60.0, bytesOf("xy")));
   // Attacker (link 9, which also "relays") injects 5 ghost origins.
   for (std::uint16_t k = 0; k < 5; ++k) {
     h.feed(module,
-           ctpData(net::Mac16{9}, net::Mac16{1},
-                   net::Mac16{static_cast<std::uint16_t>(0xa00 + k)},
-                   static_cast<std::uint8_t>(k), 1,
-                   seconds(10) + k * milliseconds(300)));
+           ctpDataPacket(net::Mac16{9}, net::Mac16{1},
+                         net::Mac16{static_cast<std::uint16_t>(0xa00 + k)},
+                         static_cast<std::uint8_t>(k), 1,
+                         seconds(10) + k * milliseconds(300), -60.0,
+                         bytesOf("xy")));
   }
   h.tick(module, seconds(12));
   ASSERT_TRUE(h.sawAttack(AttackType::kSybil));
@@ -187,10 +133,13 @@ TEST(SybilMultihop, SteadyNetworkStaysClean) {
   SybilMultihopModule module;
   for (int round = 0; round < 10; ++round) {
     for (std::uint16_t node = 2; node <= 6; ++node) {
-      h.feed(module, ctpBeacon(net::Mac16{node}, 20, seconds(round * 2) + node));
-      h.feed(module, ctpData(net::Mac16{node}, net::Mac16{1}, net::Mac16{node},
-                             static_cast<std::uint8_t>(round), 0,
-                             seconds(round * 2) + node * milliseconds(100)));
+      h.feed(module,
+             ctpBeaconPacket(net::Mac16{node}, 20, seconds(round * 2) + node));
+      h.feed(module,
+             ctpDataPacket(net::Mac16{node}, net::Mac16{1}, net::Mac16{node},
+                           static_cast<std::uint8_t>(round), 0,
+                           seconds(round * 2) + node * milliseconds(100),
+                           -60.0, bytesOf("xy")));
     }
   }
   h.tick(module, seconds(25));
@@ -203,9 +152,9 @@ TEST(Sinkhole, NonRootAdvertisingEtxZero) {
   ModuleHarness h;
   h.kb.put(labels::kCtpRoot, "0x0001");
   SinkholeModule module;
-  h.feed(module, ctpBeacon(net::Mac16{1}, 0, seconds(1)));  // real root: fine
+  h.feed(module, ctpBeaconPacket(net::Mac16{1}, 0, seconds(1)));  // real root
   EXPECT_TRUE(h.alerts.empty());
-  h.feed(module, ctpBeacon(net::Mac16{8}, 0, seconds(2)));  // impostor
+  h.feed(module, ctpBeaconPacket(net::Mac16{8}, 0, seconds(2)));  // impostor
   ASSERT_TRUE(h.sawAttack(AttackType::kSinkhole));
   EXPECT_EQ(h.alerts[0].suspectEntities[0], "0x0008");
 }
@@ -214,9 +163,9 @@ TEST(Sinkhole, SuddenEtxCollapse) {
   ModuleHarness h;
   h.kb.put(labels::kCtpRoot, "0x0001");
   SinkholeModule module;
-  h.feed(module, ctpBeacon(net::Mac16{4}, 40, seconds(1)));
+  h.feed(module, ctpBeaconPacket(net::Mac16{4}, 40, seconds(1)));
   EXPECT_TRUE(h.alerts.empty());
-  h.feed(module, ctpBeacon(net::Mac16{4}, 5, seconds(3)));  // -35 in one step
+  h.feed(module, ctpBeaconPacket(net::Mac16{4}, 5, seconds(3)));  // -35 at once
   EXPECT_TRUE(h.sawAttack(AttackType::kSinkhole));
 }
 
@@ -225,7 +174,7 @@ TEST(Sinkhole, GradualImprovementTolerated) {
   h.kb.put(labels::kCtpRoot, "0x0001");
   SinkholeModule module;
   for (std::uint16_t etx = 40; etx >= 20; etx -= 5) {
-    h.feed(module, ctpBeacon(net::Mac16{4}, etx, seconds(41 - etx)));
+    h.feed(module, ctpBeaconPacket(net::Mac16{4}, etx, seconds(41 - etx)));
   }
   EXPECT_TRUE(h.alerts.empty());
 }
@@ -252,7 +201,7 @@ TEST(Sinkhole, RplRankBelowRoot) {
   frame.src = net::Mac16{9};  // NOT the DODAG root
   frame.dst = net::Mac16{net::Mac16::kBroadcast};
   frame.payload = std::move(payload);
-  h.feed(module, wpan(frame, seconds(1), -60.0));
+  h.feed(module, wpanPacket(frame, seconds(1)));
   ASSERT_TRUE(h.sawAttack(AttackType::kSinkhole));
 }
 
@@ -262,8 +211,8 @@ TEST(HelloFlood, BeaconStormFlagged) {
   ModuleHarness h;
   HelloFloodModule module;
   for (int i = 0; i < 40; ++i) {
-    h.feed(module, ctpBeacon(net::Mac16{6}, 20,
-                             seconds(5) + i * milliseconds(100)));
+    h.feed(module, ctpBeaconPacket(net::Mac16{6}, 20,
+                                   seconds(5) + i * milliseconds(100)));
   }
   h.tick(module, seconds(9));
   ASSERT_TRUE(h.sawAttack(AttackType::kHelloFlood));
@@ -274,7 +223,7 @@ TEST(HelloFlood, NormalCadenceClean) {
   ModuleHarness h;
   HelloFloodModule module;
   for (int i = 0; i < 20; ++i) {
-    h.feed(module, ctpBeacon(net::Mac16{6}, 20, seconds(2 * i)));
+    h.feed(module, ctpBeaconPacket(net::Mac16{6}, 20, seconds(2 * i)));
   }
   h.tick(module, seconds(41));
   EXPECT_FALSE(h.sawAttack(AttackType::kHelloFlood));
@@ -387,7 +336,7 @@ TEST(DataAlteration, TamperedForwardAlerts) {
   handoff.dst = net::Mac16{4};
   handoff.payload =
       net::wrapTinyosAm(net::kAmCtpData, BytesView(original.encode()));
-  h.feed(module, wpan(handoff, seconds(1), -60.0));
+  h.feed(module, wpanPacket(handoff, seconds(1)));
 
   net::CtpData tampered = original;
   tampered.thl = 1;
@@ -397,7 +346,7 @@ TEST(DataAlteration, TamperedForwardAlerts) {
   forward.dst = net::Mac16{3};
   forward.payload =
       net::wrapTinyosAm(net::kAmCtpData, BytesView(tampered.encode()));
-  h.feed(module, wpan(forward, seconds(1) + milliseconds(50), -60.0));
+  h.feed(module, wpanPacket(forward, seconds(1) + milliseconds(50)));
   h.tick(module, seconds(2));
   ASSERT_TRUE(h.sawAttack(AttackType::kDataAlteration));
   EXPECT_EQ(h.alerts[0].suspectEntities[0], "0x0004");
@@ -422,7 +371,7 @@ TEST(EncryptionDetection, LinkSecurityBitPublishes) {
   frame.src = net::Mac16{5};
   frame.securityEnabled = true;
   frame.payload = bytesOf("x");
-  h.feed(module, wpan(frame, seconds(1), -60.0));
+  h.feed(module, wpanPacket(frame, seconds(1)));
   EXPECT_EQ(h.kb.local<bool>("LinkEncryption.P802154"), true);
   EXPECT_EQ(h.kb.local<bool>("Encrypted", "0x0005"), true);
 }

@@ -18,6 +18,7 @@
 #include "kalis/modules/syn_flood.hpp"
 #include "kalis/modules/topology_discovery.hpp"
 #include "kalis/modules/traffic_stats.hpp"
+#include "support.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -25,66 +26,9 @@
 namespace kalis::ids {
 namespace {
 
-// --- test harness ------------------------------------------------------------------
-
-struct ModuleHarness {
-  KnowledgeBase kb{"K1"};
-  DataStore store;
-  std::vector<Alert> alerts;
-
-  ModuleContext ctx(SimTime now) {
-    return ModuleContext{kb, store, now,
-                         [this](Alert a) { alerts.push_back(std::move(a)); }};
-  }
-
-  void feed(Module& module, const net::CapturedPacket& pkt) {
-    auto context = ctx(pkt.meta.timestamp);
-    module.onPacket(pkt, net::dissect(pkt), context);
-  }
-  void tick(Module& module, SimTime now) {
-    auto context = ctx(now);
-    module.onTick(context);
-  }
-};
-
-net::CapturedPacket wpanPacket(net::Mac16 src, net::Mac16 dst, Bytes payload,
-                               SimTime t, double rssi = -60.0) {
-  net::Ieee802154Frame frame;
-  frame.src = src;
-  frame.dst = dst;
-  frame.payload = std::move(payload);
-  net::CapturedPacket pkt;
-  pkt.medium = net::Medium::kIeee802154;
-  pkt.raw = frame.encode();
-  pkt.meta.timestamp = t;
-  pkt.meta.rssiDbm = rssi;
-  return pkt;
-}
-
-net::CapturedPacket ctpDataPacket(net::Mac16 linkSrc, net::Mac16 linkDst,
-                                  net::Mac16 origin, std::uint8_t seqno,
-                                  std::uint8_t thl, SimTime t,
-                                  double rssi = -60.0,
-                                  Bytes payload = bytesOf("pp")) {
-  net::CtpData data;
-  data.origin = origin;
-  data.seqno = seqno;
-  data.thl = thl;
-  data.payload = std::move(payload);
-  return wpanPacket(linkSrc, linkDst,
-                    net::wrapTinyosAm(net::kAmCtpData, BytesView(data.encode())),
-                    t, rssi);
-}
-
-net::CapturedPacket ctpBeaconPacket(net::Mac16 src, std::uint16_t etx,
-                                    SimTime t) {
-  net::CtpRoutingBeacon beacon;
-  beacon.parent = src;
-  beacon.etx = etx;
-  return wpanPacket(
-      src, net::Mac16{net::Mac16::kBroadcast},
-      net::wrapTinyosAm(net::kAmCtpRouting, BytesView(beacon.encode())), t);
-}
+using test::ctpBeaconPacket;
+using test::ctpDataPacket;
+using test::ModuleHarness;
 
 net::CapturedPacket icmpPacket(net::Mac48 linkSrc, net::Ipv4Addr src,
                                net::Ipv4Addr dst, net::IcmpType type,
@@ -934,7 +878,11 @@ net::CapturedPacket zigbeeReport(net::Mac16 src, std::uint8_t seq, SimTime t,
   nwk.dst = net::Mac16{0x0001};
   nwk.seq = seq;
   nwk.payload = {net::kZigbeeAppReport, 0, 0};
-  return wpanPacket(src, net::Mac16{0x0001}, nwk.encode(), t, rssi);
+  net::Ieee802154Frame frame;
+  frame.src = src;
+  frame.dst = nwk.dst;
+  frame.payload = nwk.encode();
+  return test::wpanPacket(frame, t, rssi);
 }
 
 TEST(ReplicationStatic, BimodalRssiFlagsClone) {

@@ -17,15 +17,14 @@
 #include "kalis/siem_export.hpp"
 #include "net/medium_dlt.hpp"
 #include "recorded_captures.hpp"
+#include "support.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis {
 namespace {
 
-std::string tempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using test::tempPath;
 
 net::CapturedPacket makePacket(net::Medium medium, SimTime ts,
                                std::initializer_list<std::uint8_t> bytes) {
@@ -272,9 +271,7 @@ std::vector<std::string> replayAlerts(const trace::Trace& trace) {
   node.start();
   for (const auto& pkt : trace) node.replayFeed(pkt);
   sim.runUntil(seconds(30));
-  std::vector<std::string> lines;
-  for (const ids::Alert& a : node.alerts()) lines.push_back(ids::toSiemJson(a));
-  return lines;
+  return ids::toSiemLines(node.alerts());
 }
 
 TEST(Pcap, DumpReloadReplaysByteIdentically) {

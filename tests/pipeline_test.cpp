@@ -23,6 +23,7 @@
 #include "pipeline/shard_key.hpp"
 #include "recorded_captures.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support.hpp"
 #include "trace/trace_file.hpp"
 
 namespace kalis {
@@ -31,28 +32,8 @@ namespace {
 using pipeline::Backpressure;
 using pipeline::PacketRing;
 using pipeline::Pipeline;
-
-net::Mac48 mac(std::uint8_t tag) {
-  return net::Mac48{{0x02, 0x00, 0x00, 0x00, 0x00, tag}};
-}
-
-/// WiFi data frame from station `tag` to the AP, tagged via captureSeq.
-net::CapturedPacket wifiFrom(std::uint8_t tag, SimTime ts,
-                             std::uint64_t seq = 0) {
-  net::WifiFrame frame;
-  frame.kind = net::WifiFrameKind::kData;
-  frame.toDs = true;
-  frame.src = mac(tag);
-  frame.dst = mac(0xfe);
-  frame.bssid = mac(0xfe);
-  frame.body = {0x01, 0x02, 0x03, tag};
-  net::CapturedPacket pkt;
-  pkt.medium = net::Medium::kWifi;
-  pkt.raw = frame.encode();
-  pkt.meta.timestamp = ts;
-  pkt.meta.captureSeq = seq;
-  return pkt;
-}
+using test::mac;
+using test::wifiFrom;
 
 net::CapturedPacket wpanFrom(std::uint16_t src, SimTime ts) {
   net::Ieee802154Frame frame;
@@ -818,9 +799,7 @@ TEST(PipelineMergeOrder, EnqueueBatchMatchesSerialEnqueue) {
       for (const auto& pkt : trace) EXPECT_TRUE(pipe.enqueue(pkt));
     }
     pipe.stop();
-    std::vector<std::string> json;
-    for (const ids::Alert& a : pipe.alerts()) json.push_back(ids::toSiemJson(a));
-    return json;
+    return ids::toSiemLines(pipe.alerts());
   };
   const std::vector<std::string> serial = runWith(false);
   const std::vector<std::string> batched = runWith(true);
@@ -854,12 +833,6 @@ TEST(PipelineDrain, StopLosesNoEnqueuedPacket) {
 
 // --- one worker == direct replayFeed ----------------------------------------------
 
-std::vector<std::string> siemLinesOf(const std::vector<ids::Alert>& alerts) {
-  std::vector<std::string> lines;
-  for (const ids::Alert& alert : alerts) lines.push_back(ids::toSiemJson(alert));
-  return lines;
-}
-
 /// A one-worker Kalis pipeline emits the direct replayFeed SIEM stream byte
 /// for byte whatever its batch size and ring capacity: neither batch
 /// boundaries nor a producer blocked on a full ring change the output.
@@ -875,7 +848,7 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
   direct.start();
   for (const auto& pkt : trace) direct.replayFeed(pkt);
   directSim.runUntil(drainUntil);
-  const std::vector<std::string> expected = siemLinesOf(direct.alerts());
+  const std::vector<std::string> expected = ids::toSiemLines(direct.alerts());
   ASSERT_FALSE(expected.empty()) << "attack trace raised no alerts";
 
   for (const std::size_t maxBatch : {1u, 7u, 64u}) {
@@ -898,7 +871,7 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
       for (const auto& pkt : trace) ASSERT_TRUE(pipe.enqueue(pkt));
       pipe.stop();
 
-      EXPECT_EQ(siemLinesOf(pipe.alerts()), expected);
+      EXPECT_EQ(ids::toSiemLines(pipe.alerts()), expected);
       EXPECT_EQ(pipe.stats().processed, trace.size());
       EXPECT_EQ(pipe.stats().dropped(), 0u);
     }
@@ -935,7 +908,7 @@ TEST(PipelineDeterminism, EnqueueBatchWholeAndChunkedMatchPerPacketEnqueue) {
     }
     pipe.stop();
     EXPECT_EQ(pipe.stats().processed, trace.size());
-    return siemLinesOf(pipe.alerts());
+    return ids::toSiemLines(pipe.alerts());
   };
   const std::vector<std::string> perPacket = runWith(0);
   ASSERT_FALSE(perPacket.empty()) << "attack trace raised no alerts";
@@ -1018,7 +991,7 @@ TEST_P(Fig8Capture, PipelineReproducesSynchronousKalis) {
   const std::optional<scenarios::Capture> capture =
       scenarios::capture(GetParam(), 7);
   ASSERT_TRUE(capture.has_value());
-  const std::vector<std::string> expected = siemLinesOf(
+  const std::vector<std::string> expected = ids::toSiemLines(
       scenarios::evaluate(scenarios::SystemKind::kKalis, *capture).alerts);
   ASSERT_FALSE(expected.empty());
 
@@ -1034,7 +1007,7 @@ TEST_P(Fig8Capture, PipelineReproducesSynchronousKalis) {
   pipe.start();
   for (const auto& pkt : capture->packets) ASSERT_TRUE(pipe.enqueue(pkt));
   pipe.stop();
-  EXPECT_EQ(siemLinesOf(pipe.alerts()), expected);
+  EXPECT_EQ(ids::toSiemLines(pipe.alerts()), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,6 +13,7 @@
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
+#include "support.hpp"
 #include "trace/trace_file.hpp"
 #include "util/rng.hpp"
 
@@ -22,16 +23,6 @@ namespace {
 class Seeded : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   Rng rng{GetParam()};
-
-  Bytes randomBytes(std::size_t maxLen) {
-    Bytes out;
-    const std::size_t len = rng.nextBelow(maxLen + 1);
-    out.reserve(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      out.push_back(static_cast<std::uint8_t>(rng.next() & 0xff));
-    }
-    return out;
-  }
 
   std::string randomIdent(std::size_t minLen = 1) {
     static const char alphabet[] =
@@ -57,7 +48,7 @@ TEST_P(Seeded, Ieee802154RoundTripRandomPayloads) {
     frame.panId = static_cast<std::uint16_t>(rng.next());
     frame.dst = net::Mac16{static_cast<std::uint16_t>(rng.next())};
     frame.src = net::Mac16{static_cast<std::uint16_t>(rng.next())};
-    frame.payload = randomBytes(80);
+    frame.payload = test::randomBytes(rng, 80);
     const Bytes raw = frame.encode();
     auto decoded = net::decodeIeee802154(BytesView(raw));
     ASSERT_TRUE(decoded.has_value());
@@ -81,7 +72,7 @@ TEST_P(Seeded, TcpRoundTripRandomSegments) {
     segment.ackNo = static_cast<std::uint32_t>(rng.next());
     segment.flags = net::TcpFlags::decode(static_cast<std::uint8_t>(rng.next() & 0x1f));
     segment.window = static_cast<std::uint16_t>(rng.next());
-    segment.payload = randomBytes(120);
+    segment.payload = test::randomBytes(rng, 120);
     const Bytes raw = segment.encode(src, dst);
     auto decoded = net::decodeTcp(BytesView(raw));
     ASSERT_TRUE(decoded.has_value());
@@ -101,7 +92,7 @@ TEST_P(Seeded, ZigbeeRoundTripRandomFrames) {
     frame.src = net::Mac16{static_cast<std::uint16_t>(rng.next())};
     frame.radius = static_cast<std::uint8_t>(rng.next());
     frame.seq = static_cast<std::uint8_t>(rng.next());
-    frame.payload = randomBytes(60);
+    frame.payload = test::randomBytes(rng, 60);
     const Bytes raw = frame.encode();
     auto decoded = net::decodeZigbeeNwk(BytesView(raw));
     ASSERT_TRUE(decoded.has_value());
@@ -180,7 +171,7 @@ TEST_P(Seeded, TraceRoundTripRandomContents) {
   for (std::size_t i = 0; i < count; ++i) {
     net::CapturedPacket pkt;
     pkt.medium = static_cast<net::Medium>(rng.nextBelow(3));
-    pkt.raw = randomBytes(200);
+    pkt.raw = test::randomBytes(rng, 200);
     t += rng.nextBelow(seconds(1));
     pkt.meta.timestamp = t;
     pkt.meta.rssiDbm = -30.0 - rng.nextDouble() * 60.0;

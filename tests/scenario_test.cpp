@@ -180,7 +180,8 @@ TEST(Determinism, SameSeedSameResult) {
 //
 // Light but real link loss must degrade gracefully: the attacks are still
 // detected and the alert stream stays correctly classified (no fault-induced
-// false positives). Suites are Chaos* so the CI chaos job replays them.
+// false positives). Suites are Chaos* so CI's raised-iteration ASan+UBSan
+// subset and its TSan subset, which select suites by name, replay them.
 
 TEST(ChaosScenarioDos, IcmpFloodDetectedUnderLightLoss) {
   const auto plan = chaos::FaultPlan::parse("loss=0.05,burst=3");
