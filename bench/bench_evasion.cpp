@@ -9,10 +9,11 @@
 //   * no perturbed frame ever violates serialize(dissect(x)) == x,
 //   * detection at budget 0 is never worse than at the maximum budget.
 //
-// The DiffRunner evasion lane is reported (suppressions and attribution
-// shifts classify as evasion; alert-semantics changes as regression) but
-// does not gate: a perturbation legitimately downgrading a blackhole to
-// selective-forwarding symptoms is a finding, not a bench failure.
+// The evasion lane of the alert diff (chaos::diffAlertStreams) is reported
+// (suppressions and attribution shifts classify as evasion; alert-semantics
+// changes as regression) but does not gate: a perturbation legitimately
+// downgrading a blackhole to selective-forwarding symptoms is a finding, not
+// a bench failure.
 //
 // --smoke runs the reduced CI grid (one seed, three budgets, Kalis only).
 #include <cstdio>
@@ -28,6 +29,13 @@ using scenarios::SystemKind;
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  if (argc > (smoke ? 2 : 1)) {
+    std::fprintf(stderr,
+                 "bench_evasion: unknown argument %s\n"
+                 "usage: bench_evasion [--smoke]\n",
+                 argv[smoke ? 2 : 1]);
+    return 2;
+  }
 
   ev::SweepOptions opts;
   opts.plan = *ev::EvasionPlan::parse("full");
@@ -48,7 +56,7 @@ int main(int argc, char** argv) {
   out << result.toJson() << "\n";
   std::printf("Curves written to %s\n\n", out ? path : "<failed>");
 
-  // DiffRunner evasion lane at the max budget, Kalis stream (reported only).
+  // The evasion lane at the max budget, Kalis stream (reported only).
   ev::EvasionPlan maxPlan = opts.plan;
   for (double b : opts.budgets) {
     maxPlan.budget = std::max(maxPlan.budget, b);

@@ -26,11 +26,12 @@
 // accounting identities close exactly (zero unaccounted loss).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -39,11 +40,16 @@
 #endif
 
 #include "fleet/fleet.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 using fleet::Fleet;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: bench_fleet [--smoke] [--max-homes N] [--rounds R] "
+    "[--workers W]\n";
 
 double nowSec() {
   return std::chrono::duration<double>(
@@ -230,19 +236,35 @@ int main(int argc, char** argv) {
   std::size_t workers =
       std::min<std::size_t>(8, std::max(1u, std::thread::hardware_concurrency()));
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const char* flag = argv[i];
+    const std::string_view arg = flag;
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--max-homes") == 0 && i + 1 < argc) {
-      maxHomes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      rounds = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_fleet [--smoke] [--max-homes N] [--rounds R] "
-                   "[--workers W]\n");
+      continue;
+    }
+    if (arg != "--max-homes" && arg != "--rounds" && arg != "--workers") {
+      std::fprintf(stderr, "bench_fleet: unknown argument %s\n%s", flag,
+                   kUsage);
       return 2;
+    }
+    // A whole base-10 integer >= 1 (rounds: 32 bits), so that "1e5" or
+    // "abc" is refused rather than read as 1 or 0.
+    const bool isRounds = arg == "--rounds";
+    const char* text = i + 1 < argc ? argv[++i] : "";
+    const std::optional<long long> n = parseInt(text);
+    if (!n || *n < 1 || (isRounds && *n > UINT32_MAX)) {
+      std::fprintf(stderr,
+                   "bench_fleet: bad value '%s' for %s (expected an integer "
+                   ">= 1%s)\n%s",
+                   text, flag, isRounds ? " and < 2^32" : "", kUsage);
+      return 2;
+    }
+    if (arg == "--max-homes") {
+      maxHomes = static_cast<std::size_t>(*n);
+    } else if (isRounds) {
+      rounds = static_cast<std::uint32_t>(*n);
+    } else {
+      workers = static_cast<std::size_t>(*n);
     }
   }
   if (smoke) return runSmoke(workers);

@@ -21,18 +21,11 @@
 // ingestion stalls. PLAN is "key=value,..." or a preset (light/heavy), e.g.
 // --chaos "light" or --chaos "loss=0.05,burst=3,stall-batches=8,stall-us=500".
 //
-// --chaos-diff PLAN instead runs chaos::DiffRunner differential
-// verification: baseline vs faulted vs multi-worker, classifies every SIEM
-// divergence (accounted loss / reordering-tolerant / regression), writes
-// chaos_divergence.json, and exits nonzero on any regression.
-//
-// --fleet N switches to fleet-replay mode (DESIGN.md §11): instead of one
-// replayed trace, N statistical home simulations run over the kalis::fleet
-// worker pool with hierarchical collective knowledge, and the run prints a
-// cross-home detection-propagation latency summary — how long a signature
-// learned in one home takes to reach every other region. --regions R and
-// --seed S shape the fleet (the positional seed is shared with the replay
-// modes).
+// --chaos-diff PLAN instead runs differential verification
+// (scenarios::diffTraceReplay): baseline vs faulted vs multi-worker,
+// classifies every SIEM divergence (accounted loss / reordering-tolerant /
+// regression), writes chaos_divergence.json, and exits nonzero on any
+// regression.
 //
 // --pcap FILE replays a recorded pcap capture (written by a real sniffer or
 // by --dump-pcap) instead of simulating: trace::readPcapFile turns it into
@@ -54,8 +47,7 @@
 #include <string>
 #include <string_view>
 
-#include "chaos/diff_runner.hpp"
-#include "fleet/fleet.hpp"
+#include "chaos/alert_diff.hpp"
 #include "chaos/fault_plan.hpp"
 #include "chaos/link_chaos.hpp"
 #include "kalis/kalis_node.hpp"
@@ -64,8 +56,6 @@
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scenarios/chaos_workload.hpp"
-#include "scenarios/evasion_sweep.hpp"
-#include "util/strings.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_file.hpp"
 
@@ -92,23 +82,11 @@ fresh Kalis instance "as if operating on live traffic".
                      "light", "heavy" or "key=value,..."
   --chaos-diff PLAN  differential verification instead: baseline vs faulted
                      vs multi-worker, nonzero exit on unexplained divergence
-  --fleet N          fleet-replay mode: N statistical homes over the worker
-                     pool with hierarchical collective knowledge
-  --regions R        fleet regions (default 16)
   --pcap FILE        replay a recorded pcap capture instead of simulating
                      (file DLT 195 / 105 / 251 or Kalis mixed 147); honors
                      --pipeline and --workers
   --dump-pcap FILE   after recording, dump the replayed trace as a
                      mixed-medium pcap for later --pcap replay
-  --evasion SPEC     adversarial-evasion sweep (DESIGN.md §13): replay the
-                     Fig. 8 scenarios across a budget grid under the evasion
-                     plan SPEC ("full", "timing", "dilute", "split", "mimic",
-                     "none" or "key=value,..."), print the detection-rate
-                     table, write EVASION_curves.json, and diff the evaded
-                     alert stream through the DiffRunner evasion lane;
-                     --seed selects the scenario seed (default 100 here)
-  --scenario NAME    restrict the evasion sweep to one Fig. 8 scenario
-  --budgets CSV      evasion budget grid (default 0,0.25,0.5,0.75,1)
   --help             show this text
 )";
 
@@ -117,16 +95,10 @@ struct ReplayOptions {
   std::uint64_t seed = 21;
   bool usePipeline = false;
   std::size_t workers = 4;
-  std::size_t fleetHomes = 0;
-  std::size_t fleetRegions = 16;
   bool kbSync = false;
   std::uint64_t kbSyncMs = 10;
   std::optional<chaos::FaultPlan> chaosPlan;
   bool chaosDiff = false;
-  std::optional<attacks::evasion::EvasionPlan> evasionPlan;
-  std::string evasionScenario;            ///< --scenario: empty = all eight
-  std::vector<double> evasionBudgets;     ///< --budgets: empty = default grid
-  bool seedGiven = false;
   std::string pcapIn;   ///< --pcap FILE: replay this capture
   std::string pcapOut;  ///< --dump-pcap FILE: write the replayed trace
   bool help = false;
@@ -187,44 +159,10 @@ std::optional<ReplayOptions> parseReplayOptions(int argc, char** argv) {
       if (!n) return std::nullopt;
       opt.kbSync = true;
       opt.kbSyncMs = *n;
-    } else if (arg == "--fleet") {
-      const auto n = number(0);
-      if (!n) return std::nullopt;
-      opt.fleetHomes = static_cast<std::size_t>(*n);
-    } else if (arg == "--regions") {
-      const auto n = number(0);
-      if (!n) return std::nullopt;
-      opt.fleetRegions = static_cast<std::size_t>(*n);
     } else if (arg == "--seed") {
       const auto n = number(0);
       if (!n) return std::nullopt;
       opt.seed = *n;
-      opt.seedGiven = true;
-    } else if (arg == "--evasion") {
-      const char* v = value();
-      if (!v) return missing();
-      std::string error;
-      opt.evasionPlan = attacks::evasion::EvasionPlan::parse(v, &error);
-      if (!opt.evasionPlan) {
-        std::fprintf(stderr, "bad evasion plan: %s\n", error.c_str());
-        return std::nullopt;
-      }
-    } else if (arg == "--scenario") {
-      const char* v = value();
-      if (!v) return missing();
-      opt.evasionScenario = v;
-    } else if (arg == "--budgets") {
-      const char* v = value();
-      if (!v) return missing();
-      for (const std::string& part : split(v, ',')) {
-        const std::optional<double> budget = parseDouble(trim(part));
-        if (!budget || *budget < 0.0 || *budget > 1.0) {
-          std::fprintf(stderr, "trace_replay: bad budget '%s' in --budgets\n",
-                       part.c_str());
-          return std::nullopt;
-        }
-        opt.evasionBudgets.push_back(*budget);
-      }
     } else if (arg == "--pcap") {
       const char* v = value();
       if (!v) return missing();
@@ -251,7 +189,6 @@ std::optional<ReplayOptions> parseReplayOptions(int argc, char** argv) {
       const auto n = count(argv[i], "seed", 0);
       if (!n) return std::nullopt;
       opt.seed = *n;
-      opt.seedGiven = true;
     }
   }
   return opt;
@@ -263,8 +200,8 @@ int runChaosDiff(std::uint64_t seed, const chaos::FaultPlan& plan,
                  std::size_t workers) {
   std::printf("Differential verification under plan [%s], %zu workers\n",
               plan.describe().c_str(), workers);
-  chaos::DiffRunner runner(scenarios::traceReplayWorkload(seed));
-  const chaos::DiffRunner::Report report = runner.run(plan, workers);
+  const chaos::DiffReport report =
+      scenarios::diffTraceReplay(seed, plan, workers);
 
   const auto printDiff = [](const char* name, const chaos::DiffResult& d) {
     std::printf(
@@ -289,138 +226,6 @@ int runChaosDiff(std::uint64_t seed, const chaos::FaultPlan& plan,
     return 1;
   }
   return 0;
-}
-
-/// --evasion: detection-rate-vs-budget sweep over the Fig. 8 scenarios for
-/// all three systems, plus the DiffRunner evasion lane on the Kalis stream
-/// at the maximum budget. Writes EVASION_curves.json; exits nonzero when a
-/// zero-budget run is not byte-identical to the unperturbed scenario, when
-/// any perturbed frame violates serialize(dissect(x)) == x, or when the
-/// evasion diff surfaces an unexplained regression.
-int runEvasionSweep(const ReplayOptions& opt) {
-  namespace ev = attacks::evasion;
-  ev::SweepOptions sweep;
-  sweep.plan = *opt.evasionPlan;
-  // The default replay seed (21) is the trace seed; the sweep aligns with
-  // the bench_fig8 scenario seeds instead unless one was given explicitly.
-  sweep.scenarioSeed = opt.seedGiven ? opt.seed : 100;
-  if (!opt.evasionScenario.empty()) {
-    bool known = false;
-    for (const std::string& name : scenarios::scenarioNames()) {
-      known = known || name == opt.evasionScenario;
-    }
-    if (!known) {
-      std::fprintf(stderr, "trace_replay: unknown scenario '%s'\n",
-                   opt.evasionScenario.c_str());
-      return 2;
-    }
-    sweep.scenarios = {opt.evasionScenario};
-  }
-  if (!opt.evasionBudgets.empty()) sweep.budgets = opt.evasionBudgets;
-
-  std::printf("Evasion sweep: plan [%s], scenario seed %llu, %zu budgets\n",
-              sweep.plan.describe().c_str(),
-              static_cast<unsigned long long>(sweep.scenarioSeed),
-              sweep.budgets.size());
-  const ev::SweepResult result = ev::runSweep(sweep);
-  std::printf("\n%s\n", result.toTable().c_str());
-
-  const char* path = "EVASION_curves.json";
-  std::ofstream out(path, std::ios::trunc);
-  out << result.toJson() << "\n";
-  std::printf("Evasion curves written to %s\n", out ? path : "<failed>");
-
-  // DiffRunner evasion lane on the Kalis alert stream at the max budget.
-  ev::EvasionPlan maxPlan = sweep.plan;
-  for (double b : sweep.budgets) maxPlan.budget = std::max(maxPlan.budget, b);
-  bool diffRegression = false;
-  const std::vector<std::string>& diffScenarios =
-      sweep.scenarios.empty() ? scenarios::scenarioNames() : sweep.scenarios;
-  std::printf("\nDiffRunner evasion lane (kalis, budget %s):\n",
-              formatDouble(maxPlan.budget).c_str());
-  for (const std::string& scenario : diffScenarios) {
-    const chaos::DiffResult d = ev::evasionDiff(
-        scenario, scenarios::SystemKind::kKalis, sweep.scenarioSeed, maxPlan);
-    std::printf(
-        "  %-22s %zu vs %zu alerts — %s (%zu evasion, %zu reordering-"
-        "tolerant, %zu regressions)\n",
-        scenario.c_str(), d.baselineAlerts, d.subjectAlerts,
-        d.identical ? "identical" : "diverged",
-        d.count(chaos::DivergenceKind::kEvasion),
-        d.count(chaos::DivergenceKind::kReorderingTolerant),
-        d.count(chaos::DivergenceKind::kRegression));
-    diffRegression = diffRegression || d.hasRegression();
-  }
-  if (diffRegression) {
-    std::printf("note: evasion-lane regressions above mean the perturbation "
-                "changed alert semantics (reported, not gated)\n");
-  }
-
-  if (!result.allZeroBudgetIdentical) {
-    std::printf("FAIL: a zero-budget run diverged from the unperturbed "
-                "scenario\n");
-    return 1;
-  }
-  if (result.roundtripViolations > 0) {
-    std::printf("FAIL: %llu perturbed frames violated "
-                "serialize(dissect(x)) == x\n",
-                static_cast<unsigned long long>(result.roundtripViolations));
-    return 1;
-  }
-  return 0;
-}
-
-/// --fleet: N simulated homes over the bounded worker pool, with the
-/// home→region→global knowledge hierarchy; prints the propagation-latency
-/// summary of the fleet-learned signature.
-int runFleetReplay(std::size_t homes, std::size_t regions, std::size_t workers,
-                   std::uint64_t seed) {
-  fleet::Fleet::Options opts;
-  opts.homes = homes;
-  opts.regions = regions;
-  opts.workers = workers;
-  opts.seed = seed;
-  fleet::Fleet f(opts);
-  std::printf("Fleet replay: %zu homes in %zu regions over %zu workers "
-              "(seed %llu)\n",
-              f.options().homes, f.options().regions, f.options().workers,
-              static_cast<unsigned long long>(seed));
-  f.run();
-
-  const fleet::Fleet::Stats stats = f.stats();
-  const auto& prop = stats.propagation;
-  std::printf("Processed %llu packet events, %llu alerts, %llu attack "
-              "packets missed pre-propagation\n",
-              static_cast<unsigned long long>(stats.packetsProcessed),
-              static_cast<unsigned long long>(stats.alertsRaised),
-              static_cast<unsigned long long>(stats.attackPacketsMissed));
-  if (!prop.activated) {
-    std::printf("Signature never activated (fleet too small or too few "
-                "rounds for the origin to accumulate evidence)\n");
-    return 1;
-  }
-  std::printf("\nCross-home detection propagation\n");
-  std::printf("  origin home            H%u (region %zu), activated round %u\n",
-              prop.originHome, f.regionOfHome(prop.originHome),
-              prop.activationRound);
-  std::printf("  homes reached          %zu / %zu\n", prop.homesObserved,
-              prop.homesTotal);
-  std::printf("  propagation latency    mean %.2f rounds, max %u rounds "
-              "(%llu virtual us)\n",
-              prop.meanLagRounds, prop.maxLagRounds,
-              static_cast<unsigned long long>(prop.maxLagVirtual));
-  std::printf("  staleness bound        %u rounds (%llu virtual us) — %s\n",
-              f.stalenessBoundRounds(),
-              static_cast<unsigned long long>(f.stalenessBoundVirtual()),
-              prop.maxLagRounds <= f.stalenessBoundRounds() ? "held"
-                                                            : "VIOLATED");
-  std::printf("  knowledge memory       %.0f bytes/home (CoW overlays + "
-              "shared baselines)\n",
-              static_cast<double>(stats.homeHeapBytes + stats.baselineBytes) /
-                  f.options().homes);
-  const bool converged = prop.homesObserved == prop.homesTotal &&
-                         prop.maxLagRounds <= f.stalenessBoundRounds();
-  return converged ? 0 : 1;
 }
 
 /// Replay through the kalis::pipeline ingestion engine: the trace goes to
@@ -533,11 +338,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (opt.evasionPlan) return runEvasionSweep(opt);
-  if (opt.fleetHomes > 0) {
-    return runFleetReplay(opt.fleetHomes, opt.fleetRegions, opt.workers,
-                          opt.seed);
-  }
   if (opt.chaosDiff) return runChaosDiff(opt.seed, *opt.chaosPlan, opt.workers);
 
   const chaos::FaultPlan* plan = opt.chaosPlan ? &*opt.chaosPlan : nullptr;

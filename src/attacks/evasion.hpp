@@ -91,7 +91,7 @@ struct EvasionPlan {
   std::string describe() const;
 };
 
-/// Exact per-run perturbation tallies (the DiffRunner evasion lane and the
+/// Exact per-run perturbation tallies (the alert diff's evasion lane and the
 /// sweep JSON consume these).
 struct Stats {
   std::uint64_t attackerFrames = 0;  ///< attacker transmissions seen

@@ -1,4 +1,4 @@
-#include "chaos/diff_runner.hpp"
+#include "chaos/alert_diff.hpp"
 
 #include <algorithm>
 #include <map>
@@ -192,23 +192,7 @@ DiffResult diffAlertStreams(const RunOutput& baseline,
   return result;
 }
 
-DiffRunner::Report DiffRunner::run(const FaultPlan& plan, std::size_t workers) {
-  Report report;
-  report.plan = plan;
-  RunOutput baseline = workload_(nullptr, 1);
-  if (baseline.label.empty()) baseline.label = "1 worker";
-  RunOutput faulted = workload_(&plan, 1);
-  if (faulted.label.empty()) faulted.label = "1 worker+faults";
-  RunOutput threaded = workload_(&plan, workers);
-  if (threaded.label.empty()) {
-    threaded.label = std::to_string(workers) + " workers+faults";
-  }
-  report.faultedVsBaseline = diffAlertStreams(baseline, faulted);
-  report.workersVsDeterministic = diffAlertStreams(faulted, threaded);
-  return report;
-}
-
-std::string DiffRunner::Report::toJson() const {
+std::string DiffReport::toJson() const {
   std::ostringstream oss;
   oss << "{\"v\":1,\"kind\":\"chaos_divergence\",\"plan\":\""
       << ids::jsonEscape(plan.describe()) << "\",\"regression\":"

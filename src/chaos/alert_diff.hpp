@@ -1,8 +1,7 @@
-// chaos::DiffRunner — differential verification (DESIGN.md §9).
-//
-// Runs the same workload (same scenario seed) with a fault plan off and on,
-// and on one worker (the deterministic reference) vs several, then
-// structurally diffs the SIEM alert streams. Every divergence is classified:
+// Differential verification (DESIGN.md §9): structural diffs of the SIEM
+// alert streams of two runs of the same workload (same scenario seed), e.g.
+// with a fault plan off and on, or on one worker (the deterministic
+// reference) vs several. Every divergence is classified:
 //
 //   accounted loss       the subject run injected faults (link drops,
 //                        corruption, duplication, or ring evictions) that
@@ -22,11 +21,11 @@
 //   regression           a divergence nothing injected can explain — the
 //                        detector behaved differently on equivalent input.
 //
-// The report serializes to JSON for the CI artifact
-// (examples/trace_replay --chaos-diff writes chaos_divergence.json).
+// scenarios::diffTraceReplay runs the trace_replay workload three times and
+// returns both diffs as a DiffReport, which serializes to JSON for the CI
+// artifact (examples/trace_replay --chaos-diff writes chaos_divergence.json).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -94,32 +93,18 @@ struct DiffResult {
 DiffResult diffAlertStreams(const RunOutput& baseline,
                             const RunOutput& subject);
 
-class DiffRunner {
- public:
-  /// A workload replays one scenario: under `plan` (nullptr = no faults)
-  /// with `workers` pipeline workers (1 = the deterministic reference).
-  using Workload =
-      std::function<RunOutput(const FaultPlan* plan, std::size_t workers)>;
-
-  explicit DiffRunner(Workload workload) : workload_(std::move(workload)) {}
-
-  struct Report {
-    FaultPlan plan;
-    DiffResult faultedVsBaseline;       ///< 1 worker+plan vs 1, no plan
-    DiffResult workersVsDeterministic;  ///< N workers+plan vs 1 worker+plan
-    std::string toJson() const;
-    bool hasRegression() const {
-      return faultedVsBaseline.hasRegression() ||
-             workersVsDeterministic.hasRegression();
-    }
-  };
-
-  /// Three runs: baseline (one worker, no faults), faulted on one worker,
-  /// faulted on `workers` workers.
-  Report run(const FaultPlan& plan, std::size_t workers);
-
- private:
-  Workload workload_;
+/// Differential verification of one fault plan over three runs: a baseline
+/// (one worker, no faults), faulted on one worker, and faulted on several
+/// workers.
+struct DiffReport {
+  FaultPlan plan;
+  DiffResult faultedVsBaseline;       ///< 1 worker+plan vs 1, no plan
+  DiffResult workersVsDeterministic;  ///< N workers+plan vs 1 worker+plan
+  std::string toJson() const;
+  bool hasRegression() const {
+    return faultedVsBaseline.hasRegression() ||
+           workersVsDeterministic.hasRegression();
+  }
 };
 
 }  // namespace kalis::chaos

@@ -5,8 +5,8 @@
 // hook) and ingestion level (applied by kalis::pipeline worker stalls). All
 // randomness flows from FaultPlan::seed through a dedicated chaos Rng, so a
 // plan replayed against the same scenario seed reproduces the exact same
-// fault sequence — the property DiffRunner's differential verification
-// rests on.
+// fault sequence — the property differential verification
+// (chaos/alert_diff.hpp) rests on.
 //
 // The all-zero (default) plan is a strict no-op: installing it must leave
 // every run byte-for-byte identical to an uninstrumented one (asserted in

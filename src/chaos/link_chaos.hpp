@@ -33,7 +33,7 @@ class LinkChaos final : public sim::LinkFaultInjector {
   LinkChaos& operator=(const LinkChaos&) = delete;
 
   /// Exact tallies of every injected fault — the "accounted" side of
-  /// DiffRunner's accounted-loss classification.
+  /// diffAlertStreams' accounted-loss classification.
   struct Stats {
     std::uint64_t rxDropped = 0;   ///< per-receiver burst-loss drops
     std::uint64_t corrupted = 0;   ///< frames bit-flipped in flight

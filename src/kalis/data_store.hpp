@@ -64,11 +64,6 @@ class DataStore {
   /// Appends Data Store metrics under `prefix` (e.g. "kalis.data_store").
   void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
 
-  /// Releases debug-build thread ownership for an explicit single-ended
-  /// handoff (see util/thread_check.hpp). Never call while another thread
-  /// may still touch this store.
-  void rebindOwnerThread() { owner_.rebind(); }
-
  private:
   util::ThreadOwnershipChecker owner_;
   Config config_;

@@ -290,11 +290,6 @@ class KnowledgeBase {
   /// Appends KB metrics under `prefix` (e.g. "kalis.kb").
   void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
 
-  /// Releases debug-build thread ownership for an explicit single-ended
-  /// handoff (see util/thread_check.hpp). Never call while another thread
-  /// may still touch this KB.
-  void rebindOwnerThread() { owner_.rebind(); }
-
  private:
   /// The storage primitive behind put<T>: value already in canonical
   /// string form.

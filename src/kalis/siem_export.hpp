@@ -38,8 +38,9 @@ inline std::vector<std::string> toSiemLines(const std::vector<Alert>& alerts) {
 /// One knowgget change as a JSON-lines record.
 std::string toSiemJson(const Knowgget& knowgget);
 
-/// Streams Kalis events to a line sink. Attach to a node with:
-///   exporter.attachTo(node);   // subscribes to alerts and KB changes
+/// Streams Kalis events to a line sink. Wire it to a node with
+/// watchKnowledge(node.kb()) for KB changes and exportAlert from the node's
+/// alert sink for alerts.
 class SiemExporter {
  public:
   using LineSink = std::function<void(const std::string& line)>;

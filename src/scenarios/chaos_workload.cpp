@@ -90,10 +90,15 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
   return out;
 }
 
-chaos::DiffRunner::Workload traceReplayWorkload(std::uint64_t seed) {
-  return [seed](const chaos::FaultPlan* plan, std::size_t workers) {
-    return runTraceReplayWorkload(seed, plan, workers);
-  };
+chaos::DiffReport diffTraceReplay(std::uint64_t seed,
+                                  const chaos::FaultPlan& plan,
+                                  std::size_t workers) {
+  const chaos::RunOutput baseline = runTraceReplayWorkload(seed, nullptr, 1);
+  const chaos::RunOutput faulted = runTraceReplayWorkload(seed, &plan, 1);
+  const chaos::RunOutput threaded =
+      runTraceReplayWorkload(seed, &plan, workers);
+  return {plan, chaos::diffAlertStreams(baseline, faulted),
+          chaos::diffAlertStreams(faulted, threaded)};
 }
 
 }  // namespace kalis::scenarios

@@ -1,7 +1,7 @@
 // The trace_replay reference workload: capture a benign HomeWifi trace and a
 // separate ICMP-flood run, splice them (KTRC round trip), and replay the
 // merged trace through a Kalis engine. examples/trace_replay and the
-// chaos::DiffRunner packaging below (DESIGN.md §9) both take the recording
+// differential verification below (DESIGN.md §9) both take the recording
 // and the engine from here. The optional FaultPlan perturbs both capture
 // worlds (link level) and the pipeline workers (ingestion level), so one
 // plan exercises every chaos seam end to end.
@@ -10,7 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "chaos/diff_runner.hpp"
+#include "chaos/alert_diff.hpp"
 #include "pipeline/kalis_engine.hpp"
 #include "scenarios/common.hpp"
 #include "trace/trace_file.hpp"
@@ -50,7 +50,11 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
                                         const chaos::FaultPlan* plan,
                                         std::size_t workers);
 
-/// Binds `seed` for DiffRunner.
-chaos::DiffRunner::Workload traceReplayWorkload(std::uint64_t seed);
+/// Differential verification of `plan` on the workload of `seed`: the clean
+/// one-worker run is the baseline, the faulted one-worker run is diffed
+/// against it, and the faulted run on `workers` workers against that.
+chaos::DiffReport diffTraceReplay(std::uint64_t seed,
+                                  const chaos::FaultPlan& plan,
+                                  std::size_t workers);
 
 }  // namespace kalis::scenarios

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "attacks/evasion.hpp"
-#include "chaos/diff_runner.hpp"
+#include "chaos/alert_diff.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace kalis::attacks::evasion {
@@ -70,10 +70,11 @@ SweepResult runSweep(const SweepOptions& options);
 /// Short system tokens for JSON/CLI: "kalis", "traditional", "snort".
 const char* systemToken(scenarios::SystemKind system);
 
-/// DiffRunner evasion lane, end to end: diffs one scenario's unperturbed
-/// alert stream (baseline) against the same scenario under `plan` (subject),
-/// with evasionPerturbed tallies attached so suppressed/shifted alerts
-/// classify as kEvasion and semantic changes as kRegression.
+/// The alert diff's evasion lane, end to end: diffs one scenario's
+/// unperturbed alert stream (baseline) against the same scenario under
+/// `plan` (subject), with evasionPerturbed tallies attached so
+/// suppressed/shifted alerts classify as kEvasion and semantic changes as
+/// kRegression.
 chaos::DiffResult evasionDiff(const std::string& scenario,
                               scenarios::SystemKind system,
                               std::uint64_t seed, const EvasionPlan& plan);

@@ -44,16 +44,10 @@ class ThreadOwnershipChecker {
     }
   }
 
-  /// Releases ownership so the next checked call re-binds. Only for
-  /// explicit single-ended handoff (e.g. a test thread adopting a node
-  /// built on the main thread); never for concurrent sharing.
-  void rebind() { owner_ = std::thread::id{}; }
-
  private:
   mutable std::thread::id owner_{};
 #else
   void check(const char*) const {}
-  void rebind() {}
 #endif
 };
 

@@ -1,13 +1,12 @@
 // kalis::chaos tests (DESIGN.md §9): FaultPlan parsing, the zero-plan
 // transparency guarantee, deterministic fault replay, malformed-frame
 // handling under corruption, exact drop accounting under injected ingestion
-// stalls, exchange reconciliation under stalls, and the DiffRunner
-// divergence taxonomy — unit-level and end-to-end on the trace_replay
+// stalls, exchange reconciliation under stalls, and the divergence taxonomy
+// of the alert diff — unit-level and end-to-end on the trace_replay
 // workload.
 //
-// Suites are named Chaos* so the sanitizer CI job's raised-iteration subset
-// (-R '^Chaos|^Fuzz|^Golden|...') and the ThreadSanitizer job
-// (^Pipeline|^Exchange|^Chaos|^Fuzz|...) pick them up.
+// Suites are named Chaos* so the ThreadSanitizer CI job
+// (^Pipeline|^Exchange|^Chaos|^Fuzz|...) picks them up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "chaos/diff_runner.hpp"
+#include "chaos/alert_diff.hpp"
 #include "chaos/fault_plan.hpp"
 #include "chaos/link_chaos.hpp"
 #include "kalis/kalis_node.hpp"
@@ -413,12 +412,11 @@ TEST(ChaosDiff, MissingAlertWithoutFaultsIsRegression) {
   EXPECT_TRUE(diff.hasRegression());
 }
 
-// --- DiffRunner end to end --------------------------------------------------------
+// --- differential verification end to end ----------------------------------------
 
 TEST(ChaosDiffRunner, ZeroPlanRunIsFullyIdentical) {
-  DiffRunner runner(scenarios::traceReplayWorkload(11));
   const FaultPlan zero;
-  const DiffRunner::Report report = runner.run(zero, 1);
+  const DiffReport report = scenarios::diffTraceReplay(11, zero, 1);
   EXPECT_TRUE(report.faultedVsBaseline.identical);
   EXPECT_FALSE(report.hasRegression());
   // The report serializes (CI artifact shape).
@@ -428,10 +426,9 @@ TEST(ChaosDiffRunner, ZeroPlanRunIsFullyIdentical) {
 }
 
 TEST(ChaosDiffRunner, LossyPlanDegradesWithoutRegression) {
-  DiffRunner runner(scenarios::traceReplayWorkload(11));
   const auto plan = FaultPlan::parse("loss=0.06,burst=3,corrupt=0.01");
   ASSERT_TRUE(plan.has_value());
-  const DiffRunner::Report report = runner.run(*plan, 2);
+  const DiffReport report = scenarios::diffTraceReplay(11, *plan, 2);
   // Faults fired, so the streams may legitimately diverge — but every
   // missing/extra alert must be accounted or reordering-tolerant.
   EXPECT_FALSE(report.faultedVsBaseline.hasRegression())

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "attacks/evasion.hpp"
-#include "chaos/diff_runner.hpp"
+#include "chaos/alert_diff.hpp"
 #include "chaos/fault_plan.hpp"
 #include "kalis/siem_export.hpp"
 #include "net/ble.hpp"
@@ -348,7 +348,7 @@ TEST(EvasionCorpus, CommittedMutatedFramesAreStable) {
               "ble", spoofedBle);
 }
 
-// --- DiffRunner evasion lane -------------------------------------------------
+// --- the alert diff's evasion lane -------------------------------------------
 
 ids::Alert makeAlert(ids::AttackType type, const std::string& suspect) {
   ids::Alert alert;

@@ -345,29 +345,20 @@ TEST(ExchangeDeterminism, DeterministicModeWithExchangeIsByteIdentical) {
   ASSERT_GT(trace.size(), 100u);
   const SimTime drainUntil = seconds(30);
 
-  sim::Simulator directSim(7);
-  ids::KalisNode direct(directSim);
-  direct.useStandardLibrary();
-  direct.start();
-  for (const auto& pkt : trace) direct.replayFeed(pkt);
-  directSim.runUntil(drainUntil);
+  const std::vector<std::string> direct =
+      test::replaySiemLines(trace, 7, drainUntil);
 
   pipeline::Options opts;
   opts.workers = 1;
   opts.knowledgeExchange = true;  // must not perturb single-shard output
-  pipeline::KalisEngineOptions engineOpts;
-  engineOpts.seedBase = 7;
-  engineOpts.drainUntil = drainUntil;
-  engineOpts.configure = [](ids::KalisNode& node) {
-    node.useStandardLibrary();
-  };
-  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                          test::fullLibraryEngine(7, drainUntil)));
   pipe.start();
   for (const auto& pkt : trace) ASSERT_TRUE(pipe.enqueue(pkt));
   pipe.stop();
 
-  ASSERT_GT(direct.alerts().size(), 0u) << "attack trace raised no alerts";
-  EXPECT_EQ(ids::toSiemLines(pipe.alerts()), ids::toSiemLines(direct.alerts()));
+  ASSERT_GT(direct.size(), 0u) << "attack trace raised no alerts";
+  EXPECT_EQ(ids::toSiemLines(pipe.alerts()), direct);
   // The exchange had no receivers but still accounted the publishes.
   EXPECT_EQ(pipe.stats().knowledgeDroppedInFlight, 0u);
 }

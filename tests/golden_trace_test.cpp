@@ -118,13 +118,8 @@ std::vector<ids::Alert> replayThroughPipeline(
     const scenarios::Capture& capture, std::size_t workers) {
   pipeline::Options opts;
   opts.workers = workers;
-  pipeline::KalisEngineOptions engineOpts;
-  engineOpts.node.id = "K1";
-  engineOpts.drainUntil = capture.end;
-  engineOpts.configure = [](ids::KalisNode& node) {
-    node.useStandardLibrary();
-  };
-  pipeline::Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  pipeline::Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                                    test::fullLibraryEngine(1, capture.end)));
   pipe.start();
   EXPECT_EQ(pipe.enqueueBatch(capture.packets.data(), capture.packets.size()),
             capture.packets.size());

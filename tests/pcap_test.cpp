@@ -13,8 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "kalis/kalis_node.hpp"
-#include "kalis/siem_export.hpp"
 #include "net/medium_dlt.hpp"
 #include "recorded_captures.hpp"
 #include "support.hpp"
@@ -262,21 +260,10 @@ TEST(Pcap, FileRoundTripAndMissingFile) {
 
 // --- dump → reload → replay -------------------------------------------------------
 
-/// Replays a trace through a fresh node, packet by packet via replayFeed;
-/// returns the SIEM lines.
-std::vector<std::string> replayAlerts(const trace::Trace& trace) {
-  sim::Simulator sim(7);
-  ids::KalisNode node(sim);
-  node.useStandardLibrary();
-  node.start();
-  for (const auto& pkt : trace) node.replayFeed(pkt);
-  sim.runUntil(seconds(30));
-  return ids::toSiemLines(node.alerts());
-}
-
 TEST(Pcap, DumpReloadReplaysByteIdentically) {
   const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
-  const std::vector<std::string> expected = replayAlerts(trace);
+  const std::vector<std::string> expected =
+      test::replaySiemLines(trace, 7, seconds(30));
   ASSERT_GT(expected.size(), 0u) << "attack trace raised no alerts";
 
   // Dump → reload through the mixed-mode pcap format, then replay the
@@ -287,7 +274,7 @@ TEST(Pcap, DumpReloadReplaysByteIdentically) {
   ASSERT_TRUE(read.has_value());
   EXPECT_FALSE(read->truncated);
   ASSERT_EQ(read->packets.size(), trace.size());
-  EXPECT_EQ(replayAlerts(read->packets), expected);
+  EXPECT_EQ(test::replaySiemLines(read->packets, 7, seconds(30)), expected);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <span>
 #include <thread>
 
-#include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
@@ -842,13 +841,8 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
   const SimTime drainUntil = seconds(30);
 
   // Synchronous path: one node fed directly.
-  sim::Simulator directSim(7);
-  ids::KalisNode direct(directSim);
-  direct.useStandardLibrary();
-  direct.start();
-  for (const auto& pkt : trace) direct.replayFeed(pkt);
-  directSim.runUntil(drainUntil);
-  const std::vector<std::string> expected = ids::toSiemLines(direct.alerts());
+  const std::vector<std::string> expected =
+      test::replaySiemLines(trace, 7, drainUntil);
   ASSERT_FALSE(expected.empty()) << "attack trace raised no alerts";
 
   for (const std::size_t maxBatch : {1u, 7u, 64u}) {
@@ -860,13 +854,8 @@ TEST(PipelineDeterminism, MatchesDirectReplayFeedByteForByte) {
       opts.maxBatch = maxBatch;
       opts.queueCapacity = queueCapacity;
       opts.policy = Backpressure::kBlock;
-      pipeline::KalisEngineOptions engineOpts;
-      engineOpts.seedBase = 7;
-      engineOpts.drainUntil = drainUntil;
-      engineOpts.configure = [](ids::KalisNode& node) {
-        node.useStandardLibrary();
-      };
-      Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+      Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                              test::fullLibraryEngine(7, drainUntil)));
       pipe.start();
       for (const auto& pkt : trace) ASSERT_TRUE(pipe.enqueue(pkt));
       pipe.stop();
@@ -890,13 +879,8 @@ TEST(PipelineDeterminism, EnqueueBatchWholeAndChunkedMatchPerPacketEnqueue) {
   const auto runWith = [&](std::size_t chunk) {
     pipeline::Options opts;
     opts.workers = 1;
-    pipeline::KalisEngineOptions engineOpts;
-    engineOpts.seedBase = 7;
-    engineOpts.drainUntil = capture.end;
-    engineOpts.configure = [](ids::KalisNode& node) {
-      node.useStandardLibrary();
-    };
-    Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+    Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                            test::fullLibraryEngine(7, capture.end)));
     pipe.start();
     if (chunk == 0) {
       for (const auto& pkt : trace) EXPECT_TRUE(pipe.enqueue(pkt));
@@ -927,13 +911,8 @@ TEST(PipelineCounts, HomeFloodsAtFourWorkers) {
   pipeline::Options opts;
   opts.workers = 4;
   opts.queueCapacity = trace.size();
-  pipeline::KalisEngineOptions engineOpts;
-  engineOpts.seedBase = 7;
-  engineOpts.drainUntil = capture.end;
-  engineOpts.configure = [](ids::KalisNode& node) {
-    node.useStandardLibrary();
-  };
-  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                          test::fullLibraryEngine(7, capture.end)));
   ASSERT_EQ(pipe.enqueueBatch(trace.data(), trace.size()), trace.size());
   pipe.start();
   pipe.stop();
@@ -957,13 +936,8 @@ TEST(PipelineDeterminism, ThreadedModeStillDetectsFlood) {
   const trace::Trace trace = recorded::recordShortIcmpFlood(21).packets;
   pipeline::Options opts;
   opts.workers = 4;
-  pipeline::KalisEngineOptions engineOpts;
-  engineOpts.seedBase = 7;
-  engineOpts.drainUntil = seconds(30);
-  engineOpts.configure = [](ids::KalisNode& node) {
-    node.useStandardLibrary();
-  };
-  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                          test::fullLibraryEngine(7, seconds(30))));
   pipe.start();
   for (const auto& pkt : trace) ASSERT_TRUE(pipe.enqueue(pkt));
   pipe.stop();
@@ -997,13 +971,8 @@ TEST_P(Fig8Capture, PipelineReproducesSynchronousKalis) {
 
   pipeline::Options opts;
   opts.workers = 1;
-  pipeline::KalisEngineOptions engineOpts;
-  engineOpts.node.id = "K1";
-  engineOpts.drainUntil = capture->end;
-  engineOpts.configure = [](ids::KalisNode& node) {
-    node.useStandardLibrary();
-  };
-  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(engineOpts));
+  Pipeline pipe(opts, pipeline::makeKalisEngineFactory(
+                          test::fullLibraryEngine(1, capture->end)));
   pipe.start();
   for (const auto& pkt : capture->packets) ASSERT_TRUE(pipe.enqueue(pkt));
   pipe.stop();

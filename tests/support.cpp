@@ -7,9 +7,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "kalis/kalis_node.hpp"
 #include "kalis/siem_export.hpp"
 #include "net/ctp.hpp"
 #include "net/ieee80211.hpp"
+#include "sim/simulator.hpp"
 
 namespace kalis::test {
 
@@ -230,6 +232,29 @@ net::CapturedPacket ctpBeaconPacket(net::Mac16 src, std::uint16_t etx,
   frame.payload =
       net::wrapTinyosAm(net::kAmCtpRouting, BytesView(beacon.encode()));
   return wpanPacket(frame, t);
+}
+
+// --- full-library Kalis runs -------------------------------------------------
+
+pipeline::KalisEngineOptions fullLibraryEngine(std::uint64_t seed,
+                                               SimTime drainUntil) {
+  pipeline::KalisEngineOptions options;
+  options.seedBase = seed;
+  options.drainUntil = drainUntil;
+  options.configure = [](ids::KalisNode& node) { node.useStandardLibrary(); };
+  return options;
+}
+
+std::vector<std::string> replaySiemLines(const trace::Trace& trace,
+                                         std::uint64_t seed,
+                                         SimTime drainUntil) {
+  sim::Simulator simulator(seed);
+  ids::KalisNode node(simulator);
+  node.useStandardLibrary();
+  node.start();
+  for (const net::CapturedPacket& pkt : trace) node.replayFeed(pkt);
+  simulator.runUntil(drainUntil);
+  return ids::toSiemLines(node.alerts());
 }
 
 // --- knowledge and alerts ----------------------------------------------------

@@ -14,12 +14,14 @@
 #include <utility>
 #include <vector>
 
-#include "chaos/diff_runner.hpp"
+#include "chaos/alert_diff.hpp"
 #include "kalis/data_store.hpp"
 #include "kalis/module.hpp"
 #include "net/ieee802154.hpp"
 #include "net/packet.hpp"
 #include "pipeline/engine.hpp"
+#include "pipeline/kalis_engine.hpp"
+#include "trace/trace_file.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -132,6 +134,20 @@ struct ModuleHarness {
   }
 };
 
+// --- full-library Kalis runs -------------------------------------------------
+
+/// A pipeline's full-library Kalis engine: shard 0 is node "K1" on a
+/// Simulator(seed) clock, which finish() runs to `drainUntil`.
+pipeline::KalisEngineOptions fullLibraryEngine(std::uint64_t seed,
+                                               SimTime drainUntil);
+
+/// The SIEM lines of `trace` replayed into a fresh full-library KalisNode
+/// "K1" on a Simulator(seed) clock run to `drainUntil`: the stream a
+/// one-worker Pipeline with fullLibraryEngine(seed, drainUntil) reproduces.
+std::vector<std::string> replaySiemLines(const trace::Trace& trace,
+                                         std::uint64_t seed,
+                                         SimTime drainUntil);
+
 // --- knowledge and alerts ----------------------------------------------------
 
 /// A collective knowgget.
@@ -211,7 +227,7 @@ class KnowledgeEngine : public pipeline::PacketEngine {
   bool finished_ = false;
 };
 
-/// A DiffRunner run output holding `alerts` and their SIEM lines.
+/// A chaos::RunOutput holding `alerts` and their SIEM lines.
 chaos::RunOutput outputOf(std::string label, std::vector<ids::Alert> alerts,
                           std::uint64_t evasionPerturbed = 0);
 
