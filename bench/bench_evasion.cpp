@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   for (double b : opts.budgets) {
     maxPlan.budget = std::max(maxPlan.budget, b);
   }
-  std::printf("DiffRunner evasion lane (kalis, budget %.2f):\n",
+  std::printf("Alert-diff evasion lane (kalis, budget %.2f):\n",
               maxPlan.budget);
   for (const std::string& scenario : scenarios::scenarioNames()) {
     const chaos::DiffResult d = ev::evasionDiff(

@@ -12,6 +12,8 @@
 //
 //   ./bench_fleet [--smoke] [--max-homes N] [--rounds R] [--workers W]
 //
+// W is 1 to 64 worker threads (default: the core count, at most 8).
+//
 // Default mode sweeps {1k, 10k, max-homes} CoW + {1k, 10k} naive, emits
 // BENCH_fleet.json and exits non-zero unless every run propagates within the
 // staleness bound with closed exchange accounting, the largest CoW run stays
@@ -50,6 +52,10 @@ namespace {
 constexpr const char* kUsage =
     "usage: bench_fleet [--smoke] [--max-homes N] [--rounds R] "
     "[--workers W]\n";
+
+/// Upper bound of --workers: each worker is a thread that owns at least one
+/// region, so the value sizes both.
+constexpr long long kMaxWorkers = 64;
 
 double nowSec() {
   return std::chrono::duration<double>(
@@ -247,16 +253,23 @@ int main(int argc, char** argv) {
                    kUsage);
       return 2;
     }
-    // A whole base-10 integer >= 1 (rounds: 32 bits), so that "1e5" or
-    // "abc" is refused rather than read as 1 or 0.
+    // A whole base-10 integer >= 1 (rounds: 32 bits; workers: at most
+    // kMaxWorkers), so that "1e5" or "abc" is refused rather than read as 1
+    // or 0.
     const bool isRounds = arg == "--rounds";
+    const bool isWorkers = arg == "--workers";
     const char* text = i + 1 < argc ? argv[++i] : "";
     const std::optional<long long> n = parseInt(text);
-    if (!n || *n < 1 || (isRounds && *n > UINT32_MAX)) {
+    if (!n || *n < 1 || (isRounds && *n > UINT32_MAX) ||
+        (isWorkers && *n > kMaxWorkers)) {
+      const std::string upper =
+          isRounds    ? " and < 2^32"
+          : isWorkers ? " and <= " + std::to_string(kMaxWorkers)
+                      : "";
       std::fprintf(stderr,
                    "bench_fleet: bad value '%s' for %s (expected an integer "
                    ">= 1%s)\n%s",
-                   text, flag, isRounds ? " and < 2^32" : "", kUsage);
+                   text, flag, upper.c_str(), kUsage);
       return 2;
     }
     if (arg == "--max-homes") {

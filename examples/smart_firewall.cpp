@@ -11,6 +11,7 @@
 //   ./smart_firewall [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -29,8 +30,10 @@ int main(int argc, char** argv) {
   // A malicious Internet host SYN-flooding the camera (remote DoT).
   const net::Ipv4Addr cameraIp = world.ipv4Of(home.camera);
   Rng attackRng(seed * 31 + 1);
-  auto floodOnce = std::make_shared<std::function<void(int)>>();
-  *floodOnce = [&cloud, cameraIp, &attackRng, floodOnce, &simulator](int i) {
+  // The events it schedules refer to it rather than own it: a self-owning
+  // function would keep itself alive and leak.
+  std::function<void(int)> floodOnce;
+  floodOnce = [&cloud, cameraIp, &attackRng, &floodOnce, &simulator](int i) {
     net::Ipv4Header ip;
     ip.src = net::Ipv4Addr{(203u << 24) | (0u << 16) | (113u << 8) |
                            static_cast<std::uint32_t>(1 + i % 20)};
@@ -43,10 +46,10 @@ int main(int argc, char** argv) {
     syn.flags.syn = true;
     cloud.sendToLocal(ip, syn.encode(ip.src, ip.dst));
     if (i < 2000) {
-      simulator.schedule(milliseconds(12), [floodOnce, i] { (*floodOnce)(i + 1); });
+      simulator.schedule(milliseconds(12), [&floodOnce, i] { floodOnce(i + 1); });
     }
   };
-  simulator.at(seconds(15), [floodOnce] { (*floodOnce)(0); });
+  simulator.at(seconds(15), [&floodOnce] { floodOnce(0); });
 
   // Kalis on the router: sniffs the LAN radio AND drives the firewall.
   ids::KalisNode kalisBox(simulator, {.id = "KR1",

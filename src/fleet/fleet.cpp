@@ -82,14 +82,6 @@ std::size_t Fleet::homeRangeEnd(std::size_t region) const {
   return homeRangeBegin(region + 1);
 }
 
-std::size_t Fleet::regionOfHome(std::size_t h) const {
-  // Inverse of the balanced contiguous split: candidate then boundary fix-up.
-  std::size_t r = h * options_.regions / options_.homes;
-  while (r + 1 < options_.regions && homeRangeBegin(r + 1) <= h) ++r;
-  while (r > 0 && homeRangeBegin(r) > h) --r;
-  return r;
-}
-
 void Fleet::buildHomes(std::size_t w) {
   const WorkerRange& range = ranges_[w];
   // The shared baseline content of every region: a few pre-loaded signature

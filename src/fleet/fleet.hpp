@@ -151,13 +151,6 @@ class Fleet {
   /// The collective view of home `h` after run() — the convergence set the
   /// reconciliation tests compare across homes.
   std::vector<ids::Knowgget> homeCollectiveView(std::size_t h) const;
-  /// Round in which home `h` first observed the novel signature
-  /// (UINT32_MAX if never).
-  std::uint32_t homeSigSeenRound(std::size_t h) const {
-    return sigSeenRound_[h];
-  }
-
-  std::size_t regionOfHome(std::size_t h) const;
 
   void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
 

@@ -57,7 +57,7 @@ class DataStore {
   /// Live memory footprint (window contents), for the RAM proxy.
   std::size_t memoryBytes() const;
 
-  // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) -----------
+  // --- observability (kalis::obs) --------------------------------------------
   /// Packets dropped off the back of the in-memory window.
   const obs::Counter& windowEvictions() const { return windowEvictions_; }
 

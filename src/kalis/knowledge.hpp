@@ -279,7 +279,7 @@ class KnowledgeBase {
   void disableWrites() { writesEnabled_ = false; }
   bool writesEnabled() const { return writesEnabled_; }
 
-  // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) -----------
+  // --- observability (kalis::obs) --------------------------------------------
   /// Local knowgget writes that actually changed a value.
   const obs::Counter& publishes() const { return publishes_; }
   /// Subscription callbacks fired (one per matched subscriber per change).

@@ -84,8 +84,7 @@ void ModuleManager::onPacket(const net::CapturedPacket& pkt,
   ++packetsProcessed_;
   // Wall-time one packet in kLatencySampleEvery; two steady_clock reads per
   // module per packet would dominate the cheap modules otherwise.
-  const bool sampleLatency =
-      obs::kEnabled && (packetsProcessed_ % kLatencySampleEvery) == 0;
+  const bool sampleLatency = (packetsProcessed_ % kLatencySampleEvery) == 0;
   if (dis.type == net::PacketType::kMalformed) ++malformedPackets_;
   ModuleContext ctx = makeContext(now);
   // A module's KB changes may activate or deactivate other modules during

@@ -79,7 +79,7 @@ class ModuleManager {
   /// Cumulative integral of (active modules) over packets — a load measure.
   std::uint64_t moduleActivationsSeen() const { return moduleActivations_; }
 
-  // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) ----------
+  // --- observability (kalis::obs) --------------------------------------------
 
   /// Per-module instrumentation. The latency histogram is wall-time sampled
   /// (1 packet in kLatencySampleEvery) so the steady_clock reads stay off

@@ -13,7 +13,6 @@ obs::Registry collectMetrics(const ids::KalisNode& node,
   obs::Registry reg;
   reg.setLabel("run", runLabel);
   reg.setLabel("node", node.id());
-  reg.setLabel("kalis_metrics", obs::kEnabled ? "on" : "off");
   node.modules().collectMetrics(reg, "kalis");
   node.kb().collectMetrics(reg, "kalis.kb");
   node.dataStore().collectMetrics(reg, "kalis.data_store");

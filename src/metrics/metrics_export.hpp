@@ -24,7 +24,7 @@ class KalisNode;
 namespace kalis::metrics {
 
 /// Snapshots node + simulator metrics, tagged with the run label and the
-/// build flavor ("on"/"off" for KALIS_METRICS).
+/// node id.
 obs::Registry collectMetrics(const ids::KalisNode& node,
                              const sim::Simulator& sim,
                              const std::string& runLabel);

@@ -187,8 +187,7 @@ class BoundedRing {
       slot.value = *items[i];
       // 1-in-kSampleEvery pushes get a timestamp for the queue-wait
       // histogram; the clock is read only for those, under the lock.
-      const bool sampled =
-          obs::kEnabled && (stats_.pushed % kSampleEvery) == 0;
+      const bool sampled = (stats_.pushed % kSampleEvery) == 0;
       slot.enqueuedNs = sampled ? obs::nowNs() : 0;
       ++count_;
       ++stats_.pushed;

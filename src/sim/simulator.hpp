@@ -38,7 +38,7 @@ class Simulator {
   /// Runs the next pending event; returns false if the queue is empty.
   bool step() {
     if (queue_.empty()) return false;
-    if (obs::kEnabled && wallStartNs_ == 0) wallStartNs_ = obs::nowNs();
+    if (wallStartNs_ == 0) wallStartNs_ = obs::nowNs();
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.time;
@@ -59,7 +59,7 @@ class Simulator {
     while (!queue_.empty() && queue_.top().time <= hardStop) step();
   }
 
-  // --- observability (kalis::obs; zero-cost under KALIS_METRICS=OFF) ----------
+  // --- observability (kalis::obs) --------------------------------------------
   const obs::Counter& eventsDispatched() const { return eventsDispatched_; }
   /// Queue depth at the last schedule, plus its high-water mark.
   const obs::Gauge& queueDepth() const { return queueDepth_; }

@@ -11,15 +11,10 @@
 // snapshots of their metrics and which serializes to JSON for the bench/CI
 // artifact pipeline.
 //
-// Everything compiles away under -DKALIS_METRICS_DISABLED=1 (the CMake
-// option KALIS_METRICS=OFF): the primitives become empty no-op stubs with
-// identical APIs, so instrumented code needs no #ifdefs. Query `kEnabled`
-// (or the KALIS_METRICS_ENABLED macro) where a test must branch.
-//
-// Design constraint: simulation behavior must be bit-for-bit identical with
-// metrics on and off. Instrumentation may *read* the wall clock (the one
-// exception to the types.hpp rule, for latency histograms only) but must
-// never feed wall time back into simulation logic.
+// Design constraint: instrumentation must never change simulation behavior.
+// It may *read* the wall clock (the one exception to the types.hpp rule, for
+// latency histograms only) but must never feed wall time back into
+// simulation logic.
 #pragma once
 
 #include <algorithm>
@@ -36,26 +31,13 @@
 
 namespace kalis::obs {
 
-#if defined(KALIS_METRICS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-#define KALIS_METRICS_ENABLED 1
-inline constexpr bool kEnabled = true;
-#endif
-
-/// Monotonic steady-clock timestamp in nanoseconds (0 when metrics are off).
+/// Monotonic steady-clock timestamp in nanoseconds.
 inline std::uint64_t nowNs() {
-#if defined(KALIS_METRICS_DISABLED)
-  return 0;
-#else
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-#endif
 }
-
-#if !defined(KALIS_METRICS_DISABLED)
 
 /// Monotonically increasing event count.
 class Counter {
@@ -142,47 +124,9 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-#else  // KALIS_METRICS_DISABLED — identical APIs, all no-ops.
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  double value() const { return 0.0; }
-  double highWater() const { return 0.0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 40;
-  void record(std::uint64_t) {}
-  std::uint64_t count() const { return 0; }
-  std::uint64_t sum() const { return 0; }
-  std::uint64_t min() const { return 0; }
-  std::uint64_t max() const { return 0; }
-  double mean() const { return 0.0; }
-  std::uint64_t bucketCount(std::size_t) const { return 0; }
-  static std::uint64_t bucketUpperBound(std::size_t i) {
-    if (i >= 64) return std::numeric_limits<std::uint64_t>::max();
-    return (std::uint64_t{1} << i) - 1;
-  }
-  std::uint64_t quantile(double) const { return 0; }
-  void reset() {}
-};
-
-#endif  // KALIS_METRICS_DISABLED
-
 /// Cold-path snapshot sink. Components append named metric values with
 /// `collectMetrics(Registry&, prefix)`; the registry serializes everything
-/// to JSON (the CI artifact format). Always compiled in — with
-/// metrics off it simply snapshots zeros, so export paths keep working.
+/// to JSON (the CI artifact format).
 class Registry {
  public:
   /// Free-form run metadata ("run", "seed", "build", ...).

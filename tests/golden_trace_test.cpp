@@ -37,23 +37,9 @@ std::string slug(const std::string& name) {
   return out;
 }
 
-/// Replays a capture into a KalisNode with the standard module library
-/// and returns every knowledge change, in order, as
-/// "<time us> label@entity=value" ("label=value" for entity-less ones).
+/// The knowledge changes of a capture replayed into a full-library node.
 std::vector<std::string> knowledgeChanges(const scenarios::Capture& rec) {
-  sim::Simulator simulator(1);
-  ids::KalisNode node(simulator);
-  node.useStandardLibrary();
-  std::vector<std::string> lines;
-  node.kb().subscribe("*", [&lines](const ids::Knowgget& k) {
-    std::string line = std::to_string(k.updated) + " " + k.label;
-    if (!k.entity.empty()) line += "@" + k.entity;
-    lines.push_back(line + "=" + k.value);
-  });
-  node.start();
-  for (const net::CapturedPacket& pkt : rec.packets) node.replayFeed(pkt);
-  simulator.runUntil(rec.end);
-  return lines;
+  return test::replayIntoNode(rec.packets, 1, rec.end).knowledgeChanges;
 }
 
 TEST(GoldenTrace, IcmpFloodScenarioSiemStream) {

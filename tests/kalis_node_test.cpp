@@ -12,6 +12,7 @@
 #include "kalis/siem_export.hpp"
 #include "recorded_captures.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support.hpp"
 
 namespace kalis::ids {
 namespace {
@@ -200,28 +201,6 @@ TEST_F(NodeFixture, WormholeCorrelationAcrossTwoNodes) {
   EXPECT_TRUE(sawWormhole);
 }
 
-/// Knowledge changes and alerts of a standard-library node replaying `rec`,
-/// with `module` added first and configured by `params`.
-std::vector<std::string> replayOutput(
-    const scenarios::Capture& rec, const std::string& module,
-    const std::map<std::string, std::string>& params) {
-  sim::Simulator simulator(1);
-  KalisNode node(simulator);
-  node.addModuleByName(module, params);
-  node.useStandardLibrary();
-  std::vector<std::string> lines;
-  node.kb().subscribe("*", [&lines](const Knowgget& k) {
-    lines.push_back(std::to_string(k.updated) + " " + k.label + "@" +
-                    k.entity + "=" + k.value);
-  });
-  node.start();
-  for (const net::CapturedPacket& pkt : rec.packets) node.replayFeed(pkt);
-  simulator.runUntil(rec.end);
-  const std::vector<std::string> siem = toSiemLines(node.alerts());
-  lines.insert(lines.end(), siem.begin(), siem.end());
-  return lines;
-}
-
 // A Fig. 6 config can name a window or hold time past the end of virtual
 // time; the module refuses it and keeps its default, as if it were absent.
 TEST(ModuleConfig, TimesPastVirtualTimeKeepTheDefaults) {
@@ -236,8 +215,18 @@ TEST(ModuleConfig, TimesPastVirtualTimeKeepTheDefaults) {
                {floods, "TrafficStatsModule", "windowSeconds"},
                {mobile, "MobilityAwarenessModule", "holdSeconds"}};
   for (const auto& c : cases) {
-    EXPECT_EQ(replayOutput(c.rec, c.module, {{c.key, "1e300"}}),
-              replayOutput(c.rec, c.module, {}))
+    // A replay with the module added first, configured by `params`.
+    const auto replay = [&c](const std::map<std::string, std::string>& params) {
+      return test::replayIntoNode(c.rec.packets, 1, c.rec.end,
+                                  [&](KalisNode& node) {
+                                    node.addModuleByName(c.module, params);
+                                  });
+    };
+    const test::NodeReplay configured = replay({{c.key, "1e300"}});
+    const test::NodeReplay defaults = replay({});
+    EXPECT_EQ(configured.knowledgeChanges, defaults.knowledgeChanges)
+        << c.module << " " << c.key;
+    EXPECT_EQ(toSiemLines(configured.alerts), toSiemLines(defaults.alerts))
         << c.module << " " << c.key;
   }
 }

@@ -1,11 +1,7 @@
 // Observability-layer tests: the kalis::obs primitives (counter, gauge,
-// fixed-bucket histogram), the registry's JSON/CSV snapshots including a
+// fixed-bucket histogram), the registry's JSON snapshot including a
 // parse-back round trip, and the per-component instrumentation threaded
 // through ModuleManager, KnowledgeBase, DataStore and the Simulator.
-//
-// Every value assertion is guarded on obs::kEnabled so the whole suite also
-// compiles and passes under KALIS_METRICS=OFF, where the instrumentation
-// must read as all-zeros without changing any simulation behavior.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -41,11 +37,7 @@ TEST(ObsCounter, MonotonicIncrement) {
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.inc(41);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(c.value(), 42u);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-  }
+  EXPECT_EQ(c.value(), 42u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
 }
@@ -55,13 +47,8 @@ TEST(ObsGauge, TracksHighWater) {
   g.set(3.0);
   g.set(17.0);
   g.set(5.0);
-  if constexpr (obs::kEnabled) {
-    EXPECT_DOUBLE_EQ(g.value(), 5.0);
-    EXPECT_DOUBLE_EQ(g.highWater(), 17.0);
-  } else {
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-    EXPECT_DOUBLE_EQ(g.highWater(), 0.0);
-  }
+  EXPECT_DOUBLE_EQ(g.value(), 5.0);
+  EXPECT_DOUBLE_EQ(g.highWater(), 17.0);
 }
 
 TEST(ObsHistogram, CountSumMinMaxMean) {
@@ -69,20 +56,14 @@ TEST(ObsHistogram, CountSumMinMaxMean) {
   h.record(100);
   h.record(200);
   h.record(700);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.sum(), 1000u);
-    EXPECT_EQ(h.min(), 100u);
-    EXPECT_EQ(h.max(), 700u);
-    EXPECT_DOUBLE_EQ(h.mean(), 1000.0 / 3.0);
-  } else {
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-  }
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.sum(), 1000u);
+  EXPECT_EQ(h.min(), 100u);
+  EXPECT_EQ(h.max(), 700u);
+  EXPECT_DOUBLE_EQ(h.mean(), 1000.0 / 3.0);
 }
 
 TEST(ObsHistogram, BucketPlacementIsPowerOfTwo) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "KALIS_METRICS=OFF";
   obs::Histogram h;
   h.record(0);    // bit_width(0)=0 -> bucket 0
   h.record(1);    // bucket 1 (le 1)
@@ -97,7 +78,6 @@ TEST(ObsHistogram, BucketPlacementIsPowerOfTwo) {
 }
 
 TEST(ObsHistogram, QuantileWithinOneBucket) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "KALIS_METRICS=OFF";
   obs::Histogram h;
   for (int i = 0; i < 90; ++i) h.record(100);   // bucket le 127
   for (int i = 0; i < 10; ++i) h.record(5000);  // bucket le 8191
@@ -124,15 +104,13 @@ TEST(ObsRegistry, JsonSnapshotRoundTrip) {
   const std::string json = reg.toJson();
   EXPECT_TRUE(jsonHas(json, "run"));
   EXPECT_EQ(jsonUint(json, "alpha.count"), 1234u);
-  if constexpr (obs::kEnabled) {
-    const std::size_t gpos = json.find("\"beta.depth\"");
-    ASSERT_NE(gpos, std::string::npos);
-    EXPECT_NE(json.find("\"high_water\": 19", gpos), std::string::npos);
-    const std::size_t hpos = json.find("\"gamma.latency_ns\"");
-    ASSERT_NE(hpos, std::string::npos);
-    EXPECT_NE(json.find("\"count\": 2", hpos), std::string::npos);
-    EXPECT_NE(json.find("\"sum\": 110", hpos), std::string::npos);
-  }
+  const std::size_t gpos = json.find("\"beta.depth\"");
+  ASSERT_NE(gpos, std::string::npos);
+  EXPECT_NE(json.find("\"high_water\": 19", gpos), std::string::npos);
+  const std::size_t hpos = json.find("\"gamma.latency_ns\"");
+  ASSERT_NE(hpos, std::string::npos);
+  EXPECT_NE(json.find("\"count\": 2", hpos), std::string::npos);
+  EXPECT_NE(json.find("\"sum\": 110", hpos), std::string::npos);
   // Structural validity: balanced braces/brackets, quoted keys.
   int depth = 0;
   for (char c : json) {
@@ -229,23 +207,18 @@ TEST_F(ObsManagerFixture, PerModulePacketAlertAndWorkCounters) {
   ASSERT_NE(quiet, nullptr);
   EXPECT_EQ(manager.statsFor("NoSuchModule"), nullptr);
 
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(noisy->packets.value(), static_cast<std::uint64_t>(kPackets));
-    EXPECT_EQ(noisy->workUnits.value(), static_cast<std::uint64_t>(3 * kPackets));
-    EXPECT_EQ(noisy->alerts.value(), static_cast<std::uint64_t>(kPackets));
-    EXPECT_EQ(noisy->activationFlips.value(), 1u);  // the initial activation
-    // Inactive module: never routed a packet.
-    EXPECT_EQ(quiet->packets.value(), 0u);
-    EXPECT_EQ(quiet->alerts.value(), 0u);
-    // Latency is sampled 1-in-kLatencySampleEvery.
-    EXPECT_EQ(noisy->onPacketNs.count(),
-              static_cast<std::uint64_t>(kPackets) /
-                  ids::ModuleManager::kLatencySampleEvery);
-  } else {
-    EXPECT_EQ(noisy->packets.value(), 0u);
-    EXPECT_EQ(noisy->onPacketNs.count(), 0u);
-  }
-  // The functional CPU proxies must work regardless of the obs build flavor.
+  EXPECT_EQ(noisy->packets.value(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(noisy->workUnits.value(), static_cast<std::uint64_t>(3 * kPackets));
+  EXPECT_EQ(noisy->alerts.value(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(noisy->activationFlips.value(), 1u);  // the initial activation
+  // Inactive module: never routed a packet.
+  EXPECT_EQ(quiet->packets.value(), 0u);
+  EXPECT_EQ(quiet->alerts.value(), 0u);
+  // Latency is sampled 1-in-kLatencySampleEvery.
+  EXPECT_EQ(noisy->onPacketNs.count(),
+            static_cast<std::uint64_t>(kPackets) /
+                ids::ModuleManager::kLatencySampleEvery);
+  // The plain counters behind the CPU proxy agree with the obs counters.
   EXPECT_EQ(manager.packetsProcessed(), static_cast<std::uint64_t>(kPackets));
   EXPECT_EQ(manager.totalWorkUnits(), static_cast<std::uint64_t>(3 * kPackets));
 }
@@ -258,9 +231,7 @@ TEST_F(ObsManagerFixture, ActivationFlipCounterFollowsKnowledge) {
   kb.put("Obs.Feature", true);   // flip on again
   const auto* stats = manager.statsFor("QuietGatedModule");
   ASSERT_NE(stats, nullptr);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(stats->activationFlips.value(), 3u);
-  }
+  EXPECT_EQ(stats->activationFlips.value(), 3u);
   EXPECT_TRUE(manager.isActive("QuietGatedModule"));
 }
 
@@ -276,9 +247,7 @@ TEST_F(ObsManagerFixture, CollectMetricsEmitsPerModuleNames) {
   ASSERT_NE(reg.findHistogram("kalis.module.NoisyModule.on_packet_ns"),
             nullptr);
   EXPECT_EQ(reg.counterValue("kalis.packets_routed"), 1u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(reg.counterValue("kalis.module.NoisyModule.alerts"), 1u);
-  }
+  EXPECT_EQ(reg.counterValue("kalis.module.NoisyModule.alerts"), 1u);
 }
 
 TEST(ObsKnowledgeBase, PublishAndSubscriptionCounters) {
@@ -290,10 +259,8 @@ TEST(ObsKnowledgeBase, PublishAndSubscriptionCounters) {
   kb.put("Traffic.UDP", 2);
   kb.put("Other", 3);
   EXPECT_EQ(fired, 2);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(kb.publishes().value(), 3u);
-    EXPECT_EQ(kb.subscriptionFires().value(), 2u);
-  }
+  EXPECT_EQ(kb.publishes().value(), 3u);
+  EXPECT_EQ(kb.subscriptionFires().value(), 2u);
 
   ids::Knowgget remote;
   remote.label = "Multihop";
@@ -302,10 +269,8 @@ TEST(ObsKnowledgeBase, PublishAndSubscriptionCounters) {
   EXPECT_TRUE(kb.putRemote(remote));
   remote.creator = "K1";  // impersonation -> rejected
   EXPECT_FALSE(kb.putRemote(remote));
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(kb.remoteAccepted().value(), 1u);
-    EXPECT_EQ(kb.remoteRejected().value(), 1u);
-  }
+  EXPECT_EQ(kb.remoteAccepted().value(), 1u);
+  EXPECT_EQ(kb.remoteRejected().value(), 1u);
 
   obs::Registry reg;
   kb.collectMetrics(reg, "kb");
@@ -320,9 +285,7 @@ TEST(ObsDataStore, WindowEvictionCounter) {
   for (int i = 0; i < 20; ++i) store.onPacket(obsTestPacket());
   EXPECT_EQ(store.window().size(), 8u);
   EXPECT_EQ(store.totalPackets(), 20u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(store.windowEvictions().value(), 12u);
-  }
+  EXPECT_EQ(store.windowEvictions().value(), 12u);
   obs::Registry reg;
   store.collectMetrics(reg, "ds");
   EXPECT_EQ(reg.counterValue("ds.packets"), 20u);
@@ -332,15 +295,10 @@ TEST(ObsSimulator, EventLoopCounters) {
   sim::Simulator simulator(1);
   for (int i = 0; i < 5; ++i) simulator.schedule(seconds(i + 1), [] {});
   simulator.runAll();
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(simulator.eventsDispatched().value(), 5u);
-    EXPECT_DOUBLE_EQ(simulator.queueDepth().highWater(), 5.0);
-    EXPECT_GT(simulator.wallElapsedNs(), 0u);
-    EXPECT_GT(simulator.simWallRatio(), 0.0);
-  } else {
-    EXPECT_EQ(simulator.eventsDispatched().value(), 0u);
-    EXPECT_EQ(simulator.wallElapsedNs(), 0u);
-  }
+  EXPECT_EQ(simulator.eventsDispatched().value(), 5u);
+  EXPECT_DOUBLE_EQ(simulator.queueDepth().highWater(), 5.0);
+  EXPECT_GT(simulator.wallElapsedNs(), 0u);
+  EXPECT_GT(simulator.simWallRatio(), 0.0);
   obs::Registry reg;
   simulator.collectMetrics(reg, "sim");
   EXPECT_TRUE(reg.hasCounter("sim.events_dispatched"));
@@ -348,8 +306,8 @@ TEST(ObsSimulator, EventLoopCounters) {
 }
 
 TEST(ObsSimulator, MetricsNeverPerturbDeterminism) {
-  // Two identical runs must dispatch identical event streams no matter the
-  // obs flavor: wall-clock reads may observe but never steer.
+  // Two identical runs must dispatch identical event streams: wall-clock
+  // reads may observe but never steer.
   auto run = [] {
     sim::Simulator simulator(99);
     std::vector<int> order;

@@ -245,16 +245,30 @@ pipeline::KalisEngineOptions fullLibraryEngine(std::uint64_t seed,
   return options;
 }
 
+NodeReplay replayIntoNode(
+    const trace::Trace& trace, std::uint64_t seed, SimTime until,
+    const std::function<void(ids::KalisNode&)>& setUp) {
+  sim::Simulator simulator(seed);
+  ids::KalisNode node(simulator);
+  if (setUp) setUp(node);
+  node.useStandardLibrary();
+  NodeReplay out;
+  node.kb().subscribe("*", [&out](const ids::Knowgget& k) {
+    std::string line = std::to_string(k.updated) + " " + k.label;
+    if (!k.entity.empty()) line += "@" + k.entity;
+    out.knowledgeChanges.push_back(line + "=" + k.value);
+  });
+  node.start();
+  for (const net::CapturedPacket& pkt : trace) node.replayFeed(pkt);
+  simulator.runUntil(until);
+  out.alerts = node.alerts();
+  return out;
+}
+
 std::vector<std::string> replaySiemLines(const trace::Trace& trace,
                                          std::uint64_t seed,
                                          SimTime drainUntil) {
-  sim::Simulator simulator(seed);
-  ids::KalisNode node(simulator);
-  node.useStandardLibrary();
-  node.start();
-  for (const net::CapturedPacket& pkt : trace) node.replayFeed(pkt);
-  simulator.runUntil(drainUntil);
-  return ids::toSiemLines(node.alerts());
+  return ids::toSiemLines(replayIntoNode(trace, seed, drainUntil).alerts);
 }
 
 // --- knowledge and alerts ----------------------------------------------------

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -141,8 +142,22 @@ struct ModuleHarness {
 pipeline::KalisEngineOptions fullLibraryEngine(std::uint64_t seed,
                                                SimTime drainUntil);
 
-/// The SIEM lines of `trace` replayed into a fresh full-library KalisNode
-/// "K1" on a Simulator(seed) clock run to `drainUntil`: the stream a
+/// What a fresh full-library KalisNode "K1" did while replaying a trace.
+struct NodeReplay {
+  /// Every knowledge change, in order, as "<time us> label@entity=value"
+  /// ("label=value" for entity-less ones).
+  std::vector<std::string> knowledgeChanges;
+  std::vector<ids::Alert> alerts;
+};
+
+/// Replays `trace` into a fresh full-library KalisNode "K1" on a
+/// Simulator(seed) clock run to `until`. `setUp`, if given, runs on the
+/// node before the standard library is added.
+NodeReplay replayIntoNode(
+    const trace::Trace& trace, std::uint64_t seed, SimTime until,
+    const std::function<void(ids::KalisNode&)>& setUp = {});
+
+/// The SIEM lines of replayIntoNode(trace, seed, drainUntil): the stream a
 /// one-worker Pipeline with fullLibraryEngine(seed, drainUntil) reproduces.
 std::vector<std::string> replaySiemLines(const trace::Trace& trace,
                                          std::uint64_t seed,
