@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   }
 
   ev::SweepOptions opts;
-  opts.plan = *ev::EvasionPlan::parse("full");
   opts.scenarioSeed = 100;  // aligned with bench_fig8's first seed
   if (smoke) {
     opts.budgets = {0.0, 0.5, 1.0};
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
 
   std::printf("Evasion robustness%s: plan [%s], scenario seed 100\n\n",
               smoke ? " (smoke grid)" : "",
-              opts.plan.describe().c_str());
+              ev::EvasionPlan{opts.evasionSeed}.describe().c_str());
   const ev::SweepResult result = ev::runSweep(opts);
   std::printf("%s\n", result.toTable().c_str());
 
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
   std::printf("Curves written to %s\n\n", out ? path : "<failed>");
 
   // The evasion lane at the max budget, Kalis stream (reported only).
-  ev::EvasionPlan maxPlan = opts.plan;
+  ev::EvasionPlan maxPlan{opts.evasionSeed};
   for (double b : opts.budgets) {
     maxPlan.budget = std::max(maxPlan.budget, b);
   }

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "pipeline/kalis_engine.hpp"
 #include "pipeline/pipeline.hpp"
 #include "trace/trace_file.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 
@@ -189,15 +191,25 @@ RunResult runPipeline(const trace::Trace& trace, std::size_t workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t perDevice =
-      argc > 1 ? static_cast<std::size_t>(std::strtoull(argv[1], nullptr, 10))
-               : 2000;
-  const std::size_t devices =
-      argc > 2 ? static_cast<std::size_t>(std::strtoull(argv[2], nullptr, 10))
-               : 16;
+  // Both counts are whole base-10 integers >= 1, so that "abc" is refused
+  // rather than read as 0 (an empty trace).
+  std::size_t counts[] = {2000, 16};  // packetsPerDevice, devices
+  for (int i = 1; i < argc; ++i) {
+    const std::optional<long long> n = parseInt(argv[i]);
+    if (i > 2 || !n || *n < 1) {
+      std::fprintf(stderr,
+                   "bench_pipeline: bad argument '%s' (expected at most "
+                   "two integers >= 1)\nusage: bench_pipeline "
+                   "[packetsPerDevice] [devices]\n",
+                   argv[i]);
+      return 2;
+    }
+    counts[i - 1] = static_cast<std::size_t>(*n);
+  }
+  const std::size_t perDevice = counts[0];
+  const std::size_t devices = counts[1];
   const trace::Trace trace = syntheticTrace(devices, perDevice);
-  const SimTime drainUntil =
-      trace.empty() ? seconds(2) : trace.back().meta.timestamp + seconds(2);
+  const SimTime drainUntil = trace.back().meta.timestamp + seconds(2);
 
   std::printf("bench_pipeline: %zu packets (%zu devices x %zu), "
               "hardware_concurrency=%u\n",

@@ -4,13 +4,14 @@
 //
 //   ./collaborative_wormhole [seed] [--solo]   (--solo disables peering)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 
 #include "attacks/forwarding_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "scenarios/environments.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 
@@ -18,10 +19,18 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 5;
   bool collaborative = true;
   for (int i = 1; i < argc; ++i) {
+    const std::optional<long long> n = parseInt(argv[i]);
     if (std::strcmp(argv[i], "--solo") == 0) {
       collaborative = false;
+    } else if (n && *n >= 0) {
+      seed = static_cast<std::uint64_t>(*n);
     } else {
-      seed = std::strtoull(argv[i], nullptr, 10);
+      std::fprintf(stderr,
+                   "collaborative_wormhole: bad argument '%s' (expected a "
+                   "seed, an integer >= 0, or --solo)\n"
+                   "usage: collaborative_wormhole [seed] [--solo]\n",
+                   argv[i]);
+      return 2;
     }
   }
 

@@ -10,19 +10,28 @@
 //
 //   ./constrained_profile [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "attacks/forwarding_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/profile.hpp"
 #include "metrics/evaluation.hpp"
 #include "scenarios/environments.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 9;
+  const std::optional<long long> seedArg = argc > 1 ? parseInt(argv[1]) : 9;
+  if (argc > 2 || !seedArg || *seedArg < 0) {
+    std::fprintf(stderr,
+                 "constrained_profile: bad argument '%s' (expected one seed, "
+                 "an integer >= 0)\nusage: constrained_profile [seed]\n",
+                 argv[argc - 1]);
+    return 2;
+  }
+  const auto seed = static_cast<std::uint64_t>(*seedArg);
 
   // --- Phase 1: learn ---------------------------------------------------------
   sim::Simulator learnSim(seed);

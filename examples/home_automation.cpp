@@ -6,19 +6,28 @@
 //
 //   ./home_automation [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "attacks/wpan_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "kalis/taxonomy.hpp"
 #include "metrics/evaluation.hpp"
 #include "scenarios/environments.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  const std::optional<long long> seedArg = argc > 1 ? parseInt(argv[1]) : 7;
+  if (argc > 2 || !seedArg || *seedArg < 0) {
+    std::fprintf(stderr,
+                 "home_automation: bad argument '%s' (expected one seed, "
+                 "an integer >= 0)\nusage: home_automation [seed]\n",
+                 argv[argc - 1]);
+    return 2;
+  }
+  const auto seed = static_cast<std::uint64_t>(*seedArg);
   sim::Simulator simulator(seed);
   sim::World world(simulator);
 

@@ -7,18 +7,27 @@
 //
 //   ./quickstart [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "attacks/dos_attacks.hpp"
 #include "kalis/kalis_node.hpp"
 #include "metrics/evaluation.hpp"
 #include "scenarios/environments.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::optional<long long> seedArg = argc > 1 ? parseInt(argv[1]) : 42;
+  if (argc > 2 || !seedArg || *seedArg < 0) {
+    std::fprintf(stderr,
+                 "quickstart: bad argument '%s' (expected one seed, "
+                 "an integer >= 0)\nusage: quickstart [seed]\n",
+                 argv[argc - 1]);
+    return 2;
+  }
+  const auto seed = static_cast<std::uint64_t>(*seedArg);
 
   // 1. A simulated home: router, thermostat, bulb, camera, dash button,
   //    BLE lock, and a cloud service behind the router.

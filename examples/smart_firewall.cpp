@@ -10,18 +10,27 @@
 //
 //   ./smart_firewall [seed]
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "kalis/kalis_node.hpp"
 #include "scenarios/environments.hpp"
+#include "util/strings.hpp"
 
 using namespace kalis;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+  const std::optional<long long> seedArg = argc > 1 ? parseInt(argv[1]) : 3;
+  if (argc > 2 || !seedArg || *seedArg < 0) {
+    std::fprintf(stderr,
+                 "smart_firewall: bad argument '%s' (expected one seed, "
+                 "an integer >= 0)\nusage: smart_firewall [seed]\n",
+                 argv[argc - 1]);
+    return 2;
+  }
+  const auto seed = static_cast<std::uint64_t>(*seedArg);
   sim::Simulator simulator(seed);
   sim::World world(simulator);
   sim::InternetCloud cloud;

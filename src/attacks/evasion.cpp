@@ -1,7 +1,6 @@
 #include "attacks/evasion.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "net/codec.hpp"
@@ -15,161 +14,30 @@ namespace {
 
 FrameTap gTap;
 
-bool fail(std::string* error, const std::string& message) {
-  if (error) *error = message;
-  return false;
-}
-
-bool applyKey(EvasionPlan& p, std::string_view key, std::string_view value,
-              std::string* error) {
-  const auto asDouble = [&]() { return parseDouble(value); };
-  const auto asInt = [&]() { return parseInt(value); };
-  const auto bad = [&]() {
-    return fail(error, "bad value for '" + std::string(key) +
-                           "': " + std::string(value));
-  };
-  const auto asFlag = [&](bool& flag) {
-    const auto v = parseBool(value);
-    if (!v) return bad();
-    flag = *v;
-    return true;
-  };
-  if (key == "seed") {
-    const auto v = asInt();
-    if (!v || *v < 0) return bad();
-    p.seed = static_cast<std::uint64_t>(*v);
-  } else if (key == "budget") {
-    const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
-    p.budget = *v;
-  } else if (key == "timing") {
-    return asFlag(p.timing);
-  } else if (key == "dilute") {
-    return asFlag(p.dilute);
-  } else if (key == "split") {
-    return asFlag(p.split);
-  } else if (key == "mimic") {
-    return asFlag(p.mimic);
-  } else if (key == "gap-ms") {
-    const auto v = asDouble();
-    if (!v || !toDuration(*v, milliseconds(1))) return bad();
-    p.gapStretchMs = *v;
-  } else if (key == "jitter-ms") {
-    const auto v = asDouble();
-    if (!v || !toDuration(*v, milliseconds(1))) return bad();
-    p.jitterMs = *v;
-  } else if (key == "dilute-max") {
-    const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
-    p.diluteMax = *v;
-  } else if (key == "split-sources") {
-    const auto v = asInt();
-    if (!v || *v < 1 || *v > 250) return bad();
-    p.splitSources = static_cast<int>(*v);
-  } else if (key == "pad-max") {
-    const auto v = asInt();
-    if (!v || *v < 0 || *v > 512) return bad();
-    p.padMax = static_cast<int>(*v);
-  } else if (key == "forward-relief") {
-    const auto v = asDouble();
-    if (!v || *v < 0.0 || *v > 1.0) return bad();
-    p.forwardRelief = *v;
-  } else {
-    return fail(error, "unknown evasion-plan key: " + std::string(key));
-  }
-  return true;
-}
-
-/// Single-technique preset: everything off except `keep`.
-EvasionPlan onlyTechnique(bool EvasionPlan::*keep) {
-  EvasionPlan p;
-  p.timing = p.dilute = p.split = p.mimic = false;
-  p.*keep = true;
-  return p;
-}
+// Technique scales: the value each technique reaches at budget 1.
+/// Mean extra inter-packet gap (exponential draw), milliseconds.
+constexpr double kGapStretchMs = 400.0;
+/// Uniform per-frame timing jitter bound, milliseconds.
+constexpr double kJitterMs = 50.0;
+/// Probability that an attack frame is silently not sent.
+constexpr double kDiluteMax = 0.8;
+/// Spoofed link-source pool size.
+constexpr int kSplitSources = 8;
+/// Maximum mimicry padding per frame, bytes (IP trailer slack).
+constexpr int kPadMax = 48;
+/// Forwarding-family relief: selective-forwarding/blackhole drop probability
+/// is scaled by (1 - budget * kForwardRelief), sinking the watchdog's
+/// observed drop ratio below its alerting threshold.
+constexpr double kForwardRelief = 0.9;
 
 std::size_t mediumIndex(net::Medium m) { return static_cast<std::size_t>(m); }
 
 }  // namespace
 
-bool EvasionPlan::zero() const {
-  return budget <= 0.0 || !(timing || dilute || split || mimic);
-}
-
-std::optional<EvasionPlan> EvasionPlan::parse(std::string_view spec,
-                                              std::string* error) {
-  EvasionPlan p;
-  bool first = true;
-  for (const std::string& rawPart : kalis::split(spec, ',')) {
-    const std::string_view part = trim(rawPart);
-    if (part.empty()) continue;
-    if (first) {
-      first = false;
-      // A leading preset name seeds the plan; overrides follow.
-      if (part == "none") {
-        p.timing = p.dilute = p.split = p.mimic = false;
-        continue;
-      }
-      if (part == "full") continue;  // the default: all techniques on
-      if (part == "timing") {
-        p = onlyTechnique(&EvasionPlan::timing);
-        continue;
-      }
-      if (part == "dilute") {
-        p = onlyTechnique(&EvasionPlan::dilute);
-        continue;
-      }
-      if (part == "split") {
-        p = onlyTechnique(&EvasionPlan::split);
-        continue;
-      }
-      if (part == "mimic") {
-        p = onlyTechnique(&EvasionPlan::mimic);
-        continue;
-      }
-    }
-    const std::size_t eq = part.find('=');
-    if (eq == std::string_view::npos) {
-      fail(error, "expected key=value, got: " + std::string(part));
-      return std::nullopt;
-    }
-    if (!applyKey(p, trim(part.substr(0, eq)), trim(part.substr(eq + 1)),
-                  error)) {
-      return std::nullopt;
-    }
-  }
-  return p;
-}
-
 std::string EvasionPlan::describe() const {
-  const EvasionPlan neutral;
-  std::ostringstream oss;
-  const char* sep = "";
-  const auto emit = [&](const char* key, const std::string& value) {
-    oss << sep << key << "=" << value;
-    sep = ",";
-  };
-  if (budget > 0.0) emit("budget", formatDouble(budget));
-  if (timing != neutral.timing) emit("timing", timing ? "1" : "0");
-  if (dilute != neutral.dilute) emit("dilute", dilute ? "1" : "0");
-  if (split != neutral.split) emit("split", split ? "1" : "0");
-  if (mimic != neutral.mimic) emit("mimic", mimic ? "1" : "0");
-  if (gapStretchMs != neutral.gapStretchMs) {
-    emit("gap-ms", formatDouble(gapStretchMs));
-  }
-  if (jitterMs != neutral.jitterMs) emit("jitter-ms", formatDouble(jitterMs));
-  if (diluteMax != neutral.diluteMax) {
-    emit("dilute-max", formatDouble(diluteMax));
-  }
-  if (splitSources != neutral.splitSources) {
-    emit("split-sources", std::to_string(splitSources));
-  }
-  if (padMax != neutral.padMax) emit("pad-max", std::to_string(padMax));
-  if (forwardRelief != neutral.forwardRelief) {
-    emit("forward-relief", formatDouble(forwardRelief));
-  }
-  emit("seed", std::to_string(seed));
-  return oss.str();
+  std::string out;
+  if (budget > 0.0) out = "budget=" + formatDouble(budget) + ",";
+  return out + "seed=" + std::to_string(seed);
 }
 
 // --- frame mutators ----------------------------------------------------------
@@ -283,68 +151,59 @@ EvasionChaos::TxFault EvasionChaos::onTransmit(NodeId from, net::Medium medium,
 
   // 1. Rate dilution: the frame is never sent. Ground truth was recorded at
   //    burst time, so the attack instance stands while its symptom thins.
-  if (plan_.dilute) {
-    const double p = budget * plan_.diluteMax;
-    if (p > 0.0 && rng_.nextBool(p)) {
-      fault.drop = true;
-      ++stats_.diluted;
-      return fault;
-    }
+  const double dropProb = budget * kDiluteMax;
+  if (dropProb > 0.0 && rng_.nextBool(dropProb)) {
+    fault.drop = true;
+    ++stats_.diluted;
+    return fault;
   }
 
   // 2. Timing: exponential gap stretching plus uniform jitter along a
   //    per-(node, medium) monotone cursor — bursts spread out below the
   //    flood modules' rate thresholds without reordering.
-  if (plan_.timing) {
-    const double gapMeanUs = budget * plan_.gapStretchMs * 1000.0;
-    const double jitterUs = budget * plan_.jitterMs * 1000.0;
-    // A draw past the end of virtual time (the exponential's tail on a huge
-    // mean) saturates instead of overflowing the cast.
-    Duration gap = 0;
-    if (gapMeanUs > 0.0) {
-      gap += toDuration(rng_.nextExponential(gapMeanUs), microseconds(1))
-                 .value_or(kSimTimeMax);
-    }
-    if (jitterUs > 0.0) {
-      gap += toDuration(rng_.nextDouble(0.0, jitterUs), microseconds(1))
-                 .value_or(kSimTimeMax);
-    }
-    SimTime& cursor = nextFreeAt_[from * 3 + mediumIndex(medium)];
-    const SimTime desired = std::max(now, cursor) + gap;
-    cursor = desired;
-    fault.extraDelay = desired - now;
-    if (fault.extraDelay > 0) ++stats_.delayed;
+  const double gapMeanUs = budget * kGapStretchMs * 1000.0;
+  const double jitterUs = budget * kJitterMs * 1000.0;
+  // A draw past the end of virtual time (the exponential's tail on a huge
+  // mean) saturates instead of overflowing the cast.
+  Duration gap = 0;
+  if (gapMeanUs > 0.0) {
+    gap += toDuration(rng_.nextExponential(gapMeanUs), microseconds(1))
+               .value_or(kSimTimeMax);
   }
+  if (jitterUs > 0.0) {
+    gap += toDuration(rng_.nextDouble(0.0, jitterUs), microseconds(1))
+               .value_or(kSimTimeMax);
+  }
+  SimTime& cursor = nextFreeAt_[from * 3 + mediumIndex(medium)];
+  const SimTime desired = std::max(now, cursor) + gap;
+  cursor = desired;
+  fault.extraDelay = desired - now;
+  if (fault.extraDelay > 0) ++stats_.delayed;
 
   // 3 + 4. Frame rewriting: symptom splitting (spoofed link source) and
   //        mimicry padding, applied to the same wire bytes.
   Bytes mutated;
   bool changed = false;
-  if (plan_.split) {
-    const auto pool =
-        1 + static_cast<std::uint64_t>(budget * plan_.splitSources);
-    if (pool > 1) {
-      const std::uint64_t k = rng_.nextBelow(pool);
-      if (k > 0) {
-        if (auto rewritten = rewriteLinkSource(medium, frame, k)) {
-          mutated = std::move(*rewritten);
-          changed = true;
-          ++stats_.rewritten;
-        }
+  const auto pool = 1 + static_cast<std::uint64_t>(budget * kSplitSources);
+  if (pool > 1) {
+    const std::uint64_t k = rng_.nextBelow(pool);
+    if (k > 0) {
+      if (auto rewritten = rewriteLinkSource(medium, frame, k)) {
+        mutated = std::move(*rewritten);
+        changed = true;
+        ++stats_.rewritten;
       }
     }
   }
-  if (plan_.mimic) {
-    const auto padBudget = static_cast<std::uint64_t>(budget * plan_.padMax);
-    if (padBudget > 0) {
-      const std::uint64_t pad = rng_.nextBelow(padBudget + 1);
-      if (pad > 0) {
-        if (auto padded = padFrame(medium, changed ? mutated : frame,
-                                   static_cast<std::size_t>(pad))) {
-          mutated = std::move(*padded);
-          changed = true;
-          ++stats_.padded;
-        }
+  const auto padBudget = static_cast<std::uint64_t>(budget * kPadMax);
+  if (padBudget > 0) {
+    const std::uint64_t pad = rng_.nextBelow(padBudget + 1);
+    if (pad > 0) {
+      if (auto padded = padFrame(medium, changed ? mutated : frame,
+                                 static_cast<std::size_t>(pad))) {
+        mutated = std::move(*padded);
+        changed = true;
+        ++stats_.padded;
       }
     }
   }
@@ -381,9 +240,8 @@ std::unique_ptr<EvasionChaos> installEvasionPlan(sim::World& world,
 }
 
 double effectiveForwardDropProb(const EvasionPlan* plan, double baseDropProb) {
-  if (!plan || plan->zero() || !plan->dilute) return baseDropProb;
-  const double scaled =
-      baseDropProb * (1.0 - plan->budget * plan->forwardRelief);
+  if (!plan || plan->zero()) return baseDropProb;
+  const double scaled = baseDropProb * (1.0 - plan->budget * kForwardRelief);
   return std::max(0.0, scaled);
 }
 

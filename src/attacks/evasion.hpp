@@ -23,19 +23,21 @@
 //            stacks legitimately carry), pulling attack frame sizes toward
 //            the benign distribution.
 //
+// Each technique reaches its fixed scale (the constants at the top of
+// evasion.cpp) at budget 1, so a plan is just (seed, budget).
+//
 // Determinism contract (same as chaos::FaultPlan): all draws flow from
 // EvasionPlan::seed through one dedicated Rng, so a run is replayable from
-// (scenario, preset, seed, budget) alone. A zero plan (budget == 0, or every
-// technique off) makes NO rng draws and returns neutral faults — installing
-// it reproduces the unperturbed run byte-for-byte (asserted in
-// tests/evasion_test.cpp via SIEM-stream equality).
+// (scenario, seed, budget) alone. A zero plan (budget == 0) makes NO rng
+// draws and returns neutral faults — installing it reproduces the
+// unperturbed run byte-for-byte (asserted in tests/evasion_test.cpp via
+// SIEM-stream equality).
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -49,45 +51,14 @@ struct EvasionPlan {
   /// perturbation sequence can replay against different traffic.
   std::uint64_t seed = 0xe7a5e;
 
-  /// Master knob in [0, 1]: 0 = unperturbed attack, 1 = every enabled
-  /// technique at its configured maximum.
+  /// Master knob in [0, 1]: 0 = unperturbed attack, 1 = every technique at
+  /// its fixed maximum.
   double budget = 0.0;
 
-  // --- technique enables (all on by default; presets narrow them) -----------
-  bool timing = true;
-  bool dilute = true;
-  bool split = true;
-  bool mimic = true;
+  /// True when the plan perturbs nothing (budget 0).
+  bool zero() const { return budget <= 0.0; }
 
-  // --- technique scales (the value each knob reaches at budget == 1) --------
-  /// Mean extra inter-packet gap (exponential draw), milliseconds.
-  double gapStretchMs = 400.0;
-  /// Uniform per-frame timing jitter bound, milliseconds.
-  double jitterMs = 50.0;
-  /// Probability that an attack frame is silently not sent.
-  double diluteMax = 0.8;
-  /// Spoofed link-source pool size (1 = no splitting).
-  int splitSources = 8;
-  /// Maximum mimicry padding per frame, bytes (IP trailer slack).
-  int padMax = 48;
-  /// Forwarding-family relief: selective-forwarding/blackhole drop
-  /// probability is scaled by (1 - budget * forwardRelief), sinking the
-  /// watchdog's observed drop ratio below its alerting threshold.
-  double forwardRelief = 0.9;
-
-  /// True when the plan perturbs nothing (budget 0 or all techniques off).
-  bool zero() const;
-
-  /// Parses "preset,key=value,..." specs. Leading presets: "none", "full"
-  /// (all techniques, the default), or a single-technique preset "timing" /
-  /// "dilute" / "split" / "mimic". Keys: budget, seed, timing/dilute/split/
-  /// mimic (0|1), gap-ms, jitter-ms, dilute-max, split-sources, pad-max,
-  /// forward-relief. Returns nullopt and fills `error` on a malformed spec.
-  static std::optional<EvasionPlan> parse(std::string_view spec,
-                                          std::string* error = nullptr);
-
-  /// Canonical "key=value,..." rendering of the non-neutral knobs
-  /// (parse(describe()) round-trips).
+  /// Canonical "budget=<b>,seed=<s>" rendering (budget omitted when 0).
   std::string describe() const;
 };
 
@@ -122,7 +93,6 @@ class EvasionChaos : public sim::LinkFaultInjector {
   EvasionChaos(sim::World& world, const EvasionPlan& plan);
   ~EvasionChaos() override;
 
-  const EvasionPlan& plan() const { return plan_; }
   const Stats& stats() const { return stats_; }
 
   TxFault onTransmit(NodeId from, net::Medium medium, const Bytes& frame,
@@ -155,8 +125,8 @@ std::unique_ptr<EvasionChaos> installEvasionPlan(sim::World& world,
 
 /// Rate dilution for the forwarding-attack family, whose symptom is relay
 /// misbehavior rather than attacker transmissions: scales the malicious
-/// drop probability down with the budget. Identity when plan is null, zero
-/// or has dilution disabled.
+/// drop probability down with the budget. Identity when plan is null or
+/// zero.
 double effectiveForwardDropProb(const EvasionPlan* plan, double baseDropProb);
 
 // --- frame mutators (exposed for tests and corpus generation) ---------------

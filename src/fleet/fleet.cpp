@@ -8,6 +8,17 @@
 
 namespace kalis::fleet {
 
+namespace {
+
+/// Knowggets in each region's shared baseline.
+constexpr std::size_t kBaselineEntries = 64;
+/// The novel signature the fleet propagates. The baseline pre-loads
+/// signatures 0..3 only, so this one starts unknown in every home.
+constexpr std::uint8_t kSignatureId = 7;
+static_assert(kSignatureId >= 4);
+
+}  // namespace
+
 void RoundBarrier::arriveAndWait(const std::function<void()>& completion) {
   std::unique_lock<std::mutex> lock(mu_);
   const std::uint64_t gen = generation_;
@@ -47,10 +58,6 @@ Fleet::Fleet(Options options) : options_(options) {
 
   HierarchicalExchange::Options ex;
   ex.regions = options_.regions;
-  ex.regionInboxCapacity = options_.regionInboxCapacity;
-  ex.globalInboxCapacity = options_.globalInboxCapacity;
-  ex.regionLogCapacity = options_.regionLogCapacity;
-  ex.globalLogCapacity = options_.globalLogCapacity;
   ex.homes = options_.homes;
   exchange_ = std::make_unique<HierarchicalExchange>(ex);
 
@@ -88,11 +95,11 @@ void Fleet::buildHomes(std::size_t w) {
   // activations plus inert configuration rules, all from the pseudo-creator
   // "baseline". The novel signature under test is deliberately absent.
   std::vector<ids::Knowgget> baseline;
-  baseline.reserve(options_.baselineEntries);
-  for (std::size_t i = 0; i < options_.baselineEntries; ++i) {
+  baseline.reserve(kBaselineEntries);
+  for (std::size_t i = 0; i < kBaselineEntries; ++i) {
     ids::Knowgget k;
     k.creator = "baseline";
-    if (i < 4 && i != options_.signatureId) {
+    if (i < 4) {
       k.label = signatureLabel(static_cast<std::uint8_t>(i));
       k.value = "true";
     } else {
@@ -109,10 +116,9 @@ void Fleet::buildHomes(std::size_t w) {
       regionBaselines_[r] = segment;
     }
     for (std::size_t h = homeRangeBegin(r); h < homeRangeEnd(r); ++h) {
-      const HomeProfile profile =
-          sampleHome(options_.distribution, options_.seed,
-                     static_cast<std::uint32_t>(h), originHome_,
-                     options_.signatureId);
+      const HomeProfile profile = sampleHome(
+          options_.seed, static_cast<std::uint32_t>(h), originHome_,
+          kSignatureId);
       homes_[h] = std::make_unique<HomeNode>(static_cast<std::uint32_t>(h),
                                              profile, options_.seed, segment);
       if (!options_.shareBaseline) {
@@ -141,7 +147,7 @@ void Fleet::workerMain(std::size_t w) {
 
     if (phase == Phase::kRun) {
       const std::uint32_t round = round_;
-      const SimTime now = static_cast<SimTime>(round + 1) * options_.quantum;
+      const SimTime now = static_cast<SimTime>(round + 1) * kRoundQuantum;
       const bool pullGlobal = round % options_.globalPullEvery == 0;
       const bool syncRegion = (round + 1) % options_.regionSyncEvery == 0;
       for (std::size_t r = range.firstRegion; r < range.lastRegion; ++r) {
@@ -153,7 +159,7 @@ void Fleet::workerMain(std::size_t w) {
                 if (item.knowgget.creator == home.kb().selfId()) return;
                 home.applyRemote(item.knowgget);
                 if (sigSeenRound_[h] == UINT32_MAX &&
-                    home.knowsSignature(options_.signatureId)) {
+                    home.knowsSignature(kSignatureId)) {
                   sigSeenRound_[h] = round;
                 }
               });
@@ -271,7 +277,7 @@ void Fleet::run() {
       rep.meanLagRounds =
           static_cast<double>(lagSum) / static_cast<double>(rep.homesObserved);
     }
-    rep.maxLagVirtual = static_cast<SimTime>(rep.maxLagRounds) * options_.quantum;
+    rep.maxLagVirtual = static_cast<SimTime>(rep.maxLagRounds) * kRoundQuantum;
   }
 }
 

@@ -9,8 +9,8 @@
 // structures are the global inbox and the finish deposit.
 //
 // Round structure. All workers advance their homes in lockstep scheduling
-// rounds of `quantum` virtual microseconds, separated by a generation
-// barrier whose last arriver runs the serial completion step:
+// rounds of kRoundQuantum virtual time, separated by a generation barrier
+// whose last arriver runs the serial completion step:
 //
 //   parallel, per worker:
 //     every globalPullEvery rounds: pullGlobalIntoRegion for owned regions
@@ -25,7 +25,7 @@
 // overflow, which reconciliation repairs): one regionSyncEvery wait to
 // leave the home's region, one globalSyncEvery wait to clear the global
 // tier, one globalPullEvery wait to enter the destination region, plus the
-// destination home's next pull. All four knobs are Options.
+// destination home's next pull. The three cadences are Options.
 //
 // Shutdown reconciliation (mirrors the flat exchange): after the last
 // round, each worker deposits every owned home's final own collective set
@@ -74,6 +74,9 @@ class RoundBarrier {
 /// 0 where unavailable).
 std::size_t currentRssBytes();
 
+/// Virtual time per scheduling round.
+inline constexpr SimTime kRoundQuantum = milliseconds(100);
+
 class Fleet {
  public:
   struct Options {
@@ -82,29 +85,17 @@ class Fleet {
     std::size_t workers = 4;        ///< bounded pool; clamped to regions
     std::uint64_t seed = 1;
     std::uint32_t rounds = 32;      ///< scheduling rounds to simulate
-    SimTime quantum = milliseconds(100);  ///< virtual time per round
 
     // Hierarchy sync cadence, in rounds (the staleness knobs).
     std::uint32_t regionSyncEvery = 1;
     std::uint32_t globalSyncEvery = 1;
     std::uint32_t globalPullEvery = 1;
 
-    // Ring capacities (see HierarchicalExchange::Options).
-    std::size_t regionInboxCapacity = 256;
-    std::size_t globalInboxCapacity = 1024;
-    std::size_t regionLogCapacity = 256;
-    std::size_t globalLogCapacity = 1024;
-
     /// true: all homes of a region share one immutable BaselineSegment
     /// (CoW overlays — the sublinear memory model). false: every home
     /// materializes a private copy of the baseline into its overlay (the
     /// naive model bench_fleet compares against).
     bool shareBaseline = true;
-    /// Knowggets in the shared per-region baseline ("BaselineRule.<i>").
-    std::size_t baselineEntries = 64;
-
-    HomeDistribution distribution;
-    std::uint8_t signatureId = 7;   ///< the novel signature to propagate
   };
 
   struct PropagationReport {
@@ -143,7 +134,7 @@ class Fleet {
   /// (absent ring overflow): see the header comment.
   std::uint32_t stalenessBoundRounds() const;
   SimTime stalenessBoundVirtual() const {
-    return static_cast<SimTime>(stalenessBoundRounds()) * options_.quantum;
+    return static_cast<SimTime>(stalenessBoundRounds()) * kRoundQuantum;
   }
 
   Stats stats() const { return stats_; }

@@ -13,6 +13,18 @@ std::string signatureLabel(std::uint8_t id) {
 }
 
 namespace {
+
+// The home distribution every fleet samples from: light per-home traffic, so
+// 100k homes sweep in seconds.
+constexpr std::uint8_t kMinDevices = 3;
+constexpr std::uint8_t kMaxSampledDevices = 12;  ///< inclusive
+constexpr std::uint16_t kMinPacketsPerRound = 8;
+constexpr std::uint16_t kMaxPacketsPerRound = 32;  ///< inclusive
+constexpr double kAttackedFraction = 0.01;  ///< homes receiving attack traffic
+constexpr std::uint16_t kAttackStartRound = 4;   ///< earliest attack onset
+constexpr std::uint16_t kAttackStartJitter = 4;  ///< uniform extra rounds
+static_assert(kMaxSampledDevices <= kMaxDevices);
+
 std::string homeId(std::uint32_t index) {
   std::string id = "H";
   id += std::to_string(index);
@@ -20,37 +32,31 @@ std::string homeId(std::uint32_t index) {
 }
 }  // namespace
 
-HomeProfile sampleHome(const HomeDistribution& dist, std::uint64_t fleetSeed,
-                       std::uint32_t homeIndex, std::uint32_t originHome,
-                       std::uint8_t signatureId) {
+HomeProfile sampleHome(std::uint64_t fleetSeed, std::uint32_t homeIndex,
+                       std::uint32_t originHome, std::uint8_t signatureId) {
   // One independent splitmix64 stream per home: reseeding from
   // (fleetSeed, homeIndex) makes sampling order-free and reproducible.
   std::uint64_t s = fleetSeed ^ (0x5bf0363546290f31ull * (homeIndex + 1));
   HomeProfile p;
   const std::uint32_t devSpan =
-      static_cast<std::uint32_t>(dist.maxDevices - dist.minDevices) + 1;
-  p.devices = static_cast<std::uint8_t>(
-      dist.minDevices + splitmix64(s) % devSpan);
-  p.devices = static_cast<std::uint8_t>(
-      std::min<std::size_t>(p.devices, kMaxDevices));
+      static_cast<std::uint32_t>(kMaxSampledDevices - kMinDevices) + 1;
+  p.devices =
+      static_cast<std::uint8_t>(kMinDevices + splitmix64(s) % devSpan);
   const std::uint32_t pktSpan = static_cast<std::uint32_t>(
-      dist.maxPacketsPerRound - dist.minPacketsPerRound) + 1;
+      kMaxPacketsPerRound - kMinPacketsPerRound) + 1;
   p.packetsPerRound = static_cast<std::uint16_t>(
-      dist.minPacketsPerRound + splitmix64(s) % pktSpan);
+      kMinPacketsPerRound + splitmix64(s) % pktSpan);
   p.signatureId = signatureId;
   // Uniform draw in [0,1) against the attacked fraction.
   const double u = static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;
-  p.attacked = u < dist.attackedFraction;
+  p.attacked = u < kAttackedFraction;
   p.attackStartRound = static_cast<std::uint16_t>(
-      dist.attackStartRound +
-      (dist.attackStartJitter == 0
-           ? 0
-           : splitmix64(s) % (dist.attackStartJitter + 1u)));
+      kAttackStartRound + splitmix64(s) % (kAttackStartJitter + 1u));
   if (homeIndex == originHome) {
     // The origin must actually see the attack to learn its signature.
     p.attacked = true;
     p.canLearn = true;
-    p.attackStartRound = dist.attackStartRound;
+    p.attackStartRound = kAttackStartRound;
   }
   return p;
 }

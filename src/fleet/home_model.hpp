@@ -60,27 +60,14 @@ struct HomeProfile {
   bool canLearn = false;              ///< the designated signature-origin home
 };
 
-/// Distribution parameters of the fleet (one seeded distribution for every
-/// home, per the ISSUE). Defaults give light per-home traffic so 100k homes
-/// sweep in seconds.
-struct HomeDistribution {
-  std::uint8_t minDevices = 3;
-  std::uint8_t maxDevices = 12;          ///< inclusive; <= kMaxDevices
-  std::uint16_t minPacketsPerRound = 8;
-  std::uint16_t maxPacketsPerRound = 32; ///< inclusive
-  double attackedFraction = 0.01;        ///< homes receiving attack traffic
-  std::uint16_t attackStartRound = 4;    ///< earliest attack onset
-  std::uint16_t attackStartJitter = 4;   ///< uniform extra rounds
-};
-
 /// Hard cap on per-home devices: keeps the per-device counters inline.
 inline constexpr std::size_t kMaxDevices = 16;
 
-/// Samples home `homeIndex` of the fleet. `originHome` is the single home
-/// allowed to learn the novel signature (it is forced to be attacked).
-HomeProfile sampleHome(const HomeDistribution& dist, std::uint64_t fleetSeed,
-                       std::uint32_t homeIndex, std::uint32_t originHome,
-                       std::uint8_t signatureId);
+/// Samples home `homeIndex` of the fleet from the one seeded home
+/// distribution (home_model.cpp). `originHome` is the single home allowed to
+/// learn the novel signature (it is forced to be attacked).
+HomeProfile sampleHome(std::uint64_t fleetSeed, std::uint32_t homeIndex,
+                       std::uint32_t originHome, std::uint8_t signatureId);
 
 /// The lightweight per-home Kalis node: knowledge plane + traffic model.
 /// Thread confinement mirrors KalisNode: a HomeNode is constructed, stepped

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "attacks/evasion.hpp"
-#include "metrics/metrics_export.hpp"
 
 namespace kalis::scenarios {
 
@@ -119,10 +118,6 @@ ScenarioResult finishResult(const Capture& capture, IdsHarness& harness) {
   result.packetsSniffed = harness.packetsSeen();
   result.simulated = capture.end;
   result.truthSize = truth.size();
-  if (ids::KalisNode* node = harness.kalis()) {
-    result.metricsJson =
-        metrics::collectMetrics(*node, node->sim(), result.scenario).toJson();
-  }
   return result;
 }
 

@@ -70,9 +70,6 @@ struct ScenarioResult {
   Duration simulated = 0;
   std::size_t truthSize = 0;
   std::vector<ids::Alert> alerts;
-  /// kalis::obs snapshot of the run (JSON; empty for Snort, whose engine is
-  /// not obs-instrumented). Bench binaries write this as the CI artifact.
-  std::string metricsJson;
   /// True when the scenario could not be run by this system at all
   /// (Snort on ZigBee-only traffic).
   bool notApplicable = false;

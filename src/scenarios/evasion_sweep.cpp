@@ -62,8 +62,7 @@ SweepResult runSweep(const SweepOptions& options) {
     const std::string& scenario = scenarioList[sc];
     std::optional<scenarios::Capture> bare;
     for (double budget : options.budgets) {
-      EvasionPlan plan = options.plan;
-      plan.budget = budget;
+      const EvasionPlan plan{options.evasionSeed, budget};
       const scenarios::Capture evaded =
           captureOnce(scenario, options.scenarioSeed, &plan);
       const Stats& tally = evaded.evasionTally;
@@ -103,11 +102,11 @@ SweepResult runSweep(const SweepOptions& options) {
 
 std::string SweepResult::toJson() const {
   std::ostringstream oss;
-  EvasionPlan preset = options.plan;
-  preset.budget = 0.0;  // the per-point specs carry the actual budget
+  // The top-level plan has no budget; the per-point specs carry it.
   oss << "{\"v\":1,\"kind\":\"evasion_curves\",\"scenario_seed\":"
       << options.scenarioSeed << ",\"plan\":\""
-      << ids::jsonEscape(preset.describe()) << "\",\"budgets\":[";
+      << ids::jsonEscape(EvasionPlan{options.evasionSeed}.describe())
+      << "\",\"budgets\":[";
   for (std::size_t i = 0; i < options.budgets.size(); ++i) {
     if (i) oss << ",";
     oss << formatDouble(options.budgets[i]);
@@ -145,10 +144,9 @@ std::string SweepResult::toJson() const {
 std::string SweepResult::toTable() const {
   std::ostringstream oss;
   char buf[64];
-  EvasionPlan preset = options.plan;
-  preset.budget = 0.0;
   oss << "Detection rate vs evasion budget (scenario seed "
-      << options.scenarioSeed << ", plan " << preset.describe() << ")\n";
+      << options.scenarioSeed << ", plan "
+      << EvasionPlan{options.evasionSeed}.describe() << ")\n";
   std::snprintf(buf, sizeof(buf), "%-22s %-12s", "scenario", "system");
   oss << buf;
   for (double budget : options.budgets) {

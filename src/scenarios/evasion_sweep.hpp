@@ -3,7 +3,7 @@
 // grid, evaluates every system under test on that capture, and reports, per
 // (scenario, system, budget) point, the detection rate, classification
 // accuracy, and the capture's exact perturbation tallies. Every point is
-// replayable from (scenario, preset, seed, budget) alone; the zero-budget
+// replayable from (scenario, seed, budget) alone; the zero-budget
 // column is asserted byte-identical (SIEM streams) to the unperturbed run.
 //
 // Lives in kalis_scenarios (it drives the scenario captures) but in the
@@ -42,9 +42,8 @@ struct SweepCurve {
 };
 
 struct SweepOptions {
-  /// Plan template: budget is overridden per grid point, everything else
-  /// (seed, technique enables, scales) applies to every point.
-  EvasionPlan plan;
+  /// EvasionPlan::seed of every grid point; the budget comes from the grid.
+  std::uint64_t evasionSeed = EvasionPlan{}.seed;
   std::vector<double> budgets = {0.0, 0.25, 0.5, 0.75, 1.0};
   std::uint64_t scenarioSeed = 100;
   /// Scenario names (scenarioNames() entries); empty = all eight.

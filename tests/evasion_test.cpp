@@ -4,9 +4,9 @@
 //   identity      a zero-budget plan reproduces the unperturbed scenario
 //                 byte-for-byte (SIEM-stream equality), alone and composed
 //                 with a chaos::FaultPlan;
-//   determinism   the same (scenario, spec, seed, budget) replays to the
-//                 same curves, and a point's recorded spec alone re-creates
-//                 its run;
+//   determinism   the same (scenario, seed, budget) replays to the same
+//                 curves, and a point's recorded spec names everything that
+//                 re-creates its run;
 //   monotonicity  detection at budget 0 is never worse than at the maximum
 //                 budget, for every Fig. 8 scenario;
 //   codec safety  every perturbed frame still satisfies
@@ -41,76 +41,10 @@ namespace ev = attacks::evasion;
 using scenarios::SystemKind;
 using test::outputOf;
 
-// --- spec parser -------------------------------------------------------------
-
-TEST(EvasionSpec, DescribeParseRoundTrips) {
-  ev::EvasionPlan plan;
-  plan.budget = 0.35;
-  plan.seed = 77;
-  plan.mimic = false;
-  plan.gapStretchMs = 120.0;
-  plan.splitSources = 4;
-  plan.forwardRelief = 0.5;
-  std::string error;
-  const auto reparsed = ev::EvasionPlan::parse(plan.describe(), &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_EQ(reparsed->describe(), plan.describe());
-  EXPECT_EQ(reparsed->budget, plan.budget);
-  EXPECT_EQ(reparsed->seed, plan.seed);
-  EXPECT_EQ(reparsed->mimic, false);
-  EXPECT_EQ(reparsed->gapStretchMs, 120.0);
-  EXPECT_EQ(reparsed->splitSources, 4);
-  EXPECT_EQ(reparsed->forwardRelief, 0.5);
-}
-
-TEST(EvasionSpec, PresetsNarrowTechniques) {
-  const auto timing = ev::EvasionPlan::parse("timing,budget=0.5");
-  ASSERT_TRUE(timing.has_value());
-  EXPECT_TRUE(timing->timing);
-  EXPECT_FALSE(timing->dilute);
-  EXPECT_FALSE(timing->split);
-  EXPECT_FALSE(timing->mimic);
-  EXPECT_FALSE(timing->zero());
-
-  const auto none = ev::EvasionPlan::parse("none,budget=1");
-  ASSERT_TRUE(none.has_value());
-  EXPECT_TRUE(none->zero());
-
-  const auto full = ev::EvasionPlan::parse("full,budget=1");
-  ASSERT_TRUE(full.has_value());
-  EXPECT_TRUE(full->timing && full->dilute && full->split && full->mimic);
-}
-
-TEST(EvasionSpec, RejectsMalformedSpecs) {
-  for (const char* bad :
-       {"budget=2", "budget=-0.1", "budget=", "nope=1", "bogus",
-        "full,split-sources=0", "dilute-max=1.5", "budget=0.5,seed=abc"}) {
-    std::string error;
-    EXPECT_FALSE(ev::EvasionPlan::parse(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
-  }
-}
-
-TEST(EvasionSpec, RejectsGapsPastVirtualTime) {
-  for (const char* bad : {"gap-ms=1e300", "jitter-ms=1e300", "gap-ms=inf"}) {
-    EXPECT_FALSE(ev::EvasionPlan::parse(bad).has_value()) << bad;
-  }
-}
-
-TEST(EvasionSpec, RejectsNanBudgetAndFractions) {
-  // NaN compares false, so a range check alone would let it through.
-  for (const char* bad : {"budget=nan", "dilute-max=nan",
-                          "forward-relief=nan"}) {
-    EXPECT_FALSE(ev::EvasionPlan::parse(bad).has_value()) << bad;
-  }
-}
+// --- plan --------------------------------------------------------------------
 
 TEST(EvasionSpec, ZeroPlanForms) {
   EXPECT_TRUE(ev::EvasionPlan{}.zero());  // default budget 0
-  ev::EvasionPlan allOff;
-  allOff.budget = 1.0;
-  allOff.timing = allOff.dilute = allOff.split = allOff.mimic = false;
-  EXPECT_TRUE(allOff.zero());
   ev::EvasionPlan armed;
   armed.budget = 0.2;
   EXPECT_FALSE(armed.zero());
@@ -146,7 +80,7 @@ TEST(EvasionIdentity, ZeroBudgetComposesWithChaosPlan) {
 
 TEST(EvasionSweep, SameSeedAndBudgetReplayIdentically) {
   ev::SweepOptions opts;
-  opts.plan = *ev::EvasionPlan::parse("full,seed=42");
+  opts.evasionSeed = 42;
   opts.budgets = {0.0, 0.6};
   opts.scenarioSeed = 5;
   opts.scenarios = {"ICMP Flood"};
@@ -160,7 +94,7 @@ TEST(EvasionSweep, SameSeedAndBudgetReplayIdentically) {
 
 TEST(EvasionSweep, PointSpecAloneRecreatesTheRun) {
   ev::SweepOptions opts;
-  opts.plan = *ev::EvasionPlan::parse("full,seed=42");
+  opts.evasionSeed = 42;
   opts.budgets = {0.6};
   opts.scenarioSeed = 5;
   opts.scenarios = {"ICMP Flood"};
@@ -170,11 +104,12 @@ TEST(EvasionSweep, PointSpecAloneRecreatesTheRun) {
   ASSERT_EQ(sweep.curves.size(), 1u);
   const ev::SweepPoint& point = sweep.curves[0].points[0];
 
-  // Everything needed to replay the point is (scenario, spec, seed).
-  const auto replanned = ev::EvasionPlan::parse(point.spec);
-  ASSERT_TRUE(replanned.has_value()) << point.spec;
+  // Everything needed to replay the point is (scenario, scenario seed,
+  // spec), and the spec names both plan values.
+  EXPECT_EQ(point.spec, "budget=0.6,seed=42");
+  const ev::EvasionPlan replanned{42, point.budget};
   const auto recaptured =
-      scenarios::capture("ICMP Flood", 5, nullptr, &*replanned);
+      scenarios::capture("ICMP Flood", 5, nullptr, &replanned);
   ASSERT_TRUE(recaptured.has_value());
   const auto rerun = scenarios::evaluate(SystemKind::kKalis, *recaptured);
   EXPECT_EQ(rerun.detectionRate(), point.detectionRate);
@@ -183,7 +118,6 @@ TEST(EvasionSweep, PointSpecAloneRecreatesTheRun) {
 
 TEST(EvasionSweep, DetectionNeverImprovesAtMaxBudget) {
   ev::SweepOptions opts;
-  opts.plan = *ev::EvasionPlan::parse("full");
   opts.budgets = {0.0, 1.0};
   opts.scenarioSeed = 100;
   opts.systems = {SystemKind::kKalis};
@@ -213,7 +147,7 @@ TEST(EvasionRoundtrip, EveryPerturbedFrameSurvivesTheCodec) {
     pkt.raw = frame;
     EXPECT_EQ(net::serialize(net::dissect(pkt)), frame);
   });
-  ev::EvasionPlan plan = *ev::EvasionPlan::parse("full,budget=1");
+  const ev::EvasionPlan plan{.budget = 1.0};
   for (const scenarios::Capture& capture :
        {scenarios::captureIcmpFlood(100, nullptr, &plan),
         scenarios::captureSybil(100, nullptr, &plan)}) {
@@ -230,7 +164,7 @@ TEST(EvasionRoundtrip, EveryPerturbedFrameSurvivesTheCodec) {
 TEST(EvasionTally, EachCaptureCarriesItsOwnTally) {
   // The forwarding family's relief happens outside any injector; its
   // capture counts it. A later unperturbed capture starts from zero.
-  const ev::EvasionPlan plan = *ev::EvasionPlan::parse("full,budget=0.5");
+  const ev::EvasionPlan plan{.budget = 0.5};
   const scenarios::Capture relieved =
       scenarios::captureBlackhole(100, nullptr, &plan);
   const scenarios::Capture bare = scenarios::captureBlackhole(100);
@@ -405,38 +339,37 @@ TEST(EvasionDiffLane, WithoutPerturbationTalliesNothingIsExcused) {
 // --- golden evaded runs, one per attack family -------------------------------
 
 std::vector<std::string> evadedSiem(const std::string& scenario,
-                                    const std::string& spec) {
-  const auto plan = ev::EvasionPlan::parse(spec);
-  EXPECT_TRUE(plan.has_value()) << spec;
-  const auto evaded = scenarios::capture(scenario, 100, nullptr, &*plan);
+                                    double budget) {
+  const ev::EvasionPlan plan{.budget = budget};
+  const auto evaded = scenarios::capture(scenario, 100, nullptr, &plan);
   EXPECT_TRUE(evaded.has_value()) << scenario;
   return ids::toSiemLines(
       scenarios::evaluate(SystemKind::kKalis, *evaded).alerts);
 }
 
 TEST(EvasionGolden, IcmpFloodFamilyEvadedStream) {
-  const auto lines = evadedSiem("ICMP Flood", "full,budget=0.25");
+  const auto lines = evadedSiem("ICMP Flood", 0.25);
   ASSERT_FALSE(lines.empty());
   test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_icmp_flood_b25.siem.jsonl",
                     lines);
 }
 
 TEST(EvasionGolden, SmurfFamilyEvadedStream) {
-  const auto lines = evadedSiem("Smurf", "full,budget=0.5");
+  const auto lines = evadedSiem("Smurf", 0.5);
   ASSERT_FALSE(lines.empty());
   test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_smurf_b50.siem.jsonl",
                     lines);
 }
 
 TEST(EvasionGolden, ForwardingFamilyEvadedStream) {
-  const auto lines = evadedSiem("Blackhole", "full,budget=1");
+  const auto lines = evadedSiem("Blackhole", 1.0);
   ASSERT_FALSE(lines.empty());
   test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_blackhole_b100.siem.jsonl",
                     lines);
 }
 
 TEST(EvasionGolden, WpanFamilyEvadedStream) {
-  const auto lines = evadedSiem("Sybil", "full,budget=0.75");
+  const auto lines = evadedSiem("Sybil", 0.75);
   ASSERT_FALSE(lines.empty());
   test::checkGolden(KALIS_TEST_GOLDEN_DIR, "evasion_sybil_b75.siem.jsonl",
                     lines);
