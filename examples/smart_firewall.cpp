@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
       [blocked](const net::Ipv4Header& ip, BytesView l4) {
         if (blocked->contains("flood:" + net::toString(ip.dst))) {
           // Flood mitigation engaged for this victim: drop unsolicited SYNs.
-          auto tcp = net::decodeTcp(l4);
-          if (tcp && tcp->flags.isSynOnly()) return false;
+          std::optional<net::TcpSegmentView> tcp;
+          if (net::decodeTcp(l4, tcp) && tcp->flags.isSynOnly()) return false;
         }
         return true;
       });

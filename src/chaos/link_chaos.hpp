@@ -45,7 +45,6 @@ class LinkChaos final : public sim::LinkFaultInjector {
     }
   };
   const Stats& stats() const { return stats_; }
-  const FaultPlan& plan() const { return plan_; }
 
   TxFault onTransmit(NodeId from, net::Medium medium, const Bytes& frame,
                      SimTime now) override;

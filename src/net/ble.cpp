@@ -19,20 +19,21 @@ Bytes BleAdvPduT<Storage>::encode() const {
 template struct BleAdvPduT<Bytes>;
 template struct BleAdvPduT<BytesView>;
 
-std::optional<BleAdvPduView> decodeBleAdv(BytesView raw) {
-  if (raw.size() < 8) return std::nullopt;
-  ByteReader r(raw);
-  BleAdvPduView p;
-  const std::uint8_t hdr = *r.u8();
-  p.type = static_cast<BlePduType>(hdr & 0x0f);
-  p.headerExtra = hdr & 0xf0;
-  const std::uint8_t len = *r.u8();
-  if (len < 6 || raw.size() < 2u + len) return std::nullopt;
-  auto addr = *r.take(6);
-  for (std::size_t i = 0; i < 6; ++i) p.advAddr.bytes[i] = addr[5 - i];
-  p.advData = *r.take(len - 6u);  // aliases `raw`
-  p.trailer = r.rest();           // ditto
-  return p;
+bool decodeBleAdv(BytesView raw, std::optional<BleAdvPduView>& slot) {
+  const std::size_t len = raw.size() < 8 ? 0 : raw[1];
+  if (len < 6 || raw.size() < 2 + len) {
+    slot.reset();
+    return false;
+  }
+  const std::uint8_t hdr = raw[0];
+  BleAdvPduView& pdu = slot.emplace();
+  pdu.type = static_cast<BlePduType>(hdr & 0x0f);
+  pdu.headerExtra = hdr & 0xf0;
+  // BLE transmits the advertiser address least-significant byte first.
+  for (std::size_t i = 0; i < 6; ++i) pdu.advAddr.bytes[i] = raw[7 - i];
+  pdu.advData = raw.subspan(8, len - 6);  // aliases `raw`
+  pdu.trailer = raw.subspan(2 + len);     // ditto
+  return true;
 }
 
 }  // namespace kalis::net

@@ -41,7 +41,9 @@ struct BleAdvPduT {
 using BleAdvPdu = BleAdvPduT<Bytes>;
 using BleAdvPduView = BleAdvPduT<BytesView>;
 
-/// The result's advData aliases `raw`.
-std::optional<BleAdvPduView> decodeBleAdv(BytesView raw);
+/// Parses the PDU into `slot`; false, with the slot empty, when it is shorter
+/// than its header and address or than its length field says. The decoded
+/// advData aliases `raw`.
+bool decodeBleAdv(BytesView raw, std::optional<BleAdvPduView>& slot);
 
 }  // namespace kalis::net

@@ -21,26 +21,21 @@ Bytes CtpDataT<Storage>::encode() const {
 template struct CtpDataT<Bytes>;
 template struct CtpDataT<BytesView>;
 
-std::optional<CtpDataView> decodeCtpData(BytesView raw) {
-  ByteReader r(raw);
-  CtpDataView d;
-  auto options = r.u8();
-  auto thl = r.u8();
-  auto etx = r.u16be();
-  auto origin = r.u16be();
-  auto seqno = r.u8();
-  auto collectId = r.u8();
-  if (!options || !thl || !etx || !origin || !seqno || !collectId) {
-    return std::nullopt;
+bool decodeCtpData(BytesView raw, std::optional<CtpDataView>& slot) {
+  if (raw.size() < 8) {
+    slot.reset();
+    return false;
   }
-  d.options = *options;
-  d.thl = *thl;
-  d.etx = *etx;
-  d.origin = Mac16{*origin};
-  d.seqno = *seqno;
-  d.collectId = *collectId;
-  d.payload = r.rest();  // aliases `raw`
-  return d;
+  const std::uint8_t* p = raw.data();
+  CtpDataView& d = slot.emplace();
+  d.options = p[0];
+  d.thl = p[1];
+  d.etx = loadU16be(p + 2);
+  d.origin = Mac16{loadU16be(p + 4)};
+  d.seqno = p[6];
+  d.collectId = p[7];
+  d.payload = raw.subspan(8);  // aliases `raw`
+  return true;
 }
 
 Bytes CtpRoutingBeacon::encode() const {
@@ -52,17 +47,16 @@ Bytes CtpRoutingBeacon::encode() const {
   return out;
 }
 
-std::optional<CtpRoutingBeacon> decodeCtpBeacon(BytesView raw) {
-  ByteReader r(raw);
-  CtpRoutingBeacon b;
-  auto options = r.u8();
-  auto parent = r.u16be();
-  auto etx = r.u16be();
-  if (!options || !parent || !etx) return std::nullopt;
-  b.options = *options;
-  b.parent = Mac16{*parent};
-  b.etx = *etx;
-  return b;
+bool decodeCtpBeacon(BytesView raw, std::optional<CtpRoutingBeacon>& slot) {
+  if (raw.size() < 5) {
+    slot.reset();
+    return false;
+  }
+  CtpRoutingBeacon& b = slot.emplace();
+  b.options = raw[0];
+  b.parent = Mac16{loadU16be(raw.data() + 1)};
+  b.etx = loadU16be(raw.data() + 3);
+  return true;
 }
 
 Bytes wrapTinyosAm(std::uint8_t amId, BytesView inner) {

@@ -37,8 +37,9 @@ struct CtpDataT {
 using CtpData = CtpDataT<Bytes>;
 using CtpDataView = CtpDataT<BytesView>;
 
-/// The result's payload aliases `raw`.
-std::optional<CtpDataView> decodeCtpData(BytesView raw);
+/// Parses a CTP data frame into `slot`; false, with the slot empty, when it
+/// is shorter than its 8-byte header. The decoded payload aliases `raw`.
+bool decodeCtpData(BytesView raw, std::optional<CtpDataView>& slot);
 
 /// Materializes a zero-copy view into an owning frame — the explicit copy
 /// point for forwarders that mutate or retain a dissected frame.
@@ -55,7 +56,9 @@ struct CtpRoutingBeacon {
   Bytes encode() const;
 };
 
-std::optional<CtpRoutingBeacon> decodeCtpBeacon(BytesView raw);
+/// Parses a routing beacon's five bytes into `slot`; false, with the slot
+/// empty, when fewer remain.
+bool decodeCtpBeacon(BytesView raw, std::optional<CtpRoutingBeacon>& slot);
 
 /// Wraps a CTP payload in the TinyOS AM dispatch envelope
 /// (kDispatchTinyosAm, AM id, payload).

@@ -1,5 +1,7 @@
 #include "net/ieee80211.hpp"
 
+#include <cstring>
+
 #include "util/checksum.hpp"
 
 namespace kalis::net {
@@ -27,11 +29,19 @@ void writeMac(ByteWriter& w, const Mac48& a) {
   w.raw(BytesView(a.bytes.data(), a.bytes.size()));
 }
 
-Mac48 readMac(ByteReader& r) {
-  Mac48 a;
-  auto bytes = r.take(6);
-  if (bytes) std::copy(bytes->begin(), bytes->end(), a.bytes.begin());
-  return a;
+/// The inverse of fcBitsFor: the modeled kind fc byte 0 names, if any.
+std::optional<WifiFrameKind> kindOf(std::uint8_t fc0) {
+  if ((fc0 & 0x03) != 0) return std::nullopt;  // protocol version must be 0
+  const std::uint8_t type = (fc0 >> 2) & 0x3;
+  const std::uint8_t subtype = (fc0 >> 4) & 0xf;
+  if (type == 2) return WifiFrameKind::kData;
+  if (type != 0) return std::nullopt;
+  switch (subtype) {
+    case 8: return WifiFrameKind::kBeacon;
+    case 4: return WifiFrameKind::kProbeRequest;
+    case 12: return WifiFrameKind::kDeauth;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -72,63 +82,49 @@ Bytes WifiFrameT<Storage>::encode() const {
 template struct WifiFrameT<Bytes>;
 template struct WifiFrameT<BytesView>;
 
-std::optional<WifiFrameView> decodeWifi(BytesView raw) {
-  if (raw.size() < 24 + 4) return std::nullopt;
-  ByteReader r(raw);
-  auto fc0 = *r.u8();
-  auto fc1 = *r.u8();
-  auto duration = *r.u16le();
-  if ((fc0 & 0x03) != 0) return std::nullopt;  // protocol version must be 0
-
-  WifiFrameView f;
-  const std::uint8_t type = (fc0 >> 2) & 0x3;
-  const std::uint8_t subtype = (fc0 >> 4) & 0xf;
-  if (type == 2) {
-    f.kind = WifiFrameKind::kData;
-    f.dataSubtype = subtype;
-  } else if (type == 0 && subtype == 8) {
-    f.kind = WifiFrameKind::kBeacon;
-  } else if (type == 0 && subtype == 4) {
-    f.kind = WifiFrameKind::kProbeRequest;
-  } else if (type == 0 && subtype == 12) {
-    f.kind = WifiFrameKind::kDeauth;
-  } else {
-    return std::nullopt;
+bool decodeWifi(BytesView raw, std::optional<WifiFrameView>& slot) {
+  // fc(2) | duration(2) | addr1..addr3(18) | seqCtl(2) | body | FCS(4)
+  const std::optional<WifiFrameKind> kind =
+      raw.size() >= 24 + 4 ? kindOf(raw[0]) : std::nullopt;
+  if (!kind) {
+    slot.reset();
+    return false;
   }
+  const std::uint8_t* p = raw.data();
+  const std::uint8_t fc1 = p[1];
+
+  WifiFrameView& f = slot.emplace();
+  f.kind = *kind;
+  if (*kind == WifiFrameKind::kData) f.dataSubtype = p[0] >> 4;
   f.toDs = fc1 & 0x01;
   f.fromDs = fc1 & 0x02;
   f.protectedFrame = fc1 & 0x40;
   f.fc1Extra = fc1 & static_cast<std::uint8_t>(~0x43);
-  f.duration = duration;
-
-  const Mac48 a1 = readMac(r);
-  const Mac48 a2 = readMac(r);
-  const Mac48 a3 = readMac(r);
+  f.duration = loadU16le(p + 2);
+  // The three addresses' roles depend on the direction bits.
+  const std::uint8_t* dst = p + 4;
+  const std::uint8_t* src = p + 10;
+  const std::uint8_t* bssid = p + 16;
   if (f.toDs && !f.fromDs) {
-    f.bssid = a1;
-    f.src = a2;
-    f.dst = a3;
+    bssid = p + 4;
+    dst = p + 16;
   } else if (!f.toDs && f.fromDs) {
-    f.dst = a1;
-    f.bssid = a2;
-    f.src = a3;
-  } else {
-    f.dst = a1;
-    f.src = a2;
-    f.bssid = a3;
+    bssid = p + 10;
+    src = p + 16;
   }
-  f.seqCtl = *r.u16le();
-
-  const std::size_t bodyLen = r.remaining() - 4;
-  f.body = *r.take(bodyLen);  // aliases `raw`
-  f.wireFcs = *r.u32le();
-  return f;
+  std::memcpy(f.dst.bytes.data(), dst, 6);
+  std::memcpy(f.src.bytes.data(), src, 6);
+  std::memcpy(f.bssid.bytes.data(), bssid, 6);
+  f.seqCtl = loadU16le(p + 22);
+  f.body = raw.subspan(24, raw.size() - 28);  // aliases `raw`
+  f.wireFcs = loadU32le(p + raw.size() - 4);
+  return true;
 }
 
 bool verifyWifiFcs(BytesView frame) {
   if (frame.size() < 4) return false;
   const std::size_t n = frame.size() - 4;
-  return *ByteReader(frame.subspan(n)).u32le() == crc32(frame.first(n));
+  return loadU32le(frame.data() + n) == crc32(frame.first(n));
 }
 
 Bytes llcSnapWrap(std::uint16_t ethertype, BytesView payload) {
@@ -145,13 +141,16 @@ Bytes llcSnapWrap(std::uint16_t ethertype, BytesView payload) {
   return out;
 }
 
-std::optional<LlcSnapDecoded> llcSnapUnwrap(BytesView body) {
-  if (body.size() < 8) return std::nullopt;
-  if (body[0] != 0xaa || body[1] != 0xaa || body[2] != 0x03) return std::nullopt;
-  LlcSnapDecoded d;
-  d.ethertype = static_cast<std::uint16_t>((body[6] << 8) | body[7]);
+bool llcSnapUnwrap(BytesView body, std::optional<LlcSnapDecoded>& slot) {
+  if (body.size() < 8 || body[0] != 0xaa || body[1] != 0xaa ||
+      body[2] != 0x03) {
+    slot.reset();
+    return false;
+  }
+  LlcSnapDecoded& d = slot.emplace();
+  d.ethertype = loadU16be(body.data() + 6);
   d.payload = body.subspan(8);
-  return d;
+  return true;
 }
 
 Bytes beaconBody(const std::string& ssid) {

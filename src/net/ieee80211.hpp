@@ -56,11 +56,13 @@ struct WifiFrameT {
 using WifiFrame = WifiFrameT<Bytes>;
 using WifiFrameView = WifiFrameT<BytesView>;
 
-/// Parses the frame's structure; nullopt when truncated or of a kind this
-/// stack does not model. The FCS is kept in wireFcs but not checked: a bad
-/// FCS still decodes (an IDS wants to see corrupted traffic), and
-/// verifyWifiFcs gives the verdict when something asks for it.
-std::optional<WifiFrameView> decodeWifi(BytesView raw);
+/// Parses the frame's structure into `slot`, which the caller owns (in
+/// dissect() it is the Dissection's own member). Returns false and leaves
+/// the slot empty when the frame is truncated or of a kind this stack does
+/// not model. The FCS is kept in wireFcs but not checked: a bad FCS still
+/// decodes (an IDS wants to see corrupted traffic), and verifyWifiFcs gives
+/// the verdict when something asks for it.
+bool decodeWifi(BytesView raw, std::optional<WifiFrameView>& slot);
 
 /// True when the frame's last four bytes are the CRC-32 (little-endian) of
 /// the bytes before them; false for a frame shorter than an FCS.
@@ -75,10 +77,12 @@ Bytes llcSnapWrap(std::uint16_t ethertype, BytesView payload);
 
 struct LlcSnapDecoded {
   std::uint16_t ethertype = 0;
-  BytesView payload;
+  BytesView payload;  ///< aliases the unwrapped body
 };
 
-std::optional<LlcSnapDecoded> llcSnapUnwrap(BytesView body);
+/// Unwraps a data frame body into `slot`; false, with the slot empty, when
+/// the body is shorter than the header or is not LLC/SNAP.
+bool llcSnapUnwrap(BytesView body, std::optional<LlcSnapDecoded>& slot);
 
 /// Builds a beacon body carrying an SSID string.
 Bytes beaconBody(const std::string& ssid);

@@ -33,40 +33,33 @@ Bytes Ieee802154FrameT<Storage>::encode() const {
 template struct Ieee802154FrameT<Bytes>;
 template struct Ieee802154FrameT<BytesView>;
 
-std::optional<Ieee802154FrameView> decodeIeee802154(BytesView raw) {
-  ByteReader r(raw);
-  auto fcf = r.u16le();
-  auto seq = r.u8();
-  auto pan = r.u16le();
-  auto dst = r.u16le();
-  auto src = r.u16le();
-  if (!fcf || !seq || !pan || !dst || !src) return std::nullopt;
-  if (r.remaining() < 2) return std::nullopt;  // room for the FCS
-
-  Ieee802154FrameView f;
-  f.type = static_cast<WpanFrameType>(*fcf & kFrameTypeMask);
-  f.securityEnabled = (*fcf & kSecurityBit) != 0;
-  f.ackRequest = (*fcf & kAckRequestBit) != 0;
-  f.fcfExtra =
-      *fcf & static_cast<std::uint16_t>(
-                 ~(kFrameTypeMask | kSecurityBit | kAckRequestBit));
-  f.seq = *seq;
-  f.panId = *pan;
-  f.dst = Mac16{*dst};
-  f.src = Mac16{*src};
-
-  const std::size_t payloadLen = r.remaining() - 2;
-  auto payload = r.take(payloadLen);
-  auto fcs = r.u16le();
-  f.payload = *payload;  // aliases `raw`
-  f.wireFcs = *fcs;
-  return f;
+bool decodeIeee802154(BytesView raw, std::optional<Ieee802154FrameView>& slot) {
+  // FCF(2) | seq(1) | dstPan(2) | dst16(2) | src16(2) | payload | FCS(2)
+  if (raw.size() < 9 + 2) {
+    slot.reset();
+    return false;
+  }
+  const std::uint8_t* p = raw.data();
+  const std::uint16_t fcf = loadU16le(p);
+  Ieee802154FrameView& f = slot.emplace();
+  f.type = static_cast<WpanFrameType>(fcf & kFrameTypeMask);
+  f.securityEnabled = (fcf & kSecurityBit) != 0;
+  f.ackRequest = (fcf & kAckRequestBit) != 0;
+  f.fcfExtra = fcf & static_cast<std::uint16_t>(
+                         ~(kFrameTypeMask | kSecurityBit | kAckRequestBit));
+  f.seq = p[2];
+  f.panId = loadU16le(p + 3);
+  f.dst = Mac16{loadU16le(p + 5)};
+  f.src = Mac16{loadU16le(p + 7)};
+  f.payload = raw.subspan(9, raw.size() - 11);  // aliases `raw`
+  f.wireFcs = loadU16le(p + raw.size() - 2);
+  return true;
 }
 
 bool verifyIeee802154Fcs(BytesView frame) {
   if (frame.size() < 2) return false;
   const std::size_t n = frame.size() - 2;
-  return *ByteReader(frame.subspan(n)).u16le() == crc16Ccitt(frame.first(n));
+  return loadU16le(frame.data() + n) == crc16Ccitt(frame.first(n));
 }
 
 }  // namespace kalis::net

@@ -56,13 +56,14 @@ struct Ieee802154FrameT {
 using Ieee802154Frame = Ieee802154FrameT<Bytes>;
 using Ieee802154FrameView = Ieee802154FrameT<BytesView>;
 
-/// Decodes a frame's structure; nullopt when structurally truncated. The FCS
-/// is kept in wireFcs but not checked: a bad FCS still decodes (an IDS wants
-/// to see corrupted traffic), and verifyIeee802154Fcs gives the verdict when
-/// something asks for it. The result's payload is a view aliasing `raw` —
-/// the caller keeps the backing buffer alive for as long as the decoded
-/// frame is used.
-std::optional<Ieee802154FrameView> decodeIeee802154(BytesView raw);
+/// Decodes a frame's structure into `slot`, which the caller owns; false,
+/// with the slot empty, when the frame is shorter than its header and FCS.
+/// The FCS is kept in wireFcs but not checked: a bad FCS still decodes (an
+/// IDS wants to see corrupted traffic), and verifyIeee802154Fcs gives the
+/// verdict when something asks for it. The decoded payload is a view
+/// aliasing `raw` — the caller keeps the backing buffer alive for as long as
+/// the decoded frame is used.
+bool decodeIeee802154(BytesView raw, std::optional<Ieee802154FrameView>& slot);
 
 /// True when the frame's last two bytes are the CRC-16/CCITT (little-endian)
 /// of the bytes before them; false for a frame shorter than an FCS.

@@ -27,42 +27,34 @@ Bytes Ipv4Header::encode(BytesView payload) const {
   return out;
 }
 
-std::optional<Ipv4Decoded> decodeIpv4(BytesView raw) {
-  if (raw.size() < 20) return std::nullopt;
-  ByteReader r(raw);
-  auto verIhl = r.u8();
-  if ((*verIhl >> 4) != 4) return std::nullopt;
-  const std::size_t ihl = (*verIhl & 0x0f) * 4u;
-  if (ihl < 20 || raw.size() < ihl) return std::nullopt;
-  auto tos = r.u8();
-  auto totalLen = r.u16be();
-  auto ident = r.u16be();
-  auto flagsFrag = r.u16be();
-  auto ttl = r.u8();
-  auto proto = r.u8();
-  auto checksum = r.u16be();
-  auto src = r.u32be();
-  auto dst = r.u32be();
-  if (!dst) return std::nullopt;
-  auto options = r.take(ihl - 20);
+bool decodeIpv4(BytesView raw, std::optional<Ipv4Header>& header,
+                BytesView& payload, BytesView& trailer) {
+  const std::uint8_t* p = raw.data();
+  const std::size_t ihl = raw.size() < 20 ? 0 : (p[0] & 0x0f) * 4u;
+  if (ihl < 20 || (p[0] >> 4) != 4 || raw.size() < ihl) {
+    header.reset();
+    payload = {};
+    trailer = {};
+    return false;
+  }
+  Ipv4Header& h = header.emplace();
+  h.tos = p[1];
+  const std::uint16_t totalLen = loadU16be(p + 2);
+  h.identification = loadU16be(p + 4);
+  h.flagsFrag = loadU16be(p + 6);
+  h.ttl = p[8];
+  h.protocol = static_cast<IpProto>(p[9]);
+  h.wireChecksum = loadU16be(p + 10);
+  h.src = Ipv4Addr{loadU32be(p + 12)};
+  h.dst = Ipv4Addr{loadU32be(p + 16)};
+  h.options = raw.subspan(20, ihl - 20);  // aliases `raw`
+  h.wireTotalLen = totalLen;
 
-  Ipv4Decoded d;
-  d.header.tos = *tos;
-  d.header.identification = *ident;
-  d.header.ttl = *ttl;
-  d.header.protocol = static_cast<IpProto>(*proto);
-  d.header.src = Ipv4Addr{*src};
-  d.header.dst = Ipv4Addr{*dst};
-  d.header.options = *options;  // aliases `raw`
-  d.header.flagsFrag = *flagsFrag;
-  d.header.wireChecksum = *checksum;
-  d.header.wireTotalLen = *totalLen;
-
-  std::size_t payloadLen = *totalLen >= ihl ? *totalLen - ihl : 0;
+  std::size_t payloadLen = totalLen >= ihl ? totalLen - ihl : 0;
   if (payloadLen > raw.size() - ihl) payloadLen = raw.size() - ihl;
-  d.payload = raw.subspan(ihl, payloadLen);   // aliases `raw`
-  d.trailer = raw.subspan(ihl + payloadLen);  // totalLength slack, ditto
-  return d;
+  payload = raw.subspan(ihl, payloadLen);   // aliases `raw`
+  trailer = raw.subspan(ihl + payloadLen);  // totalLength slack, ditto
+  return true;
 }
 
 bool verifyIpv4Checksum(BytesView packet) {

@@ -43,16 +43,15 @@ struct Ipv4Header {
   Bytes encode(BytesView payload) const;
 };
 
-struct Ipv4Decoded {
-  Ipv4Header header;
-  BytesView payload;  ///< aliases the decoded buffer
-  /// Bytes past totalLength (link-layer padding / slack), aliases the buffer.
-  BytesView trailer;
-};
-
-/// Parses the header's structure. The header checksum is kept in
+/// Parses the header's structure into `header`, and points `payload` at the
+/// bytes totalLength covers past the header and `trailer` at the bytes past
+/// totalLength (link-layer padding / slack); both alias `raw`. All three are
+/// the caller's (in dissect() the Dissection's ipv4, l3Payload and
+/// l3Trailer). Returns false, with the header slot and both views empty, when
+/// the packet is truncated or not IPv4. The header checksum is kept in
 /// wireChecksum but not checked; verifyIpv4Checksum gives the verdict.
-std::optional<Ipv4Decoded> decodeIpv4(BytesView raw);
+bool decodeIpv4(BytesView raw, std::optional<Ipv4Header>& header,
+                BytesView& payload, BytesView& trailer);
 
 /// True when the header (IHL bytes from the start of `packet`) checksums to
 /// zero; false when the IHL is below 20 or runs past the buffer.

@@ -1,6 +1,7 @@
 #include "net/ipv6.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/checksum.hpp"
 
@@ -23,27 +24,29 @@ Bytes Ipv6Header::encode(BytesView payload) const {
   return out;
 }
 
-std::optional<Ipv6Decoded> decodeIpv6(BytesView raw) {
-  if (raw.size() < 40) return std::nullopt;
-  ByteReader r(raw);
-  auto vtf = *r.u32be();
-  if ((vtf >> 28) != 6) return std::nullopt;
-  Ipv6Decoded d;
-  d.header.trafficClass = static_cast<std::uint8_t>((vtf >> 20) & 0xff);
-  d.header.flowLabel = vtf & 0xfffff;
-  auto payloadLen = *r.u16be();
-  d.header.nextHeader = *r.u8();
-  d.header.hopLimit = *r.u8();
-  auto srcBytes = *r.take(16);
-  auto dstBytes = *r.take(16);
-  std::copy(srcBytes.begin(), srcBytes.end(), d.header.src.bytes.begin());
-  std::copy(dstBytes.begin(), dstBytes.end(), d.header.dst.bytes.begin());
-  d.header.wirePayloadLen = payloadLen;
-  std::size_t len = payloadLen;
-  if (len > r.remaining()) len = r.remaining();
-  d.payload = *r.take(len);  // aliases `raw`
-  d.trailer = r.rest();      // payloadLength slack, ditto
-  return d;
+bool decodeIpv6(BytesView raw, std::optional<Ipv6Header>& header,
+                BytesView& payload, BytesView& trailer) {
+  const std::uint8_t* p = raw.data();
+  const std::uint32_t vtf = raw.size() < 40 ? 0 : loadU32be(p);
+  if ((vtf >> 28) != 6) {
+    header.reset();
+    payload = {};
+    trailer = {};
+    return false;
+  }
+  Ipv6Header& h = header.emplace();
+  h.trafficClass = static_cast<std::uint8_t>((vtf >> 20) & 0xff);
+  h.flowLabel = vtf & 0xfffff;
+  const std::uint16_t payloadLen = loadU16be(p + 4);
+  h.nextHeader = p[6];
+  h.hopLimit = p[7];
+  std::memcpy(h.src.bytes.data(), p + 8, 16);
+  std::memcpy(h.dst.bytes.data(), p + 24, 16);
+  h.wirePayloadLen = payloadLen;
+  const std::size_t len = std::min<std::size_t>(payloadLen, raw.size() - 40);
+  payload = raw.subspan(40, len);   // aliases `raw`
+  trailer = raw.subspan(40 + len);  // payloadLength slack, ditto
+  return true;
 }
 
 std::array<std::uint8_t, 40> ipv6PseudoHeader(const Ipv6Addr& src,
@@ -84,15 +87,17 @@ Bytes Icmpv6MessageT<Storage>::encode(const Ipv6Addr& src, const Ipv6Addr& dst) 
 template struct Icmpv6MessageT<Bytes>;
 template struct Icmpv6MessageT<BytesView>;
 
-std::optional<Icmpv6MessageView> decodeIcmpv6(BytesView raw) {
-  if (raw.size() < 4) return std::nullopt;
-  ByteReader r(raw);
-  Icmpv6MessageView msg;
-  msg.type = static_cast<Icmpv6Type>(*r.u8());
-  msg.code = *r.u8();
-  msg.wireChecksum = *r.u16be();
-  msg.body = r.rest();  // aliases `raw`
-  return msg;
+bool decodeIcmpv6(BytesView raw, std::optional<Icmpv6MessageView>& slot) {
+  if (raw.size() < 4) {
+    slot.reset();
+    return false;
+  }
+  Icmpv6MessageView& msg = slot.emplace();
+  msg.type = static_cast<Icmpv6Type>(raw[0]);
+  msg.code = raw[1];
+  msg.wireChecksum = loadU16be(raw.data() + 2);
+  msg.body = raw.subspan(4);  // aliases `raw`
+  return true;
 }
 
 bool verifyIcmpv6Checksum(BytesView message, const Ipv6Addr& src,
@@ -117,20 +122,22 @@ Bytes RplDio::encodeBody() const {
   return out;
 }
 
-std::optional<RplDio> decodeRplDio(BytesView body) {
-  if (body.size() < 24) return std::nullopt;
-  ByteReader r(body);
-  RplDio d;
-  d.instanceId = *r.u8();
-  d.versionNumber = *r.u8();
-  d.rank = *r.u16be();
-  d.groundedMopPrf = *r.u8();
-  d.dtsn = *r.u8();
-  d.flags = *r.u8();
-  d.reserved = *r.u8();
-  auto id = *r.take(16);
-  std::copy(id.begin(), id.end(), d.dodagId.bytes.begin());
-  return d;
+bool decodeRplDio(BytesView body, std::optional<RplDio>& slot) {
+  if (body.size() < 24) {
+    slot.reset();
+    return false;
+  }
+  const std::uint8_t* p = body.data();
+  RplDio& d = slot.emplace();
+  d.instanceId = p[0];
+  d.versionNumber = p[1];
+  d.rank = loadU16be(p + 2);
+  d.groundedMopPrf = p[4];
+  d.dtsn = p[5];
+  d.flags = p[6];
+  d.reserved = p[7];
+  std::memcpy(d.dodagId.bytes.data(), p + 8, 16);
+  return true;
 }
 
 Bytes RplDao::encodeBody() const {
@@ -145,19 +152,20 @@ Bytes RplDao::encodeBody() const {
   return out;
 }
 
-std::optional<RplDao> decodeRplDao(BytesView body) {
-  if (body.size() < 36) return std::nullopt;
-  ByteReader r(body);
-  RplDao d;
-  d.instanceId = *r.u8();
-  d.kdFlags = *r.u8();
-  d.reserved = *r.u8();
-  d.daoSequence = *r.u8();
-  auto id = *r.take(16);
-  std::copy(id.begin(), id.end(), d.dodagId.bytes.begin());
-  auto target = *r.take(16);
-  std::copy(target.begin(), target.end(), d.target.bytes.begin());
-  return d;
+bool decodeRplDao(BytesView body, std::optional<RplDao>& slot) {
+  if (body.size() < 36) {
+    slot.reset();
+    return false;
+  }
+  const std::uint8_t* p = body.data();
+  RplDao& d = slot.emplace();
+  d.instanceId = p[0];
+  d.kdFlags = p[1];
+  d.reserved = p[2];
+  d.daoSequence = p[3];
+  std::memcpy(d.dodagId.bytes.data(), p + 4, 16);
+  std::memcpy(d.target.bytes.data(), p + 20, 16);
+  return true;
 }
 
 }  // namespace kalis::net

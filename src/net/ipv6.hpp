@@ -27,14 +27,13 @@ struct Ipv6Header {
   Bytes encode(BytesView payload) const;
 };
 
-struct Ipv6Decoded {
-  Ipv6Header header;
-  BytesView payload;  ///< aliases the decoded buffer
-  /// Bytes past payloadLength (link-layer slack), aliases the buffer.
-  BytesView trailer;
-};
-
-std::optional<Ipv6Decoded> decodeIpv6(BytesView raw);
+/// Parses the fixed header into `header`, and points `payload` at the bytes
+/// payloadLength covers and `trailer` at the link-layer slack past them;
+/// both alias `raw`. All three are the caller's, as for decodeIpv4. Returns
+/// false, with the header slot and both views empty, when the packet is
+/// shorter than the fixed header or not IPv6.
+bool decodeIpv6(BytesView raw, std::optional<Ipv6Header>& header,
+                BytesView& payload, BytesView& trailer);
 
 /// IPv6 pseudo-header (RFC 8200 §8.1) for upper-layer checksums, built on
 /// the stack like ipv4PseudoHeader.
@@ -76,9 +75,10 @@ struct Icmpv6MessageT {
 using Icmpv6Message = Icmpv6MessageT<Bytes>;
 using Icmpv6MessageView = Icmpv6MessageT<BytesView>;
 
-/// Parses the message's structure. The checksum is kept in wireChecksum but
-/// not checked; verifyIcmpv6Checksum gives the verdict.
-std::optional<Icmpv6MessageView> decodeIcmpv6(BytesView raw);
+/// Parses the message's structure into `slot`; false, with the slot empty,
+/// when it is shorter than its 4-byte header. The checksum is kept in
+/// wireChecksum but not checked; verifyIcmpv6Checksum gives the verdict.
+bool decodeIcmpv6(BytesView raw, std::optional<Icmpv6MessageView>& slot);
 
 /// True when the whole message checksums to zero over the IPv6 pseudo-header
 /// of src, dst and the message's length.
@@ -103,7 +103,9 @@ struct RplDio {
   Bytes encodeBody() const;
 };
 
-std::optional<RplDio> decodeRplDio(BytesView body);
+/// Parses an ICMPv6 RPL body into `slot`; false, with the slot empty, when
+/// it is shorter than a DIO's 24 bytes.
+bool decodeRplDio(BytesView body, std::optional<RplDio>& slot);
 
 /// Destination Advertisement Object — downward route registration.
 struct RplDao {
@@ -118,6 +120,8 @@ struct RplDao {
   Bytes encodeBody() const;
 };
 
-std::optional<RplDao> decodeRplDao(BytesView body);
+/// Parses an ICMPv6 RPL body into `slot`; false, with the slot empty, when
+/// it is shorter than a DAO's 36 bytes.
+bool decodeRplDao(BytesView body, std::optional<RplDao>& slot);
 
 }  // namespace kalis::net

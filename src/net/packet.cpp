@@ -1,18 +1,16 @@
 #include "net/packet.hpp"
 
-#include <atomic>
-
 #include "net/packet_view.hpp"
 
 namespace kalis::net {
 
 namespace {
-std::atomic<std::uint64_t> g_dissectCalls{0};
+// Per thread: a pipeline's shard workers dissect concurrently, and a shared
+// counter would be one cache line all of them write on every packet.
+thread_local std::uint64_t t_dissectCalls = 0;
 }  // namespace
 
-std::uint64_t dissectCallCount() {
-  return g_dissectCalls.load(std::memory_order_relaxed);
-}
+std::uint64_t dissectCallCount() { return t_dissectCalls; }
 
 const char* mediumName(Medium m) {
   switch (m) {
@@ -67,6 +65,9 @@ bool Dissection::isBroadcastDest() const {
 
 namespace {
 
+// Each step decodes its layer straight into the Dissection's member for it,
+// which the decoder fills in place or leaves empty; no layer is copied in.
+
 void classifyTcp(Dissection& d) {
   const TcpFlags& f = d.tcp->flags;
   if (f.isSynOnly()) {
@@ -86,35 +87,28 @@ void classifyTcp(Dissection& d) {
   }
 }
 
-void dissectIpv4Payload(Dissection& d, const Ipv4Decoded& ip) {
-  d.ipv4 = ip.header;
-  d.l3Payload = ip.payload;
-  d.l3Trailer = ip.trailer;
-  switch (ip.header.protocol) {
-    case IpProto::kTcp: {
-      d.tcp = decodeTcp(ip.payload);
-      if (d.tcp) {
+/// The transport layer inside d.l3Payload; d.ipv4 has parsed.
+void dissectIpv4Payload(Dissection& d) {
+  switch (d.ipv4->protocol) {
+    case IpProto::kTcp:
+      if (decodeTcp(d.l3Payload, d.tcp)) {
         d.appPayload = d.tcp->payload;
         classifyTcp(d);
       } else {
         d.type = PacketType::kMalformed;
       }
       break;
-    }
-    case IpProto::kUdp: {
-      d.udp = decodeUdp(ip.payload);
-      if (d.udp) {
+    case IpProto::kUdp:
+      if (decodeUdp(d.l3Payload, d.udp)) {
         d.appPayload = d.udp->payload;
-        d.l4Trailer = ip.payload.subspan(8 + d.udp->payload.size());
+        d.l4Trailer = d.l3Payload.subspan(8 + d.udp->payload.size());
         d.type = PacketType::kUdp;
       } else {
         d.type = PacketType::kMalformed;
       }
       break;
-    }
-    case IpProto::kIcmp: {
-      d.icmp = decodeIcmp(ip.payload);
-      if (d.icmp) {
+    case IpProto::kIcmp:
+      if (decodeIcmp(d.l3Payload, d.icmp)) {
         d.appPayload = d.icmp->payload;
         switch (d.icmp->type) {
           case IcmpType::kEchoRequest: d.type = PacketType::kIcmpEchoReq; break;
@@ -125,24 +119,20 @@ void dissectIpv4Payload(Dissection& d, const Ipv4Decoded& ip) {
         d.type = PacketType::kMalformed;
       }
       break;
-    }
     default:
       d.type = PacketType::kIpOther;
       break;
   }
 }
 
-void dissectIpv6Payload(Dissection& d, const Ipv6Decoded& ip) {
-  d.ipv6 = ip.header;
-  d.l3Payload = ip.payload;
-  d.l3Trailer = ip.trailer;
-  if (ip.header.nextHeader != static_cast<std::uint8_t>(IpProto::kIcmpv6)) {
+/// The ICMPv6 / RPL layers inside d.l3Payload; d.ipv6 has parsed.
+void dissectIpv6Payload(Dissection& d) {
+  if (d.ipv6->nextHeader != static_cast<std::uint8_t>(IpProto::kIcmpv6)) {
     d.type = PacketType::kSixlowpanOther;
-    d.appPayload = ip.payload;
+    d.appPayload = d.l3Payload;
     return;
   }
-  d.icmpv6 = decodeIcmpv6(ip.payload);
-  if (!d.icmpv6) {
+  if (!decodeIcmpv6(d.l3Payload, d.icmpv6)) {
     d.type = PacketType::kMalformed;
     return;
   }
@@ -155,11 +145,11 @@ void dissectIpv6Payload(Dissection& d, const Ipv6Decoded& ip) {
       break;
     case Icmpv6Type::kRplControl:
       if (d.icmpv6->code == kRplCodeDio) {
-        d.rplDio = decodeRplDio(d.icmpv6->body);
-        d.type = d.rplDio ? PacketType::kRplDio : PacketType::kMalformed;
+        d.type = decodeRplDio(d.icmpv6->body, d.rplDio) ? PacketType::kRplDio
+                                                        : PacketType::kMalformed;
       } else if (d.icmpv6->code == kRplCodeDao) {
-        d.rplDao = decodeRplDao(d.icmpv6->body);
-        d.type = d.rplDao ? PacketType::kRplDao : PacketType::kMalformed;
+        d.type = decodeRplDao(d.icmpv6->body, d.rplDao) ? PacketType::kRplDao
+                                                        : PacketType::kMalformed;
       } else {
         d.type = PacketType::kSixlowpanOther;
       }
@@ -168,8 +158,7 @@ void dissectIpv6Payload(Dissection& d, const Ipv6Decoded& ip) {
 }
 
 void dissectWpan(Dissection& d, BytesView raw) {
-  d.wpan = decodeIeee802154(raw);
-  if (!d.wpan) {
+  if (!decodeIeee802154(raw, d.wpan)) {
     d.type = PacketType::kMalformed;
     return;
   }
@@ -201,23 +190,21 @@ void dissectWpan(Dissection& d, BytesView raw) {
     }
     const BytesView amPayload = cursor.data();
     if (*amId == kAmCtpData) {
-      d.ctpData = decodeCtpData(amPayload);
-      if (d.ctpData) {
+      if (decodeCtpData(amPayload, d.ctpData)) {
         d.appPayload = d.ctpData->payload;
         d.type = PacketType::kCtpData;
       } else {
         d.type = PacketType::kMalformed;
       }
     } else if (*amId == kAmCtpRouting) {
-      d.ctpBeacon = decodeCtpBeacon(amPayload);
-      d.type = d.ctpBeacon ? PacketType::kCtpRouting : PacketType::kMalformed;
+      d.type = decodeCtpBeacon(amPayload, d.ctpBeacon) ? PacketType::kCtpRouting
+                                                       : PacketType::kMalformed;
     } else {
       d.appPayload = amPayload;
       d.type = PacketType::kUnknown;
     }
   } else if (dispatch == kDispatchZigbeeNwk) {
-    d.zigbee = decodeZigbeeNwk(payload);
-    if (!d.zigbee) {
+    if (!decodeZigbeeNwk(payload, d.zigbee)) {
       d.type = PacketType::kMalformed;
       return;
     }
@@ -226,12 +213,11 @@ void dissectWpan(Dissection& d, BytesView raw) {
                  ? PacketType::kZigbeeRouting
                  : PacketType::kZigbeeData;
   } else if (dispatch == kDispatchIpv6Uncompressed) {
-    auto ip = decodeIpv6(inner);
-    if (!ip) {
+    if (!decodeIpv6(inner, d.ipv6, d.l3Payload, d.l3Trailer)) {
       d.type = PacketType::kMalformed;
       return;
     }
-    dissectIpv6Payload(d, *ip);
+    dissectIpv6Payload(d);
   } else {
     d.appPayload = payload;
     d.type = PacketType::kUnknown;
@@ -239,8 +225,7 @@ void dissectWpan(Dissection& d, BytesView raw) {
 }
 
 void dissectWifi(Dissection& d, BytesView raw) {
-  d.wifi = decodeWifi(raw);
-  if (!d.wifi) {
+  if (!decodeWifi(raw, d.wifi)) {
     d.type = PacketType::kMalformed;
     return;
   }
@@ -257,34 +242,31 @@ void dissectWifi(Dissection& d, BytesView raw) {
     case WifiFrameKind::kData:
       break;
   }
-  auto llc = llcSnapUnwrap(d.wifi->body);
-  if (!llc) {
+  std::optional<LlcSnapDecoded> llc;
+  if (!llcSnapUnwrap(d.wifi->body, llc)) {
     d.type = PacketType::kUnknown;
     return;
   }
-  d.llcHeader = d.wifi->body.subspan(0, 8);
+  d.llcHeader = d.wifi->body.first(8);
   if (llc->ethertype == kEthertypeIpv4) {
-    auto ip = decodeIpv4(llc->payload);
-    if (!ip) {
+    if (!decodeIpv4(llc->payload, d.ipv4, d.l3Payload, d.l3Trailer)) {
       d.type = PacketType::kMalformed;
       return;
     }
-    dissectIpv4Payload(d, *ip);
+    dissectIpv4Payload(d);
   } else if (llc->ethertype == kEthertypeIpv6) {
-    auto ip = decodeIpv6(llc->payload);
-    if (!ip) {
+    if (!decodeIpv6(llc->payload, d.ipv6, d.l3Payload, d.l3Trailer)) {
       d.type = PacketType::kMalformed;
       return;
     }
-    dissectIpv6Payload(d, *ip);
+    dissectIpv6Payload(d);
   } else {
     d.type = PacketType::kUnknown;
   }
 }
 
 void dissectBle(Dissection& d, BytesView raw) {
-  d.ble = decodeBleAdv(raw);
-  if (!d.ble) {
+  if (!decodeBleAdv(raw, d.ble)) {
     d.type = PacketType::kMalformed;
     return;
   }
@@ -298,19 +280,19 @@ void dissectBle(Dissection& d, BytesView raw) {
 }  // namespace
 
 Dissection dissect(const CapturedPacket& pkt) {
-  g_dissectCalls.fetch_add(1, std::memory_order_relaxed);
+  ++t_dissectCalls;
   Dissection d;
   d.medium = pkt.medium;
   d.raw = BytesView(pkt.raw);
   switch (pkt.medium) {
     case Medium::kIeee802154:
-      dissectWpan(d, BytesView(pkt.raw));
+      dissectWpan(d, d.raw);
       break;
     case Medium::kWifi:
-      dissectWifi(d, BytesView(pkt.raw));
+      dissectWifi(d, d.raw);
       break;
     case Medium::kBluetooth:
-      dissectBle(d, BytesView(pkt.raw));
+      dissectBle(d, d.raw);
       break;
   }
   return d;

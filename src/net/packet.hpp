@@ -198,9 +198,10 @@ struct Dissection {
 /// yields type = kMalformed / kUnknown with layers unset.
 Dissection dissect(const CapturedPacket& pkt);
 
-/// Process-wide count of dissect() calls, maintained with relaxed atomics
-/// (negligible cost). Tests use deltas of this counter to enforce the
-/// dissect-once capture-path invariant; see sim_test.cpp.
+/// Number of dissect() calls made on the calling thread. It is per thread so
+/// that a pipeline's shard workers, which dissect concurrently, write no
+/// shared memory per packet. Tests take deltas of it on the thread that runs
+/// the capture path to enforce the dissect-once invariant; see sim_test.cpp.
 std::uint64_t dissectCallCount();
 
 }  // namespace kalis::net

@@ -52,25 +52,26 @@ Bytes TcpSegmentT<Storage>::encode(Ipv4Addr src, Ipv4Addr dst) const {
   return out;
 }
 
-std::optional<TcpSegmentView> decodeTcp(BytesView raw) {
-  if (raw.size() < 20) return std::nullopt;
-  ByteReader r(raw);
-  TcpSegmentView seg;
-  seg.srcPort = *r.u16be();
-  seg.dstPort = *r.u16be();
-  seg.seq = *r.u32be();
-  seg.ackNo = *r.u32be();
-  auto offsetByte = *r.u8();
-  const std::size_t headerLen = (offsetByte >> 4) * 4u;
-  if (headerLen < 20 || headerLen > raw.size()) return std::nullopt;
-  seg.flags = TcpFlags::decode(*r.u8());
-  seg.window = *r.u16be();
-  seg.wireChecksum = *r.u16be();
-  seg.urgent = *r.u16be();
-  seg.offsetReserved = offsetByte & 0x0f;
-  seg.options = *r.take(headerLen - 20);  // aliases `raw`
-  seg.payload = r.rest();                 // ditto
-  return seg;
+bool decodeTcp(BytesView raw, std::optional<TcpSegmentView>& slot) {
+  const std::uint8_t* p = raw.data();
+  const std::size_t headerLen = raw.size() < 20 ? 0 : (p[12] >> 4) * 4u;
+  if (headerLen < 20 || headerLen > raw.size()) {
+    slot.reset();
+    return false;
+  }
+  TcpSegmentView& seg = slot.emplace();
+  seg.srcPort = loadU16be(p);
+  seg.dstPort = loadU16be(p + 2);
+  seg.seq = loadU32be(p + 4);
+  seg.ackNo = loadU32be(p + 8);
+  seg.offsetReserved = p[12] & 0x0f;
+  seg.flags = TcpFlags::decode(p[13]);
+  seg.window = loadU16be(p + 14);
+  seg.wireChecksum = loadU16be(p + 16);
+  seg.urgent = loadU16be(p + 18);
+  seg.options = raw.subspan(20, headerLen - 20);  // aliases `raw`
+  seg.payload = raw.subspan(headerLen);           // ditto
+  return true;
 }
 
 bool verifyTcpChecksum(BytesView segment, Ipv4Addr src, Ipv4Addr dst) {
@@ -104,22 +105,24 @@ Bytes UdpDatagramT<Storage>::encode(Ipv4Addr src, Ipv4Addr dst) const {
   return out;
 }
 
-std::optional<UdpDatagramView> decodeUdp(BytesView raw) {
-  if (raw.size() < 8) return std::nullopt;
-  ByteReader r(raw);
-  UdpDatagramView dg;
-  dg.srcPort = *r.u16be();
-  dg.dstPort = *r.u16be();
-  auto len = *r.u16be();
-  dg.wireChecksum = *r.u16be();
-  if (len < 8 || len > raw.size()) return std::nullopt;
+bool decodeUdp(BytesView raw, std::optional<UdpDatagramView>& slot) {
+  const std::uint8_t* p = raw.data();
+  const std::size_t len = raw.size() < 8 ? 0 : loadU16be(p + 4);
+  if (len < 8 || len > raw.size()) {
+    slot.reset();
+    return false;
+  }
+  UdpDatagramView& dg = slot.emplace();
+  dg.srcPort = loadU16be(p);
+  dg.dstPort = loadU16be(p + 2);
+  dg.wireChecksum = loadU16be(p + 6);
   dg.payload = raw.subspan(8, len - 8);  // aliases `raw`
-  return dg;
+  return true;
 }
 
 bool verifyUdpChecksum(BytesView datagram, Ipv4Addr src, Ipv4Addr dst) {
   if (datagram.size() < 8) return false;
-  const std::uint16_t len = *ByteReader(datagram.subspan(4)).u16be();
+  const std::uint16_t len = loadU16be(datagram.data() + 4);
   if (len < 8 || len > datagram.size()) return false;
   const auto pseudo = ipv4PseudoHeader(src, dst, IpProto::kUdp, len);
   return internetChecksum2(pseudo, datagram.first(len)) == 0;
@@ -147,17 +150,20 @@ Bytes IcmpMessageT<Storage>::encode() const {
 template struct IcmpMessageT<Bytes>;
 template struct IcmpMessageT<BytesView>;
 
-std::optional<IcmpMessageView> decodeIcmp(BytesView raw) {
-  if (raw.size() < 8) return std::nullopt;
-  ByteReader r(raw);
-  IcmpMessageView msg;
-  msg.type = static_cast<IcmpType>(*r.u8());
-  msg.code = *r.u8();
-  msg.wireChecksum = *r.u16be();
-  msg.identifier = *r.u16be();
-  msg.sequence = *r.u16be();
-  msg.payload = r.rest();  // aliases `raw`
-  return msg;
+bool decodeIcmp(BytesView raw, std::optional<IcmpMessageView>& slot) {
+  if (raw.size() < 8) {
+    slot.reset();
+    return false;
+  }
+  const std::uint8_t* p = raw.data();
+  IcmpMessageView& msg = slot.emplace();
+  msg.type = static_cast<IcmpType>(p[0]);
+  msg.code = p[1];
+  msg.wireChecksum = loadU16be(p + 2);
+  msg.identifier = loadU16be(p + 4);
+  msg.sequence = loadU16be(p + 6);
+  msg.payload = raw.subspan(8);  // aliases `raw`
+  return true;
 }
 
 bool verifyIcmpChecksum(BytesView message) {

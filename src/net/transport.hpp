@@ -63,7 +63,9 @@ struct TcpSegmentT {
 using TcpSegment = TcpSegmentT<Bytes>;
 using TcpSegmentView = TcpSegmentT<BytesView>;
 
-std::optional<TcpSegmentView> decodeTcp(BytesView raw);
+/// Parses the segment into `slot`; false, with the slot empty, when it is
+/// shorter than its header or its data offset is out of range.
+bool decodeTcp(BytesView raw, std::optional<TcpSegmentView>& slot);
 
 /// True when `segment` (header and payload) checksums to zero over the IPv4
 /// pseudo-header of src, dst and the segment's length.
@@ -86,7 +88,9 @@ struct UdpDatagramT {
 using UdpDatagram = UdpDatagramT<Bytes>;
 using UdpDatagramView = UdpDatagramT<BytesView>;
 
-std::optional<UdpDatagramView> decodeUdp(BytesView raw);
+/// Parses the datagram into `slot`; false, with the slot empty, when it is
+/// shorter than its header or its length field is out of range.
+bool decodeUdp(BytesView raw, std::optional<UdpDatagramView>& slot);
 
 /// True when the first `length` bytes of `datagram` (its own length field)
 /// checksum to zero over the IPv4 pseudo-header; false when that length is
@@ -119,7 +123,9 @@ struct IcmpMessageT {
 using IcmpMessage = IcmpMessageT<Bytes>;
 using IcmpMessageView = IcmpMessageT<BytesView>;
 
-std::optional<IcmpMessageView> decodeIcmp(BytesView raw);
+/// Parses the message into `slot`; false, with the slot empty, when it is
+/// shorter than its 8-byte header.
+bool decodeIcmp(BytesView raw, std::optional<IcmpMessageView>& slot);
 
 /// True when the whole message checksums to zero.
 bool verifyIcmpChecksum(BytesView message);

@@ -29,26 +29,24 @@ Bytes ZigbeeNwkFrameT<Storage>::encode() const {
 template struct ZigbeeNwkFrameT<Bytes>;
 template struct ZigbeeNwkFrameT<BytesView>;
 
-std::optional<ZigbeeNwkFrameView> decodeZigbeeNwk(BytesView raw) {
-  ByteReader r(raw);
-  auto dispatch = r.u8();
-  if (!dispatch || *dispatch != kDispatchZigbeeNwk) return std::nullopt;
-  auto fc = r.u16le();
-  auto dst = r.u16le();
-  auto src = r.u16le();
-  auto radius = r.u8();
-  auto seq = r.u8();
-  if (!fc || !dst || !src || !radius || !seq) return std::nullopt;
-  ZigbeeNwkFrameView f;
-  f.type = static_cast<ZigbeeFrameType>(*fc & kTypeMask);
-  f.securityEnabled = (*fc & kSecurityBit) != 0;
-  f.fcExtra = *fc & static_cast<std::uint16_t>(~(kTypeMask | kSecurityBit));
-  f.dst = Mac16{*dst};
-  f.src = Mac16{*src};
-  f.radius = *radius;
-  f.seq = *seq;
-  f.payload = r.rest();  // aliases `raw`
-  return f;
+bool decodeZigbeeNwk(BytesView raw, std::optional<ZigbeeNwkFrameView>& slot) {
+  // dispatch(1) | frameControl(2) | dst16(2) | src16(2) | radius(1) | seq(1)
+  if (raw.size() < 9 || raw[0] != kDispatchZigbeeNwk) {
+    slot.reset();
+    return false;
+  }
+  const std::uint8_t* p = raw.data();
+  const std::uint16_t fc = loadU16le(p + 1);
+  ZigbeeNwkFrameView& f = slot.emplace();
+  f.type = static_cast<ZigbeeFrameType>(fc & kTypeMask);
+  f.securityEnabled = (fc & kSecurityBit) != 0;
+  f.fcExtra = fc & static_cast<std::uint16_t>(~(kTypeMask | kSecurityBit));
+  f.dst = Mac16{loadU16le(p + 3)};
+  f.src = Mac16{loadU16le(p + 5)};
+  f.radius = p[7];
+  f.seq = p[8];
+  f.payload = raw.subspan(9);  // aliases `raw`
+  return true;
 }
 
 }  // namespace kalis::net

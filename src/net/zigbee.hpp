@@ -54,9 +54,10 @@ struct ZigbeeNwkFrameT {
 using ZigbeeNwkFrame = ZigbeeNwkFrameT<Bytes>;
 using ZigbeeNwkFrameView = ZigbeeNwkFrameT<BytesView>;
 
-/// Expects `raw` to begin with the 0x48 dispatch byte. The result's payload
-/// aliases `raw`.
-std::optional<ZigbeeNwkFrameView> decodeZigbeeNwk(BytesView raw);
+/// Expects `raw` to begin with the 0x48 dispatch byte. Parses the frame into
+/// `slot`; false, with the slot empty, when the dispatch byte differs or the
+/// frame is shorter than its header. The decoded payload aliases `raw`.
+bool decodeZigbeeNwk(BytesView raw, std::optional<ZigbeeNwkFrameView>& slot);
 
 /// Materializes a zero-copy view into an owning frame — the explicit copy
 /// point for relays that mutate or retain a dissected frame.

@@ -46,9 +46,9 @@ void InternetCloud::deliverFromLocal(const net::Ipv4Header& ip, BytesView l4) {
     std::optional<net::UdpDatagramView> udp;
     std::optional<net::IcmpMessageView> icmp;
     switch (ip.protocol) {
-      case net::IpProto::kTcp: tcp = net::decodeTcp(l4); break;
-      case net::IpProto::kUdp: udp = net::decodeUdp(l4); break;
-      case net::IpProto::kIcmp: icmp = net::decodeIcmp(l4); break;
+      case net::IpProto::kTcp: net::decodeTcp(l4, tcp); break;
+      case net::IpProto::kUdp: net::decodeUdp(l4, udp); break;
+      case net::IpProto::kIcmp: net::decodeIcmp(l4, icmp); break;
       default: break;
     }
     // The handler runs after the WAN latency, at the "cloud".

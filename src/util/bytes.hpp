@@ -19,6 +19,22 @@ namespace kalis {
 using Bytes = std::vector<std::uint8_t>;
 using BytesView = std::span<const std::uint8_t>;
 
+// Unchecked field loads; `p` points at the field's first byte, and the caller
+// has already checked that the whole field is in range. The protocol decoders
+// check a header's length once and then read each field at its fixed offset.
+inline std::uint16_t loadU16be(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+inline std::uint16_t loadU16le(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[1] << 8) | p[0]);
+}
+inline std::uint32_t loadU32be(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(loadU16be(p)) << 16) | loadU16be(p + 2);
+}
+inline std::uint32_t loadU32le(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(loadU16le(p + 2)) << 16) | loadU16le(p);
+}
+
 /// Appends integer fields to a growing byte vector in either endianness.
 /// 802.15.4 and friends are little-endian on the wire; the IP family is
 /// big-endian (network order).

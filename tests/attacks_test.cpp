@@ -289,8 +289,8 @@ TEST_F(AttackFixture, WormholePolicyTunnelsToPeer) {
   nwk.payload = {net::kZigbeeAppCommand, 1, 2, 3};
   sim::NodeHandle handle = world.handle(b1);
   const Bytes nwkRaw = nwk.encode();
-  const auto nwkView = net::decodeZigbeeNwk(BytesView(nwkRaw));
-  ASSERT_TRUE(nwkView.has_value());
+  std::optional<net::ZigbeeNwkFrameView> nwkView;
+  ASSERT_TRUE(net::decodeZigbeeNwk(BytesView(nwkRaw), nwkView));
   EXPECT_FALSE(policy->shouldRelay(handle, *nwkView));  // B1 drops...
   simulator.runUntil(seconds(1));
 

@@ -3,6 +3,8 @@
 // against truncated/corrupted frames (an IDS's daily diet).
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "net/packet.hpp"
 #include "util/rng.hpp"
 
@@ -63,8 +65,8 @@ TEST(Ieee802154, EncodeDecodeRoundTrip) {
   frame.payload = bytesOf("hello");
 
   const Bytes raw = frame.encode();
-  auto decoded = decodeIeee802154(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<Ieee802154FrameView> decoded;
+  ASSERT_TRUE(decodeIeee802154(BytesView(raw), decoded));
   EXPECT_TRUE(verifyIeee802154Fcs(BytesView(raw)));
   EXPECT_EQ(decoded->type, WpanFrameType::kData);
   EXPECT_TRUE(decoded->securityEnabled);
@@ -82,18 +84,24 @@ TEST(Ieee802154, CorruptedFcsStillDecodesButFlagged) {
   frame.payload = bytesOf("data");
   Bytes raw = frame.encode();
   raw[raw.size() - 1] ^= 0xff;
-  auto decoded = decodeIeee802154(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<Ieee802154FrameView> decoded;
+  ASSERT_TRUE(decodeIeee802154(BytesView(raw), decoded));
   EXPECT_FALSE(verifyIeee802154Fcs(BytesView(raw)));
   EXPECT_EQ(decoded->src, Mac16{0x0009});
 }
 
+// Each decoder writes into a slot its caller owns. A frame that does not
+// decode must leave that slot empty even when it already holds an earlier
+// frame's layer, so the truncation cases below decode into a full slot.
 TEST(Ieee802154, TruncatedFrameRejected) {
   Ieee802154Frame frame;
   const Bytes raw = frame.encode();
-  for (std::size_t cut = 0; cut < 9; ++cut) {
-    EXPECT_EQ(decodeIeee802154(BytesView(raw).subspan(0, cut)), std::nullopt)
+  std::optional<Ieee802154FrameView> slot;
+  for (std::size_t cut = 0; cut < raw.size(); ++cut) {
+    ASSERT_TRUE(decodeIeee802154(BytesView(raw), slot));
+    EXPECT_FALSE(decodeIeee802154(BytesView(raw).first(cut), slot))
         << "prefix length " << cut;
+    EXPECT_FALSE(slot.has_value()) << "prefix length " << cut;
   }
 }
 
@@ -109,8 +117,8 @@ TEST(Ctp, DataRoundTrip) {
   data.collectId = 0x20;
   data.payload = bytesOf("\x0b\x86\x01\x00");
   const Bytes raw = data.encode();
-  auto decoded = decodeCtpData(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<CtpDataView> decoded;
+  ASSERT_TRUE(decodeCtpData(BytesView(raw), decoded));
   EXPECT_EQ(decoded->thl, 3);
   EXPECT_EQ(decoded->etx, 40);
   EXPECT_EQ(decoded->origin, Mac16{0x0006});
@@ -122,14 +130,24 @@ TEST(Ctp, BeaconRoundTrip) {
   CtpRoutingBeacon beacon;
   beacon.parent = Mac16{0x0002};
   beacon.etx = 20;
-  auto decoded = decodeCtpBeacon(BytesView(beacon.encode()));
-  ASSERT_TRUE(decoded.has_value());
+  const Bytes raw = beacon.encode();
+  std::optional<CtpRoutingBeacon> decoded;
+  ASSERT_TRUE(decodeCtpBeacon(BytesView(raw), decoded));
   EXPECT_EQ(decoded->parent, Mac16{0x0002});
   EXPECT_EQ(decoded->etx, 20);
+  EXPECT_FALSE(decodeCtpBeacon(BytesView(raw).first(4), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 TEST(Ctp, TruncatedDataRejected) {
-  EXPECT_EQ(decodeCtpData(BytesView(bytesOf("\x01\x02\x03"))), std::nullopt);
+  const Bytes truncated = bytesOf("\x01\x02\x03");
+  std::optional<CtpDataView> slot;
+  EXPECT_FALSE(decodeCtpData(BytesView(truncated), slot));
+  EXPECT_FALSE(slot.has_value());
+  const Bytes valid = CtpData{}.encode();
+  ASSERT_TRUE(decodeCtpData(BytesView(valid), slot));
+  EXPECT_FALSE(decodeCtpData(BytesView(truncated), slot));
+  EXPECT_FALSE(slot.has_value());
 }
 
 // --- ZigBee -----------------------------------------------------------------------------
@@ -144,8 +162,8 @@ TEST(Zigbee, NwkRoundTrip) {
   frame.seq = 99;
   frame.payload = {kZigbeeAppReport, 0x12, 0x34};
   const Bytes raw = frame.encode();
-  auto decoded = decodeZigbeeNwk(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<ZigbeeNwkFrameView> decoded;
+  ASSERT_TRUE(decodeZigbeeNwk(BytesView(raw), decoded));
   EXPECT_TRUE(decoded->securityEnabled);
   EXPECT_EQ(decoded->src, Mac16{0x0014});
   EXPECT_EQ(decoded->radius, 5);
@@ -163,7 +181,15 @@ TEST(Zigbee, CommandId) {
 
 TEST(Zigbee, WrongDispatchRejected) {
   Bytes raw = {0x99, 0, 0, 0, 0, 0, 0, 0};
-  EXPECT_EQ(decodeZigbeeNwk(BytesView(raw)), std::nullopt);
+  std::optional<ZigbeeNwkFrameView> slot;
+  EXPECT_FALSE(decodeZigbeeNwk(BytesView(raw), slot));
+  EXPECT_FALSE(slot.has_value());
+  const Bytes valid = ZigbeeNwkFrame{}.encode();
+  for (const BytesView rejected : {BytesView(raw), BytesView(valid).first(8)}) {
+    ASSERT_TRUE(decodeZigbeeNwk(BytesView(valid), slot));
+    EXPECT_FALSE(decodeZigbeeNwk(rejected, slot));
+    EXPECT_FALSE(slot.has_value());
+  }
 }
 
 // --- IPv4 / transport ----------------------------------------------------------------------
@@ -177,14 +203,29 @@ TEST(Ipv4, HeaderRoundTripWithValidChecksum) {
   ip.src = *parseIpv4("10.0.0.5");
   ip.dst = *parseIpv4("198.51.100.1");
   const Bytes payload = bytesOf("payload!");
-  const Bytes raw = ip.encode(payload);
-  auto decoded = decodeIpv4(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  Bytes raw = ip.encode(payload);
+  raw.push_back(0xee);  // link-layer slack past totalLength
+  std::optional<Ipv4Header> decoded;
+  BytesView l4;
+  BytesView trailer;
+  ASSERT_TRUE(decodeIpv4(BytesView(raw), decoded, l4, trailer));
   EXPECT_TRUE(verifyIpv4Checksum(BytesView(raw)));
-  EXPECT_EQ(decoded->header.ttl, 17);
-  EXPECT_EQ(decoded->header.protocol, IpProto::kUdp);
-  EXPECT_EQ(toString(decoded->header.src), "10.0.0.5");
-  EXPECT_EQ(toBytes(decoded->payload), payload);
+  EXPECT_EQ(decoded->ttl, 17);
+  EXPECT_EQ(decoded->protocol, IpProto::kUdp);
+  EXPECT_EQ(toString(decoded->src), "10.0.0.5");
+  EXPECT_EQ(toBytes(l4), payload);
+  EXPECT_EQ(toBytes(trailer), Bytes{0xee});
+
+  // Truncated, then an IPv6 version nibble: the full slot and views empty.
+  Bytes v6 = raw;
+  v6[0] = static_cast<std::uint8_t>(0x60 | (v6[0] & 0x0f));
+  for (const BytesView rejected : {BytesView(raw).first(19), BytesView(v6)}) {
+    ASSERT_TRUE(decodeIpv4(BytesView(raw), decoded, l4, trailer));
+    EXPECT_FALSE(decodeIpv4(rejected, decoded, l4, trailer));
+    EXPECT_FALSE(decoded.has_value());
+    EXPECT_TRUE(l4.empty());
+    EXPECT_TRUE(trailer.empty());
+  }
 }
 
 TEST(Ipv4, CorruptedHeaderChecksumDetected) {
@@ -193,8 +234,10 @@ TEST(Ipv4, CorruptedHeaderChecksumDetected) {
   ip.dst = Ipv4Addr{2};
   Bytes raw = ip.encode(BytesView());
   raw[8] ^= 0x01;  // TTL flip
-  auto decoded = decodeIpv4(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<Ipv4Header> decoded;
+  BytesView l4;
+  BytesView trailer;
+  ASSERT_TRUE(decodeIpv4(BytesView(raw), decoded, l4, trailer));
   EXPECT_FALSE(verifyIpv4Checksum(BytesView(raw)));
 }
 
@@ -210,12 +253,14 @@ TEST(Tcp, SegmentRoundTripWithPseudoHeaderChecksum) {
   seg.window = 1024;
   seg.payload = bytesOf("GET /");
   const Bytes raw = seg.encode(src, dst);
-  auto decoded = decodeTcp(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<TcpSegmentView> decoded;
+  ASSERT_TRUE(decodeTcp(BytesView(raw), decoded));
   EXPECT_TRUE(verifyTcpChecksum(BytesView(raw), src, dst));
   EXPECT_EQ(decoded->srcPort, 40001);
   EXPECT_TRUE(decoded->flags.isSynOnly());
   EXPECT_EQ(toBytes(decoded->payload), bytesOf("GET /"));
+  EXPECT_FALSE(decodeTcp(BytesView(raw).first(19), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 TEST(Tcp, ChecksumFailsUnderSpoofedAddresses) {
@@ -224,7 +269,8 @@ TEST(Tcp, ChecksumFailsUnderSpoofedAddresses) {
   TcpSegment seg;
   seg.flags.ack = true;
   const Bytes raw = seg.encode(src, dst);
-  ASSERT_TRUE(decodeTcp(BytesView(raw)).has_value());
+  std::optional<TcpSegmentView> decoded;
+  ASSERT_TRUE(decodeTcp(BytesView(raw), decoded));
   EXPECT_FALSE(verifyTcpChecksum(BytesView(raw), *parseIpv4("10.0.0.3"), dst));
 }
 
@@ -245,11 +291,14 @@ TEST(Udp, DatagramRoundTrip) {
   dg.dstPort = 5888;
   dg.payload = bytesOf("knowgget-sync");
   const Bytes raw = dg.encode(src, dst);
-  auto decoded = decodeUdp(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<UdpDatagramView> decoded;
+  ASSERT_TRUE(decodeUdp(BytesView(raw), decoded));
   EXPECT_TRUE(verifyUdpChecksum(BytesView(raw), src, dst));
   EXPECT_EQ(decoded->dstPort, 5888);
   EXPECT_EQ(toBytes(decoded->payload), dg.payload);
+  // Cut inside the payload: the length field now runs past the buffer.
+  EXPECT_FALSE(decodeUdp(BytesView(raw).first(raw.size() - 1), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 TEST(Icmp, EchoRoundTrip) {
@@ -259,12 +308,14 @@ TEST(Icmp, EchoRoundTrip) {
   msg.sequence = 7;
   msg.payload = bytesOf("ping");
   const Bytes raw = msg.encode();
-  auto decoded = decodeIcmp(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<IcmpMessageView> decoded;
+  ASSERT_TRUE(decodeIcmp(BytesView(raw), decoded));
   EXPECT_TRUE(verifyIcmpChecksum(BytesView(raw)));
   EXPECT_EQ(decoded->type, IcmpType::kEchoRequest);
   EXPECT_EQ(decoded->identifier, 0x1234);
   EXPECT_EQ(toBytes(decoded->payload), bytesOf("ping"));
+  EXPECT_FALSE(decodeIcmp(BytesView(raw).first(7), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 // --- IPv6 / ICMPv6 / RPL ----------------------------------------------------------------------
@@ -275,12 +326,27 @@ TEST(Ipv6, HeaderRoundTrip) {
   ip.src = Ipv6Addr::linkLocalFromShort(Mac16{0x0002});
   ip.dst = Ipv6Addr::linkLocalFromShort(Mac16{0x0001});
   const Bytes payload = bytesOf("sixlowpan");
-  const Bytes raw = ip.encode(payload);
-  auto decoded = decodeIpv6(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->header.hopLimit, 3);
-  EXPECT_EQ(decoded->header.src.embeddedShort(), Mac16{0x0002});
-  EXPECT_EQ(toBytes(decoded->payload), payload);
+  Bytes raw = ip.encode(payload);
+  raw.push_back(0xee);  // link-layer slack past payloadLength
+  std::optional<Ipv6Header> decoded;
+  BytesView l4;
+  BytesView trailer;
+  ASSERT_TRUE(decodeIpv6(BytesView(raw), decoded, l4, trailer));
+  EXPECT_EQ(decoded->hopLimit, 3);
+  EXPECT_EQ(decoded->src.embeddedShort(), Mac16{0x0002});
+  EXPECT_EQ(toBytes(l4), payload);
+  EXPECT_EQ(toBytes(trailer), Bytes{0xee});
+
+  // Truncated, then an IPv4 version nibble: the full slot and views empty.
+  Bytes v4 = raw;
+  v4[0] = static_cast<std::uint8_t>(0x40 | (v4[0] & 0x0f));
+  for (const BytesView rejected : {BytesView(raw).first(39), BytesView(v4)}) {
+    ASSERT_TRUE(decodeIpv6(BytesView(raw), decoded, l4, trailer));
+    EXPECT_FALSE(decodeIpv6(rejected, decoded, l4, trailer));
+    EXPECT_FALSE(decoded.has_value());
+    EXPECT_TRUE(l4.empty());
+    EXPECT_TRUE(trailer.empty());
+  }
 }
 
 TEST(Icmpv6, ChecksumOverPseudoHeader) {
@@ -290,11 +356,15 @@ TEST(Icmpv6, ChecksumOverPseudoHeader) {
   msg.type = Icmpv6Type::kEchoRequest;
   msg.body = bytesOf("abcd");
   const Bytes raw = msg.encode(src, dst);
-  ASSERT_TRUE(decodeIcmpv6(BytesView(raw)).has_value());
+  std::optional<Icmpv6MessageView> decoded;
+  ASSERT_TRUE(decodeIcmpv6(BytesView(raw), decoded));
+  EXPECT_EQ(toBytes(decoded->body), bytesOf("abcd"));
   EXPECT_TRUE(verifyIcmpv6Checksum(BytesView(raw), src, dst));
   // Same bytes, different claimed source: checksum must fail.
   EXPECT_FALSE(verifyIcmpv6Checksum(
       BytesView(raw), Ipv6Addr::linkLocalFromShort(Mac16{0x0009}), dst));
+  EXPECT_FALSE(decodeIcmpv6(BytesView(raw).first(3), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 TEST(Rpl, DioRoundTrip) {
@@ -304,10 +374,13 @@ TEST(Rpl, DioRoundTrip) {
   dio.rank = 512;
   dio.dtsn = 9;
   dio.dodagId = Ipv6Addr::linkLocalFromShort(Mac16{0x0001});
-  auto decoded = decodeRplDio(BytesView(dio.encodeBody()));
-  ASSERT_TRUE(decoded.has_value());
+  const Bytes body = dio.encodeBody();
+  std::optional<RplDio> decoded;
+  ASSERT_TRUE(decodeRplDio(BytesView(body), decoded));
   EXPECT_EQ(decoded->rank, 512);
   EXPECT_EQ(decoded->dodagId.embeddedShort(), Mac16{0x0001});
+  EXPECT_FALSE(decodeRplDio(BytesView(body).first(23), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 TEST(Rpl, DaoRoundTrip) {
@@ -316,10 +389,13 @@ TEST(Rpl, DaoRoundTrip) {
   dao.daoSequence = 4;
   dao.dodagId = Ipv6Addr::linkLocalFromShort(Mac16{0x0001});
   dao.target = Ipv6Addr::linkLocalFromShort(Mac16{0x0007});
-  auto decoded = decodeRplDao(BytesView(dao.encodeBody()));
-  ASSERT_TRUE(decoded.has_value());
+  const Bytes body = dao.encodeBody();
+  std::optional<RplDao> decoded;
+  ASSERT_TRUE(decodeRplDao(BytesView(body), decoded));
   EXPECT_EQ(decoded->daoSequence, 4);
   EXPECT_EQ(decoded->target.embeddedShort(), Mac16{0x0007});
+  EXPECT_FALSE(decodeRplDao(BytesView(body).first(35), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 // --- 802.11 ------------------------------------------------------------------------------------
@@ -338,13 +414,23 @@ TEST(Wifi, DataFrameRoundTripAllDirections) {
     frame.seqCtl = 0x0123;
     frame.body = bytesOf("body");
     const Bytes raw = frame.encode();
-    auto decoded = decodeWifi(BytesView(raw));
-    ASSERT_TRUE(decoded.has_value());
+    std::optional<WifiFrameView> decoded;
+    ASSERT_TRUE(decodeWifi(BytesView(raw), decoded));
     EXPECT_TRUE(verifyWifiFcs(BytesView(raw)));
     EXPECT_EQ(decoded->dst, frame.dst) << toDs << fromDs;
     EXPECT_EQ(decoded->src, frame.src);
     EXPECT_EQ(decoded->bssid, frame.bssid);
     EXPECT_EQ(toBytes(decoded->body), frame.body);
+
+    // Truncated, then a control frame (type 1), which the stack does not
+    // model: the full slot is left empty.
+    Bytes control = raw;
+    control[0] = 0x04;
+    for (const BytesView rejected : {BytesView(raw).first(27), BytesView(control)}) {
+      ASSERT_TRUE(decodeWifi(BytesView(raw), decoded));
+      EXPECT_FALSE(decodeWifi(rejected, decoded));
+      EXPECT_FALSE(decoded.has_value());
+    }
   }
 }
 
@@ -353,8 +439,8 @@ TEST(Wifi, BeaconCarriesSsid) {
   beacon.kind = WifiFrameKind::kBeacon;
   beacon.body = beaconBody("kalis-home");
   const Bytes raw = beacon.encode();
-  auto decoded = decodeWifi(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<WifiFrameView> decoded;
+  ASSERT_TRUE(decodeWifi(BytesView(raw), decoded));
   EXPECT_EQ(decoded->kind, WifiFrameKind::kBeacon);
   EXPECT_EQ(beaconSsid(BytesView(decoded->body)), "kalis-home");
 }
@@ -362,10 +448,19 @@ TEST(Wifi, BeaconCarriesSsid) {
 TEST(Wifi, LlcSnapRoundTrip) {
   const Bytes payload = bytesOf("ip-bytes");
   const Bytes wrapped = llcSnapWrap(kEthertypeIpv4, BytesView(payload));
-  auto unwrapped = llcSnapUnwrap(BytesView(wrapped));
-  ASSERT_TRUE(unwrapped.has_value());
+  std::optional<LlcSnapDecoded> unwrapped;
+  ASSERT_TRUE(llcSnapUnwrap(BytesView(wrapped), unwrapped));
   EXPECT_EQ(unwrapped->ethertype, kEthertypeIpv4);
   EXPECT_EQ(Bytes(unwrapped->payload.begin(), unwrapped->payload.end()), payload);
+
+  // Truncated, then a body that is not LLC/SNAP: the full slot is emptied.
+  Bytes notSnap = wrapped;
+  notSnap[2] = 0x00;
+  for (const BytesView rejected : {BytesView(wrapped).first(7), BytesView(notSnap)}) {
+    ASSERT_TRUE(llcSnapUnwrap(BytesView(wrapped), unwrapped));
+    EXPECT_FALSE(llcSnapUnwrap(rejected, unwrapped));
+    EXPECT_FALSE(unwrapped.has_value());
+  }
 }
 
 TEST(Wifi, CorruptFcsFlagged) {
@@ -374,8 +469,8 @@ TEST(Wifi, CorruptFcsFlagged) {
   frame.body = bytesOf("x");
   Bytes raw = frame.encode();
   raw[raw.size() - 2] ^= 0x40;
-  auto decoded = decodeWifi(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<WifiFrameView> decoded;
+  ASSERT_TRUE(decodeWifi(BytesView(raw), decoded));
   EXPECT_FALSE(verifyWifiFcs(BytesView(raw)));
 }
 
@@ -387,10 +482,13 @@ TEST(Ble, AdvRoundTrip) {
   adv.advAddr = Mac48{{0xc0, 1, 2, 3, 4, 5}};
   adv.advData = bytesOf("AUGUST");
   const Bytes raw = adv.encode();
-  auto decoded = decodeBleAdv(BytesView(raw));
-  ASSERT_TRUE(decoded.has_value());
+  std::optional<BleAdvPduView> decoded;
+  ASSERT_TRUE(decodeBleAdv(BytesView(raw), decoded));
   EXPECT_EQ(decoded->advAddr, adv.advAddr);
   EXPECT_EQ(toBytes(decoded->advData), adv.advData);
+  // Cut inside advData: the length field now runs past the buffer.
+  EXPECT_FALSE(decodeBleAdv(BytesView(raw).first(raw.size() - 1), decoded));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 // --- dissector classification (parameterized) -----------------------------------------------------
@@ -574,6 +672,25 @@ TEST(Dissect, BroadcastDetection) {
   const Dissection d =
       dissect(CapturedPacket{Medium::kIeee802154, frame.encode(), {}});
   EXPECT_TRUE(d.isBroadcastDest());
+}
+
+// dissectCallCount() counts the calling thread's dissections only: a pipeline's
+// shard workers dissect concurrently and must not share a counter.
+TEST(Dissect, CallCountIsPerThread) {
+  const CapturedPacket pkt = kCases[0].make();
+  constexpr std::uint64_t kOther = 500;
+  constexpr std::uint64_t kMine = 7;
+  const std::uint64_t before = dissectCallCount();
+  std::uint64_t otherCount = 0;
+  std::thread other([&] {
+    const std::uint64_t start = dissectCallCount();
+    for (std::uint64_t i = 0; i < kOther; ++i) (void)dissect(pkt);
+    otherCount = dissectCallCount() - start;
+  });
+  for (std::uint64_t i = 0; i < kMine; ++i) (void)dissect(pkt);
+  other.join();
+  EXPECT_EQ(dissectCallCount() - before, kMine);
+  EXPECT_EQ(otherCount, kOther);
 }
 
 // Robustness property: the dissector must never crash or misbehave on

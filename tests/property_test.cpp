@@ -50,8 +50,8 @@ TEST_P(Seeded, Ieee802154RoundTripRandomPayloads) {
     frame.src = net::Mac16{static_cast<std::uint16_t>(rng.next())};
     frame.payload = test::randomBytes(rng, 80);
     const Bytes raw = frame.encode();
-    auto decoded = net::decodeIeee802154(BytesView(raw));
-    ASSERT_TRUE(decoded.has_value());
+    std::optional<net::Ieee802154FrameView> decoded;
+    ASSERT_TRUE(net::decodeIeee802154(BytesView(raw), decoded));
     EXPECT_TRUE(net::verifyIeee802154Fcs(BytesView(raw)));
     EXPECT_EQ(decoded->type, frame.type);
     EXPECT_EQ(decoded->seq, frame.seq);
@@ -74,8 +74,8 @@ TEST_P(Seeded, TcpRoundTripRandomSegments) {
     segment.window = static_cast<std::uint16_t>(rng.next());
     segment.payload = test::randomBytes(rng, 120);
     const Bytes raw = segment.encode(src, dst);
-    auto decoded = net::decodeTcp(BytesView(raw));
-    ASSERT_TRUE(decoded.has_value());
+    std::optional<net::TcpSegmentView> decoded;
+    ASSERT_TRUE(net::decodeTcp(BytesView(raw), decoded));
     EXPECT_TRUE(net::verifyTcpChecksum(BytesView(raw), src, dst));
     EXPECT_EQ(decoded->seq, segment.seq);
     EXPECT_EQ(decoded->flags.encode(), segment.flags.encode());
@@ -94,8 +94,8 @@ TEST_P(Seeded, ZigbeeRoundTripRandomFrames) {
     frame.seq = static_cast<std::uint8_t>(rng.next());
     frame.payload = test::randomBytes(rng, 60);
     const Bytes raw = frame.encode();
-    auto decoded = net::decodeZigbeeNwk(BytesView(raw));
-    ASSERT_TRUE(decoded.has_value());
+    std::optional<net::ZigbeeNwkFrameView> decoded;
+    ASSERT_TRUE(net::decodeZigbeeNwk(BytesView(raw), decoded));
     EXPECT_EQ(decoded->type, frame.type);
     EXPECT_EQ(decoded->radius, frame.radius);
     EXPECT_EQ(toBytes(decoded->payload), frame.payload);
