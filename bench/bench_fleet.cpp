@@ -12,9 +12,11 @@
 //
 //   ./bench_fleet [--smoke] [--max-homes N] [--rounds R] [--workers W]
 //
-// W is 1 to 64 worker threads (default: the core count, at most 8).
+// W is 1 to 64 worker threads (default: the core count, at most 8), and N
+// is 1 to 1 000 000 homes (default 100 000).
 //
-// Default mode sweeps {1k, 10k, max-homes} CoW + {1k, 10k} naive, emits
+// Default mode sweeps {1k, 10k, N} CoW + {1k, 10k} naive, each size capped
+// at N (so no run is larger than N, and duplicates run once), emits
 // BENCH_fleet.json and exits non-zero unless every run propagates within the
 // staleness bound with closed exchange accounting, the largest CoW run stays
 // within kMaxRssPerHomeBytes resident bytes per home, and that run's exact
@@ -56,6 +58,10 @@ constexpr const char* kUsage =
 /// Upper bound of --workers: each worker is a thread that owns at least one
 /// region, so the value sizes both.
 constexpr long long kMaxWorkers = 64;
+
+/// Upper bound of --max-homes: ten times the default sweep's largest fleet
+/// (under 1 GB resident), so a mistyped value is refused instead of built.
+constexpr long long kMaxHomes = 1000000;
 
 double nowSec() {
   return std::chrono::duration<double>(
@@ -155,7 +161,8 @@ bool accountingCloses(const fleet::HierarchicalExchange::Stats& s) {
 
 int runSmoke(std::size_t workers) {
   Fleet::Options o = fleetOptions(2000, workers, 24, /*shareBaseline=*/true);
-  // Tight rings so the smoke test also exercises cadence > 1 paths.
+  // Every sync cadence at 2 rounds, so the smoke also exercises the
+  // cadence > 1 paths and a staleness bound wider than the default's.
   o.regionSyncEvery = 2;
   o.globalSyncEvery = 2;
   o.globalPullEvery = 2;
@@ -254,18 +261,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     // A whole base-10 integer >= 1 (rounds: 32 bits; workers: at most
-    // kMaxWorkers), so that "1e5" or "abc" is refused rather than read as 1
-    // or 0.
+    // kMaxWorkers; homes: at most kMaxHomes), so that "1e5" or "abc" is
+    // refused rather than read as 1 or 0.
     const bool isRounds = arg == "--rounds";
     const bool isWorkers = arg == "--workers";
     const char* text = i + 1 < argc ? argv[++i] : "";
     const std::optional<long long> n = parseInt(text);
-    if (!n || *n < 1 || (isRounds && *n > UINT32_MAX) ||
-        (isWorkers && *n > kMaxWorkers)) {
+    const long long cap =
+        isRounds ? UINT32_MAX : isWorkers ? kMaxWorkers : kMaxHomes;
+    if (!n || *n < 1 || *n > cap) {
       const std::string upper =
-          isRounds    ? " and < 2^32"
-          : isWorkers ? " and <= " + std::to_string(kMaxWorkers)
-                      : "";
+          isRounds ? " and < 2^32" : " and <= " + std::to_string(cap);
       std::fprintf(stderr,
                    "bench_fleet: bad value '%s' for %s (expected an integer "
                    ">= 1%s)\n%s",
@@ -292,15 +298,20 @@ int main(int argc, char** argv) {
   // CoW first, ascending (see header comment), then the naive model —
   // capped at 10k homes: a private 64-entry KB copy per home at 100k is
   // ~1 GiB of pure waste, which is exactly the point of the comparison.
-  std::vector<std::size_t> cowSizes{1000, 10000};
-  if (maxHomes > 10000) cowSizes.push_back(maxHomes);
+  // Every size is also capped at max-homes.
+  const auto sweep = [maxHomes](std::vector<std::size_t> sizes) {
+    for (std::size_t& homes : sizes) homes = std::min(homes, maxHomes);
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+    return sizes;
+  };
+  const std::vector<std::size_t> cowSizes = sweep({1000, 10000, maxHomes});
   std::vector<RunResult> results;
   for (std::size_t homes : cowSizes) {
     results.push_back(runFleet(
         fleetOptions(homes, workers, rounds, /*shareBaseline=*/true), "cow"));
     printRun(results.back());
   }
-  for (std::size_t homes : {std::size_t{1000}, std::size_t{10000}}) {
+  for (std::size_t homes : sweep({1000, 10000})) {
     results.push_back(runFleet(
         fleetOptions(homes, workers, rounds, /*shareBaseline=*/false), "naive"));
     printRun(results.back());

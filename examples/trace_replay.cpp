@@ -374,16 +374,16 @@ int main(int argc, char** argv) {
   std::printf("Recorded %zu benign packets and %zu attack-run packets\n",
               rec.benign.packets.size(), rec.withAttack.packets.size());
   if (plan) {
-    const chaos::LinkChaos::Stats& a = rec.benign.linkFaults;
-    const chaos::LinkChaos::Stats& b = rec.withAttack.linkFaults;
+    const chaos::LinkChaos::Stats f =
+        rec.benign.linkFaults + rec.withAttack.linkFaults;
     std::printf(
         "Injected link faults: %llu dropped, %llu corrupted, %llu "
         "duplicated, %llu delayed, %llu crashes\n",
-        static_cast<unsigned long long>(a.rxDropped + b.rxDropped),
-        static_cast<unsigned long long>(a.corrupted + b.corrupted),
-        static_cast<unsigned long long>(a.duplicated + b.duplicated),
-        static_cast<unsigned long long>(a.delayed + b.delayed),
-        static_cast<unsigned long long>(a.crashes + b.crashes));
+        static_cast<unsigned long long>(f.rxDropped),
+        static_cast<unsigned long long>(f.corrupted),
+        static_cast<unsigned long long>(f.duplicated),
+        static_cast<unsigned long long>(f.delayed),
+        static_cast<unsigned long long>(f.crashes));
   }
 
   std::printf("KTRC round trip: %zu packets (%zu bytes on disk)%s\n",

@@ -32,11 +32,11 @@ std::string structuralKey(const ids::Alert& alert) {
 /// baseline? Only then can a missing/extra alert be charged to the plan.
 bool subjectLossyRelativeTo(const RunOutput& baseline,
                             const RunOutput& subject) {
-  return subject.linkRxDropped > baseline.linkRxDropped ||
-         subject.linkCorrupted > baseline.linkCorrupted ||
-         subject.linkDuplicated > baseline.linkDuplicated ||
-         subject.linkDelayed > baseline.linkDelayed ||
-         subject.crashes > baseline.crashes ||
+  const LinkChaos::Stats& s = subject.linkFaults;
+  const LinkChaos::Stats& b = baseline.linkFaults;
+  return s.rxDropped > b.rxDropped || s.corrupted > b.corrupted ||
+         s.duplicated > b.duplicated || s.delayed > b.delayed ||
+         s.crashes > b.crashes ||
          subject.pipelineStats.dropped() > baseline.pipelineStats.dropped();
 }
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
+#include "chaos/link_chaos.hpp"
 #include "kalis/alert.hpp"
 #include "pipeline/pipeline.hpp"
 
@@ -44,11 +45,7 @@ struct RunOutput {
   std::vector<std::string> siemLines;  ///< toSiemJson(alerts[i]), same order
   pipeline::Pipeline::Stats pipelineStats{};
   std::uint64_t packetsFed = 0;
-  std::uint64_t linkRxDropped = 0;   ///< LinkChaos burst-loss drops
-  std::uint64_t linkCorrupted = 0;
-  std::uint64_t linkDuplicated = 0;
-  std::uint64_t linkDelayed = 0;
-  std::uint64_t crashes = 0;
+  LinkChaos::Stats linkFaults;  ///< summed over every recorded world
   /// attacks::evasion perturbation tally (Stats::perturbed()) of the run; a
   /// subject strictly more perturbed than its baseline unlocks the evasion
   /// divergence lane.

@@ -43,6 +43,15 @@ class LinkChaos final : public sim::LinkFaultInjector {
     std::uint64_t faults() const {
       return rxDropped + corrupted + duplicated + delayed + crashes;
     }
+    /// Field-wise sum: the faults of several recorded worlds together.
+    friend Stats operator+(Stats a, const Stats& b) {
+      a.rxDropped += b.rxDropped;
+      a.corrupted += b.corrupted;
+      a.duplicated += b.duplicated;
+      a.delayed += b.delayed;
+      a.crashes += b.crashes;
+      return a;
+    }
   };
   const Stats& stats() const { return stats_; }
 

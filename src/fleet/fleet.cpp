@@ -155,7 +155,7 @@ void Fleet::workerMain(std::size_t w) {
         for (std::size_t h = homeRangeBegin(r); h < homeRangeEnd(r); ++h) {
           HomeNode& home = *homes_[h];
           exchange_->pullRegionIntoHome(
-              r, homeCursors_[h], [&](const RemoteKnowgget& item) {
+              r, homeCursors_[h], [&](const TierItem& item) {
                 if (item.knowgget.creator == home.kb().selfId()) return;
                 home.applyRemote(item.knowgget);
                 if (sigSeenRound_[h] == UINT32_MAX &&
@@ -167,7 +167,6 @@ void Fleet::workerMain(std::size_t w) {
           const HomeNode::StepStats st = home.step(round, now, published);
           tally.packets += st.packets;
           tally.alerts += st.alerts;
-          tally.missed += st.attackMissed;
           if (st.learned) {
             sigSeenRound_[h] = round;
             tally.learnedRound = std::min(tally.learnedRound, round);
@@ -191,7 +190,7 @@ void Fleet::workerMain(std::size_t w) {
         for (std::size_t h = homeRangeBegin(r); h < homeRangeEnd(r); ++h) {
           HomeNode& home = *homes_[h];
           exchange_->pullRegionIntoHome(
-              r, homeCursors_[h], [&](const RemoteKnowgget& item) {
+              r, homeCursors_[h], [&](const TierItem& item) {
                 if (item.knowgget.creator == home.kb().selfId()) return;
                 home.applyRemote(item.knowgget);
               });
@@ -199,7 +198,7 @@ void Fleet::workerMain(std::size_t w) {
             if (k.creator == home.kb().selfId()) continue;
             home.applyRemote(k);
           }
-          exchange_->chargeRegionLogMissed(homeCursors_[h].missed);
+          exchange_->chargeRegionLogMissed(r, homeCursors_[h].missed);
         }
       }
     }
@@ -245,7 +244,6 @@ void Fleet::run() {
   for (const WorkerTally& tally : tallies_) {
     stats_.packetsProcessed += tally.packets;
     stats_.alertsRaised += tally.alerts;
-    stats_.attackPacketsMissed += tally.missed;
     activationRound_ = std::min(activationRound_, tally.learnedRound);
   }
   stats_.exchange = exchange_->stats();
@@ -253,8 +251,6 @@ void Fleet::run() {
   for (const auto& home : homes_) {
     stats_.homeHeapBytes += home->memoryBytes();
   }
-  stats_.homeInlineBytes =
-      options_.homes * (sizeof(HomeNode) + sizeof(std::unique_ptr<HomeNode>));
   for (const auto& segment : regionBaselines_) {
     if (segment) stats_.baselineBytes += segment->memoryBytes();
   }
@@ -293,18 +289,6 @@ std::uint32_t Fleet::stalenessBoundRounds() const {
 
 std::vector<ids::Knowgget> Fleet::homeCollectiveView(std::size_t h) const {
   return homes_[h]->collectiveView();
-}
-
-void Fleet::collectMetrics(obs::Registry& reg, const std::string& prefix) const {
-  reg.gauge(prefix + ".homes", static_cast<double>(options_.homes),
-            static_cast<double>(options_.homes));
-  reg.gauge(prefix + ".regions", static_cast<double>(options_.regions),
-            static_cast<double>(options_.regions));
-  reg.gauge(prefix + ".workers", static_cast<double>(options_.workers),
-            static_cast<double>(options_.workers));
-  reg.counter(prefix + ".packets", stats_.packetsProcessed);
-  reg.counter(prefix + ".alerts", stats_.alertsRaised);
-  exchange_->collectMetrics(reg, prefix + ".exchange");
 }
 
 }  // namespace kalis::fleet

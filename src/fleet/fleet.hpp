@@ -3,10 +3,11 @@
 //
 // Topology and ownership. Homes are partitioned into regions by contiguous
 // index ranges, and regions are partitioned across workers the same way —
-// so every home, region inbox, region table and region log has exactly one
-// owning worker thread. Homes are *built* on their owning worker (the KB
-// ownership checker binds there) and only ever touched by it; the sole MPSC
-// structures are the global inbox and the finish deposit.
+// so every home, region inbox, up-buffer, table, log and tally has exactly
+// one owning worker thread. Homes are *built* on their owning worker (the
+// KB ownership checker binds there) and only ever touched by it. The global
+// tier is touched only in the barrier's completion step, so the barrier is
+// the fleet's only synchronization.
 //
 // Round structure. All workers advance their homes in lockstep scheduling
 // rounds of kRoundQuantum virtual time, separated by a generation barrier
@@ -17,7 +18,7 @@
 //     per home: pull region log → step(round) → publish changed collective
 //     every regionSyncEvery rounds: syncRegion for owned regions
 //   barrier completion (one thread):
-//     every globalSyncEvery rounds: syncGlobal
+//     every globalSyncEvery rounds: syncGlobal (up-buffers in region order)
 //     propagation bookkeeping, stop decision
 //
 // Bounded staleness. A knowgget published in round R is visible in every
@@ -29,10 +30,10 @@
 //
 // Shutdown reconciliation (mirrors the flat exchange): after the last
 // round, each worker deposits every owned home's final own collective set
-// (finishChild); the barrier completion step runs reconcile(); a final
-// parallel pass applies the converged global snapshot downward into every
-// region table and home KB — so all homes end with the same collective
-// view regardless of interleaving or drop-oldest evictions.
+// (finishChild, into the home's own slot); the barrier completion step
+// runs reconcile(); a final parallel pass applies the converged global
+// snapshot downward into every region table and home KB — so all homes end
+// with the same collective view regardless of drop-oldest evictions.
 #pragma once
 
 #include <condition_variable>
@@ -40,12 +41,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "fleet/hier_exchange.hpp"
 #include "fleet/home_model.hpp"
-#include "util/metrics.hpp"
 #include "util/types.hpp"
 
 namespace kalis::fleet {
@@ -114,10 +113,8 @@ class Fleet {
   struct Stats {
     std::uint64_t packetsProcessed = 0;
     std::uint64_t alertsRaised = 0;
-    std::uint64_t attackPacketsMissed = 0;
     HierarchicalExchange::Stats exchange;
     std::size_t homeHeapBytes = 0;      ///< sum of HomeNode::memoryBytes
-    std::size_t homeInlineBytes = 0;    ///< homes * sizeof(HomeNode)
     std::size_t baselineBytes = 0;      ///< shared segments, counted once each
     PropagationReport propagation;
   };
@@ -142,8 +139,6 @@ class Fleet {
   /// The collective view of home `h` after run() — the convergence set the
   /// reconciliation tests compare across homes.
   std::vector<ids::Knowgget> homeCollectiveView(std::size_t h) const;
-
-  void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
 
  private:
   struct WorkerRange {
@@ -182,7 +177,6 @@ class Fleet {
   struct WorkerTally {
     std::uint64_t packets = 0;
     std::uint64_t alerts = 0;
-    std::uint64_t missed = 0;
     std::uint32_t learnedRound = UINT32_MAX;  ///< origin activation, if owned
   };
   std::vector<WorkerTally> tallies_;

@@ -1,6 +1,23 @@
 #include "fleet/hier_exchange.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace kalis::fleet {
+
+namespace {
+
+/// Appends `item` to a drop-oldest FIFO of `capacity` entries; true when
+/// the oldest entry was evicted to make room.
+bool pushDropOldest(std::deque<TierItem>& fifo, std::size_t capacity,
+                    TierItem item) {
+  const bool full = fifo.size() >= capacity;
+  if (full) fifo.pop_front();
+  fifo.push_back(std::move(item));
+  return full;
+}
+
+}  // namespace
 
 TierTable::Apply TierTable::apply(const ids::Knowgget& k) {
   const std::string key = ids::encodeKey(k.creator, k.label, k.entity);
@@ -16,180 +33,138 @@ TierTable::Apply TierTable::apply(const ids::Knowgget& k) {
 }
 
 HierarchicalExchange::HierarchicalExchange(Options options)
-    : globalInbox_(options.globalInboxCapacity),
+    : regionInboxCapacity_(
+          std::max<std::size_t>(1, options.regionInboxCapacity)),
+      globalInboxCapacity_(
+          std::max<std::size_t>(1, options.globalInboxCapacity)),
       globalLog_(options.globalLogCapacity),
-      homes_(options.homes) {
+      finalKnowledge_(options.homes) {
   const std::size_t regions = options.regions == 0 ? 1 : options.regions;
   regions_.reserve(regions);
   for (std::size_t r = 0; r < regions; ++r) {
-    regions_.push_back(std::make_unique<Region>(options.regionInboxCapacity,
-                                                options.regionLogCapacity));
+    regions_.emplace_back(options.regionLogCapacity);
   }
-  finalKnowledge_.resize(homes_);
 }
 
-void HierarchicalExchange::publishFromHome(std::size_t home, std::size_t region,
+void HierarchicalExchange::publishFromHome(std::size_t /*home*/,
+                                           std::size_t region,
                                            const ids::Knowgget& k, SimTime at) {
-  published_.fetch_add(1, std::memory_order_relaxed);
-  RemoteKnowgget item;
-  item.knowgget = k;
-  item.fromShard = home;
-  item.publishedAt = at;
-  if (regions_[region]->inbox.deliver(item) ==
-      KnowledgeInbox::Deliver::kDroppedOldest) {
-    regionDropped_.fetch_add(1, std::memory_order_relaxed);
+  Region& owner = regions_[region];
+  ++owner.tally.published;
+  if (pushDropOldest(owner.inbox, regionInboxCapacity_, {k, at})) {
+    ++owner.tally.regionDropped;
   }
 }
 
-TierTable::Apply HierarchicalExchange::applyToRegion(std::size_t r,
-                                                     const RemoteKnowgget& item,
-                                                     bool forwardUp) {
-  Region& region = *regions_[r];
-  const TierTable::Apply verdict = region.table.apply(item.knowgget);
-  switch (verdict) {
+void HierarchicalExchange::applyToRegion(Region& region, const TierItem& item,
+                                         bool forwardUp) {
+  switch (region.table.apply(item.knowgget)) {
     case TierTable::Apply::kAccepted:
-      regionAccepted_.fetch_add(1, std::memory_order_relaxed);
+      ++region.tally.regionAccepted;
       // Changed entries fan down to the region's homes, and (on the upward
       // path only) up toward the global tier. Unchanged entries stop here —
       // that is what keeps the up/down circulation loop-free.
       region.log.append(item);
       if (forwardUp) {
-        globalForwarded_.fetch_add(1, std::memory_order_relaxed);
-        if (globalInbox_.deliver(item) ==
-            KnowledgeInbox::Deliver::kDroppedOldest) {
-          globalDropped_.fetch_add(1, std::memory_order_relaxed);
+        ++region.tally.globalForwarded;
+        if (pushDropOldest(region.up, globalInboxCapacity_, item)) {
+          ++region.tally.globalDropped;
         }
       }
       break;
     case TierTable::Apply::kRejected:
-      regionRejected_.fetch_add(1, std::memory_order_relaxed);
+      ++region.tally.regionRejected;
       break;
     case TierTable::Apply::kUnchanged:
       break;
   }
-  return verdict;
 }
 
 std::size_t HierarchicalExchange::syncRegion(std::size_t r) {
-  const std::size_t drained =
-      regions_[r]->inbox.drain([&](const RemoteKnowgget& item) {
-        applyToRegion(r, item, /*forwardUp=*/true);
-      });
-  if (drained > 0) regionDrained_.fetch_add(drained, std::memory_order_relaxed);
+  Region& region = regions_[r];
+  const std::size_t drained = region.inbox.size();
+  for (const TierItem& item : region.inbox) {
+    applyToRegion(region, item, /*forwardUp=*/true);
+    region.inboxWatermark = std::max(region.inboxWatermark, item.publishedAt);
+  }
+  region.inbox.clear();
+  region.tally.regionDrained += drained;
   return drained;
+}
+
+TierTable::Apply HierarchicalExchange::applyToGlobal(const ids::Knowgget& k) {
+  const TierTable::Apply verdict = globalTable_.apply(k);
+  if (verdict == TierTable::Apply::kAccepted) ++globalTally_.globalAccepted;
+  if (verdict == TierTable::Apply::kRejected) ++globalTally_.globalRejected;
+  return verdict;
 }
 
 std::size_t HierarchicalExchange::syncGlobal() {
-  const std::size_t drained = globalInbox_.drain([&](const RemoteKnowgget& item) {
-    switch (globalTable_.apply(item.knowgget)) {
-      case TierTable::Apply::kAccepted:
-        ++globalAccepted_;
+  // The up-buffers in region order form one upward stream. Like a single
+  // drop-oldest inbox of globalInboxCapacity, it keeps the newest entries,
+  // so the survivors do not depend on which worker synced first.
+  std::size_t pending = 0;
+  for (const Region& region : regions_) pending += region.up.size();
+  const std::size_t dropped =
+      pending > globalInboxCapacity_ ? pending - globalInboxCapacity_ : 0;
+  globalTally_.globalDropped += dropped;
+  globalTally_.globalDrained += pending - dropped;
+  std::size_t seen = 0;
+  for (Region& region : regions_) {
+    for (const TierItem& item : region.up) {
+      if (seen++ < dropped) continue;
+      if (applyToGlobal(item.knowgget) == TierTable::Apply::kAccepted) {
         globalLog_.append(item);
-        break;
-      case TierTable::Apply::kRejected:
-        ++globalRejected_;
-        break;
-      case TierTable::Apply::kUnchanged:
-        break;
+      }
+      globalWatermark_ = std::max(globalWatermark_, item.publishedAt);
     }
-  });
-  if (drained > 0) globalDrained_.fetch_add(drained, std::memory_order_relaxed);
-  return drained;
+    region.up.clear();
+  }
+  return pending - dropped;
 }
 
 std::size_t HierarchicalExchange::pullGlobalIntoRegion(std::size_t r) {
-  Region& region = *regions_[r];
+  Region& region = regions_[r];
   // Downward only: entries from the global tier must not bounce back up
-  // through the global inbox. Cursor overruns stay in the cursor's missed
-  // tally; reconcile() sums them while quiescent.
-  return globalLog_.poll(region.globalCursor, [&](const RemoteKnowgget& item) {
-    applyToRegion(r, item, /*forwardUp=*/false);
+  // through the up-buffer. Cursor overruns stay in the cursor's missed
+  // tally; stats() sums them.
+  return globalLog_.poll(region.globalCursor, [&](const TierItem& item) {
+    applyToRegion(region, item, /*forwardUp=*/false);
   });
 }
 
 void HierarchicalExchange::finishChild(std::size_t home,
                                        std::vector<ids::Knowgget> finalOwn) {
-  std::lock_guard<std::mutex> lock(finishMu_);
   finalKnowledge_[home] = std::move(finalOwn);
-  ++finishedCount_;
-}
-
-bool HierarchicalExchange::allChildrenFinished() const {
-  std::lock_guard<std::mutex> lock(finishMu_);
-  return finishedCount_ >= homes_;
 }
 
 void HierarchicalExchange::reconcile() {
-  // Pending upward traffic first: region inboxes feed the global inbox, so
+  // Pending upward traffic first: region inboxes feed the up-buffers, so
   // the order region → global empties everything in one pass.
   for (std::size_t r = 0; r < regions_.size(); ++r) syncRegion(r);
   syncGlobal();
   // Fold every home's deposited finals into the global view, in home order
-  // (deterministic). This repairs anything the drop-oldest rings evicted.
-  std::vector<std::vector<ids::Knowgget>> finals;
-  {
-    std::lock_guard<std::mutex> lock(finishMu_);
-    finals = finalKnowledge_;
-  }
-  for (const auto& finalOwn : finals) {
-    for (const ids::Knowgget& k : finalOwn) {
-      switch (globalTable_.apply(k)) {
-        case TierTable::Apply::kAccepted:
-          ++globalAccepted_;
-          break;
-        case TierTable::Apply::kRejected:
-          ++globalRejected_;
-          break;
-        case TierTable::Apply::kUnchanged:
-          break;
-      }
-    }
-  }
-  // Sum the region cursors' missed tallies while quiescent — the exact
-  // count of global-log entries that overran a region reader.
-  globalLogMissed_ = 0;
-  for (const auto& region : regions_) {
-    globalLogMissed_ += region->globalCursor.missed;
+  // (deterministic). This repairs anything the drop-oldest FIFOs evicted.
+  for (const auto& finalOwn : finalKnowledge_) {
+    for (const ids::Knowgget& k : finalOwn) applyToGlobal(k);
   }
 }
 
 HierarchicalExchange::Stats HierarchicalExchange::stats() const {
-  Stats s;
-  s.published = published_.load(std::memory_order_relaxed);
-  s.regionDrained = regionDrained_.load(std::memory_order_relaxed);
-  s.regionDropped = regionDropped_.load(std::memory_order_relaxed);
-  s.globalForwarded = globalForwarded_.load(std::memory_order_relaxed);
-  s.globalDrained = globalDrained_.load(std::memory_order_relaxed);
-  s.globalDropped = globalDropped_.load(std::memory_order_relaxed);
-  s.regionAccepted = regionAccepted_.load(std::memory_order_relaxed);
-  s.regionRejected = regionRejected_.load(std::memory_order_relaxed);
-  s.globalAccepted = globalAccepted_;
-  s.globalRejected = globalRejected_;
-  s.regionLogMissed = regionLogMissed_.load(std::memory_order_relaxed);
-  s.globalLogMissed = globalLogMissed_;
-  return s;
-}
-
-void HierarchicalExchange::collectMetrics(obs::Registry& reg,
-                                          const std::string& prefix) const {
-  const Stats s = stats();
-  reg.counter(prefix + ".published", s.published);
-  reg.counter(prefix + ".region_drained", s.regionDrained);
-  reg.counter(prefix + ".region_dropped", s.regionDropped);
-  reg.counter(prefix + ".global_forwarded", s.globalForwarded);
-  reg.counter(prefix + ".global_drained", s.globalDrained);
-  reg.counter(prefix + ".global_dropped", s.globalDropped);
-  reg.counter(prefix + ".region_accepted", s.regionAccepted);
-  reg.counter(prefix + ".region_rejected", s.regionRejected);
-  reg.counter(prefix + ".global_accepted", s.globalAccepted);
-  reg.counter(prefix + ".global_rejected", s.globalRejected);
-  reg.counter(prefix + ".region_log_missed", s.regionLogMissed);
-  reg.counter(prefix + ".global_log_missed", s.globalLogMissed);
-  globalInbox_.collectMetrics(reg, prefix + ".global_inbox");
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
-    regions_[r]->inbox.collectMetrics(reg,
-                                      prefix + ".region_inbox." + std::to_string(r));
+  Stats s = globalTally_;
+  for (const Region& region : regions_) {
+    const Stats& t = region.tally;
+    s.published += t.published;
+    s.regionDrained += t.regionDrained;
+    s.regionDropped += t.regionDropped;
+    s.globalForwarded += t.globalForwarded;
+    s.globalDropped += t.globalDropped;
+    s.regionAccepted += t.regionAccepted;
+    s.regionRejected += t.regionRejected;
+    s.regionLogMissed += t.regionLogMissed;
+    s.globalLogMissed += region.globalCursor.missed;
   }
+  return s;
 }
 
 }  // namespace kalis::fleet

@@ -2,22 +2,22 @@
 //
 // The flat KnowledgeExchange of kalis::pipeline fans every publish out to
 // every peer — O(shards²) deliveries, fine for a handful of shards, fatal
-// for 100k homes. HierarchicalExchange generalizes the same machinery into
-// the paper's natural deployment shape:
+// for 100k homes. HierarchicalExchange carries the same one-way knowledge
+// flow in the paper's natural deployment shape:
 //
 //     home ──publish──▶ region inbox ──syncRegion──▶ region table
 //                                          │              │
 //                                          ▼              ▼
-//                                    global inbox    region log ──▶ homes
+//                                    region up-buffer  region log ──▶ homes
 //                                          │
-//                                     syncGlobal
+//                              syncGlobal (region order)
 //                                          ▼
 //                                    global table ──▶ global log ──▶ regions
 //
-// Every tier reuses the primitives already proven in the flat exchange:
-//   - KnowledgeInbox (pipeline/knowledge_exchange.hpp): bounded drop-oldest
-//     ring + applied watermark. Region inboxes are single-producer (the
-//     worker that owns the region's homes), the global inbox is MPSC.
+// The tier primitives:
+//   - Region inbox and up-buffer: bounded drop-oldest FIFOs of TierItems.
+//     The inbox keeps an applied watermark; the up-buffers, merged in
+//     region order, are the global tier's inbox.
 //   - TierTable: the tier's merged view under the paper's one-way update
 //     rule — an entry may only be created/updated by its original creator;
 //     same-value re-applies are "unchanged" and are NOT re-forwarded, which
@@ -27,42 +27,48 @@
 //     entry (readers keep a cursor; falling behind the ring counts as
 //     `missed` — the overflow-accounting analogue of droppedInFlight).
 //
-// Synchronization model: all log/table state of a tier is written only by
-// the tier's owning worker (regions) or inside the round-barrier completion
-// step (global), and readers only advance cursors between barriers — the
-// barrier's happens-before makes plain (non-atomic) log memory TSan-clean.
-// Only the inboxes and the reconciliation deposit are cross-thread.
+// Synchronization model: every piece of state has exactly one writer
+// between two crossings of the fleet's round barrier. A region's inbox,
+// up-buffer, table, log, cursor and tallies belong to the worker that owns
+// the region; the global tier, the up-buffers' merge and the shutdown
+// reconciliation run only in the barrier's completion step; each home's
+// final deposit slot is written by its owning worker and read in that
+// step. The barrier's happens-before orders all of it, so nothing here is
+// atomic or locked.
 //
 // Shutdown reconciliation mirrors the flat exchange: each home's final own
 // collective set is deposited (finishChild), reconcile() drains every inbox
 // and folds the finals into the global table, and a final downward pass
 // applies the global snapshot to every region and home — convergence
-// regardless of interleaving or in-flight drop-oldest evictions.
+// regardless of drop-oldest evictions.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kalis/knowledge.hpp"
-#include "pipeline/knowledge_exchange.hpp"
-#include "util/metrics.hpp"
 #include "util/types.hpp"
 
 namespace kalis::fleet {
 
-using pipeline::KnowledgeInbox;
-using pipeline::RemoteKnowgget;
+/// A collective knowgget in flight through the tiers, stamped with the
+/// publishing home's clock.
+struct TierItem {
+  ids::Knowgget knowgget;
+  SimTime publishedAt = 0;
+};
 
 /// A bounded, single-writer broadcast ring with monotonically increasing
 /// sequence numbers. The writer appends; any number of readers each hold a
 /// Cursor and poll for entries newer than their position. A reader that
 /// falls more than `capacity` entries behind loses the overwritten ones —
-/// they are tallied in Cursor::missed, never silently skipped.
+/// they are tallied in Cursor::missed, never silently skipped. The ring
+/// grows to `capacity` as entries arrive, so a log nobody writes costs
+/// nothing.
 ///
 /// NOT internally synchronized: writer and readers must be ordered by an
 /// external happens-before (the fleet's round barrier).
@@ -74,11 +80,15 @@ class BroadcastLog {
   };
 
   explicit BroadcastLog(std::size_t capacity)
-      : entries_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// Appends one entry, overwriting the oldest once full.
-  void append(const RemoteKnowgget& item) {
-    entries_[head_ % entries_.size()] = item;
+  void append(const TierItem& item) {
+    if (entries_.size() < capacity_) {
+      entries_.push_back(item);
+    } else {
+      entries_[head_ % capacity_] = item;
+    }
     ++head_;
   }
 
@@ -87,24 +97,24 @@ class BroadcastLog {
   template <typename Fn>
   std::size_t poll(Cursor& cursor, Fn&& fn) const {
     if (cursor.next >= head_) return 0;
-    const std::uint64_t oldest =
-        head_ > entries_.size() ? head_ - entries_.size() : 0;
+    const std::uint64_t oldest = head_ > capacity_ ? head_ - capacity_ : 0;
     if (cursor.next < oldest) {
       cursor.missed += oldest - cursor.next;
       cursor.next = oldest;
     }
     std::size_t read = 0;
     for (; cursor.next < head_; ++cursor.next, ++read) {
-      fn(entries_[cursor.next % entries_.size()]);
+      fn(entries_[cursor.next % capacity_]);
     }
     return read;
   }
 
   std::uint64_t head() const { return head_; }
-  std::size_t capacity() const { return entries_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
  private:
-  std::vector<RemoteKnowgget> entries_;
+  std::vector<TierItem> entries_;  ///< grows to capacity_, then wraps
+  std::size_t capacity_;
   std::uint64_t head_ = 0;  ///< total appends; next sequence to assign
 };
 
@@ -129,22 +139,22 @@ class TierTable {
 };
 
 /// The home → region → global exchange. Indices: homes and regions are
-/// dense [0, N); `fromShard` in RemoteKnowgget carries the publishing home.
+/// dense [0, N).
 class HierarchicalExchange {
  public:
   struct Options {
     std::size_t regions = 1;
-    std::size_t regionInboxCapacity = 256;  ///< per-region home→region ring
-    std::size_t globalInboxCapacity = 1024; ///< region→global ring (MPSC)
+    std::size_t regionInboxCapacity = 256;  ///< per-region home→region FIFO
+    std::size_t globalInboxCapacity = 1024; ///< region→global, kept per sync
     std::size_t regionLogCapacity = 256;    ///< region→home broadcast ring
     std::size_t globalLogCapacity = 1024;   ///< global→region broadcast ring
-    std::size_t homes = 0;                  ///< for finishChild accounting
+    std::size_t homes = 0;                  ///< finishChild deposit slots
   };
 
-  /// Exact tallies. Inbox counters are atomics (crossed by worker threads);
-  /// table/log counters are owned by the barrier structure and read after
-  /// shutdown. Once the exchange is quiescent and reconciled, two identities
-  /// must close exactly — any gap is an *unaccounted* loss (a bug):
+  /// Exact tallies, summed over the regions' own counters and the global
+  /// tier's; read while quiescent. Once the exchange is reconciled, two
+  /// identities must close exactly — any gap is an *unaccounted* loss (a
+  /// bug):
   ///   published       == regionDrained + regionDropped
   ///   globalForwarded == globalDrained + globalDropped
   struct Stats {
@@ -152,33 +162,39 @@ class HierarchicalExchange {
     std::uint64_t regionDrained = 0;    ///< items drained from region inboxes
     std::uint64_t regionDropped = 0;    ///< region-inbox drop-oldest evictions
     std::uint64_t globalForwarded = 0;  ///< region-accepted items sent upward
-    std::uint64_t globalDrained = 0;    ///< items drained from the global inbox
-    std::uint64_t globalDropped = 0;    ///< global-inbox drop-oldest evictions
+    std::uint64_t globalDrained = 0;    ///< items applied by syncGlobal
+    std::uint64_t globalDropped = 0;    ///< upward drop-oldest evictions
     std::uint64_t regionAccepted = 0;   ///< region-table accepts
     std::uint64_t regionRejected = 0;   ///< region-table one-way refusals
     std::uint64_t globalAccepted = 0;
     std::uint64_t globalRejected = 0;
     std::uint64_t regionLogMissed = 0;  ///< home cursors overrun (summed)
     std::uint64_t globalLogMissed = 0;  ///< region cursors overrun (summed)
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   explicit HierarchicalExchange(Options options);
 
   // --- upward flow ----------------------------------------------------------
 
-  /// Home `home` publishes one changed collective knowgget at its clock
-  /// `at`. Never blocks (drop-oldest region inbox). Any thread.
+  /// Home `home` of region `region` publishes one changed collective
+  /// knowgget at its clock `at`. Never blocks (drop-oldest region inbox).
+  /// The region's owning worker only.
   void publishFromHome(std::size_t home, std::size_t region,
                        const ids::Knowgget& k, SimTime at);
 
   /// Drains region `r`'s inbox into its table; accepted entries go to the
-  /// region log (for homes) and the global inbox (for the fleet). Owning
-  /// worker only. Returns entries drained.
+  /// region log (for homes) and the region's up-buffer (for the fleet),
+  /// which keeps the newest globalInboxCapacity of them. Owning worker
+  /// only. Returns entries drained.
   std::size_t syncRegion(std::size_t r);
 
-  /// Drains the global inbox into the global table; accepted entries go to
-  /// the global log. Single-threaded: call from the barrier completion step
-  /// only. Returns entries drained.
+  /// Takes every region's up-buffer, in region order, keeps the newest
+  /// globalInboxCapacity entries of the lot (the rest count as
+  /// globalDropped) and applies them to the global table; accepted entries
+  /// go to the global log. Barrier completion step only. Returns entries
+  /// applied.
   std::size_t syncGlobal();
 
   // --- downward flow --------------------------------------------------------
@@ -193,30 +209,25 @@ class HierarchicalExchange {
   template <typename Fn>
   std::size_t pullRegionIntoHome(std::size_t r, BroadcastLog::Cursor& cursor,
                                  Fn&& fn) const {
-    return regions_[r]->log.poll(cursor, std::forward<Fn>(fn));
+    return regions_[r].log.poll(cursor, std::forward<Fn>(fn));
   }
 
   // --- bounded staleness ----------------------------------------------------
 
   SimTime regionWatermark(std::size_t r) const {
-    return regions_[r]->inbox.appliedWatermark();
+    return regions_[r].inboxWatermark;
   }
-  SimTime globalWatermark() const { return globalInbox_.appliedWatermark(); }
+  SimTime globalWatermark() const { return globalWatermark_; }
 
   // --- shutdown reconciliation ---------------------------------------------
 
-  /// Deposits home `home`'s final own collective knowggets. Thread-safe;
-  /// call exactly once per home during shutdown.
+  /// Deposits home `home`'s final own collective knowggets into the home's
+  /// slot. The home's owning worker, once per home, during shutdown.
   void finishChild(std::size_t home, std::vector<ids::Knowgget> finalOwn);
 
-  /// True once every home deposited. (The fleet's barrier already provides
-  /// the rendezvous; this is the accounting check.)
-  bool allChildrenFinished() const;
-
-  /// Drains every region inbox + the global inbox into the global table,
-  /// then folds in all deposited finals — repairing drop-oldest evictions.
-  /// Single-threaded (barrier completion step). Requires
-  /// allChildrenFinished().
+  /// Drains every region inbox and up-buffer into the global table, then
+  /// folds in all deposited finals — repairing drop-oldest evictions.
+  /// Barrier completion step only, after every home deposited.
   void reconcile();
 
   /// The converged global view after reconcile(), for the downward pass.
@@ -224,53 +235,43 @@ class HierarchicalExchange {
     return globalTable_.entries();
   }
 
-  /// Charges a home cursor's missed tally into Stats (call while quiescent,
-  /// e.g. during the downward reconciliation pass).
-  void chargeRegionLogMissed(std::uint64_t missed) {
-    regionLogMissed_.fetch_add(missed, std::memory_order_relaxed);
+  /// Charges a home cursor's missed tally of region `r`'s log into Stats.
+  /// The region's owning worker, during the downward reconciliation pass.
+  void chargeRegionLogMissed(std::size_t r, std::uint64_t missed) {
+    regions_[r].tally.regionLogMissed += missed;
   }
 
   Stats stats() const;
 
-  /// Appends tier counters + per-inbox ring metrics under `prefix`
-  /// (e.g. "fleet.exchange"). Call while quiescent.
-  void collectMetrics(obs::Registry& reg, const std::string& prefix) const;
-
  private:
   struct Region {
-    Region(std::size_t inboxCap, std::size_t logCap)
-        : inbox(inboxCap), log(logCap) {}
-    KnowledgeInbox inbox;        ///< home → region (single producer: owner)
-    TierTable table;             ///< region's merged view (owner-only)
-    BroadcastLog log;            ///< region → home fan-out (owner writes)
+    explicit Region(std::size_t logCap) : log(logCap) {}
+    std::deque<TierItem> inbox;  ///< home → region, drop-oldest
+    SimTime inboxWatermark = 0;  ///< highest publishedAt drained
+    std::deque<TierItem> up;     ///< region → global, drop-oldest
+    TierTable table;             ///< region's merged view
+    BroadcastLog log;            ///< region → home fan-out
     BroadcastLog::Cursor globalCursor;  ///< position in the global log
+    /// The region's own counters; globalDropped counts its up-buffer's
+    /// drops. globalDrained, globalAccepted and globalRejected belong to
+    /// the global tier, and globalLogMissed is globalCursor.missed.
+    Stats tally;
   };
 
-  TierTable::Apply applyToRegion(std::size_t r, const RemoteKnowgget& item,
-                                 bool forwardUp);
+  void applyToRegion(Region& region, const TierItem& item, bool forwardUp);
+  TierTable::Apply applyToGlobal(const ids::Knowgget& k);
 
-  std::vector<std::unique_ptr<Region>> regions_;
-  KnowledgeInbox globalInbox_;   ///< region → global (MPSC)
-  TierTable globalTable_;        ///< fleet-wide view (barrier-completion only)
+  std::size_t regionInboxCapacity_;
+  std::size_t globalInboxCapacity_;
+  std::vector<Region> regions_;
+  TierTable globalTable_;        ///< fleet-wide view
   BroadcastLog globalLog_;       ///< global → region fan-out
+  SimTime globalWatermark_ = 0;  ///< highest publishedAt applied globally
+  /// The global tier's counters: globalDrained, globalAccepted,
+  /// globalRejected and the globalDropped of syncGlobal's merge.
+  Stats globalTally_;
 
-  std::atomic<std::uint64_t> published_{0};
-  std::atomic<std::uint64_t> regionDrained_{0};
-  std::atomic<std::uint64_t> regionDropped_{0};
-  std::atomic<std::uint64_t> globalForwarded_{0};
-  std::atomic<std::uint64_t> globalDrained_{0};
-  std::atomic<std::uint64_t> globalDropped_{0};
-  std::atomic<std::uint64_t> regionAccepted_{0};
-  std::atomic<std::uint64_t> regionRejected_{0};
-  std::atomic<std::uint64_t> regionLogMissed_{0};
-  std::uint64_t globalAccepted_ = 0;   ///< barrier-completion only
-  std::uint64_t globalRejected_ = 0;   ///< barrier-completion only
-  std::uint64_t globalLogMissed_ = 0;  ///< summed region cursors (quiescent)
-
-  mutable std::mutex finishMu_;
-  std::vector<std::vector<ids::Knowgget>> finalKnowledge_;
-  std::size_t finishedCount_ = 0;
-  std::size_t homes_ = 0;
+  std::vector<std::vector<ids::Knowgget>> finalKnowledge_;  ///< per home
 };
 
 }  // namespace kalis::fleet

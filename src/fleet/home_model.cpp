@@ -64,8 +64,7 @@ HomeProfile sampleHome(std::uint64_t fleetSeed, std::uint32_t homeIndex,
 HomeNode::HomeNode(std::uint32_t index, HomeProfile profile,
                    std::uint64_t fleetSeed,
                    std::shared_ptr<const ids::BaselineSegment> baseline)
-    : index_(index),
-      profile_(profile),
+    : profile_(profile),
       rng_(fleetSeed ^ (0x9e6c63d0876a9a67ull * (index + 1))),
       kb_(homeId(index)) {
   if (baseline != nullptr) {
@@ -107,17 +106,12 @@ HomeNode::StepStats HomeNode::step(std::uint32_t round, SimTime now,
     const bool malicious = i >= profile_.packetsPerRound;
     if (malicious) {
       ++attackSeen_;
-      if (knows) {
-        ++st.alerts;
-      } else {
-        ++st.attackMissed;
-      }
+      if (knows) ++st.alerts;
     }
   }
   st.packets = total;
   packetsProcessed_ += total;
   alertsRaised_ += st.alerts;
-  attackMissed_ += st.attackMissed;
 
   // Flood-watchdog stand-in: the busiest device's per-round rate against a
   // fixed multiple of the expected uniform share.

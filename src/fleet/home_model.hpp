@@ -77,7 +77,6 @@ class HomeNode {
   struct StepStats {
     std::uint32_t packets = 0;      ///< packet events processed this step
     std::uint32_t alerts = 0;       ///< signature detections raised
-    std::uint32_t attackMissed = 0; ///< attack packets seen without the signature
     bool learned = false;           ///< activated the signature this step
   };
 
@@ -87,8 +86,6 @@ class HomeNode {
   HomeNode(std::uint32_t index, HomeProfile profile, std::uint64_t fleetSeed,
            std::shared_ptr<const ids::BaselineSegment> baseline);
 
-  std::uint32_t index() const { return index_; }
-  const HomeProfile& profile() const { return profile_; }
   ids::KnowledgeBase& kb() { return kb_; }
   const ids::KnowledgeBase& kb() const { return kb_; }
 
@@ -111,7 +108,6 @@ class HomeNode {
 
   std::uint64_t packetsProcessed() const { return packetsProcessed_; }
   std::uint32_t alertsRaised() const { return alertsRaised_; }
-  std::uint32_t attackPacketsMissed() const { return attackMissed_; }
 
   /// Collective knowggets visible to this home (own + applied remote) —
   /// the convergence set of the reconciliation tests.
@@ -136,13 +132,11 @@ class HomeNode {
 
   void refreshSignature(const ids::Knowgget& k);
 
-  std::uint32_t index_ = 0;
   HomeProfile profile_;
   std::uint64_t rng_ = 0;
   std::uint64_t knownSignatures_ = 0;  ///< bitmask over signature ids 0..63
   std::uint64_t packetsProcessed_ = 0;
   std::uint32_t alertsRaised_ = 0;
-  std::uint32_t attackMissed_ = 0;
   std::uint32_t attackSeen_ = 0;
   bool learned_ = false;
   std::array<std::uint16_t, kMaxDevices> deviceCounts_{};  ///< per-round

@@ -48,23 +48,20 @@
 
 namespace kalis::pipeline {
 
-/// A collective knowgget in flight between knowledge domains. `fromShard`
-/// is the publishing child's index in whatever topology carries the item —
-/// a shard of the flat cross-shard exchange, or a home/region of the
-/// hierarchical fleet exchange (src/fleet).
+/// A collective knowgget in flight between shards of the flat cross-shard
+/// exchange. `fromShard` is the publishing shard's index.
 struct RemoteKnowgget {
   ids::Knowgget knowgget;
   std::size_t fromShard = 0;
   SimTime publishedAt = 0;  ///< publisher's clock at publish time
 };
 
-/// One bounded drop-oldest inbox of in-flight knowggets plus its applied
-/// watermark — the tier primitive shared by the flat cross-shard
-/// KnowledgeExchange below and the hierarchical fleet exchange
-/// (src/fleet/hier_exchange.hpp). deliver() never blocks (any thread);
-/// drain() is single-consumer and advances the watermark to the highest
-/// publisher clock it handed out, giving every tier the same
-/// bounded-staleness accounting.
+/// One shard's bounded drop-oldest inbox of in-flight knowggets plus its
+/// applied watermark, for the flat cross-shard KnowledgeExchange below.
+/// deliver() never blocks (any thread); drain() is single-consumer and
+/// advances the watermark to the highest publisher clock it handed out,
+/// the shard's bounded-staleness accounting. (The fleet's hierarchical
+/// exchange has its own owner-only tier queues: src/fleet/hier_exchange.hpp.)
 class KnowledgeInbox {
  public:
   enum class Deliver : std::uint8_t {

@@ -80,13 +80,7 @@ chaos::RunOutput runTraceReplayWorkload(std::uint64_t seed,
   out.alerts = pipe.alerts();
   out.siemLines = ids::toSiemLines(out.alerts);
   out.pipelineStats = pipe.stats();
-  const chaos::LinkChaos::Stats& a = rec.benign.linkFaults;
-  const chaos::LinkChaos::Stats& b = rec.withAttack.linkFaults;
-  out.linkRxDropped = a.rxDropped + b.rxDropped;
-  out.linkCorrupted = a.corrupted + b.corrupted;
-  out.linkDuplicated = a.duplicated + b.duplicated;
-  out.linkDelayed = a.delayed + b.delayed;
-  out.crashes = a.crashes + b.crashes;
+  out.linkFaults = rec.benign.linkFaults + rec.withAttack.linkFaults;
   return out;
 }
 

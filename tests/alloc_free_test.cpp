@@ -6,7 +6,8 @@
 // the way the benchmark's traced pass does: run the simulator up to the
 // packet, dissect it, feed it. The pipeline's rings recycle their items'
 // storage (DESIGN.md §7), so a warm PacketRing or KnowledgeInbox moves
-// items through without allocating.
+// items through without allocating, and a fleet BroadcastLog allocates
+// nothing until an entry arrives.
 //
 // A separate executable from kalis_tests: the global operator new
 // replacement below, which counts heap allocations per thread, would switch
@@ -19,6 +20,7 @@
 #include <new>
 #include <vector>
 
+#include "fleet/hier_exchange.hpp"
 #include "kalis/kalis_node.hpp"
 #include "net/codec.hpp"
 #include "pipeline/knowledge_exchange.hpp"
@@ -301,6 +303,15 @@ TEST(AllocationCount, KnowledgeInboxRecyclesStringsAfterWarmUp) {
   }
   EXPECT_EQ(tAllocations - before, 0u) << "over " << seen << " knowggets";
   EXPECT_GT(seen, kCycles);
+}
+
+// A fleet region log grows to its capacity as entries arrive (DESIGN.md
+// §11), so the logs of regions nothing was published in cost no heap.
+TEST(AllocationCount, FleetBroadcastLogReservesNothingUpFront) {
+  const std::uint64_t before = tAllocations;
+  const fleet::BroadcastLog log(1024);
+  EXPECT_EQ(tAllocations - before, 0u);
+  EXPECT_EQ(log.capacity(), 1024u);
 }
 
 }  // namespace

@@ -145,9 +145,7 @@ TEST(ChaosZero, WorkloadOutputByteIdentical) {
   ASSERT_FALSE(plain.siemLines.empty());
   EXPECT_EQ(plain.siemLines, wrapped.siemLines);
   EXPECT_EQ(plain.packetsFed, wrapped.packetsFed);
-  EXPECT_EQ(wrapped.linkRxDropped + wrapped.linkCorrupted +
-                wrapped.linkDuplicated + wrapped.linkDelayed + wrapped.crashes,
-            0u);
+  EXPECT_EQ(wrapped.linkFaults.faults(), 0u);
 }
 
 // --- deterministic fault replay ---------------------------------------------------
@@ -158,12 +156,12 @@ TEST(ChaosLink, SamePlanSameSeedReplaysExactly) {
   const RunOutput a = scenarios::runTraceReplayWorkload(5, &*plan, 1);
   const RunOutput b = scenarios::runTraceReplayWorkload(5, &*plan, 1);
   // The faults actually fired...
-  EXPECT_GT(a.linkRxDropped, 0u);
-  EXPECT_GT(a.linkCorrupted + a.linkDuplicated, 0u);
+  EXPECT_GT(a.linkFaults.rxDropped, 0u);
+  EXPECT_GT(a.linkFaults.corrupted + a.linkFaults.duplicated, 0u);
   // ...and fired identically: same tallies, same packets, same alerts.
-  EXPECT_EQ(a.linkRxDropped, b.linkRxDropped);
-  EXPECT_EQ(a.linkCorrupted, b.linkCorrupted);
-  EXPECT_EQ(a.linkDuplicated, b.linkDuplicated);
+  EXPECT_EQ(a.linkFaults.rxDropped, b.linkFaults.rxDropped);
+  EXPECT_EQ(a.linkFaults.corrupted, b.linkFaults.corrupted);
+  EXPECT_EQ(a.linkFaults.duplicated, b.linkFaults.duplicated);
   EXPECT_EQ(a.packetsFed, b.packetsFed);
   EXPECT_EQ(a.siemLines, b.siemLines);
 }
@@ -175,8 +173,8 @@ TEST(ChaosLink, DifferentChaosSeedDifferentFaultSequence) {
   const RunOutput a = scenarios::runTraceReplayWorkload(5, &*planA, 1);
   const RunOutput b = scenarios::runTraceReplayWorkload(5, &*planB, 1);
   // Same knobs, different stream: the runs must not be the same run.
-  EXPECT_NE(std::make_tuple(a.linkRxDropped, a.packetsFed),
-            std::make_tuple(b.linkRxDropped, b.packetsFed));
+  EXPECT_NE(std::make_tuple(a.linkFaults.rxDropped, a.packetsFed),
+            std::make_tuple(b.linkFaults.rxDropped, b.packetsFed));
 }
 
 TEST(ChaosLink, LossReducesDeliveredTraffic) {
@@ -184,7 +182,7 @@ TEST(ChaosLink, LossReducesDeliveredTraffic) {
   ASSERT_TRUE(plan.has_value());
   const RunOutput clean = scenarios::runTraceReplayWorkload(5, nullptr, 1);
   const RunOutput lossy = scenarios::runTraceReplayWorkload(5, &*plan, 1);
-  EXPECT_GT(lossy.linkRxDropped, 0u);
+  EXPECT_GT(lossy.linkFaults.rxDropped, 0u);
   EXPECT_LT(lossy.packetsFed, clean.packetsFed);
 }
 
@@ -216,12 +214,12 @@ TEST(ChaosCrash, NodesCrashAndRestartDeterministically) {
   const auto plan = FaultPlan::parse("crash-s=10,down-s=3");
   ASSERT_TRUE(plan.has_value());
   const RunOutput a = scenarios::runTraceReplayWorkload(5, &*plan, 1);
-  EXPECT_GT(a.crashes, 0u);
+  EXPECT_GT(a.linkFaults.crashes, 0u);
   // Crashed senders transmit nothing while down.
   const RunOutput clean = scenarios::runTraceReplayWorkload(5, nullptr, 1);
   EXPECT_LT(a.packetsFed, clean.packetsFed);
   const RunOutput b = scenarios::runTraceReplayWorkload(5, &*plan, 1);
-  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.linkFaults.crashes, b.linkFaults.crashes);
   EXPECT_EQ(a.packetsFed, b.packetsFed);
 }
 
@@ -394,7 +392,7 @@ TEST(ChaosDiff, MissingAlertUnderInjectedLossIsAccounted) {
   auto subject = outputOf(
       "subject", {alertOf(ids::AttackType::kIcmpFlood, seconds(21),
                           "IcmpFloodModule", "10.0.0.3", {"02:aa"})});
-  subject.linkRxDropped = 57;  // the subject run really did lose frames
+  subject.linkFaults.rxDropped = 57;  // the subject run really did lose frames
   const DiffResult diff = diffAlertStreams(baseline, subject);
   ASSERT_EQ(diff.divergences.size(), 1u);
   EXPECT_EQ(diff.divergences[0].kind, DivergenceKind::kAccountedLoss);

@@ -27,44 +27,38 @@ using fleet::BroadcastLog;
 using fleet::Fleet;
 using fleet::HierarchicalExchange;
 using fleet::HomeNode;
+using fleet::TierItem;
 using fleet::TierTable;
-using pipeline::RemoteKnowgget;
 using test::knowgget;
 using test::viewOf;
 
-RemoteKnowgget remote(const ids::Knowgget& k, std::size_t from, SimTime at) {
-  RemoteKnowgget item;
-  item.knowgget = k;
-  item.fromShard = from;
-  item.publishedAt = at;
-  return item;
-}
+TierItem remote(const ids::Knowgget& k, SimTime at) { return {k, at}; }
 
 // --- broadcast log ----------------------------------------------------------
 
 TEST(FleetBroadcastLog, PollHandsOutEntriesOldestFirst) {
   BroadcastLog log(4);
-  log.append(remote(knowgget("H0", "A", "1"), 0, seconds(1)));
-  log.append(remote(knowgget("H0", "B", "1"), 0, seconds(2)));
+  log.append(remote(knowgget("H0", "A", "1"), seconds(1)));
+  log.append(remote(knowgget("H0", "B", "1"), seconds(2)));
   BroadcastLog::Cursor cursor;
   std::vector<std::string> labels;
-  EXPECT_EQ(log.poll(cursor, [&](const RemoteKnowgget& item) {
+  EXPECT_EQ(log.poll(cursor, [&](const TierItem& item) {
     labels.push_back(item.knowgget.label);
   }), 2u);
   EXPECT_EQ(labels, (std::vector<std::string>{"A", "B"}));
   EXPECT_EQ(cursor.missed, 0u);
   // Nothing new: poll is a no-op.
-  EXPECT_EQ(log.poll(cursor, [&](const RemoteKnowgget&) { FAIL(); }), 0u);
+  EXPECT_EQ(log.poll(cursor, [&](const TierItem&) { FAIL(); }), 0u);
 }
 
 TEST(FleetBroadcastLog, LaggingCursorChargesOverwrittenEntriesAsMissed) {
   BroadcastLog log(2);
   for (int i = 0; i < 5; ++i) {
-    log.append(remote(knowgget("H0", "L" + std::to_string(i), "1"), 0, 0));
+    log.append(remote(knowgget("H0", "L" + std::to_string(i), "1"), 0));
   }
   BroadcastLog::Cursor cursor;
   std::vector<std::string> labels;
-  EXPECT_EQ(log.poll(cursor, [&](const RemoteKnowgget& item) {
+  EXPECT_EQ(log.poll(cursor, [&](const TierItem& item) {
     labels.push_back(item.knowgget.label);
   }), 2u);
   // Capacity 2 of 5 appends: the three oldest are gone, and counted.
@@ -75,12 +69,12 @@ TEST(FleetBroadcastLog, LaggingCursorChargesOverwrittenEntriesAsMissed) {
 
 TEST(FleetBroadcastLog, IndependentCursorsTrackIndependently) {
   BroadcastLog log(8);
-  log.append(remote(knowgget("H0", "A", "1"), 0, 0));
+  log.append(remote(knowgget("H0", "A", "1"), 0));
   BroadcastLog::Cursor fast, slow;
-  EXPECT_EQ(log.poll(fast, [](const RemoteKnowgget&) {}), 1u);
-  log.append(remote(knowgget("H0", "B", "1"), 0, 0));
-  EXPECT_EQ(log.poll(fast, [](const RemoteKnowgget&) {}), 1u);
-  EXPECT_EQ(log.poll(slow, [](const RemoteKnowgget&) {}), 2u);
+  EXPECT_EQ(log.poll(fast, [](const TierItem&) {}), 1u);
+  log.append(remote(knowgget("H0", "B", "1"), 0));
+  EXPECT_EQ(log.poll(fast, [](const TierItem&) {}), 1u);
+  EXPECT_EQ(log.poll(slow, [](const TierItem&) {}), 2u);
 }
 
 // --- tier table -------------------------------------------------------------
@@ -122,7 +116,7 @@ TEST(FleetExchange, KnowggetCrossesRegionBoundaryThroughGlobalTier) {
   EXPECT_EQ(xchg.pullGlobalIntoRegion(1), 1u);
   BroadcastLog::Cursor cursor;
   std::vector<ids::Knowgget> seen;
-  xchg.pullRegionIntoHome(1, cursor, [&](const RemoteKnowgget& item) {
+  xchg.pullRegionIntoHome(1, cursor, [&](const TierItem& item) {
     seen.push_back(item.knowgget);
   });
   ASSERT_EQ(seen.size(), 1u);
@@ -133,7 +127,7 @@ TEST(FleetExchange, KnowggetCrossesRegionBoundaryThroughGlobalTier) {
   BroadcastLog::Cursor sibling;
   std::size_t siblingSeen = 0;
   xchg.pullRegionIntoHome(0, sibling,
-                          [&](const RemoteKnowgget&) { ++siblingSeen; });
+                          [&](const TierItem&) { ++siblingSeen; });
   EXPECT_EQ(siblingSeen, 1u);
 
   const HierarchicalExchange::Stats s = xchg.stats();
@@ -213,6 +207,39 @@ TEST(FleetExchange, GlobalInboxOverflowEvictsOldestAndCounts) {
   EXPECT_EQ(s.globalForwarded, s.globalDrained + s.globalDropped);
 }
 
+TEST(FleetExchange, GlobalOverflowAcrossRegionsKeepsNewestInRegionOrder) {
+  HierarchicalExchange::Options o = smallExchange(3, 6);
+  o.globalInboxCapacity = 3;
+  HierarchicalExchange xchg(o);
+  for (int i = 0; i < 3; ++i) {
+    xchg.publishFromHome(0, 0, knowgget("H0", "A" + std::to_string(i), "1"),
+                         seconds(i));
+  }
+  for (int i = 0; i < 2; ++i) {
+    xchg.publishFromHome(2, 1, knowgget("H2", "B" + std::to_string(i), "1"),
+                         seconds(i));
+  }
+  // Region 1 syncs first, as a faster worker would: the survivors follow
+  // region order, not sync order.
+  EXPECT_EQ(xchg.syncRegion(1), 2u);
+  EXPECT_EQ(xchg.syncRegion(0), 3u);
+  EXPECT_EQ(xchg.syncGlobal(), 3u);
+  // Region 2 forwarded nothing; its homes receive the global survivors.
+  EXPECT_EQ(xchg.pullGlobalIntoRegion(2), 3u);
+  BroadcastLog::Cursor cursor;
+  std::vector<std::string> labels;
+  xchg.pullRegionIntoHome(2, cursor, [&](const TierItem& item) {
+    labels.push_back(item.knowgget.label);
+  });
+  EXPECT_EQ(labels, (std::vector<std::string>{"A2", "B0", "B1"}));
+  const HierarchicalExchange::Stats s = xchg.stats();
+  EXPECT_EQ(s.globalForwarded, 5u);
+  EXPECT_EQ(s.globalDropped, 2u);
+  EXPECT_EQ(s.globalDrained, 3u);
+  EXPECT_EQ(s.published, s.regionDrained + s.regionDropped);
+  EXPECT_EQ(s.globalForwarded, s.globalDrained + s.globalDropped);
+}
+
 TEST(FleetExchange, ReconciliationRepairsOverflowEvictions) {
   HierarchicalExchange::Options o = smallExchange(2, 2);
   o.regionInboxCapacity = 1;
@@ -228,7 +255,6 @@ TEST(FleetExchange, ReconciliationRepairsOverflowEvictions) {
   }
   xchg.finishChild(0, own);
   xchg.finishChild(1, {});
-  ASSERT_TRUE(xchg.allChildrenFinished());
   xchg.reconcile();
   // The deposited finals repaired every eviction: the global snapshot holds
   // all eight entries.
@@ -365,15 +391,26 @@ TEST(FleetRun, ExchangeAccountingClosesExactly) {
 }
 
 TEST(FleetRun, SameSeedIsDeterministicAcrossWorkerCounts) {
-  Fleet a(smallFleet(256, 1));
-  Fleet b(smallFleet(256, 4));
-  a.run();
-  b.run();
-  // Home behavior is a pure function of (seed, homeIndex): packet counts,
-  // alerts and the converged views are worker-count independent.
-  EXPECT_EQ(a.stats().packetsProcessed, b.stats().packetsProcessed);
-  EXPECT_EQ(a.stats().alertsRaised, b.stats().alertsRaised);
-  EXPECT_EQ(viewOf(a.homeCollectiveView(0)), viewOf(b.homeCollectiveView(0)));
+  Fleet reference(smallFleet(256, 1));
+  reference.run();
+  for (const std::size_t workers : {2u, 4u, 8u}) {
+    Fleet f(smallFleet(256, workers));
+    f.run();
+    ASSERT_EQ(f.options().workers, workers);
+    // Home behavior is a pure function of (seed, homeIndex), and the global
+    // tier takes the regions' entries in region order: packet counts,
+    // alerts, every exchange tally and the converged views are
+    // worker-count independent.
+    EXPECT_EQ(f.stats().packetsProcessed, reference.stats().packetsProcessed)
+        << workers << " workers";
+    EXPECT_EQ(f.stats().alertsRaised, reference.stats().alertsRaised)
+        << workers << " workers";
+    EXPECT_EQ(f.stats().exchange, reference.stats().exchange)
+        << workers << " workers";
+    EXPECT_EQ(viewOf(f.homeCollectiveView(0)),
+              viewOf(reference.homeCollectiveView(0)))
+        << workers << " workers";
+  }
 }
 
 TEST(FleetRun, NaiveAndSharedBaselineModelsDetectIdentically) {
